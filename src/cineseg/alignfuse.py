@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
+from .dataio import atomic_write
 from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
@@ -92,14 +93,8 @@ class ModelConfig:
         return cfg
 
 
-def align_index(i: int, seq_len: int, align_len: int) -> int:
-    """Alignment bucket floor(align_len * i / seq_len) for position i."""
-    if not 0 <= i < seq_len:
-        raise ContractError(f"position {i} outside [0, {seq_len})")
-    return (align_len * i) // seq_len
-
-
 def align_buckets(seq_len: int, align_len: int) -> np.ndarray:
+    """Alignment bucket floor(align_len * i / seq_len) of every position i."""
     return (align_len * np.arange(seq_len, dtype=np.int64)) // seq_len
 
 
@@ -345,26 +340,11 @@ def apply_head(model, rows) -> Tensor:
     return _linear_apply(model, "head", rows)
 
 
-def forward_sequence(model, feats_list, rng=None, collect=None) -> Tensor:
-    """Per-position logits [L_in x num_classes] for one full sequence."""
-    rows = encode_sequence(model, feats_list, rng, collect)
-    return _linear_apply(model, "head", rows)
-
-
 def forward_act(model, feats_list, rng=None, collect=None) -> Tensor:
     """Per-shot turning-point logits [L_in x 5] for one movie."""
     if model.config.num_classes != 5:
         raise ContractError("act forward needs a 5-class head")
-    return forward_sequence(model, feats_list, rng, collect)
-
-
-def forward_synopsis(model, feats, rng=None, collect=None) -> Tensor:
-    """Per-sentence turning-point logits [num_sentences x 5]."""
-    if model.config.num_modalities != 1:
-        raise ContractError("the synopsis model is single-modality")
-    if model.config.num_classes != 5:
-        raise ContractError("synopsis forward needs a 5-class head")
-    return forward_sequence(model, [feats], rng, collect)
+    return apply_head(model, encode_sequence(model, feats_list, rng, collect))
 
 
 # ---- checkpoints ----
@@ -372,7 +352,6 @@ def forward_synopsis(model, feats, rng=None, collect=None) -> Tensor:
 
 def save_checkpoint(path, kind: str, configs: dict, params: dict, extra: dict | None = None):
     """One file: a JSON header line, then named float64 blobs in order."""
-    path = Path(path)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -383,10 +362,9 @@ def save_checkpoint(path, kind: str, configs: dict, params: dict, extra: dict | 
         ],
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for t in params.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    chunks = [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"]
+    chunks += [np.ascontiguousarray(t.data, dtype="<f8").tobytes() for t in params.values()]
+    atomic_write(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

@@ -16,24 +16,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import alignfuse as af
 from . import dataio
-from . import distill
 from . import metrics as mx
-from . import numcore as nc
 from . import sync
 from . import trainer
-from .errors import BlobIOError, ConfigError, ContractError, DataError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError
+from .gradcheck import GRADCHECK_TOLERANCE, run_gradient_checks
 from .numcore import Tensor
-
-GRADCHECK_TOLERANCE = 1e-4
 
 
 # ---- config plumbing ----
@@ -179,6 +175,12 @@ def resolve_config(registry: dict, config_path, sets) -> dict:
     return resolved
 
 
+def _section(cfg_map: dict, prefix: str) -> dict:
+    """The keys under 'prefix.', with the prefix stripped."""
+    start = len(prefix) + 1
+    return {k[start:]: v for k, v in cfg_map.items() if k.startswith(prefix + ".")}
+
+
 def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
@@ -192,8 +194,12 @@ def _run_dir(args) -> Path:
     return path
 
 
+def _write_text(path: Path, text: str) -> None:
+    dataio.atomic_write(path, text.encode("utf-8"))
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_config(out: Path, command: str, seed: int, resolved: dict) -> None:
@@ -241,9 +247,7 @@ def cmd_synth(args) -> int:
 
 
 def _write_log(path: Path, logs) -> None:
-    with open(path, "w") as fh:
-        for record in logs:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_text(path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in logs))
 
 
 def _write_reports(path: Path, reports) -> None:
@@ -254,28 +258,11 @@ def cmd_train_scene(args) -> int:
     cfg_map = resolve_config(SCENE_KEYS, args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
     model_cfg = af.ModelConfig(
-        seq_len=cfg_map["model.seq_len"],
-        align_len=cfg_map["model.align_len"],
-        width=cfg_map["model.width"],
-        ffn_width=cfg_map["model.ffn_width"],
-        unimodal_depth=cfg_map["model.unimodal_depth"],
-        fusion_depth=cfg_map["model.fusion_depth"],
-        dropout=cfg_map["model.dropout"],
+        **_section(cfg_map, "model"),
         num_classes=2,
         modality_dims=tuple(s.dim for s in movies[0].streams),
-        num_heads=cfg_map["model.num_heads"],
-        align_pe_embed=cfg_map["model.align_pe_embed"],
-        align_pe_tokens=cfg_map["model.align_pe_tokens"],
     )
-    train_cfg = trainer.TrainConfig(
-        task="scene",
-        epochs=cfg_map["train.epochs"],
-        batch_size=cfg_map["train.batch_size"],
-        optimizer=cfg_map["train.optimizer"],
-        lr=cfg_map["train.lr"],
-        seed=args.seed,
-        holdout=cfg_map["train.holdout"],
-    )
+    train_cfg = trainer.TrainConfig(task="scene", seed=args.seed, **_section(cfg_map, "train"))
     out = _run_dir(args)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -292,50 +279,18 @@ def cmd_train_act(args) -> int:
     cfg_map = resolve_config(ACT_KEYS, args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
     dims = tuple(s.dim for s in movies[0].streams)
-    shot_cfg = af.ModelConfig(
-        seq_len=cfg_map["shot.seq_len"],
-        align_len=cfg_map["shot.align_len"],
-        width=cfg_map["shot.width"],
-        ffn_width=cfg_map["shot.ffn_width"],
-        unimodal_depth=cfg_map["shot.unimodal_depth"],
-        fusion_depth=cfg_map["shot.fusion_depth"],
-        dropout=cfg_map["shot.dropout"],
-        num_classes=5,
-        modality_dims=dims,
-        num_heads=cfg_map["shot.num_heads"],
-        align_pe_embed=cfg_map["shot.align_pe_embed"],
-        align_pe_tokens=cfg_map["shot.align_pe_tokens"],
-    )
-    synopsis_width = cfg_map["synopsis.width"] or shot_cfg.fused_width
+    shot_cfg = af.ModelConfig(**_section(cfg_map, "shot"), num_classes=5, modality_dims=dims)
+    synopsis_fields = _section(cfg_map, "synopsis")
+    synopsis_fields["width"] = synopsis_fields["width"] or shot_cfg.fused_width
     synopsis_cfg = af.ModelConfig(
-        seq_len=cfg_map["synopsis.seq_len"],
-        align_len=cfg_map["synopsis.align_len"],
-        width=synopsis_width,
-        ffn_width=cfg_map["synopsis.ffn_width"],
-        unimodal_depth=cfg_map["synopsis.unimodal_depth"],
-        fusion_depth=cfg_map["synopsis.fusion_depth"],
-        dropout=cfg_map["synopsis.dropout"],
-        num_classes=5,
-        modality_dims=(sum(dims),),
+        **synopsis_fields, num_classes=5, modality_dims=(sum(dims),)
+    )
+    train_fields = _section(cfg_map, "train")
+    loss_weights = tuple(
+        train_fields.pop(f"alpha_{term}") for term in ("contrastive", "synopsis", "distill")
     )
     train_cfg = trainer.TrainConfig(
-        task="act",
-        epochs=cfg_map["train.epochs"],
-        batch_size=cfg_map["train.batch_size"],
-        optimizer=cfg_map["train.optimizer"],
-        lr=cfg_map["train.lr"],
-        seed=args.seed,
-        holdout=cfg_map["train.holdout"],
-        loss_weights=(
-            cfg_map["train.alpha_contrastive"],
-            cfg_map["train.alpha_synopsis"],
-            cfg_map["train.alpha_distill"],
-        ),
-        em_every=cfg_map["train.em_every"],
-        em_xi=cfg_map["train.em_xi"],
-        em_percentile=cfg_map["train.em_percentile"],
-        kd_joint=cfg_map["train.kd_joint"],
-        sync_dim=cfg_map["train.sync_dim"],
+        task="act", seed=args.seed, loss_weights=loss_weights, **train_fields
     )
     out = _run_dir(args)
     ckpt_dir = out / "checkpoints"
@@ -346,7 +301,7 @@ def cmd_train_act(args) -> int:
     trainer.save_act_checkpoint(out / "model.ckpt", pipeline, train_cfg.epochs)
     sync_dir = out / "sync"
     sync_dir.mkdir(exist_ok=True)
-    train_movies = movies[:-train_cfg.holdout]
+    train_movies, _ = trainer._split(movies, train_cfg.holdout)
     for movie, sm in zip(train_movies, syncs):
         _write_json(sync_dir / f"{movie.movie_id}.json", sync.sync_to_json(sm))
     _write_log(out / "train_log.jsonl", logs)
@@ -399,219 +354,45 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _eval_scene(model, extra, movies, args, out: Path) -> mx.MetricsReport:
-    report = trainer.scene_report(model, movies, int(extra.get("epoch", 0)), args.seed)
-    with open(out / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["movie_id", "shot", "score", "label"])
-        for movie in movies:
-            scores = trainer.scene_shot_scores(model, movie)
-            for t, score in enumerate(scores):
-                writer.writerow(
-                    [movie.movie_id, t, _format(score), int(movie.scene_labels[t])]
-                )
-    return report
-
-
-def _eval_act(pipeline, extra, movies, args, out: Path) -> mx.MetricsReport:
-    report = trainer.act_report(pipeline, movies, int(extra.get("epoch", 0)), args.seed)
-    with open(out / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["movie_id", "shot"] + [f"tp{i}" for i in range(5)])
-        for movie in movies:
-            feats, _ = trainer.movie_inputs(movie)
-            probs = distill.shot_distribution(
-                af.forward_act(pipeline.shot_model, feats)
-            ).data
-            for t in range(probs.shape[0]):
-                writer.writerow(
-                    [movie.movie_id, t] + [_format(p) for p in probs[t]]
-                )
-    return report
+def _write_csv(path: Path, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    _write_text(path, text.getvalue())
 
 
 def cmd_eval(args) -> int:
     cfg_map = resolve_config(EVAL_KEYS, args.config, args.set)
-    kind, _, _, extra = af.load_checkpoint(args.checkpoint)
+    kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
     out = _run_dir(args)
+    epoch = int(extra.get("epoch", 0))
+    # one forward per movie feeds both the report and scores.csv
     if kind == "scene":
-        model, extra = trainer.load_scene_checkpoint(args.checkpoint)
-        report = _eval_scene(model, extra, movies, args, out)
-    elif kind == "act":
-        pipeline, extra = trainer.load_act_checkpoint(args.checkpoint)
-        report = _eval_act(pipeline, extra, movies, args, out)
+        scores = [trainer.scene_shot_scores(loaded, movie) for movie in movies]
+        report = trainer.scene_report(scores, movies, epoch, args.seed)
+        rows = [["movie_id", "shot", "score", "label"]]
+        for movie, movie_scores in zip(movies, scores):
+            rows += [
+                [movie.movie_id, t, _format(score), int(movie.scene_labels[t])]
+                for t, score in enumerate(movie_scores)
+            ]
     else:
-        raise DataError(f"cannot evaluate a {kind!r} checkpoint")
+        probs = [trainer.act_shot_probs(loaded.shot_model, movie) for movie in movies]
+        report = trainer.act_report(probs, movies, epoch, args.seed, loaded.max_p_col_dev)
+        rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(5)]]
+        for movie, movie_probs in zip(movies, probs):
+            rows += [
+                [movie.movie_id, t] + [_format(p) for p in row]
+                for t, row in enumerate(movie_probs)
+            ]
+    _write_csv(out / "scores.csv", rows)
     _write_config(out, "eval", args.seed, cfg_map)
-    (out / "report.json").write_text(report.dumps() + "\n")
+    _write_text(out / "report.json", report.dumps() + "\n")
     print(report.dumps())
     return 0
 
 
 # ---- gradient checking ----
-
-
-def _tiny_scene_setup(seed: int):
-    cfg = af.ModelConfig(
-        seq_len=5, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1, dropout=0.0,
-        num_classes=2, modality_dims=(3, 2),
-    )
-    root = np.random.SeedSequence(seed)
-    model_seed, data_seed = root.spawn(2)
-    model = af.FusionModel(cfg, model_seed)
-    rng = np.random.default_rng(data_seed)
-    windows = [Tensor(rng.standard_normal((2, 5, d))) for d in cfg.modality_dims]
-    labels = np.array([0, 1])
-
-    def loss_fn():
-        return trainer.weighted_scene_ce(af.forward_scene(model, windows), labels)
-
-    return model.params, loss_fn
-
-
-def _tiny_act_setup(seed: int):
-    shot_cfg = af.ModelConfig(
-        seq_len=5, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1, dropout=0.0,
-        num_classes=5, modality_dims=(3, 2),
-    )
-    synopsis_cfg = af.ModelConfig(
-        seq_len=3, align_len=2, width=16, ffn_width=16,
-        unimodal_depth=1, fusion_depth=0, dropout=0.0,
-        num_classes=5, modality_dims=(5,),
-    )
-    root = np.random.SeedSequence(seed)
-    model_seed, data_seed = root.spawn(2)
-    pipeline = trainer.build_act_pipeline(shot_cfg, synopsis_cfg, 6, model_seed)
-    rng = np.random.default_rng(data_seed)
-    shots = [rng.standard_normal((5, d)) for d in shot_cfg.modality_dims]
-    synopsis = rng.standard_normal((3, 5))
-    # the proportional diagonal keeps every shot and sentence inside the
-    # band with at least one positive, so no query is skipped
-    band = sync.band_mask(5, 3)
-    w = np.zeros((5, 3))
-    for i in range(5):
-        w[i, (i * 3) // 5] = 1.0
-    assert (w[band].sum() == 5) and not w[~band].any()
-    tp_labels = [[0], [0], [1], [2], [2]]
-    return pipeline, shots, synopsis, w, band, tp_labels
-
-
-def _act_losses(pipeline, shots, synopsis, w, band, tp_labels):
-    head = pipeline.sync_head
-    rows = af.encode_sequence(pipeline.shot_model, shots)
-    syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis])
-    u = head.features(rows)
-    v = head.features(syn_rows)
-    l_c = sync.m_step_loss([(u, v, w, band)], head.tau())
-    q = af.apply_head(pipeline.synopsis_model, syn_rows)
-    l_ce = distill.synopsis_ce_loss(q, tp_labels)
-    attn = distill.attention_weights(u, v, head.tau())
-    targets = distill.transfer_targets(attn, q)
-    shot_logits = af.apply_head(pipeline.shot_model, rows)
-    l_kd = distill.kd_loss(distill.shot_distribution(shot_logits), targets)
-    return l_c, l_ce, l_kd
-
-
-def _noise_gate(loss_scale: float, h: float) -> float:
-    """Gradient magnitude below which central differences only measure
-    the rounding noise of the loss evaluations (~eps*|f|/h), with a wide
-    safety factor. Entries where both sides sit under the gate are
-    structural zeros (e.g. attention key biases, which softmax cancels)
-    and carry no comparable signal."""
-    return 64.0 * np.finfo(np.float64).eps * max(1.0, abs(loss_scale)) / h
-
-
-def _gated_rel_error(auto: np.ndarray, fd: np.ndarray, gate: float) -> float:
-    live = (np.abs(auto) >= gate) | (np.abs(fd) >= gate)
-    if not live.any():
-        return 0.0
-    return nc.max_rel_error(auto[live], fd[live])
-
-
-def _autodiff_grads(params: dict, loss) -> dict:
-    grads = {
-        name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-        for name, p in params.items()
-    }
-    nc.zero_grads(params.values())
-    return grads, float(loss.data)
-
-
-def _summarize(name: str, params: dict, errors: dict, tolerance: float) -> dict:
-    worst_err, worst_param = 0.0, ""
-    for pname, err in errors.items():
-        if err > worst_err:
-            worst_err, worst_param = err, pname
-    return {
-        "check": name,
-        "parameters": len(params),
-        "max_rel_error": worst_err,
-        "worst_parameter": worst_param,
-        "passed": worst_err < tolerance,
-    }
-
-
-def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADCHECK_TOLERANCE):
-    """Autodiff-vs-finite-difference checks for the three training losses
-    on the tiny two-modality config; one result dict per loss."""
-    params, loss_fn = _tiny_scene_setup(seed)
-    with nc.Tape() as tape:
-        loss = loss_fn()
-    nc.backward(tape, loss)
-    scene_grads, scene_scale = _autodiff_grads(params, loss)
-    gate = _noise_gate(scene_scale, h)
-    errors = {}
-    for pname, p in params.items():
-        fd = nc.fd_gradient(lambda: float(loss_fn().data), p, h)
-        errors[pname] = _gated_rel_error(scene_grads[pname], fd, gate)
-    results = [_summarize("scene_weighted_ce", params, errors, tolerance)]
-
-    # the combined loss reuses the contrastive term, so one forward per
-    # perturbation serves both finite-difference checks
-    pipeline, shots, synopsis, w, band, tp_labels = _tiny_act_setup(seed)
-    params = pipeline.named_params()
-
-    def both_losses():
-        l_c, l_ce, l_kd = _act_losses(pipeline, shots, synopsis, w, band, tp_labels)
-        return l_c, distill.total_loss(l_c, l_ce, l_kd, distill.DEFAULT_LOSS_WEIGHTS)
-
-    with nc.Tape() as tape:
-        l_c, _ = both_losses()
-    nc.backward(tape, l_c)
-    contrastive_grads, c_scale = _autodiff_grads(params, l_c)
-    with nc.Tape() as tape:
-        _, total = both_losses()
-    nc.backward(tape, total)
-    combined_grads, t_scale = _autodiff_grads(params, total)
-
-    c_gate = _noise_gate(c_scale, h)
-    t_gate = _noise_gate(t_scale, h)
-    c_errors, t_errors = {}, {}
-    for pname, p in params.items():
-        flat = p.data.reshape(-1)
-        fd_c = np.zeros(flat.size)
-        fd_t = np.zeros(flat.size)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + h
-            up_c, up_t = both_losses()
-            flat[i] = original - h
-            dn_c, dn_t = both_losses()
-            flat[i] = original
-            fd_c[i] = (float(up_c.data) - float(dn_c.data)) / (2.0 * h)
-            fd_t[i] = (float(up_t.data) - float(dn_t.data)) / (2.0 * h)
-        c_errors[pname] = _gated_rel_error(
-            contrastive_grads[pname].reshape(-1), fd_c, c_gate
-        )
-        t_errors[pname] = _gated_rel_error(
-            combined_grads[pname].reshape(-1), fd_t, t_gate
-        )
-    results.append(_summarize("contrastive", params, c_errors, tolerance))
-    results.append(_summarize("combined", params, t_errors, tolerance))
-    return results
 
 
 def cmd_gradcheck(args) -> int:
@@ -639,46 +420,29 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_importance(args) -> int:
     cfg_map = resolve_config(IMPORTANCE_KEYS, args.config, args.set)
-    kind, _, _, _ = af.load_checkpoint(args.checkpoint)
+    kind, loaded, _ = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
     out = _run_dir(args)
-    entries = []
-    if kind == "scene":
-        model, _ = trainer.load_scene_checkpoint(args.checkpoint)
-        half = model.config.seq_len // 2
-        for movie in movies:
+    payload = []
+    for movie in movies:
+        record = {"movie_id": movie.movie_id, "task": kind}
+        if kind == "scene":
             t = cfg_map["shot"] if cfg_map["shot"] >= 0 else movie.num_shots // 2
             if not 0 <= t < movie.num_shots:
                 raise DataError(
                     f"shot {t} outside movie {movie.movie_id} ({movie.num_shots} shots)"
                 )
-            idx = trainer._reflect_indices(t, half, movie.num_shots)
+            idx = trainer._reflect_indices(t, loaded.config.seq_len // 2, movie.num_shots)
             feats = [Tensor(s.samples[idx]) for s in movie.streams]
-            weights, fallback = mx.gradcam_importance(model, feats, "scene")
-            entries.append((movie, t, weights, fallback))
-    elif kind == "act":
-        pipeline, _ = trainer.load_act_checkpoint(args.checkpoint)
-        model = pipeline.shot_model
-        for movie in movies:
+            weights, fallback = mx.gradcam_importance(loaded, feats, "scene")
+            record["shot"] = t
+        else:
             feats, _ = trainer.movie_inputs(movie)
             weights, fallback = mx.gradcam_importance(
-                model, [Tensor(f) for f in feats], "act"
+                loaded.shot_model, [Tensor(f) for f in feats], "act"
             )
-            entries.append((movie, None, weights, fallback))
-    else:
-        raise DataError(f"cannot analyze a {kind!r} checkpoint")
-    payload = []
-    for movie, t, weights, fallback in entries:
-        record = {
-            "movie_id": movie.movie_id,
-            "task": kind,
-            "weights": {
-                s.name: float(w) for s, w in zip(movie.streams, weights)
-            },
-            "uniform_fallback": fallback,
-        }
-        if t is not None:
-            record["shot"] = t
+        record["weights"] = {s.name: float(w) for s, w in zip(movie.streams, weights)}
+        record["uniform_fallback"] = fallback
         payload.append(record)
     _write_config(out, "importance", args.seed, cfg_map)
     _write_json(out / "importance.json", payload)

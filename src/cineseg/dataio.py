@@ -1,9 +1,7 @@
-"""Movie samples, shot-level feature pooling, synthetic data, and disk I/O.
+"""Movie samples, synthetic data, and disk I/O.
 
 A movie is a list of shot intervals plus one feature stream per
-modality. Streams are sampled on their own time grid; ``assign_and_pool``
-averages every sample with positive-length overlap into each shot, which
-is the only place stream and shot time bases meet.
+modality, each holding one feature row per shot.
 
 Synthetic movies plant all ground truth the trainers and metrics need:
 a hidden per-scene latent drives every modality through a fixed linear
@@ -17,13 +15,15 @@ Disk format: one JSON manifest per movie plus raw little-endian float64
 blobs (row-major; the row count is the file size divided by 8*dim).
 Synopsis features live in the concatenated modality space, so their
 width is the sum of the modality dims and needs no extra manifest field.
-The format stores one feature row per shot, so only shot-aligned
-streams can be saved; loading restores them bit-exactly.
+Loading checks one row per shot and restores the features bit-exactly.
+Every file is written through ``atomic_write``, so a failed write never
+leaves a partial file under its final name.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,21 +38,15 @@ NUM_TURNING_POINTS = len(THEORY_POSITIONS)
 
 @dataclass
 class ModalityStream:
-    """One modality's raw feature samples on its own time grid."""
+    """One modality's features, one row per shot."""
 
     name: str
-    samples: np.ndarray  # [num_samples x dim]
-    sample_intervals: list[tuple[float, float]]
+    samples: np.ndarray  # [num_shots x dim]
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2:
             raise DataError(f"stream '{self.name}' samples must be 2-D, got {self.samples.shape}")
-        if len(self.sample_intervals) != self.samples.shape[0]:
-            raise DataError(
-                f"stream '{self.name}': {len(self.sample_intervals)} intervals for "
-                f"{self.samples.shape[0]} sample rows"
-            )
 
     @property
     def dim(self) -> int:
@@ -116,45 +110,6 @@ class MovieSample:
                     raise DataError(f"movie '{self.movie_id}': empty turning-point gold set")
                 if min(gold) < 0 or max(gold) >= n_sent:
                     raise DataError(f"movie '{self.movie_id}': turning-point label out of range")
-
-
-@dataclass
-class PooledShotFeatures:
-    """Mean-pooled per-shot features, one matrix per modality (pre-projection)."""
-
-    matrices: list[np.ndarray]  # each [num_shots x dim_m]
-    names: list[str]
-    empty_shots: list[list[int]]  # per modality, shots with no overlapping sample
-
-    @property
-    def dims(self) -> list[int]:
-        return [m.shape[1] for m in self.matrices]
-
-
-def assign_and_pool(streams: list[ModalityStream], shots) -> PooledShotFeatures:
-    """Average, per shot, all samples with positive-length overlap.
-
-    A sample straddling a shot boundary contributes to both shots with
-    equal weight; shots with no overlapping sample get a zero row and
-    are reported in ``empty_shots``.
-    """
-    matrices, names, empties = [], [], []
-    for stream in streams:
-        starts = np.array([s for s, _ in stream.sample_intervals], dtype=np.float64)
-        ends = np.array([e for _, e in stream.sample_intervals], dtype=np.float64)
-        pooled = np.zeros((len(shots), stream.dim))
-        missing = []
-        for i, (shot_s, shot_e) in enumerate(shots):
-            overlap = np.minimum(shot_e, ends) - np.maximum(shot_s, starts)
-            hit = overlap > 0.0
-            if hit.any():
-                pooled[i] = stream.samples[hit].mean(axis=0)
-            else:
-                missing.append(i)
-        matrices.append(pooled)
-        names.append(stream.name)
-        empties.append(missing)
-    return PooledShotFeatures(matrices, names, empties)
 
 
 # ---- synthetic movies ----
@@ -270,7 +225,7 @@ def synth_movie(
             raw = raw / rms
         clean_parts.append(raw.copy())
         feats = raw + cfg.noise * rng.normal(size=raw.shape)
-        streams.append(ModalityStream(name, feats, list(shots)))
+        streams.append(ModalityStream(name, feats))
 
     scene_labels = np.zeros(num_shots, dtype=np.int64)
     for c in cuts:
@@ -354,11 +309,26 @@ def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
 # ---- blob + manifest serialization ----
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then rename it onto
+    path, so path holds either its old content or all of data. The
+    temporary file is removed when the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_blob(path: Path, matrix: np.ndarray) -> None:
     matrix = np.ascontiguousarray(matrix, dtype="<f8")
     if matrix.ndim != 2:
         raise DataError(f"blobs hold 2-D matrices, got shape {matrix.shape}")
-    path.write_bytes(matrix.tobytes())
+    atomic_write(path, matrix.tobytes())
 
 
 def read_blob(path: Path, dim: int) -> np.ndarray:
@@ -379,11 +349,7 @@ def read_blob(path: Path, dim: int) -> np.ndarray:
 
 
 def save_movie(sample: MovieSample, out_dir: Path) -> Path:
-    """Write manifest.json plus blobs; returns the manifest path.
-
-    Streams must hold exactly one sample per shot on the shot grid (the
-    on-disk format has no per-sample intervals).
-    """
+    """Write manifest.json plus blobs; returns the manifest path."""
     sample.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,12 +359,6 @@ def save_movie(sample: MovieSample, out_dir: Path) -> Path:
         "modalities": [],
     }
     for stream in sample.streams:
-        if len(stream.sample_intervals) != sample.num_shots or any(
-            a != b for a, b in zip(stream.sample_intervals, sample.shots)
-        ):
-            raise DataError(
-                f"stream '{stream.name}' is not shot-aligned; pool it before saving"
-            )
         blob_name = f"{stream.name}.f64"
         write_blob(out_dir / blob_name, stream.samples)
         manifest["modalities"].append(
@@ -421,7 +381,7 @@ def save_movie(sample: MovieSample, out_dir: Path) -> Path:
         write_blob(out_dir / "gold_sync.f64", sample.gold_sync)
         manifest["gold_sync_blob"] = "gold_sync.f64"
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest_path
 
 
@@ -449,7 +409,7 @@ def load_movie(manifest_path: Path) -> MovieSample:
                 f"stream '{entry['name']}': blob has {matrix.shape[0]} rows for "
                 f"{len(shots)} shots"
             )
-        streams.append(ModalityStream(entry["name"], matrix, list(shots)))
+        streams.append(ModalityStream(entry["name"], matrix))
 
     synopsis = None
     if "synopsis_blob" in manifest:
@@ -493,4 +453,13 @@ def load_dataset(root: Path) -> list[MovieSample]:
     manifests = sorted(root.glob("*/manifest.json"))
     if not manifests:
         raise BlobIOError(f"no movie manifests under {root}")
-    return [load_movie(p) for p in manifests]
+    movies = [load_movie(p) for p in manifests]
+    want = [(s.name, s.dim) for s in movies[0].streams]
+    for movie in movies[1:]:
+        have = [(s.name, s.dim) for s in movie.streams]
+        if have != want:
+            raise DataError(
+                f"movie {movie.movie_id} has modalities {have}, but "
+                f"{movies[0].movie_id} has {want}"
+            )
+    return movies

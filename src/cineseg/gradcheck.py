@@ -1,0 +1,164 @@
+"""Autodiff-vs-finite-difference checks of the three training losses.
+
+Each check builds a tiny model on the two-modality config, takes the
+taped gradient of one loss, and compares it against central finite
+differences over every parameter element. Entries where both sides sit
+under a rounding-noise gate are left out of the comparison.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import alignfuse as af
+from . import distill
+from . import numcore as nc
+from . import sync
+from . import trainer
+from .numcore import Tensor
+
+GRADCHECK_TOLERANCE = 1e-4
+
+
+def _tiny_scene_setup(seed: int):
+    cfg = af.ModelConfig(
+        seq_len=5, align_len=2, width=8, ffn_width=16,
+        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        num_classes=2, modality_dims=(3, 2),
+    )
+    root = np.random.SeedSequence(seed)
+    model_seed, data_seed = root.spawn(2)
+    model = af.FusionModel(cfg, model_seed)
+    rng = np.random.default_rng(data_seed)
+    windows = [Tensor(rng.standard_normal((2, 5, d))) for d in cfg.modality_dims]
+    labels = np.array([0, 1])
+
+    def loss_fn():
+        return trainer.weighted_scene_ce(af.forward_scene(model, windows), labels)
+
+    return model.params, loss_fn
+
+
+def _tiny_act_setup(seed: int):
+    shot_cfg = af.ModelConfig(
+        seq_len=5, align_len=2, width=8, ffn_width=16,
+        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        num_classes=5, modality_dims=(3, 2),
+    )
+    synopsis_cfg = af.ModelConfig(
+        seq_len=3, align_len=2, width=16, ffn_width=16,
+        unimodal_depth=1, fusion_depth=0, dropout=0.0,
+        num_classes=5, modality_dims=(5,),
+    )
+    root = np.random.SeedSequence(seed)
+    model_seed, data_seed = root.spawn(2)
+    pipeline = trainer.build_act_pipeline(shot_cfg, synopsis_cfg, 6, model_seed)
+    rng = np.random.default_rng(data_seed)
+    shots = [rng.standard_normal((5, d)) for d in shot_cfg.modality_dims]
+    synopsis = rng.standard_normal((3, 5))
+    # the proportional diagonal keeps every shot and sentence inside the
+    # band with at least one positive, so no query is skipped
+    band = sync.band_mask(5, 3)
+    w = np.zeros((5, 3))
+    for i in range(5):
+        w[i, (i * 3) // 5] = 1.0
+    assert (w[band].sum() == 5) and not w[~band].any()
+    tp_labels = [[0], [0], [1], [2], [2]]
+    return pipeline, shots, synopsis, w, band, tp_labels
+
+
+def _act_losses(pipeline, shots, synopsis, w, band, tp_labels):
+    head = pipeline.sync_head
+    rows = af.encode_sequence(pipeline.shot_model, shots)
+    syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis])
+    u = head.features(rows)
+    v = head.features(syn_rows)
+    l_c = sync.m_step_loss([(u, v, w, band)], head.tau())
+    q = af.apply_head(pipeline.synopsis_model, syn_rows)
+    l_ce = distill.synopsis_ce_loss(q, tp_labels)
+    attn = distill.attention_weights(u, v, head.tau())
+    targets = distill.transfer_targets(attn, q)
+    shot_logits = af.apply_head(pipeline.shot_model, rows)
+    l_kd = distill.kd_loss(distill.shot_distribution(shot_logits), targets)
+    return l_c, l_ce, l_kd
+
+
+def _noise_gate(loss_scale: float, h: float) -> float:
+    """Gradient magnitude below which central differences only measure
+    the rounding noise of the loss evaluations (~eps*|f|/h), with a wide
+    safety factor. Entries where both sides sit under the gate are
+    structural zeros (e.g. attention key biases, which softmax cancels)
+    and carry no comparable signal."""
+    return 64.0 * np.finfo(np.float64).eps * max(1.0, abs(loss_scale)) / h
+
+
+def _gated_rel_error(auto: np.ndarray, fd: np.ndarray, gate: float) -> float:
+    live = (np.abs(auto) >= gate) | (np.abs(fd) >= gate)
+    if not live.any():
+        return 0.0
+    return nc.max_rel_error(auto[live], fd[live])
+
+
+def _autodiff_grads(params: dict, loss) -> tuple[dict, float]:
+    grads = {
+        name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+        for name, p in params.items()
+    }
+    nc.zero_grads(params.values())
+    return grads, float(loss.data)
+
+
+def _summarize(name: str, params: dict, errors: dict, tolerance: float) -> dict:
+    worst_err, worst_param = 0.0, ""
+    for pname, err in errors.items():
+        if err > worst_err:
+            worst_err, worst_param = err, pname
+    return {
+        "check": name,
+        "parameters": len(params),
+        "max_rel_error": worst_err,
+        "worst_parameter": worst_param,
+        "passed": worst_err < tolerance,
+    }
+
+
+def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> list:
+    """One result dict per loss; losses() returns every loss of one forward,
+    so a single forward per perturbation serves all of the checks."""
+    auto, gates = [], []
+    for k in range(len(names)):
+        with nc.Tape() as tape:
+            loss = losses()[k]
+        nc.backward(tape, loss)
+        grads, scale = _autodiff_grads(params, loss)
+        auto.append(grads)
+        gates.append(_noise_gate(scale, h))
+    errors = [{} for _ in names]
+    for pname, p in params.items():
+        fd = nc.fd_gradient(lambda: [float(value.data) for value in losses()], p, h)
+        for k in range(len(names)):
+            errors[k][pname] = _gated_rel_error(auto[k][pname], fd[k], gates[k])
+    return [
+        _summarize(name, params, errs, tolerance) for name, errs in zip(names, errors)
+    ]
+
+
+def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADCHECK_TOLERANCE):
+    """Autodiff-vs-finite-difference checks for the three training losses
+    on the tiny two-modality config; one result dict per loss."""
+    params, loss_fn = _tiny_scene_setup(seed)
+    results = _check_losses(
+        ("scene_weighted_ce",), params, lambda: (loss_fn(),), h, tolerance
+    )
+
+    # the combined loss reuses the contrastive term
+    pipeline, shots, synopsis, w, band, tp_labels = _tiny_act_setup(seed)
+
+    def act_losses():
+        l_c, l_ce, l_kd = _act_losses(pipeline, shots, synopsis, w, band, tp_labels)
+        return l_c, distill.total_loss(l_c, l_ce, l_kd, distill.DEFAULT_LOSS_WEIGHTS)
+
+    results += _check_losses(
+        ("contrastive", "combined"), pipeline.named_params(), act_losses, h, tolerance
+    )
+    return results

@@ -1,5 +1,5 @@
 """Evaluation: boundary AP and F1, turning-point agreement, and
-gradient-times-activation modality importance.
+Grad-CAM modality importance.
 
 Turning-point agreement definitions used throughout this repo: per TP
 event the evaluator takes the single argmax scene; TA counts events
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alignfuse as af
-from . import numcore as nc
 from .errors import ContractError, DataError
 
 METRICS_SCHEMA = "cineseg-metrics"
@@ -162,49 +161,34 @@ def _normalize_importance(raw: np.ndarray):
 
 
 def gradcam_importance(model, feats_list, task: str):
-    """Per-modality importance for one input sequence.
+    """Per-modality Grad-CAM importance for one input sequence.
 
     The selected output y* is the max-class logit at the key (middle)
     position for the scene task, and the sum over turning points of the
-    max-shot logit for the act task. The head-weight gradient of y* is
-    multiplied with the selected rows' activations, summed per modality
-    channel slice, rectified, and normalized to sum to one. Returns
-    (weights [M], uniform_fallback).
+    max-shot logit for the act task. The head is linear, so the gradient
+    of y* with respect to a selected row's activation a is the head
+    column head.w[:, n], and modality m's raw score is
+    sum_c head.w[c, n] * a[c] over its channel slice, summed over the
+    selected (row, class) pairs. Scores are rectified and normalized to
+    sum to one. Returns (weights [M], uniform_fallback).
     """
     cfg = model.config
-    head_w = model.params["head.w"]
-    saved_grads = {name: p.grad for name, p in model.params.items()}
-    head_w.grad = None
-    try:
-        with nc.Tape() as tape:
-            rows = af.encode_sequence(model, feats_list)
-            logits = af.apply_head(model, rows)
-            if task == "scene":
-                if logits.shape[0] % 2 == 0:
-                    raise DataError("scene importance needs an odd window so the key row is central")
-                key = logits.shape[0] // 2
-                selections = [(key, int(np.argmax(logits.data[key])))]
-            elif task == "act":
-                selections = [
-                    (int(np.argmax(logits.data[:, n])), n) for n in range(cfg.num_classes)
-                ]
-            else:
-                raise ContractError(f"unknown importance task {task!r}")
-            picked = [
-                nc.narrow(nc.narrow(logits, -2, i, i + 1), -1, n, n + 1)
-                for i, n in selections
-            ]
-            target = picked[0] if len(picked) == 1 else nc.concat(picked, -1)
-            loss = nc.sum_all(target)
-        nc.backward(tape, loss)
-        grad = head_w.grad
-    finally:
-        for name, p in model.params.items():
-            p.grad = saved_grads[name]
+    rows = af.encode_sequence(model, feats_list)
+    logits = af.apply_head(model, rows).data
+    if task == "scene":
+        if logits.shape[0] % 2 == 0:
+            raise DataError("scene importance needs an odd window so the key row is central")
+        key = logits.shape[0] // 2
+        selections = [(key, int(np.argmax(logits[key])))]
+    elif task == "act":
+        selections = [(int(np.argmax(logits[:, n])), n) for n in range(cfg.num_classes)]
+    else:
+        raise ContractError(f"unknown importance task {task!r}")
 
+    head_w = model.params["head.w"].data
     raw = np.zeros(cfg.num_modalities)
     for i, n in selections:
-        activation = rows.data[i]
+        contribution = head_w[:, n] * rows.data[i]
         for m, channels in enumerate(modality_slices(cfg)):
-            raw[m] += float((grad[channels, n] * activation[channels]).sum())
+            raw[m] += contribution[channels].sum()
     return _normalize_importance(raw)

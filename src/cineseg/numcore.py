@@ -18,7 +18,7 @@ without resetting keeps accumulating.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -561,23 +561,27 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
 # ---- gradient checking ----
 
 
-def fd_gradient(f: Callable[[], float], param: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the scalar f() w.r.t. param, element by element.
+def fd_gradient(f: Callable[[], float | Sequence[float]], param: Tensor, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of f() w.r.t. param, element by element.
 
-    Mutates param.data in place and restores it. f must re-evaluate the
-    loss from the current parameter values on every call.
+    f returns one loss, or several losses from one forward; the result
+    has param's shape, behind one leading axis per loss in the latter
+    case. Mutates param.data in place and restores it. f must
+    re-evaluate the losses from the current parameter values on every
+    call.
     """
     flat = param.data.reshape(-1)
-    grad = np.zeros_like(flat)
+    columns = []
     for i in range(flat.size):
         kept = flat[i]
         flat[i] = kept + h
-        hi = f()
+        hi = np.asarray(f(), dtype=np.float64)
         flat[i] = kept - h
-        lo = f()
+        lo = np.asarray(f(), dtype=np.float64)
         flat[i] = kept
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad.reshape(param.data.shape)
+        columns.append((hi - lo) / (2.0 * h))
+    grad = np.stack(columns, axis=-1)
+    return grad.reshape(grad.shape[:-1] + param.data.shape)
 
 
 def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

@@ -13,7 +13,7 @@ direction and sentences in the other; positives come from the E-step,
 negatives are out-of-band pairs of the same movie plus every pair
 across movies, and in-band non-positives of the same movie are left out
 of the denominator entirely. Temperature is learned in log space and
-clamped to [1e-3, 10].
+clamped to [1e-3, 10]. trainer.train_act alternates the two steps.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import alignfuse as af
 from . import numcore as nc
+from .dataio import atomic_write
 from .errors import ContractError, ShapeError
 from .numcore import Tensor
 
@@ -39,15 +40,6 @@ _MASK_OFF = -1e9  # additive mask; keeps every intermediate finite
 
 
 @dataclass
-class SimilarityMatrix:
-    """Cosine similarities between shot and sentence features."""
-
-    values: np.ndarray  # [num_shots x num_sentences]
-    u: np.ndarray  # unit-norm shot features
-    v: np.ndarray  # unit-norm sentence features
-
-
-@dataclass
 class SyncMatrix:
     """Binary shot-to-sentence assignment with the thresholds that made it."""
 
@@ -56,12 +48,13 @@ class SyncMatrix:
     lambdas: np.ndarray  # per-sentence thresholds
 
 
-def compute_similarity(u: np.ndarray, v: np.ndarray) -> SimilarityMatrix:
+def compute_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Shot-by-sentence similarities u @ v.T (cosines for unit-norm rows)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ShapeError(f"incompatible feature shapes {u.shape} and {v.shape}")
-    return SimilarityMatrix(u @ v.T, u, v)
+    return u @ v.T
 
 
 def lambda_per_sentence(values: np.ndarray, percentile: float = DEFAULT_PERCENTILE) -> np.ndarray:
@@ -205,56 +198,9 @@ def run_e_step(
     syncs = []
     for shot_feats, synopsis_feats in movie_inputs:
         u, v = sync_features(shot_model, synopsis_model, head, shot_feats, synopsis_feats)
-        sim = compute_similarity(u, v)
-        syncs.append(e_step(sim.values, lambda_per_sentence(sim.values, percentile), xi))
+        values = compute_similarity(u, v)
+        syncs.append(e_step(values, lambda_per_sentence(values, percentile), xi))
     return syncs
-
-
-def em_run(
-    movie_inputs,
-    shot_model,
-    synopsis_model,
-    head: SyncHead,
-    iterations: int,
-    optimizer,
-    steps_per_iteration: int = 1,
-    xi: float = DEFAULT_BAND_XI,
-    percentile: float = DEFAULT_PERCENTILE,
-    rng: np.random.Generator | None = None,
-):
-    """Alternate the closed-form E-step with contrastive gradient steps.
-
-    movie_inputs: per movie (shot feature matrices, synopsis matrix).
-    Returns (per-movie SyncMatrix from a final E-step, history records).
-    """
-    if iterations < 1:
-        raise ContractError("em_run needs at least one iteration")
-    history = []
-    bands = {}
-    for it in range(iterations):
-        syncs = run_e_step(shot_model, synopsis_model, head, movie_inputs, xi, percentile)
-        for step_idx in range(steps_per_iteration):
-            optimizer.zero_grad()
-            with nc.Tape() as tape:
-                terms = []
-                for (shot_feats, synopsis_feats), sm in zip(movie_inputs, syncs):
-                    u = head.features(af.encode_sequence(shot_model, shot_feats, rng))
-                    v = head.features(
-                        af.encode_sequence(synopsis_model, [synopsis_feats], rng)
-                    )
-                    dims = sm.w.shape
-                    if dims not in bands:
-                        bands[dims] = band_mask(dims[0], dims[1], xi)
-                    terms.append((u, v, sm.w, bands[dims]))
-                loss = m_step_loss(terms, head.tau())
-            if loss.requires_grad:
-                nc.backward(tape, loss)
-                optimizer.step()
-                head.clamp_tau()
-            history.append(
-                {"iteration": it, "step": step_idx, "contrastive_loss": float(loss.data)}
-            )
-    return run_e_step(shot_model, synopsis_model, head, movie_inputs, xi, percentile), history
 
 
 # ---- exports ----
@@ -313,5 +259,4 @@ def write_pgm(matrix: np.ndarray, path) -> None:
     scaled = np.zeros_like(matrix) if hi == lo else (matrix - lo) / (hi - lo)
     pixels = np.round(scaled * 255).astype(np.uint8)
     header = f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header + pixels.tobytes())
+    atomic_write(path, header + pixels.tobytes())

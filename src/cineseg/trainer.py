@@ -12,7 +12,7 @@ are averaged per movie.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,11 +108,6 @@ class TrainConfig:
             raise ConfigError("sync_dim must be positive")
 
 
-ACT_DEFAULTS = TrainConfig(
-    task="act", epochs=10, batch_size=4, optimizer="sgd", lr=1e-3
-)
-
-
 def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
     """Class-weighted boundary cross-entropy, weight_c = batch/(2*count_c),
     normalized as a weighted mean. Single-class batches fall back to the
@@ -177,7 +172,7 @@ def _window_batch(movies, pairs, window: int):
     return per_modality, labels
 
 
-def scene_shot_scores(model, movie, rng=None) -> np.ndarray:
+def scene_shot_scores(model, movie) -> np.ndarray:
     """Boundary probability for every shot, with mirror-padded edge windows."""
     window = model.config.seq_len
     half = window // 2
@@ -193,21 +188,20 @@ def scene_shot_scores(model, movie, rng=None) -> np.ndarray:
             np.stack([s.samples[_reflect_indices(t, half, n)] for t in keys])
             for s in movie.streams
         ]
-        logits = af.forward_scene(model, [Tensor(b) for b in batch], rng)
+        logits = af.forward_scene(model, [Tensor(b) for b in batch])
         probs = nc.softmax(logits, axis=-1)
         scores[start:start + len(batch[0])] = probs.data[:, 1]
     return scores
 
 
-def scene_report(model, eval_movies, epoch: int, seed: int) -> mx.MetricsReport:
-    all_scores, all_labels, per_movie_ap = [], [], []
-    for movie in eval_movies:
-        scores = scene_shot_scores(model, movie)
-        all_scores.append(scores)
-        all_labels.append(movie.scene_labels)
-        per_movie_ap.append(mx.average_precision(scores, movie.scene_labels))
-    scores = np.concatenate(all_scores)
-    labels = np.concatenate(all_labels)
+def scene_report(per_movie_scores, eval_movies, epoch: int, seed: int) -> mx.MetricsReport:
+    """Boundary metrics from each movie's scene_shot_scores."""
+    per_movie_ap = [
+        mx.average_precision(scores, movie.scene_labels)
+        for scores, movie in zip(per_movie_scores, eval_movies)
+    ]
+    scores = np.concatenate(per_movie_scores)
+    labels = np.concatenate([movie.scene_labels for movie in eval_movies])
     flags = [MIRROR_EVAL_FLAG]
     f1, degenerate = mx.f1_at(scores, labels)
     if degenerate:
@@ -251,7 +245,11 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
     if not pairs:
         raise DataError("no training windows fit inside the training movies")
 
-    reports = [scene_report(model, eval_movies, 0, cfg.seed)]
+    def report(epoch):
+        scores = [scene_shot_scores(model, movie) for movie in eval_movies]
+        return scene_report(scores, eval_movies, epoch, cfg.seed)
+
+    reports = [report(0)]
     logs = []
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -277,7 +275,7 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
             )
             nc.backward(tape, loss)
             optimizer.step()
-        reports.append(scene_report(model, eval_movies, epoch, cfg.seed))
+        reports.append(report(epoch))
         if checkpoint_dir is not None:
             save_scene_checkpoint(
                 Path(checkpoint_dir) / f"epoch_{epoch:03d}.ckpt", model, epoch
@@ -291,12 +289,7 @@ def save_scene_checkpoint(path, model, epoch: int | None = None) -> None:
 
 
 def load_scene_checkpoint(path):
-    kind, configs, arrays, extra = af.load_checkpoint(path)
-    if kind != "scene":
-        raise DataError(f"{path} holds a {kind!r} checkpoint, expected scene")
-    model = af.FusionModel(configs["model"], seed=0)
-    model.load_state(arrays)
-    return model, extra
+    return _load_expected(path, "scene")
 
 
 # ---- act pipeline ----
@@ -358,9 +351,18 @@ def save_act_checkpoint(path, pipeline: ActPipeline, epoch: int | None = None) -
 
 
 def load_act_checkpoint(path):
+    return _load_expected(path, "act")
+
+
+def load_checkpoint(path):
+    """(kind, FusionModel or ActPipeline, extra) from one read of the file."""
     kind, configs, arrays, extra = af.load_checkpoint(path)
+    if kind == "scene":
+        model = af.FusionModel(configs["model"], seed=0)
+        model.load_state(arrays)
+        return kind, model, extra
     if kind != "act":
-        raise DataError(f"{path} holds a {kind!r} checkpoint, expected act")
+        raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
     head_arrays = {k: v for k, v in arrays.items() if k.startswith("sync.")}
     proj_dim = head_arrays["sync.proj.w"].shape[1]
     pipeline = ActPipeline(
@@ -379,7 +381,14 @@ def load_act_checkpoint(path):
         if pipeline.sync_head.params[name].shape != value.shape:
             raise DataError(f"sync head parameter '{name}' has shape {value.shape}")
         pipeline.sync_head.params[name] = Tensor(value, requires_grad=True)
-    return pipeline, extra
+    return kind, pipeline, extra
+
+
+def _load_expected(path, expected: str):
+    kind, loaded, extra = load_checkpoint(path)
+    if kind != expected:
+        raise DataError(f"{path} holds a {kind!r} checkpoint, expected {expected}")
+    return loaded, extra
 
 
 def movie_inputs(movie):
@@ -400,13 +409,17 @@ def _scene_partition(movie):
     return scene_of, len(cuts) + 1
 
 
-def act_eval(shot_model, movies):
-    """Span hits at shot level plus scene-level agreement events."""
+def act_shot_probs(shot_model, movie) -> np.ndarray:
+    """Per turning point, the shot distribution of one movie [num_shots x 5]."""
+    feats, _ = movie_inputs(movie)
+    return distill.shot_distribution(af.forward_act(shot_model, feats)).data
+
+
+def act_eval(per_movie_probs, movies):
+    """Span hits at shot level plus scene-level agreement events, from
+    each movie's act_shot_probs."""
     hits, total, events = 0, 0, []
-    for movie in movies:
-        feats, _ = movie_inputs(movie)
-        logits = af.forward_act(shot_model, feats)
-        probs = distill.shot_distribution(logits).data
+    for probs, movie in zip(per_movie_probs, movies):
         scene_of, num_scenes = _scene_partition(movie)
         for tp in range(probs.shape[1]):
             span = _gold_span_shots(movie, tp)
@@ -427,14 +440,16 @@ def act_eval(shot_model, movies):
     return hits, total, events
 
 
-def act_report(pipeline, eval_movies, epoch: int, seed: int) -> mx.MetricsReport:
-    hits, total, events = act_eval(pipeline.shot_model, eval_movies)
+def act_report(
+    per_movie_probs, eval_movies, epoch: int, seed: int, max_p_col_dev: float
+) -> mx.MetricsReport:
+    hits, total, events = act_eval(per_movie_probs, eval_movies)
     values = {
         "epoch": float(epoch),
         "span_hits": float(hits),
         "span_total": float(total),
         "span_hit_rate": hits / total,
-        "max_p_col_dev": pipeline.max_p_col_dev,
+        "max_p_col_dev": max_p_col_dev,
         **mx.tp_metrics(events),
     }
     return mx.MetricsReport(
@@ -457,6 +472,20 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     cfg.validate()
     if cfg.task != "act":
         raise ConfigError("train_act needs an act TrainConfig")
+    # the towers take whole movies, so a movie longer than a tower fails here
+    # instead of in the first E-step
+    for movie in movies:
+        _, synopsis = movie_inputs(movie)
+        if movie.num_shots > shot_cfg.seq_len:
+            raise DataError(
+                f"movie {movie.movie_id} has {movie.num_shots} shots, more than "
+                f"shot.seq_len = {shot_cfg.seq_len}"
+            )
+        if synopsis.shape[0] > synopsis_cfg.seq_len:
+            raise DataError(
+                f"movie {movie.movie_id} has {synopsis.shape[0]} synopsis sentences, "
+                f"more than synopsis.seq_len = {synopsis_cfg.seq_len}"
+            )
     train_movies, eval_movies = _split(movies, cfg.holdout)
     shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -468,7 +497,12 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     inputs = [movie_inputs(m) for m in train_movies]
     bands = {}
     syncs = None
-    reports = [act_report(pipeline, eval_movies, 0, cfg.seed)]
+
+    def report(epoch):
+        probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
+        return act_report(probs, eval_movies, epoch, cfg.seed, pipeline.max_p_col_dev)
+
+    reports = [report(0)]
     logs = []
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -544,7 +578,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             nc.backward(tape, total)
             optimizer.step()
             head.clamp_tau()
-        reports.append(act_report(pipeline, eval_movies, epoch, cfg.seed))
+        reports.append(report(epoch))
         if checkpoint_dir is not None:
             save_act_checkpoint(
                 Path(checkpoint_dir) / f"epoch_{epoch:03d}.ckpt", pipeline, epoch

@@ -31,17 +31,18 @@ def rand_inputs(rng, cfg, batch=2, length=None):
 # ---- alignment buckets ----
 
 
-def test_align_index_17_shot_window():
-    assert af.align_index(8, 17, 2) == 0
-    assert af.align_index(9, 17, 2) == 1
+def test_align_buckets_17_shot_window():
+    buckets = af.align_buckets(17, 2)
+    assert buckets[8] == 0
+    assert buckets[9] == 1
 
 
 def test_align_buckets_15_into_3():
     npt.assert_array_equal(af.align_buckets(15, 3), [0] * 5 + [1] * 5 + [2] * 5)
 
 
-def test_align_index_synopsis_scale():
-    assert af.align_index(20, 40, 20) == 10
+def test_align_buckets_synopsis_scale():
+    assert af.align_buckets(40, 20)[20] == 10
 
 
 def test_align_buckets_balanced_and_monotone():
@@ -119,7 +120,7 @@ def test_single_modality_fusion_degenerates():
     cfg = tiny_cfg(modality_dims=(6,), num_classes=5)
     model = af.FusionModel(cfg, seed=3)
     collect = {}
-    logits = af.forward_synopsis(model, rng.normal(size=(5, 6)), collect=collect)
+    logits = af.forward_act(model, [rng.normal(size=(5, 6))], collect=collect)
     assert logits.shape == (5, 5)
     assert collect["fusion_seq_lens"] == [2 + 5]
     assert collect["fused"].shape == (1, 5, cfg.width)

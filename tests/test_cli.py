@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cineseg import alignfuse as af
 from cineseg import cli
 from cineseg import dataio
+from cineseg import gradcheck
 from cineseg import sync
 from cineseg.errors import ConfigError
 
@@ -319,6 +321,33 @@ def test_train_scene_deterministic_bytes(scene_data, tmp_path):
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+@pytest.mark.parametrize("task", ["scene", "act"])
+@pytest.mark.parametrize("command", ["eval", "importance"])
+def test_one_checkpoint_read_and_one_forward_per_movie(
+    task, command, scene_run, scene_data, act_run, act_data, tmp_path, monkeypatch
+):
+    run, data = (scene_run, scene_data) if task == "scene" else (act_run, act_data)
+    calls = {"encode": 0, "load_checkpoint": 0}
+
+    def counted(name):
+        original = getattr(af, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(af, name, counted(name))
+    code = cli.main(
+        [command, "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert calls == {"encode": 4, "load_checkpoint": 1}  # 4 movies
+
+
 # ---- exit codes ----
 
 
@@ -397,11 +426,44 @@ def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_gradcheck_helpers_gate_structural_zeros():
-    gate = cli._noise_gate(30.0, 1e-5)
+    gate = gradcheck._noise_gate(30.0, 1e-5)
     assert 1e-9 < gate < 1e-6
     noise = np.array([0.0, gate / 10])
-    assert cli._gated_rel_error(np.zeros(2), noise, gate) == 0.0
+    assert gradcheck._gated_rel_error(np.zeros(2), noise, gate) == 0.0
     real = np.array([1.0, 2.0])
-    assert cli._gated_rel_error(real, real * 1.001, gate) == pytest.approx(
+    assert gradcheck._gated_rel_error(real, real * 1.001, gate) == pytest.approx(
         1e-3, rel=0.1
     )
+
+
+def test_mismatched_modalities_exit_3(scene_data, tmp_path, capsys):
+    import shutil
+
+    mixed = tmp_path / "mixed"
+    shutil.copytree(scene_data, mixed)
+    manifest = mixed / "movie_0002" / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["modalities"][1]["name"] = "sound"
+    manifest.write_text(json.dumps(payload))
+    code = cli.main(
+        ["train-scene", "--data", str(mixed), "--out", str(tmp_path / "out")]
+        + _sets(SCENE_MODEL_SET)
+    )
+    assert code == 3
+    assert "movie_0002" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, what",
+    [("shot.seq_len=20", "24 shots"), ("synopsis.seq_len=2", "3 synopsis sentences")],
+)
+def test_act_movie_longer_than_tower_exits_3(act_data, tmp_path, capsys, override, what):
+    out = tmp_path / "out"
+    code = cli.main(
+        ["train-act", "--data", str(act_data), "--out", str(out)]
+        + _sets(ACT_MODEL_SET + [override])
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "movie_0000" in err and what in err
+    assert not list(out.rglob("*.ckpt"))

@@ -6,10 +6,6 @@ from cineseg import dataio
 from cineseg.errors import BlobIOError, ConfigError, DataError, NumericError
 
 
-def stream(name, rows, intervals):
-    return dataio.ModalityStream(name, np.asarray(rows, dtype=float), intervals)
-
-
 def small_cfg(**kw):
     base = dict(
         shots=40,
@@ -22,57 +18,6 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return dataio.SynthConfig(**base)
-
-
-# ---- pooling ----
-
-
-def test_pool_two_samples_inside_one_shot():
-    s = stream("v", [[2.0, 4.0], [6.0, 8.0]], [(0.0, 5.0), (5.0, 10.0)])
-    pooled = dataio.assign_and_pool([s], [(0.0, 10.0)])
-    npt.assert_allclose(pooled.matrices[0], [[4.0, 6.0]])
-    assert pooled.empty_shots == [[]]
-
-
-def test_pool_one_second_stream_over_ten_second_shot():
-    rows = np.arange(12.0).reshape(12, 1)
-    intervals = [(float(i), float(i + 1)) for i in range(12)]
-    pooled = dataio.assign_and_pool([stream("v", rows, intervals)], [(0.0, 10.0), (10.0, 12.0)])
-    npt.assert_allclose(pooled.matrices[0][0], [np.mean(np.arange(10.0))])
-    npt.assert_allclose(pooled.matrices[0][1], [10.5])
-
-
-def test_pool_straddling_sample_feeds_both_shots():
-    s = stream("v", [[1.0], [5.0]], [(0.0, 2.0), (1.5, 3.0)])
-    pooled = dataio.assign_and_pool([s], [(0.0, 2.0), (2.0, 3.0)])
-    npt.assert_allclose(pooled.matrices[0], [[3.0], [5.0]])
-
-
-def test_pool_zero_length_overlap_does_not_count():
-    # sample ends exactly where the shot starts
-    s = stream("v", [[1.0], [2.0]], [(0.0, 2.0), (2.0, 4.0)])
-    pooled = dataio.assign_and_pool([s], [(2.0, 4.0)])
-    npt.assert_allclose(pooled.matrices[0], [[2.0]])
-
-
-def test_pool_empty_shot_gets_zero_row_and_flag():
-    s = stream("v", [[1.0, 1.0]], [(0.0, 1.0)])
-    pooled = dataio.assign_and_pool([s], [(0.0, 1.0), (5.0, 6.0)])
-    npt.assert_allclose(pooled.matrices[0][1], [0.0, 0.0])
-    assert pooled.empty_shots == [[1]]
-
-
-def test_pool_invariant_to_sample_order():
-    rng = np.random.default_rng(0)
-    rows = rng.normal(size=(30, 5))
-    intervals = [(i * 0.7, i * 0.7 + 1.1) for i in range(30)]
-    shots = [(0.0, 7.0), (7.0, 14.0), (14.0, 22.0)]
-    a = dataio.assign_and_pool([stream("v", rows, intervals)], shots)
-    perm = rng.permutation(30)
-    b = dataio.assign_and_pool(
-        [stream("v", rows[perm], [intervals[i] for i in perm])], shots
-    )
-    npt.assert_allclose(a.matrices[0], b.matrices[0], atol=1e-12)
 
 
 # ---- synthetic movies ----
@@ -277,8 +222,34 @@ def test_row_count_mismatch_is_data_error(tmp_path):
         dataio.load_movie(out)
 
 
-def test_save_rejects_unaligned_stream(tmp_path):
-    s = stream("v", np.zeros((3, 2)), [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-    movie = dataio.MovieSample("m", [(0.0, 1.5), (1.5, 3.0)], [s])
-    with pytest.raises(DataError):
-        dataio.save_movie(movie, tmp_path / "m")
+def test_failed_write_leaves_no_file_behind(tmp_path, monkeypatch):
+    class HalfWriter:
+        """A file that takes half of the bytes, then reports a full disk."""
+
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    target = tmp_path / "out.json"
+    monkeypatch.setattr(dataio, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        dataio.atomic_write(target, b"0123456789")
+    assert list(tmp_path.iterdir()) == []
+
+    # a failed write keeps the previous content under the final name
+    monkeypatch.undo()
+    target.write_bytes(b"old")
+    monkeypatch.setattr(dataio, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError):
+        dataio.atomic_write(target, b"new content")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"old"

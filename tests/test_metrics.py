@@ -194,16 +194,35 @@ def test_importance_is_probability_vector():
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_importance_tied_duplicate_modalities_split_evenly():
+def twin_modality_model():
+    """Two modalities whose parameters, head rows included, are equal."""
     model = act_model((4, 4), seed=2)
     for name in list(model.params):
         if name.startswith("mod1."):
             twin = model.params["mod0." + name[len("mod1."):]]
             model.params[name].data[...] = twin.data
+    head_w = model.params["head.w"].data
+    head_w[6:12] = head_w[0:6]  # width 6: mod1's channel slice mirrors mod0's
+    return model
+
+
+def test_importance_tied_duplicate_modalities_split_evenly():
+    model = twin_modality_model()
     feats = np.random.default_rng(3).standard_normal((9, 4))
     weights, fallback = metrics.gradcam_importance(model, [feats, feats.copy()], "act")
     assert not fallback
     assert weights == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def test_importance_follows_head_weights():
+    # tripling mod1's head rows triples its logit share; with equal
+    # activations the selected rows stay put, so the weights go 1:3
+    model = twin_modality_model()
+    model.params["head.w"].data[6:12] *= 3.0
+    feats = np.random.default_rng(3).standard_normal((9, 4))
+    weights, fallback = metrics.gradcam_importance(model, [feats, feats.copy()], "act")
+    assert not fallback
+    assert weights == pytest.approx([0.25, 0.75], abs=1e-9)
 
 
 def test_importance_scene_task_runs():

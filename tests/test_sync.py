@@ -1,5 +1,5 @@
 """Synchronization tests: closed-form E-step against a brute-force oracle,
-frozen contrastive-loss values, and the EM loop on noiseless data."""
+frozen contrastive-loss values, and the E-step on noiseless data."""
 
 import json
 import logging
@@ -34,21 +34,6 @@ def brute_force_best(values, lambdas, xi):
 
 def objective(values, lambdas, w):
     return float((w * (values - lambdas[None, :])).sum())
-
-
-class ToySGD:
-    def __init__(self, params, lr=0.05):
-        self.params = list(params)
-        self.lr = lr
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def step(self):
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
 
 
 # ---- thresholds and band ----
@@ -292,7 +277,7 @@ def test_sync_head_tau_init_and_clamp():
     assert float(head.tau().data) == pytest.approx(1e-3, rel=1e-12)
 
 
-# ---- EM loop ----
+# ---- E-step over movies ----
 
 
 def em_fixture(seed=0, noise=0.0):
@@ -332,46 +317,16 @@ def em_fixture(seed=0, noise=0.0):
     return movies, inputs, shot_model, synopsis_model, head
 
 
-def test_em_run_smoke_history_and_band():
+def test_run_e_step_assignments_stay_in_band():
     _, inputs, shot_model, synopsis_model, head = em_fixture()
-    params = (
-        list(shot_model.params.values())
-        + list(synopsis_model.params.values())
-        + list(head.params.values())
-    )
-    syncs, history = sync.em_run(
-        inputs, shot_model, synopsis_model, head,
-        iterations=2, optimizer=ToySGD(params, lr=0.01), steps_per_iteration=2,
-    )
+    syncs = sync.run_e_step(shot_model, synopsis_model, head, inputs)
     assert len(syncs) == 2
-    assert len(history) == 4
-    assert [h["iteration"] for h in history] == [0, 0, 1, 1]
-    assert all(np.isfinite(h["contrastive_loss"]) for h in history)
     for sm in syncs:
         band = sync.band_mask(*sm.w.shape, xi=sm.xi)
         assert (sm.w.astype(bool) <= band).all()
 
 
-def test_em_run_deterministic():
-    results = []
-    for _ in range(2):
-        _, inputs, shot_model, synopsis_model, head = em_fixture(seed=9)
-        params = (
-            list(shot_model.params.values())
-            + list(synopsis_model.params.values())
-            + list(head.params.values())
-        )
-        syncs, history = sync.em_run(
-            inputs, shot_model, synopsis_model, head,
-            iterations=2, optimizer=ToySGD(params, lr=0.01),
-        )
-        results.append(([sm.w.copy() for sm in syncs], [h["contrastive_loss"] for h in history]))
-    for a, b in zip(results[0][0], results[1][0]):
-        assert np.array_equal(a, b)
-    assert results[0][1] == results[1][1]
-
-
-def test_em_run_noiseless_assignments_land_in_gold_spans():
+def test_run_e_step_noiseless_assignments_land_in_gold_spans():
     # One scene per sentence and zero noise make every span shot a cosine-1
     # match for its sentence, so synchronization is exactly solvable. Both
     # sides go through the same encoder (the real pipeline's input features
@@ -397,22 +352,12 @@ def test_em_run_noiseless_assignments_land_in_gold_spans():
     )
     head = sync.SyncHead(16, 8, seed=7)
     inputs = [([m.streams[0].samples], m.synopsis_features) for m in movies]
-    params = list(model.params.values()) + list(head.params.values())
-    syncs, _ = sync.em_run(
-        inputs, model, model, head,
-        iterations=1, optimizer=ToySGD(params, lr=0.01), percentile=90.0,
-    )
+    syncs = sync.run_e_step(model, model, head, inputs, percentile=90.0)
     for movie, sm in zip(movies, syncs):
         for j in range(sm.w.shape[1]):
             assert sm.w[:, j].any(), f"sentence {j} received no shots"
             gold = np.flatnonzero(movie.gold_sync[:, j])
             assert int(np.argmax(sm.w[:, j])) in set(gold)
-
-
-def test_em_run_rejects_zero_iterations():
-    _, inputs, shot_model, synopsis_model, head = em_fixture()
-    with pytest.raises(ContractError):
-        sync.em_run(inputs, shot_model, synopsis_model, head, iterations=0, optimizer=ToySGD([]))
 
 
 # ---- exports ----

@@ -447,7 +447,8 @@ def test_act_eval_structure():
     movies = make_dataset(act_synth(), movies=2, seed=14)
     shot, _ = act_model_cfgs()
     model = af.FusionModel(shot, seed=1)
-    hits, total, events = trainer.act_eval(model, movies)
+    probs = [trainer.act_shot_probs(model, movie) for movie in movies]
+    hits, total, events = trainer.act_eval(probs, movies)
     assert total == 10
     assert 0 <= hits <= total
     assert len(events) == 10
