@@ -148,24 +148,30 @@ class FusionModel:
         return self.params[name]
 
     def load_state(self, arrays: dict) -> None:
-        missing = set(self.params) - set(arrays)
-        extra = set(arrays) - set(self.params)
-        if missing or extra:
+        load_params(self.params, arrays)
+
+
+def load_params(params: dict, arrays: dict) -> None:
+    """Copy checkpoint arrays into the named parameter tensors in place;
+    the names and shapes must match exactly."""
+    missing = set(params) - set(arrays)
+    extra = set(arrays) - set(params)
+    if missing or extra:
+        raise DataError(
+            f"checkpoint parameters do not match model: missing {sorted(missing)}, "
+            f"unexpected {sorted(extra)}"
+        )
+    for name, tensor in params.items():
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != tensor.shape:
             raise DataError(
-                f"checkpoint parameters do not match model: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
+                f"parameter '{name}': checkpoint shape {arr.shape} vs model {tensor.shape}"
             )
-        for name, tensor in self.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise DataError(
-                    f"parameter '{name}': checkpoint shape {arr.shape} vs model {tensor.shape}"
-                )
-            tensor.data = arr.copy()
+        tensor.data[...] = arr
 
 
 def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
-    return nc.add(nc.matmul(x, model[prefix + ".w"]), model[prefix + ".b"])
+    return nc.linear(x, model[prefix + ".w"], model[prefix + ".b"])
 
 
 def _attention(model, prefix: str, x: Tensor, collect=None, tag: str = "") -> Tensor:

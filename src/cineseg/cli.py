@@ -187,9 +187,12 @@ def _jsonable(value):
     return value
 
 
+def _out_path(args) -> Path:
+    return Path(args.out or f"runs/{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
+
+
 def _run_dir(args) -> Path:
-    out = args.out or f"runs/{args.command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    path = Path(out)
+    path = _out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -263,10 +266,12 @@ def cmd_train_scene(args) -> int:
         modality_dims=tuple(s.dim for s in movies[0].streams),
     )
     train_cfg = trainer.TrainConfig(task="scene", seed=args.seed, **_section(cfg_map, "train"))
-    out = _run_dir(args)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    model, reports, logs = trainer.train_scene(movies, model_cfg, train_cfg, ckpt_dir)
+    # the trainer makes the run tree on its first checkpoint, after it
+    # has checked its inputs, so a rejected run leaves no directory
+    out = _out_path(args)
+    model, reports, logs = trainer.train_scene(
+        movies, model_cfg, train_cfg, out / "checkpoints"
+    )
     trainer.save_scene_checkpoint(out / "model.ckpt", model, train_cfg.epochs)
     _write_log(out / "train_log.jsonl", logs)
     _write_reports(out / "reports.json", reports)
@@ -292,11 +297,9 @@ def cmd_train_act(args) -> int:
     train_cfg = trainer.TrainConfig(
         task="act", seed=args.seed, loss_weights=loss_weights, **train_fields
     )
-    out = _run_dir(args)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
+    out = _out_path(args)
     pipeline, syncs, reports, logs = trainer.train_act(
-        movies, shot_cfg, synopsis_cfg, train_cfg, ckpt_dir
+        movies, shot_cfg, synopsis_cfg, train_cfg, out / "checkpoints"
     )
     trainer.save_act_checkpoint(out / "model.ckpt", pipeline, train_cfg.epochs)
     sync_dir = out / "sync"

@@ -1,11 +1,13 @@
 """Dense float64 tensors with a dynamic reverse-mode tape.
 
 Implements exactly the operations the fusion models and the losses
-need: 2-D/3-D matrix products, elementwise arithmetic with suffix
-broadcasting, softmax / log-softmax, layer normalization, the exact
-erf form of GeLU, row gathering/slicing/concatenation, dropout, and
-row L2-normalization. Every value is float64 and every operation
-checks its output for non-finite entries.
+need: 2-D/3-D matrix products, linear layers, elementwise arithmetic
+with suffix broadcasting, softmax / log-softmax, layer normalization,
+the exact erf form of GeLU, row gathering/slicing/concatenation,
+dropout, and row L2-normalization. Every value is float64 and every
+operation checks its output for non-finite entries. A linear layer
+``x @ w + b`` records one node instead of a matmul and a bias add,
+because the cost of this core is Python overhead per node, not FLOPs.
 
 Ops append to the innermost active ``Tape`` whenever at least one
 input requires gradients. The tape is a flat list in execution order,
@@ -60,8 +62,10 @@ class Tensor:
                 f"gradient shape {g.shape} does not match value shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one fresh array with the bits of zeros + g (-0.0 becomes +0.0)
+            self.grad = np.asarray(g + 0.0)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -262,7 +266,7 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D x 2-D, batched 3-D x 3-D, or 3-D x shared 2-D."""
+    """Matrix product: 2-D x 2-D or batched 3-D x 3-D."""
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.shape, b.shape
     if a.ndim == 2 and b.ndim == 2:
@@ -287,20 +291,38 @@ def matmul(a, b) -> Tensor:
             if b.requires_grad:
                 b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
-    elif a.ndim == 3 and b.ndim == 2:
-        if sa[2] != sb[0]:
-            raise ShapeError(f"matmul mismatch: {sa} x {sb}")
-        out = a.data @ b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
-
     else:
         raise ShapeError(f"unsupported matmul ranks: {sa} x {sb}")
     return _record("matmul", (a, b), _finite("matmul", out), bwd)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node: 2-D or 3-D x, a shared 2-D w, a 1-D b.
+
+    The backward gives the bits of a matmul node followed by a bias add
+    node: the bias gradient first, then x's, then w's.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    sx, sw = x.shape, w.shape
+    if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0]:
+        raise ShapeError(f"linear mismatch: {sx} x {sw}")
+    if b.shape != (sw[1],):
+        raise ShapeError(f"linear bias shape {b.shape} does not match weight {sw}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            b.accumulate(_reduce_to(g, b.shape))
+        if x.requires_grad:
+            x.accumulate(g @ w.data.T)
+        if w.requires_grad:
+            if x.ndim == 2:
+                w.accumulate(x.data.T @ g)
+            else:
+                w.accumulate(np.tensordot(x.data, g, axes=([0, 1], [0, 1])))
+
+    return _record("linear", (x, w, b), _finite("linear", out), bwd)
 
 
 def transpose(a) -> Tensor:
@@ -504,9 +526,10 @@ def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layernorm gain/bias must have shape ({width},), got {gain.shape}, {bias.shape}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # sum / width is what np.mean computes, bit for bit, without its overhead
+    mu = a.data.sum(axis=-1, keepdims=True) / width
     centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = _finite("layernorm", xhat * gain.data + bias.data)
@@ -518,8 +541,8 @@ def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
             bias.accumulate(g.reshape(-1, width).sum(axis=0))
         if a.requires_grad:
             gg = g * gain.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+            m1 = gg.sum(axis=-1, keepdims=True) / width
+            m2 = (gg * xhat).sum(axis=-1, keepdims=True) / width
             a.accumulate(inv * (gg - m1 - xhat * m2))
 
     return _record("layernorm", (a, gain, bias), out, bwd)

@@ -18,7 +18,6 @@ clamped to [1e-3, 10]. trainer.train_act alternates the two steps.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ from . import numcore as nc
 from .dataio import atomic_write
 from .errors import ContractError, ShapeError
 from .numcore import Tensor
-
-log = logging.getLogger(__name__)
 
 DEFAULT_BAND_XI = 0.3
 DEFAULT_PERCENTILE = 99.0
@@ -110,7 +107,7 @@ class SyncHead:
             raise ShapeError(
                 f"sync head expects width {self.fused_width}, got {fused.shape[-1]}"
             )
-        x = nc.add(nc.matmul(fused, self.params["sync.proj.w"]), self.params["sync.proj.b"])
+        x = nc.linear(fused, self.params["sync.proj.w"], self.params["sync.proj.b"])
         return nc.normalize_rows(x)
 
     def tau(self) -> Tensor:
@@ -128,7 +125,8 @@ def m_step_loss(terms, tau: Tensor) -> Tensor:
     unit-norm feature tensors, w the binary assignment, band the in-band
     mask. Each direction averages the per-query loss over queries that
     have at least one positive; queries without positives are skipped
-    with a warning. Returns the sum of the two directions.
+    (skipped_queries counts them). Returns the sum of the two directions,
+    or an untaped zero when no query has a positive.
     """
     if not terms:
         raise ContractError("m_step_loss needs at least one movie")
@@ -158,13 +156,6 @@ def m_step_loss(terms, tau: Tensor) -> Tensor:
     col_pos = pos.sum(axis=0)
     n_row = int((row_pos > 0).sum())
     n_col = int((col_pos > 0).sum())
-    skipped = (total_sh - n_row) + (total_syn - n_col)
-    if skipped:
-        log.warning(
-            "contrastive loss: skipped %d queries with no positive key "
-            "(%d of %d shots, %d of %d sentences kept)",
-            skipped, n_row, total_sh, n_col, total_syn,
-        )
 
     pieces = []
     if n_row:
@@ -174,9 +165,16 @@ def m_step_loss(terms, tau: Tensor) -> Tensor:
         weights = np.divide(pos, col_pos[None, :], out=np.zeros_like(pos), where=col_pos[None, :] > 0)
         pieces.append(nc.neg(nc.sum_all(nc.mul(nc.log_softmax(sims, axis=0), weights / n_col))))
     if not pieces:
-        log.warning("contrastive loss: no query had a positive key; returning zero")
         return Tensor(0.0)
     return pieces[0] if len(pieces) == 1 else nc.add(pieces[0], pieces[1])
+
+
+def skipped_queries(assignments) -> int:
+    """Queries m_step_loss skips for want of a positive key: shots with
+    no assigned sentence plus sentences with no assigned shot."""
+    return sum(
+        int((w.sum(axis=1) == 0).sum() + (w.sum(axis=0) == 0).sum()) for w in assignments
+    )
 
 
 def sync_features(shot_model, synopsis_model, head: SyncHead, shot_feats, synopsis_feats):

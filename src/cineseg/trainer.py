@@ -7,6 +7,13 @@ every shot using mirror-padded windows and flags the padding in reports.
 Act training treats a batch as several whole movies: the contrastive
 loss pools them for negatives while the synopsis and distillation terms
 are averaged per movie.
+
+The optimizer keeps every parameter in one flat float64 vector (each
+Tensor's data is a view of its slice), so an Adam step is a few
+whole-vector operations instead of a Python loop over the tensors.
+Each step's log record counts what would otherwise be a per-step
+warning (single-class scene batches, skipped contrastive queries); a
+run warns once with the totals.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from . import distill
 from . import metrics as mx
 from . import numcore as nc
 from . import sync
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .numcore import Tensor
 
 log = logging.getLogger(__name__)
@@ -34,7 +41,16 @@ ADAM_EPS = 1e-8
 
 
 class Optimizer:
-    """SGD or bias-corrected Adam over a named parameter dict."""
+    """SGD or bias-corrected Adam over a named parameter dict.
+
+    The optimizer owns one contiguous float64 vector holding every
+    parameter; each Tensor's data is rebound to a view of its slice, so
+    the Tensor objects stay the same and in-place edits of their data
+    reach the vector. A step gathers the gradients into a second vector
+    and updates all parameters with a few whole-vector operations. A
+    parameter without a gradient keeps its value and Adam moments; the
+    update is masked over its slice.
+    """
 
     def __init__(self, params: dict, kind: str = "adam", lr: float = 1e-4):
         if kind not in ("adam", "sgd"):
@@ -42,37 +58,73 @@ class Optimizer:
         if lr <= 0:
             raise ConfigError("learning rate must be positive")
         self.params = dict(params)
+        seen = {}
+        for name, p in self.params.items():
+            if id(p) in seen:
+                raise ContractError(
+                    f"parameters '{seen[id(p)]}' and '{name}' are the same tensor"
+                )
+            seen[id(p)] = name
         self.kind = kind
         self.lr = float(lr)
         self.step_count = 0
+        self.flat = np.empty(sum(p.data.size for p in self.params.values()))
+        self._grad = np.zeros_like(self.flat)
+        self._slices = []
+        offset = 0
+        for p in self.params.values():
+            size = p.data.size
+            view = self.flat[offset:offset + size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._slices.append(slice(offset, offset + size))
+            offset += size
         if kind == "adam":
-            self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-            self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+            self._m = np.zeros_like(self.flat)
+            self._v = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
+    def _gather_grads(self):
+        """Fill the gradient vector; True, or a mask of the live entries
+        when some parameter has no gradient."""
+        grad = self._grad
+        missing = []
+        for p, sl in zip(self.params.values(), self._slices):
+            if p.grad is None:
+                missing.append(sl)
+                grad[sl] = 0.0
+            else:
+                grad[sl] = p.grad.reshape(-1)
+        if not np.isfinite(grad).all():
+            for name, sl in zip(self.params, self._slices):
+                if not np.isfinite(grad[sl]).all():
+                    raise NumericError(f"non-finite gradient for parameter '{name}'")
+        if not missing:
+            return True
+        live = np.ones(grad.size, dtype=bool)
+        for sl in missing:
+            live[sl] = False
+        return live
+
     def step(self) -> None:
         self.step_count += 1
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
-            if self.kind == "sgd":
-                p.data -= self.lr * g
-            else:
-                m = self._m[name]
-                v = self._v[name]
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                m_hat = m / (1.0 - ADAM_BETA1 ** self.step_count)
-                v_hat = v / (1.0 - ADAM_BETA2 ** self.step_count)
-                p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        live = self._gather_grads()
+        g = self._grad
+        if self.kind == "sgd":
+            update = self.lr * g
+        else:
+            m, v = self._m, self._v
+            np.multiply(m, ADAM_BETA1, out=m, where=live)
+            np.add(m, (1.0 - ADAM_BETA1) * g, out=m, where=live)
+            np.multiply(v, ADAM_BETA2, out=v, where=live)
+            np.add(v, (1.0 - ADAM_BETA2) * g * g, out=v, where=live)
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.step_count)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.step_count)
+            update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.subtract(self.flat, update, out=self.flat, where=live)
 
 
 @dataclass
@@ -111,7 +163,7 @@ class TrainConfig:
 def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
     """Class-weighted boundary cross-entropy, weight_c = batch/(2*count_c),
     normalized as a weighted mean. Single-class batches fall back to the
-    unweighted mean with a warning."""
+    unweighted mean; train_scene counts them."""
     labels = np.asarray(labels, dtype=np.int64)
     batch = labels.shape[0]
     if batch == 0:
@@ -122,7 +174,6 @@ def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
         raise DataError("scene labels must be binary")
     counts = np.bincount(labels, minlength=2)
     if counts.min() == 0:
-        log.warning("single-class batch (%d examples): unweighted cross-entropy", batch)
         weights = np.ones(batch)
     else:
         weights = (batch / (2.0 * counts))[labels]
@@ -251,7 +302,7 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
 
     reports = [report(0)]
     logs = []
-    step = 0
+    step = single_class = 0
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(pairs))
         for start in range(0, len(order), cfg.batch_size):
@@ -264,6 +315,8 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
                 )
                 loss = weighted_scene_ce(logits, labels)
             step += 1
+            one_class = bool(labels.min() == labels.max())
+            single_class += one_class
             logs.append(
                 {
                     "step": step,
@@ -271,16 +324,28 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
                     "losses": {"scene_ce": float(loss.data)},
                     "lr": cfg.lr,
                     "seed": cfg.seed,
+                    "single_class_batch": one_class,
                 }
             )
             nc.backward(tape, loss)
             optimizer.step()
         reports.append(report(epoch))
-        if checkpoint_dir is not None:
-            save_scene_checkpoint(
-                Path(checkpoint_dir) / f"epoch_{epoch:03d}.ckpt", model, epoch
-            )
+        _save_epoch(checkpoint_dir, epoch, save_scene_checkpoint, model)
+    if single_class:
+        log.warning(
+            "%d of %d training batches held one class only and used "
+            "unweighted cross-entropy", single_class, step,
+        )
     return model, reports, logs
+
+
+def _save_epoch(checkpoint_dir, epoch: int, save, model) -> None:
+    # the directory is made on the first save, so a run rejected before
+    # any training leaves no directory behind
+    if checkpoint_dir is not None:
+        checkpoint_dir = Path(checkpoint_dir)
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        save(checkpoint_dir / f"epoch_{epoch:03d}.ckpt", model, epoch)
 
 
 def save_scene_checkpoint(path, model, epoch: int | None = None) -> None:
@@ -363,24 +428,16 @@ def load_checkpoint(path):
         return kind, model, extra
     if kind != "act":
         raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
-    head_arrays = {k: v for k, v in arrays.items() if k.startswith("sync.")}
-    proj_dim = head_arrays["sync.proj.w"].shape[1]
+    proj = arrays.get("sync.proj.w")
+    if proj is None or proj.ndim != 2:
+        raise DataError(f"{path} lacks the 2-D sync head parameter 'sync.proj.w'")
     pipeline = ActPipeline(
         af.FusionModel(configs["shot"], seed=0),
         af.FusionModel(configs["synopsis"], seed=0),
-        sync.SyncHead(configs["shot"].fused_width, proj_dim, seed=0),
+        sync.SyncHead(configs["shot"].fused_width, proj.shape[1], seed=0),
         max_p_col_dev=float(extra.get("max_p_col_dev", 0.0)),
     )
-    pipeline.shot_model.load_state(
-        {k[len("shot."):]: v for k, v in arrays.items() if k.startswith("shot.")}
-    )
-    pipeline.synopsis_model.load_state(
-        {k[len("synopsis."):]: v for k, v in arrays.items() if k.startswith("synopsis.")}
-    )
-    for name, value in head_arrays.items():
-        if pipeline.sync_head.params[name].shape != value.shape:
-            raise DataError(f"sync head parameter '{name}' has shape {value.shape}")
-        pipeline.sync_head.params[name] = Tensor(value, requires_grad=True)
+    af.load_params(pipeline.named_params(), arrays)
     return kind, pipeline, extra
 
 
@@ -504,7 +561,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
 
     reports = [report(0)]
     logs = []
-    step = 0
+    step = skipped_total = skipped_steps = 0
     for epoch in range(1, cfg.epochs + 1):
         if syncs is None or (epoch - 1) % cfg.em_every == 0:
             syncs = sync.run_e_step(
@@ -555,11 +612,14 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
                         distill.kd_loss(distill.shot_distribution(shot_logits), targets)
                     )
                 l_c = sync.m_step_loss(terms, head.tau())
+                skipped = sync.skipped_queries([t[2] for t in terms])
                 l_ce = _mean(ce_parts)
                 l_kd = _mean(kd_parts)
                 total = distill.total_loss(l_c, l_ce, l_kd, cfg.loss_weights)
             pipeline.max_p_col_dev = max(pipeline.max_p_col_dev, step_dev)
             step += 1
+            skipped_total += skipped
+            skipped_steps += skipped > 0
             logs.append(
                 {
                     "step": step,
@@ -573,16 +633,19 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
                     "lr": cfg.lr,
                     "seed": cfg.seed,
                     "max_p_col_dev": step_dev,
+                    "skipped_queries": skipped,
                 }
             )
             nc.backward(tape, total)
             optimizer.step()
             head.clamp_tau()
         reports.append(report(epoch))
-        if checkpoint_dir is not None:
-            save_act_checkpoint(
-                Path(checkpoint_dir) / f"epoch_{epoch:03d}.ckpt", pipeline, epoch
-            )
+        _save_epoch(checkpoint_dir, epoch, save_act_checkpoint, pipeline)
+    if skipped_total:
+        log.warning(
+            "contrastive loss: skipped %d queries with no positive key "
+            "in %d of %d steps", skipped_total, skipped_steps, step,
+        )
     final_syncs = sync.run_e_step(
         pipeline.shot_model,
         pipeline.synopsis_model,

@@ -14,6 +14,7 @@ from cineseg import dataio
 from cineseg import gradcheck
 from cineseg import sync
 from cineseg.errors import ConfigError
+from cineseg.numcore import Tensor
 
 
 def tree_digest(root) -> str:
@@ -377,6 +378,30 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    ["drop sync.log_tau", "drop sync.proj.w", "add sync.scale", "reshape sync.proj.b"],
+)
+def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, edit):
+    kind, configs, arrays, extra = af.load_checkpoint(act_run / "model.ckpt")
+    action, name = edit.split()
+    if action == "drop":
+        del arrays[name]
+    elif action == "add":
+        arrays[name] = np.ones(1)
+    else:
+        arrays[name] = arrays[name][:-1]
+    bad = tmp_path / "bad.ckpt"
+    af.save_checkpoint(bad, kind, configs, {n: Tensor(a) for n, a in arrays.items()}, extra)
+    code = cli.main(
+        ["eval", "--checkpoint", str(bad), "--data", str(act_data),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and name in err
+
+
 def test_nonfinite_blob_exits_4(scene_data, scene_run, tmp_path, capsys):
     import shutil
 
@@ -466,4 +491,16 @@ def test_act_movie_longer_than_tower_exits_3(act_data, tmp_path, capsys, overrid
     assert code == 3
     err = capsys.readouterr().err
     assert "movie_0000" in err and what in err
-    assert not list(out.rglob("*.ckpt"))
+    assert not out.exists()
+
+
+def test_rejected_train_scene_leaves_no_run_tree(scene_data, tmp_path, capsys):
+    # 31-shot windows do not fit in the 30-shot movies
+    out = tmp_path / "out"
+    code = cli.main(
+        ["train-scene", "--data", str(scene_data), "--out", str(out)]
+        + _sets(SCENE_MODEL_SET + ["model.seq_len=31"])
+    )
+    assert code == 3
+    assert "no training windows" in capsys.readouterr().err
+    assert not out.exists()

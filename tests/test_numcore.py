@@ -92,11 +92,12 @@ def test_batched_matmul_matches_per_item():
     a = rng.uniform(-1, 1, size=(4, 3, 5))
     b = rng.uniform(-1, 1, size=(4, 5, 2))
     w = rng.uniform(-1, 1, size=(5, 2))
+    bias = rng.uniform(-1, 1, size=2)
     batched = nc.matmul(nc.Tensor(a), nc.Tensor(b)).data
-    shared = nc.matmul(nc.Tensor(a), nc.Tensor(w)).data
+    shared = nc.linear(nc.Tensor(a), nc.Tensor(w), nc.Tensor(bias)).data
     for i in range(4):
         npt.assert_allclose(batched[i], a[i] @ b[i], atol=1e-13)
-        npt.assert_allclose(shared[i], a[i] @ w, atol=1e-13)
+        npt.assert_allclose(shared[i], a[i] @ w + bias, atol=1e-13)
 
 
 def test_normalize_rows_unit_norm():
@@ -148,7 +149,67 @@ def test_grad_matmul_all_ranks():
     fd_check(lambda: nc.sum_all(nc.mul(nc.matmul(a3, b3), r3)), {"a": a3, "b": b3})
 
     w = leaf(rng, 4, 5)
-    fd_check(lambda: nc.sum_all(nc.mul(nc.matmul(a3, w), r3)), {"a": a3, "w": w})
+    bias = leaf(rng, 5)
+    fd_check(
+        lambda: nc.sum_all(nc.mul(nc.linear(a3, w, bias), r3)),
+        {"a": a3, "w": w, "bias": bias},
+    )
+
+
+def _linear_case(rng, x_shape):
+    x = leaf(rng, *x_shape)
+    w = leaf(rng, x_shape[-1], 3)
+    b = leaf(rng, 3)
+    r = rng.uniform(-1, 1, size=x_shape[:-1] + (3,))
+    return x, w, b, r
+
+
+def _shared_matmul(a, w):
+    """The 3-D x shared 2-D matmul node linear replaced, as a reference."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
+
+    return nc._record("matmul", (a, w), a.data @ w.data, bwd)
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 4, 5)])
+def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
+    rng = np.random.default_rng(14)
+    x, w, b, r = _linear_case(rng, x_shape)
+    matmul = nc.matmul if len(x_shape) == 2 else _shared_matmul
+    results = []
+    for make in (lambda: nc.linear(x, w, b), lambda: nc.add(matmul(x, w), b)):
+        nc.zero_grads((x, w, b))
+        with nc.Tape() as tape:
+            out = make()
+            loss = nc.sum_all(nc.mul(out, r))
+        nc.backward(tape, loss)
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for fused, composite in zip(*results):
+        assert np.array_equal(fused, composite)
+
+
+def test_grad_linear_matches_finite_differences():
+    # the 3-D case is in test_grad_matmul_all_ranks
+    rng = np.random.default_rng(15)
+    x, w, b, r = _linear_case(rng, (4, 5))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.linear(x, w, b), r)), {"x": x, "w": w, "b": b})
+
+
+def test_linear_shape_errors():
+    x = nc.Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        nc.linear(x, nc.Tensor(np.zeros((4, 5))), nc.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        nc.linear(x, nc.Tensor(np.zeros((3, 5))), nc.Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        nc.linear(nc.Tensor(np.zeros(3)), nc.Tensor(np.zeros((3, 5))), nc.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        nc.linear(x, nc.Tensor(np.zeros((2, 3, 5))), nc.Tensor(np.zeros(5)))
 
 
 def test_grad_shape_ops():

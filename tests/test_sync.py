@@ -206,7 +206,10 @@ def test_skipped_query_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="cineseg.sync"):
         loss = sync.m_step_loss([term], Tensor(1.0))
     assert np.isfinite(loss.data)
-    assert any("no positive key" in rec.message for rec in caplog.records)
+    assert not caplog.records  # the trainer counts skipped queries instead
+    assert sync.skipped_queries([term[2]]) == 1
+    # two movies: shot 1 of the first and sentence 0 of the second lack a positive
+    assert sync.skipped_queries([term[2], np.array([[0.0, 1.0]])]) == 2
 
 
 def test_no_positives_anywhere_returns_zero(caplog):

@@ -11,7 +11,7 @@ from cineseg import alignfuse as af
 from cineseg import numcore as nc
 from cineseg import trainer
 from cineseg.dataio import SynthConfig, make_dataset
-from cineseg.errors import ConfigError, DataError, NumericError
+from cineseg.errors import ConfigError, ContractError, DataError, NumericError
 from cineseg.numcore import Tensor
 
 
@@ -82,6 +82,73 @@ def test_zero_grad_clears():
     assert p.grad is None
 
 
+def test_optimizer_parameters_are_views_of_one_vector():
+    params = {
+        "w": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+        "s": Tensor(np.array(7.0), requires_grad=True),
+        "b": Tensor(np.array([-1.0, -2.0]), requires_grad=True),
+    }
+    values = {name: p.data.copy() for name, p in params.items()}
+    opt = trainer.Optimizer(params, kind="adam", lr=0.1)
+    assert opt.flat.size == 9
+    for name, p in params.items():
+        assert p is opt.params[name]
+        assert np.shares_memory(p.data, opt.flat)
+        assert p.data.shape == values[name].shape
+        assert np.array_equal(p.data, values[name])
+    # in-place edits of a tensor reach the vector, as clamp_tau relies on
+    np.clip(params["s"].data, 0.0, 1.0, out=params["s"].data)
+    assert opt.flat[6] == 1.0
+
+
+def _reference_adam(values, grads_per_step, lr):
+    """Per-tensor bias-corrected Adam; a missing grad leaves the tensor alone."""
+    values = {n: v.copy() for n, v in values.items()}
+    m = {n: np.zeros_like(v) for n, v in values.items()}
+    v2 = {n: np.zeros_like(v) for n, v in values.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        for name, g in grads.items():
+            if g is None:
+                continue
+            m[name] = trainer.ADAM_BETA1 * m[name] + (1.0 - trainer.ADAM_BETA1) * g
+            v2[name] = trainer.ADAM_BETA2 * v2[name] + (1.0 - trainer.ADAM_BETA2) * g * g
+            m_hat = m[name] / (1.0 - trainer.ADAM_BETA1 ** t)
+            v_hat = v2[name] / (1.0 - trainer.ADAM_BETA2 ** t)
+            values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
+    return values
+
+
+def test_flat_adam_matches_per_tensor_reference_with_missing_grads():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (3, 4), "s": (), "b": (4,)}
+    values = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+    grads_per_step = []
+    for step in range(6):
+        grads = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+        if step in (1, 3):
+            grads["s"] = None  # like m_step_loss's untaped zero
+        if step == 4:
+            grads["w"] = None
+        grads_per_step.append(grads)
+    params = {n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
+    opt = trainer.Optimizer(params, kind="adam", lr=0.05)
+    for grads in grads_per_step:
+        opt.zero_grad()
+        for name, g in grads.items():
+            if g is not None:
+                params[name].grad = g
+        opt.step()
+    expected = _reference_adam(values, grads_per_step, 0.05)
+    for name, p in params.items():
+        assert np.array_equal(p.data, expected[name]), name
+
+
+def test_optimizer_rejects_a_tensor_listed_twice():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with pytest.raises(ContractError, match="'a' and 'b'"):
+        trainer.Optimizer({"a": p, "b": p}, kind="adam", lr=0.1)
+
+
 # ---- weighted scene cross-entropy ----
 
 
@@ -126,8 +193,19 @@ def test_weighted_ce_single_class_warns_and_is_unweighted(caplog):
     labels = np.zeros(4, dtype=int)
     with caplog.at_level(logging.WARNING, logger="cineseg.trainer"):
         loss = trainer.weighted_scene_ce(Tensor(logits), labels)
-    assert any("single-class" in rec.message for rec in caplog.records)
     assert float(loss.data) == pytest.approx(unweighted_ce(logits, labels), abs=1e-12)
+    assert not caplog.records  # training counts these batches instead
+    # small batches make single-class batches common: each step logs a
+    # flag and the run ends with one warning that counts them
+    movies = make_dataset(scene_synth(), movies=4, seed=1)
+    with caplog.at_level(logging.WARNING, logger="cineseg.trainer"):
+        _, _, logs = trainer.train_scene(
+            movies, scene_model_cfg(), scene_train_cfg(epochs=1, batch_size=2)
+        )
+    flags = [rec["single_class_batch"] for rec in logs]
+    assert 0 < sum(flags) < len(flags)
+    assert len(caplog.records) == 1
+    assert f"{sum(flags)} of {len(flags)} training batches" in caplog.records[0].message
 
 
 def test_weighted_ce_guards():
