@@ -147,9 +147,6 @@ class FusionModel:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def load_state(self, arrays: dict) -> None:
-        load_params(self.params, arrays)
-
 
 def load_params(params: dict, arrays: dict) -> None:
     """Copy checkpoint arrays into the named parameter tensors in place;
@@ -174,7 +171,7 @@ def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
     return nc.linear(x, model[prefix + ".w"], model[prefix + ".b"])
 
 
-def _attention(model, prefix: str, x: Tensor, collect=None, tag: str = "") -> Tensor:
+def _attention(model, prefix: str, x: Tensor) -> Tensor:
     cfg = model.config
     q = _linear_apply(model, prefix + "attn.q", x)
     k = _linear_apply(model, prefix + "attn.k", x)
@@ -187,15 +184,13 @@ def _attention(model, prefix: str, x: Tensor, collect=None, tag: str = "") -> Te
         qh, kh, vh = (nc.narrow(t, -1, lo, hi) for t in (q, k, v))
         scores = nc.mul(nc.matmul(qh, nc.transpose(kh)), scale)
         weights = nc.softmax(scores, axis=-1)
-        if collect is not None:
-            collect.setdefault("attention", {})[f"{tag}h{h}"] = weights.data.copy()
         outs.append(nc.matmul(weights, vh))
     return outs[0] if len(outs) == 1 else nc.concat(outs, -1)
 
 
-def _encoder_block(model, prefix: str, x: Tensor, rng, collect=None, tag: str = "") -> Tensor:
+def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:
     cfg = model.config
-    attn = _attention(model, prefix, x, collect, tag)
+    attn = _attention(model, prefix, x)
     x = nc.layernorm(nc.add(x, attn), model[prefix + "ln1.g"], model[prefix + "ln1.b"])
     h = nc.gelu(_linear_apply(model, prefix + "ffn.lift", x))
     h = _linear_apply(model, prefix + "ffn.drop", h)
@@ -240,14 +235,14 @@ def make_bottleneck(model, m: int) -> Tensor:
     return tokens
 
 
-def unimodal_encode(model, embedded: Tensor, m: int, rng=None, collect=None):
+def unimodal_encode(model, embedded: Tensor, m: int, rng=None):
     """Run [tokens; latents] through modality m's own encoder blocks."""
     cfg = model.config
     batch = embedded.shape[0]
     tokens = nc.expand_batch(make_bottleneck(model, m), batch)
     seq = nc.concat([tokens, embedded], -2)
     for d in range(cfg.unimodal_depth):
-        seq = _encoder_block(model, f"mod{m}.uni{d}.", seq, rng, collect, f"mod{m}.uni{d}")
+        seq = _encoder_block(model, f"mod{m}.uni{d}.", seq, rng)
     tokens_out = nc.narrow(seq, -2, 0, cfg.align_len)
     latents = nc.narrow(seq, -2, cfg.align_len, seq.shape[-2])
     return tokens_out, latents
@@ -271,7 +266,7 @@ def fusion_encode(model, token_sets: list, latents: list, rng=None, collect=None
             seq = nc.concat(token_sets + [latents[m]], -2)
             if collect is not None:
                 collect.setdefault("fusion_seq_lens", []).append(seq.shape[-2])
-            out = _encoder_block(model, f"mod{m}.fus{d}.", seq, rng, collect, f"mod{m}.fus{d}")
+            out = _encoder_block(model, f"mod{m}.fus{d}.", seq, rng)
             for j in range(n_mod):
                 updates[j].append(nc.narrow(out, -2, j * ln, (j + 1) * ln))
             new_latents.append(nc.narrow(out, -2, n_mod * ln, out.shape[-2]))
@@ -283,8 +278,6 @@ def fusion_encode(model, token_sets: list, latents: list, rng=None, collect=None
             merged.append(nc.mul(total, 1.0 / n_mod))
         token_sets = merged
         latents = new_latents
-    if collect is not None:
-        collect["fusion_latents"] = latents
     return latents[0] if n_mod == 1 else nc.concat(latents, -1)
 
 
@@ -298,7 +291,7 @@ def encode(model, feats_list, rng=None, collect=None) -> Tensor:
     token_sets, latents = [], []
     for m, feats in enumerate(feats_list):
         embedded = embed_modality(model, feats, m, rng, collect)
-        tokens, lat = unimodal_encode(model, embedded, m, rng, collect)
+        tokens, lat = unimodal_encode(model, embedded, m, rng)
         token_sets.append(tokens)
         latents.append(lat)
     return fusion_encode(model, token_sets, latents, rng, collect)
@@ -318,12 +311,8 @@ def forward_scene(model, windows, rng=None, collect=None) -> Tensor:
                 f"scene windows must be [batch x {cfg.seq_len} x dim], got {w.shape}"
             )
     fused = encode(model, windows, rng, collect)
-    if collect is not None:
-        collect["fused"] = fused
     key = cfg.seq_len // 2
     row = nc.reshape(nc.narrow(fused, -2, key, key + 1), (fused.shape[0], cfg.fused_width))
-    if collect is not None:
-        collect["head_input"] = row
     return _linear_apply(model, "head", row)
 
 

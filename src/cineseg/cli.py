@@ -228,8 +228,8 @@ def cmd_synth(args) -> int:
         **{k: v for k, v in cfg_map.items() if k != "movies"}
     )
     synth_cfg.validate()
-    out = _run_dir(args)
     movies = dataio.make_dataset(synth_cfg, cfg_map["movies"], args.seed)
+    out = _run_dir(args)
     dataio.save_dataset(movies, out)
     summary = {
         "movies": [
@@ -272,7 +272,7 @@ def cmd_train_scene(args) -> int:
     model, reports, logs = trainer.train_scene(
         movies, model_cfg, train_cfg, out / "checkpoints"
     )
-    trainer.save_scene_checkpoint(out / "model.ckpt", model, train_cfg.epochs)
+    trainer.save_checkpoint(out / "model.ckpt", model, train_cfg.epochs)
     _write_log(out / "train_log.jsonl", logs)
     _write_reports(out / "reports.json", reports)
     _write_config(out, "train-scene", args.seed, cfg_map)
@@ -301,12 +301,11 @@ def cmd_train_act(args) -> int:
     pipeline, syncs, reports, logs = trainer.train_act(
         movies, shot_cfg, synopsis_cfg, train_cfg, out / "checkpoints"
     )
-    trainer.save_act_checkpoint(out / "model.ckpt", pipeline, train_cfg.epochs)
+    trainer.save_checkpoint(out / "model.ckpt", pipeline, train_cfg.epochs)
     sync_dir = out / "sync"
     sync_dir.mkdir(exist_ok=True)
-    train_movies, _ = trainer._split(movies, train_cfg.holdout)
-    for movie, sm in zip(train_movies, syncs):
-        _write_json(sync_dir / f"{movie.movie_id}.json", sync.sync_to_json(sm))
+    for movie_id, sm in syncs.items():
+        _write_json(sync_dir / f"{movie_id}.json", sync.sync_to_json(sm))
     _write_log(out / "train_log.jsonl", logs)
     _write_reports(out / "reports.json", reports)
     _write_config(out, "train-act", args.seed, cfg_map)
@@ -319,18 +318,15 @@ def cmd_train_act(args) -> int:
 
 def cmd_sync(args) -> int:
     cfg_map = resolve_config(SYNC_KEYS, args.config, args.set)
-    pipeline, _ = trainer.load_act_checkpoint(args.checkpoint)
+    sync.check_e_step_config(cfg_map["xi"], cfg_map["percentile"])
+    _, pipeline, _ = trainer.load_checkpoint(args.checkpoint, "act")
     movies = dataio.load_dataset(Path(args.data))
     inputs = [trainer.movie_inputs(m) for m in movies]
-    out = _run_dir(args)
     syncs = sync.run_e_step(
-        pipeline.shot_model,
-        pipeline.synopsis_model,
-        pipeline.sync_head,
-        inputs,
-        cfg_map["xi"],
-        cfg_map["percentile"],
+        pipeline.shot_model, pipeline.synopsis_model, pipeline.sync_head,
+        inputs, cfg_map["xi"], cfg_map["percentile"],
     )
+    out = _run_dir(args)
     summary = []
     for movie, sm in zip(movies, syncs):
         _write_json(out / f"{movie.movie_id}.json", sync.sync_to_json(sm))
@@ -367,7 +363,6 @@ def cmd_eval(args) -> int:
     cfg_map = resolve_config(EVAL_KEYS, args.config, args.set)
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
-    out = _run_dir(args)
     epoch = int(extra.get("epoch", 0))
     # one forward per movie feeds both the report and scores.csv
     if kind == "scene":
@@ -388,6 +383,7 @@ def cmd_eval(args) -> int:
                 [movie.movie_id, t] + [_format(p) for p in row]
                 for t, row in enumerate(movie_probs)
             ]
+    out = _run_dir(args)
     _write_csv(out / "scores.csv", rows)
     _write_config(out, "eval", args.seed, cfg_map)
     _write_text(out / "report.json", report.dumps() + "\n")
@@ -425,7 +421,6 @@ def cmd_importance(args) -> int:
     cfg_map = resolve_config(IMPORTANCE_KEYS, args.config, args.set)
     kind, loaded, _ = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
-    out = _run_dir(args)
     payload = []
     for movie in movies:
         record = {"movie_id": movie.movie_id, "task": kind}
@@ -435,7 +430,7 @@ def cmd_importance(args) -> int:
                 raise DataError(
                     f"shot {t} outside movie {movie.movie_id} ({movie.num_shots} shots)"
                 )
-            idx = trainer._reflect_indices(t, loaded.config.seq_len // 2, movie.num_shots)
+            idx = trainer.window_index([t], loaded.config.seq_len // 2, movie.num_shots)[0]
             feats = [Tensor(s.samples[idx]) for s in movie.streams]
             weights, fallback = mx.gradcam_importance(loaded, feats, "scene")
             record["shot"] = t
@@ -447,6 +442,7 @@ def cmd_importance(args) -> int:
         record["weights"] = {s.name: float(w) for s, w in zip(movie.streams, weights)}
         record["uniform_fallback"] = fallback
         payload.append(record)
+    out = _run_dir(args)
     _write_config(out, "importance", args.seed, cfg_map)
     _write_json(out / "importance.json", payload)
     _print_json(payload)

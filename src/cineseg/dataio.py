@@ -289,6 +289,8 @@ def synth_movie(
 
 def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
     """Generate a deterministic list of movies from one root seed."""
+    if movies < 1:
+        raise ConfigError(f"need at least one movie, got {movies}")
     root = np.random.SeedSequence(seed)
     children = root.spawn(movies)
     motifs = None

@@ -4,6 +4,11 @@ Each check builds a tiny model on the two-modality config, takes the
 taped gradient of one loss, and compares it against central finite
 differences over every parameter element. Entries where both sides sit
 under a rounding-noise gate are left out of the comparison.
+
+The scene check differentiates trainer.weighted_scene_ce on the scene
+forward; the contrastive and combined checks differentiate
+trainer.act_objective, the function train_act steps on, with joint=True
+because finite differences cannot see a detach.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from . import distill
 from . import numcore as nc
 from . import sync
 from . import trainer
+from .errors import ConfigError
 from .numcore import Tensor
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -64,23 +70,7 @@ def _tiny_act_setup(seed: int):
         w[i, (i * 3) // 5] = 1.0
     assert (w[band].sum() == 5) and not w[~band].any()
     tp_labels = [[0], [0], [1], [2], [2]]
-    return pipeline, shots, synopsis, w, band, tp_labels
-
-
-def _act_losses(pipeline, shots, synopsis, w, band, tp_labels):
-    head = pipeline.sync_head
-    rows = af.encode_sequence(pipeline.shot_model, shots)
-    syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis])
-    u = head.features(rows)
-    v = head.features(syn_rows)
-    l_c = sync.m_step_loss([(u, v, w, band)], head.tau())
-    q = af.apply_head(pipeline.synopsis_model, syn_rows)
-    l_ce = distill.synopsis_ce_loss(q, tp_labels)
-    attn = distill.attention_weights(u, v, head.tau())
-    targets = distill.transfer_targets(attn, q)
-    shot_logits = af.apply_head(pipeline.shot_model, rows)
-    l_kd = distill.kd_loss(distill.shot_distribution(shot_logits), targets)
-    return l_c, l_ce, l_kd
+    return pipeline, (shots, synopsis, w, band, tp_labels)
 
 
 def _noise_gate(loss_scale: float, h: float) -> float:
@@ -146,17 +136,23 @@ def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> li
 def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADCHECK_TOLERANCE):
     """Autodiff-vs-finite-difference checks for the three training losses
     on the tiny two-modality config; one result dict per loss."""
+    if not (np.isfinite(h) and h > 0):
+        raise ConfigError(f"finite-difference step h must be positive and finite, got {h}")
+    if not tolerance > 0:
+        raise ConfigError(f"tolerance must be positive, got {tolerance}")
     params, loss_fn = _tiny_scene_setup(seed)
     results = _check_losses(
         ("scene_weighted_ce",), params, lambda: (loss_fn(),), h, tolerance
     )
 
     # the combined loss reuses the contrastive term
-    pipeline, shots, synopsis, w, band, tp_labels = _tiny_act_setup(seed)
+    pipeline, item = _tiny_act_setup(seed)
 
     def act_losses():
-        l_c, l_ce, l_kd = _act_losses(pipeline, shots, synopsis, w, band, tp_labels)
-        return l_c, distill.total_loss(l_c, l_ce, l_kd, distill.DEFAULT_LOSS_WEIGHTS)
+        total, (l_c, _, _), _ = trainer.act_objective(
+            pipeline, [item], distill.DEFAULT_LOSS_WEIGHTS, joint=True
+        )
+        return l_c, total
 
     results += _check_losses(
         ("contrastive", "combined"), pipeline.named_params(), act_losses, h, tolerance

@@ -25,7 +25,7 @@ import numpy as np
 from . import alignfuse as af
 from . import numcore as nc
 from .dataio import atomic_write
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .numcore import Tensor
 
 DEFAULT_BAND_XI = 0.3
@@ -52,6 +52,15 @@ def compute_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ShapeError(f"incompatible feature shapes {u.shape} and {v.shape}")
     return u @ v.T
+
+
+def check_e_step_config(xi: float, percentile: float) -> None:
+    """ConfigError unless the band is non-empty (0 < xi) and the
+    threshold percentile lies in [0, 100]."""
+    if not xi > 0:
+        raise ConfigError(f"band half-width xi must be positive, got {xi}")
+    if not 0 <= percentile <= 100:
+        raise ConfigError(f"percentile must lie in [0, 100], got {percentile}")
 
 
 def lambda_per_sentence(values: np.ndarray, percentile: float = DEFAULT_PERCENTILE) -> np.ndarray:

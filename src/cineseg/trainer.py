@@ -2,11 +2,16 @@
 class-weighted cross-entropy, and the joint act pipeline that alternates
 the synchronization E-step with gradient steps on the combined objective.
 
-Scene windows never cross movie edges during training; evaluation scores
-every shot using mirror-padded windows and flags the padding in reports.
-Act training treats a batch as several whole movies: the contrastive
-loss pools them for negatives while the synopsis and distillation terms
-are averaged per movie.
+window_index owns the scene window geometry: the shot indices of the
+window around each key shot, mirror-padded at movie edges. Evaluation
+scores every shot that way and flags the padding in reports; training
+stacks the training movies once and gathers each batch through one
+index of the windows that stay inside their movie.
+
+act_objective is the act loss of one batch of whole movies, and both
+train_act and the gradient check call it: the contrastive term pools
+the movies for negatives, the synopsis CE and distillation terms are
+per-movie means, and the three are weighted into the total.
 
 The optimizer keeps every parameter in one flat float64 vector (each
 Tensor's data is a view of its slice), so an Adam step is a few
@@ -158,6 +163,7 @@ class TrainConfig:
             raise ConfigError("loss_weights needs exactly three entries")
         if self.sync_dim < 1:
             raise ConfigError("sync_dim must be positive")
+        sync.check_e_step_config(self.em_xi, self.em_percentile)
 
 
 def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
@@ -185,42 +191,16 @@ def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
 # ---- scene windows ----
 
 
-def _reflect_indices(center: int, half: int, length: int) -> np.ndarray:
-    idx = np.arange(center - half, center + half + 1)
-    if length == 1:
+def window_index(keys, half: int, num_shots: int) -> np.ndarray:
+    """Shot indices of the window around each key shot [K x (2*half + 1)],
+    mirror-padded at the movie edges (shot -1 reads shot 1, shot n reads
+    shot n - 2)."""
+    idx = np.asarray(keys, dtype=np.int64)[:, None] + np.arange(-half, half + 1)
+    if num_shots == 1:
         return np.zeros_like(idx)
-    period = 2 * (length - 1)
+    period = 2 * (num_shots - 1)
     idx = np.abs(idx) % period
-    return np.where(idx >= length, period - idx, idx)
-
-
-def scene_training_windows(movies, window: int):
-    """(movie_index, key_shot) pairs whose window stays inside the movie."""
-    if window % 2 == 0:
-        raise ConfigError("scene windows need an odd length")
-    half = window // 2
-    pairs = []
-    for mi, movie in enumerate(movies):
-        for t in range(half, movie.num_shots - half):
-            pairs.append((mi, t))
-    return pairs
-
-
-def _window_batch(movies, pairs, window: int):
-    half = window // 2
-    per_modality = None
-    labels = np.empty(len(pairs), dtype=np.int64)
-    for row, (mi, t) in enumerate(pairs):
-        movie = movies[mi]
-        idx = np.arange(t - half, t + half + 1)
-        if per_modality is None:
-            per_modality = [
-                np.empty((len(pairs), window, s.dim)) for s in movie.streams
-            ]
-        for m, stream in enumerate(movie.streams):
-            per_modality[m][row] = stream.samples[idx]
-        labels[row] = movie.scene_labels[t]
-    return per_modality, labels
+    return np.where(idx >= num_shots, period - idx, idx)
 
 
 def scene_shot_scores(model, movie) -> np.ndarray:
@@ -234,14 +214,10 @@ def scene_shot_scores(model, movie) -> np.ndarray:
         )
     scores = np.empty(n)
     for start in range(0, n, 256):
-        keys = range(start, min(start + 256, n))
-        batch = [
-            np.stack([s.samples[_reflect_indices(t, half, n)] for t in keys])
-            for s in movie.streams
-        ]
-        logits = af.forward_scene(model, [Tensor(b) for b in batch])
+        idx = window_index(np.arange(start, min(start + 256, n)), half, n)
+        logits = af.forward_scene(model, [Tensor(s.samples[idx]) for s in movie.streams])
         probs = nc.softmax(logits, axis=-1)
-        scores[start:start + len(batch[0])] = probs.data[:, 1]
+        scores[start:start + len(idx)] = probs.data[:, 1]
     return scores
 
 
@@ -291,9 +267,24 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
     dropout_rng = np.random.default_rng(dropout_seed)
     model = af.FusionModel(model_cfg, model_seed)
     optimizer = Optimizer(model.params, cfg.optimizer, cfg.lr)
-
-    pairs = scene_training_windows(train_movies, model_cfg.seq_len)
-    if not pairs:
+    if model_cfg.seq_len % 2 == 0:
+        raise ConfigError("scene windows need an odd length")
+    half = model_cfg.seq_len // 2
+    # the training movies' shots stacked once; a batch gathers its windows
+    # through one [num_windows x window] index in (movie, key shot) order,
+    # and only windows that stay inside their movie train
+    streams = [
+        np.concatenate([s.samples for s in group])
+        for group in zip(*(m.streams for m in train_movies))
+    ]
+    labels = np.concatenate([m.scene_labels for m in train_movies])
+    index, offset = [], 0
+    for movie in train_movies:
+        keys = np.arange(half, movie.num_shots - half)
+        index.append(offset + window_index(keys, half, movie.num_shots))
+        offset += movie.num_shots
+    index = np.concatenate(index)
+    if not len(index):
         raise DataError("no training windows fit inside the training movies")
 
     def report(epoch):
@@ -304,18 +295,18 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
     logs = []
     step = single_class = 0
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(pairs))
+        order = shuffle_rng.permutation(len(index))
         for start in range(0, len(order), cfg.batch_size):
-            chosen = [pairs[i] for i in order[start:start + cfg.batch_size]]
-            feats, labels = _window_batch(train_movies, chosen, model_cfg.seq_len)
+            chosen = index[order[start:start + cfg.batch_size]]
+            batch_labels = labels[chosen[:, half]]
             optimizer.zero_grad()
             with nc.Tape() as tape:
                 logits = af.forward_scene(
-                    model, [Tensor(f) for f in feats], dropout_rng
+                    model, [Tensor(s[chosen]) for s in streams], dropout_rng
                 )
-                loss = weighted_scene_ce(logits, labels)
+                loss = weighted_scene_ce(logits, batch_labels)
             step += 1
-            one_class = bool(labels.min() == labels.max())
+            one_class = bool(batch_labels.min() == batch_labels.max())
             single_class += one_class
             logs.append(
                 {
@@ -330,31 +321,13 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
             nc.backward(tape, loss)
             optimizer.step()
         reports.append(report(epoch))
-        _save_epoch(checkpoint_dir, epoch, save_scene_checkpoint, model)
+        _save_epoch(checkpoint_dir, epoch, model)
     if single_class:
         log.warning(
             "%d of %d training batches held one class only and used "
             "unweighted cross-entropy", single_class, step,
         )
     return model, reports, logs
-
-
-def _save_epoch(checkpoint_dir, epoch: int, save, model) -> None:
-    # the directory is made on the first save, so a run rejected before
-    # any training leaves no directory behind
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        save(checkpoint_dir / f"epoch_{epoch:03d}.ckpt", model, epoch)
-
-
-def save_scene_checkpoint(path, model, epoch: int | None = None) -> None:
-    extra = {} if epoch is None else {"epoch": epoch}
-    af.save_checkpoint(path, "scene", {"model": model.config}, model.params, extra)
-
-
-def load_scene_checkpoint(path):
-    return _load_expected(path, "scene")
 
 
 # ---- act pipeline ----
@@ -401,33 +374,44 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed) -> ActPipeli
     )
 
 
-def save_act_checkpoint(path, pipeline: ActPipeline, epoch: int | None = None) -> None:
-    params = dict(pipeline.named_params())
-    extra = {"max_p_col_dev": pipeline.max_p_col_dev}
-    if epoch is not None:
-        extra["epoch"] = epoch
-    af.save_checkpoint(
-        path,
-        "act",
-        {"shot": pipeline.shot_model.config, "synopsis": pipeline.synopsis_model.config},
-        params,
-        extra,
-    )
+# ---- checkpoints ----
 
 
-def load_act_checkpoint(path):
-    return _load_expected(path, "act")
+def _save_epoch(checkpoint_dir, epoch: int, trained) -> None:
+    # the directory is made on the first save, so a run rejected before
+    # any training leaves no directory behind
+    if checkpoint_dir is not None:
+        checkpoint_dir = Path(checkpoint_dir)
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(checkpoint_dir / f"epoch_{epoch:03d}.ckpt", trained, epoch)
 
 
-def load_checkpoint(path):
-    """(kind, FusionModel or ActPipeline, extra) from one read of the file."""
+def save_checkpoint(path, trained, epoch: int | None = None) -> None:
+    """A FusionModel as a 'scene' checkpoint, an ActPipeline as an 'act' one."""
+    extra = {} if epoch is None else {"epoch": epoch}
+    if isinstance(trained, ActPipeline):
+        extra["max_p_col_dev"] = trained.max_p_col_dev
+        configs = {
+            "shot": trained.shot_model.config,
+            "synopsis": trained.synopsis_model.config,
+        }
+        af.save_checkpoint(path, "act", configs, trained.named_params(), extra)
+    else:
+        af.save_checkpoint(path, "scene", {"model": trained.config}, trained.params, extra)
+
+
+def load_checkpoint(path, expected: str | None = None):
+    """(kind, FusionModel or ActPipeline, extra) from one read of the file;
+    a kind other than expected (when given) is a DataError."""
     kind, configs, arrays, extra = af.load_checkpoint(path)
+    if kind not in ("scene", "act"):
+        raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
+    if expected is not None and kind != expected:
+        raise DataError(f"{path} holds a {kind!r} checkpoint, expected {expected}")
     if kind == "scene":
         model = af.FusionModel(configs["model"], seed=0)
-        model.load_state(arrays)
+        af.load_params(model.params, arrays)
         return kind, model, extra
-    if kind != "act":
-        raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
     proj = arrays.get("sync.proj.w")
     if proj is None or proj.ndim != 2:
         raise DataError(f"{path} lacks the 2-D sync head parameter 'sync.proj.w'")
@@ -439,13 +423,6 @@ def load_checkpoint(path):
     )
     af.load_params(pipeline.named_params(), arrays)
     return kind, pipeline, extra
-
-
-def _load_expected(path, expected: str):
-    kind, loaded, extra = load_checkpoint(path)
-    if kind != expected:
-        raise DataError(f"{path} holds a {kind!r} checkpoint, expected {expected}")
-    return loaded, extra
 
 
 def movie_inputs(movie):
@@ -524,8 +501,48 @@ def _mean(parts):
     return nc.mul(total, 1.0 / len(parts)) if len(parts) > 1 else total
 
 
+def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = False, rng=None):
+    """(total, (contrastive, synopsis_ce, distillation), max_col_dev) of
+    one batch; items holds one (shot feats, synopsis, w, band, tp_labels)
+    tuple per movie, w its E-step assignment and band its in-band mask.
+    max_col_dev is the largest |column sum - 1| of the transferred
+    targets. Unless joint, the targets are detached, so distillation
+    trains the shot model only.
+    """
+    head = pipeline.sync_head
+    terms, ce_parts, kd_parts = [], [], []
+    max_col_dev = 0.0
+    for feats, synopsis, w, band, tp_labels in items:
+        rows = af.encode_sequence(pipeline.shot_model, feats, rng)
+        syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis], rng)
+        u = head.features(rows)
+        v = head.features(syn_rows)
+        shot_logits = af.apply_head(pipeline.shot_model, rows)
+        q = af.apply_head(pipeline.synopsis_model, syn_rows)
+        terms.append((u, v, w, band))
+        ce_parts.append(distill.synopsis_ce_loss(q, tp_labels))
+        if joint:
+            attn = distill.attention_weights(u, v, head.tau())
+        else:
+            attn = distill.attention_weights(u.detach(), v.detach(), head.tau().detach())
+            q = q.detach()
+        targets = distill.transfer_targets(attn, q)
+        max_col_dev = max(
+            max_col_dev, float(np.abs(targets.data.sum(axis=0) - 1.0).max())
+        )
+        kd_parts.append(
+            distill.kd_loss(distill.shot_distribution(shot_logits), targets)
+        )
+    l_c = sync.m_step_loss(terms, head.tau())
+    l_ce = _mean(ce_parts)
+    l_kd = _mean(kd_parts)
+    total = distill.total_loss(l_c, l_ce, l_kd, loss_weights)
+    return total, (l_c, l_ce, l_kd), max_col_dev
+
+
 def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=None):
-    """Returns (pipeline, final per-movie SyncMatrix list, reports, logs)."""
+    """Returns (pipeline, {movie_id: final SyncMatrix} of the training
+    movies, reports, logs)."""
     cfg.validate()
     if cfg.task != "act":
         raise ConfigError("train_act needs an act TrainConfig")
@@ -552,70 +569,40 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     optimizer = Optimizer(pipeline.named_params(), cfg.optimizer, cfg.lr)
 
     inputs = [movie_inputs(m) for m in train_movies]
-    bands = {}
+    bands = [
+        sync.band_mask(m.num_shots, synopsis.shape[0], cfg.em_xi)
+        for m, (_, synopsis) in zip(train_movies, inputs)
+    ]
     syncs = None
 
     def report(epoch):
         probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
         return act_report(probs, eval_movies, epoch, cfg.seed, pipeline.max_p_col_dev)
 
+    def e_step():
+        return sync.run_e_step(
+            pipeline.shot_model, pipeline.synopsis_model, head,
+            inputs, cfg.em_xi, cfg.em_percentile,
+        )
+
     reports = [report(0)]
     logs = []
     step = skipped_total = skipped_steps = 0
     for epoch in range(1, cfg.epochs + 1):
         if syncs is None or (epoch - 1) % cfg.em_every == 0:
-            syncs = sync.run_e_step(
-                pipeline.shot_model,
-                pipeline.synopsis_model,
-                head,
-                inputs,
-                cfg.em_xi,
-                cfg.em_percentile,
-            )
+            syncs = e_step()
         order = shuffle_rng.permutation(len(train_movies))
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+            items = [
+                (*inputs[mi], syncs[mi].w, bands[mi], train_movies[mi].tp_labels)
+                for mi in order[start:start + cfg.batch_size]
+            ]
             optimizer.zero_grad()
-            step_dev = 0.0
             with nc.Tape() as tape:
-                terms, ce_parts, kd_parts = [], [], []
-                for mi in batch:
-                    feats, synopsis = inputs[mi]
-                    rows = af.encode_sequence(pipeline.shot_model, feats, dropout_rng)
-                    syn_rows = af.encode_sequence(
-                        pipeline.synopsis_model, [synopsis], dropout_rng
-                    )
-                    u = head.features(rows)
-                    v = head.features(syn_rows)
-                    shot_logits = af.apply_head(pipeline.shot_model, rows)
-                    q = af.apply_head(pipeline.synopsis_model, syn_rows)
-                    dims = syncs[mi].w.shape
-                    if dims not in bands:
-                        bands[dims] = sync.band_mask(*dims, cfg.em_xi)
-                    terms.append((u, v, syncs[mi].w, bands[dims]))
-                    ce_parts.append(
-                        distill.synopsis_ce_loss(q, train_movies[mi].tp_labels)
-                    )
-                    if cfg.kd_joint:
-                        attn = distill.attention_weights(u, v, head.tau())
-                        targets = distill.transfer_targets(attn, q)
-                    else:
-                        attn = distill.attention_weights(
-                            u.detach(), v.detach(), head.tau().detach()
-                        )
-                        targets = distill.transfer_targets(attn, q.detach())
-                    step_dev = max(
-                        step_dev,
-                        float(np.abs(targets.data.sum(axis=0) - 1.0).max()),
-                    )
-                    kd_parts.append(
-                        distill.kd_loss(distill.shot_distribution(shot_logits), targets)
-                    )
-                l_c = sync.m_step_loss(terms, head.tau())
-                skipped = sync.skipped_queries([t[2] for t in terms])
-                l_ce = _mean(ce_parts)
-                l_kd = _mean(kd_parts)
-                total = distill.total_loss(l_c, l_ce, l_kd, cfg.loss_weights)
+                total, (l_c, l_ce, l_kd), step_dev = act_objective(
+                    pipeline, items, cfg.loss_weights, cfg.kd_joint, dropout_rng
+                )
+            skipped = sync.skipped_queries([item[2] for item in items])
             pipeline.max_p_col_dev = max(pipeline.max_p_col_dev, step_dev)
             step += 1
             skipped_total += skipped
@@ -640,18 +627,11 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             optimizer.step()
             head.clamp_tau()
         reports.append(report(epoch))
-        _save_epoch(checkpoint_dir, epoch, save_act_checkpoint, pipeline)
+        _save_epoch(checkpoint_dir, epoch, pipeline)
     if skipped_total:
         log.warning(
             "contrastive loss: skipped %d queries with no positive key "
             "in %d of %d steps", skipped_total, skipped_steps, step,
         )
-    final_syncs = sync.run_e_step(
-        pipeline.shot_model,
-        pipeline.synopsis_model,
-        head,
-        inputs,
-        cfg.em_xi,
-        cfg.em_percentile,
-    )
-    return pipeline, final_syncs, reports, logs
+    final = {movie.movie_id: sm for movie, sm in zip(train_movies, e_step())}
+    return pipeline, final, reports, logs

@@ -271,7 +271,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     kind, configs, arrays, extra = af.load_checkpoint(path)
     assert kind == "scene" and extra == {"seed": 16}
     rebuilt = af.FusionModel(configs["model"], seed=0)
-    rebuilt.load_state(arrays)
+    af.load_params(rebuilt.params, arrays)
     for name in model.params:
         assert rebuilt[name].data.tobytes() == model[name].data.tobytes()
     # a second save of the loaded state reproduces the file byte for byte
@@ -297,14 +297,14 @@ def test_checkpoint_errors(tmp_path):
         af.load_checkpoint(tmp_path / "junk.ckpt")
 
 
-def test_load_state_rejects_mismatches():
+def test_load_params_rejects_mismatches():
     model = af.FusionModel(tiny_cfg(), seed=18)
     arrays = {k: v.data for k, v in model.params.items()}
     bad = dict(arrays)
     bad.pop("head.w")
     with pytest.raises(DataError):
-        model.load_state(bad)
+        af.load_params(model.params, bad)
     bad2 = dict(arrays)
     bad2["head.w"] = np.zeros((1, 1))
     with pytest.raises(DataError):
-        model.load_state(bad2)
+        af.load_params(model.params, bad2)

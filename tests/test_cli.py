@@ -494,7 +494,9 @@ def test_act_movie_longer_than_tower_exits_3(act_data, tmp_path, capsys, overrid
     assert not out.exists()
 
 
-def test_rejected_train_scene_leaves_no_run_tree(scene_data, tmp_path, capsys):
+def test_rejected_train_scene_leaves_no_run_tree(
+    scene_data, scene_run, act_data, tmp_path, capsys
+):
     # 31-shot windows do not fit in the 30-shot movies
     out = tmp_path / "out"
     code = cli.main(
@@ -503,4 +505,41 @@ def test_rejected_train_scene_leaves_no_run_tree(scene_data, tmp_path, capsys):
     )
     assert code == 3
     assert "no training windows" in capsys.readouterr().err
+    assert not out.exists()
+    # rejected eval, importance and sync runs leave no --out either
+    ckpt = str(scene_run / "model.ckpt")
+    for argv in (
+        ["eval", "--checkpoint", ckpt, "--data", str(act_data)],
+        ["importance", "--checkpoint", ckpt, "--data", str(scene_data),
+         "--set", "shot=999"],
+        ["sync", "--checkpoint", ckpt, "--data", str(act_data)],
+    ):
+        assert cli.main(argv + ["--out", str(out)]) == 3, argv[0]
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists(), argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-act", "--data", "{act}", "--set", "train.em_percentile=150"],
+        ["train-act", "--data", "{act}", "--set", "train.em_xi=0"],
+        ["sync", "--checkpoint", "{ckpt}", "--data", "{act}", "--set", "percentile=150"],
+        ["sync", "--checkpoint", "{ckpt}", "--data", "{act}", "--set", "xi=-0.1"],
+        ["gradcheck", "--set", "h=0"],
+        ["gradcheck", "--set", "h=nan"],
+        ["gradcheck", "--set", "tolerance=0"],
+        ["synth", "--movies", "-1"],
+        ["synth", "--movies", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_bad_value_exits_2_before_any_work(act_data, act_run, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    paths = {"act": str(act_data), "ckpt": str(act_run / "model.ckpt")}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "train-act":  # the bad value comes last, so it wins
+        argv = argv[:1] + _sets(ACT_MODEL_SET) + argv[1:]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()

@@ -9,6 +9,7 @@ import pytest
 
 from cineseg import alignfuse as af
 from cineseg import numcore as nc
+from cineseg import sync
 from cineseg import trainer
 from cineseg.dataio import SynthConfig, make_dataset
 from cineseg.errors import ConfigError, ContractError, DataError, NumericError
@@ -236,28 +237,65 @@ def test_weighted_ce_gradient_matches_finite_differences():
 
 
 def test_reflect_indices_center():
-    assert trainer._reflect_indices(5, 2, 10).tolist() == [3, 4, 5, 6, 7]
+    assert trainer.window_index([5], 2, 10).tolist() == [[3, 4, 5, 6, 7]]
 
 
 def test_reflect_indices_left_edge():
-    assert trainer._reflect_indices(0, 2, 10).tolist() == [2, 1, 0, 1, 2]
+    assert trainer.window_index([0], 2, 10).tolist() == [[2, 1, 0, 1, 2]]
 
 
 def test_reflect_indices_right_edge():
-    assert trainer._reflect_indices(9, 2, 10).tolist() == [7, 8, 9, 8, 7]
+    assert trainer.window_index([9], 2, 10).tolist() == [[7, 8, 9, 8, 7]]
 
 
-def test_training_windows_skip_movie_edges():
-    movies = make_dataset(scene_synth(shots=12), movies=2, seed=0)
-    pairs = trainer.scene_training_windows(movies, 5)
-    keys = {(mi, t) for mi, t in pairs}
-    assert all(2 <= t <= 9 for _, t in keys)
-    assert len(keys) == 2 * 8
+def test_window_index_one_and_two_shot_movies():
+    assert trainer.window_index([0], 2, 1).tolist() == [[0, 0, 0, 0, 0]]
+    assert trainer.window_index([0, 1], 2, 2).tolist() == [
+        [0, 1, 0, 1, 0],
+        [1, 0, 1, 0, 1],
+    ]
+    assert trainer.window_index([], 2, 2).shape == (0, 5)
+
+
+def test_training_windows_skip_movie_edges(monkeypatch):
+    # 12-shot movies with 5-shot windows: keys 2..9 of each training movie
+    movies = make_dataset(scene_synth(shots=12), movies=4, seed=0)
+    train_movies = movies[:2]
+    seen = []
+    forward = af.forward_scene
+
+    def spy(model, windows, rng=None, collect=None):
+        if rng is not None:  # training batches; evaluation passes no rng
+            seen.append(windows[0].data.copy())
+        return forward(model, windows, rng, collect)
+
+    monkeypatch.setattr(af, "forward_scene", spy)
+    trainer.train_scene(
+        movies, scene_model_cfg(), scene_train_cfg(epochs=1, batch_size=5)
+    )
+    expected = {
+        (mi, t): movie.streams[0].samples[t - 2:t + 3]
+        for mi, movie in enumerate(train_movies)
+        for t in range(2, 10)
+    }
+    rows = [row for batch in seen for row in batch]
+    assert len(rows) == len(expected) == 16
+    hits = [
+        key for row in rows for key, window in expected.items()
+        if np.array_equal(row, window)
+    ]
+    assert sorted(hits) == sorted(expected)
 
 
 def test_training_windows_need_odd_length():
+    movies = make_dataset(scene_synth(), movies=4, seed=0)
+    cfg = af.ModelConfig(
+        seq_len=4, align_len=2, width=8, ffn_width=16,
+        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        num_classes=2, modality_dims=(6, 4),
+    )
     with pytest.raises(ConfigError):
-        trainer.scene_training_windows([], 4)
+        trainer.train_scene(movies, cfg, scene_train_cfg())
 
 
 # ---- scene training ----
@@ -335,11 +373,20 @@ def test_train_scene_logged_loss_matches_recomputation():
 
     shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     model = af.FusionModel(model_cfg, model_seed)
-    train_movies = movies[:-cfg.holdout]
-    pairs = trainer.scene_training_windows(train_movies, model_cfg.seq_len)
+    half = model_cfg.seq_len // 2
+    pairs = [
+        (movie, t)
+        for movie in movies[:-cfg.holdout]
+        for t in range(half, movie.num_shots - half)
+    ]
     order = np.random.default_rng(shuffle_seed).permutation(len(pairs))
     chosen = [pairs[i] for i in order[:cfg.batch_size]]
-    feats, labels = trainer._window_batch(train_movies, chosen, model_cfg.seq_len)
+    feats = [
+        np.stack([movie.streams[m].samples[np.arange(t - half, t + half + 1)]
+                  for movie, t in chosen])
+        for m in range(len(model_cfg.modality_dims))
+    ]
+    labels = np.array([movie.scene_labels[t] for movie, t in chosen])
     logits = af.forward_scene(model, [Tensor(f) for f in feats])
     loss = trainer.weighted_scene_ce(logits, labels)
     assert float(loss.data) == pytest.approx(logs[0]["losses"]["scene_ce"], abs=1e-9)
@@ -441,6 +488,40 @@ def test_train_act_shapes_logs_and_target_columns():
         assert {"span_hit_rate", "ta", "pa", "d"} <= set(report.values)
 
 
+def test_train_act_logged_losses_match_act_objective():
+    movies = make_dataset(act_synth(), movies=5, seed=8)
+    shot, synopsis = act_model_cfgs()
+    cfg = act_train_cfg(epochs=1)
+    _, _, _, logs = trainer.train_act(movies, shot, synopsis, cfg)
+
+    # the first step by hand: fresh pipeline, first E-step, first batch
+    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    pipeline = trainer.build_act_pipeline(shot, synopsis, cfg.sync_dim, model_seed)
+    train_movies = movies[:-cfg.holdout]
+    inputs = [trainer.movie_inputs(m) for m in train_movies]
+    syncs = sync.run_e_step(
+        pipeline.shot_model, pipeline.synopsis_model, pipeline.sync_head,
+        inputs, cfg.em_xi, cfg.em_percentile,
+    )
+    order = np.random.default_rng(shuffle_seed).permutation(len(train_movies))
+    items = []
+    for mi in order[:cfg.batch_size]:
+        w = syncs[mi].w
+        band = sync.band_mask(*w.shape, cfg.em_xi)
+        items.append((*inputs[mi], w, band, train_movies[mi].tp_labels))
+    total, (l_c, l_ce, l_kd), col_dev = trainer.act_objective(
+        pipeline, items, cfg.loss_weights, rng=np.random.default_rng(dropout_seed)
+    )
+    assert logs[0]["losses"] == {
+        "contrastive": float(l_c.data),
+        "synopsis_ce": float(l_ce.data),
+        "distillation": float(l_kd.data),
+        "total": float(total.data),
+    }
+    assert logs[0]["max_p_col_dev"] == col_dev
+    assert logs[0]["skipped_queries"] == sync.skipped_queries([it[2] for it in items])
+
+
 def test_train_act_deterministic():
     movies = make_dataset(act_synth(), movies=5, seed=9)
     shot, synopsis = act_model_cfgs()
@@ -452,8 +533,9 @@ def test_train_act_deterministic():
     for name in params_a:
         assert np.array_equal(params_a[name].data, params_b[name].data)
     assert runs[0][3] == runs[1][3]
-    for sa, sb in zip(runs[0][1], runs[1][1]):
-        assert np.array_equal(sa.w, sb.w)
+    assert list(runs[0][1]) == [m.movie_id for m in movies[:3]]
+    for movie_id, sa in runs[0][1].items():
+        assert np.array_equal(sa.w, runs[1][1][movie_id].w)
 
 
 def test_train_act_detached_kd_leaves_synopsis_model_alone():
@@ -495,9 +577,10 @@ def test_act_checkpoint_round_trip(tmp_path):
         movies, shot, synopsis, act_train_cfg(epochs=1)
     )
     path = tmp_path / "act.ckpt"
-    trainer.save_act_checkpoint(path, pipeline, epoch=1)
-    loaded, extra = trainer.load_act_checkpoint(path)
-    assert extra["epoch"] == 1
+    trainer.save_checkpoint(path, pipeline, epoch=1)
+    kind, loaded, extra = trainer.load_checkpoint(path, "act")
+    assert kind == "act" and extra["epoch"] == 1
+    assert extra["max_p_col_dev"] == pipeline.max_p_col_dev
     for name, p in pipeline.named_params().items():
         assert np.array_equal(p.data, loaded.named_params()[name].data)
 
@@ -505,13 +588,14 @@ def test_act_checkpoint_round_trip(tmp_path):
 def test_scene_checkpoint_round_trip(tmp_path):
     model = af.FusionModel(scene_model_cfg(), seed=3)
     path = tmp_path / "scene.ckpt"
-    trainer.save_scene_checkpoint(path, model, epoch=4)
-    loaded, extra = trainer.load_scene_checkpoint(path)
-    assert extra["epoch"] == 4
+    trainer.save_checkpoint(path, model, epoch=4)
+    kind, loaded, extra = trainer.load_checkpoint(path, "scene")
+    assert kind == "scene" and extra == {"epoch": 4}
     for name, p in model.params.items():
         assert np.array_equal(p.data, loaded.params[name].data)
+    assert trainer.load_checkpoint(path)[0] == "scene"
     with pytest.raises(DataError):
-        trainer.load_act_checkpoint(path)
+        trainer.load_checkpoint(path, "act")
 
 
 def test_movie_inputs_requires_synopsis():
