@@ -74,6 +74,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.num_classes not in (2, 5):
             raise ConfigError(f"num_classes must be 2 or 5, got {self.num_classes}")
+        if self.num_classes == 2 and self.seq_len % 2 == 0:
+            raise ConfigError("scene windows need an odd length so the key shot is central")
         if not self.modality_dims or any(d < 1 for d in self.modality_dims):
             raise ConfigError("modality_dims must be a non-empty tuple of positive ints")
         if self.num_heads < 1 or self.width % self.num_heads:
@@ -302,8 +304,6 @@ def forward_scene(model, windows, rng=None, collect=None) -> Tensor:
     cfg = model.config
     if cfg.num_classes != 2:
         raise ContractError("scene forward needs a 2-class head")
-    if cfg.seq_len % 2 == 0:
-        raise ConfigError("scene windows need an odd length so the key shot is central")
     windows = [w if isinstance(w, Tensor) else Tensor(w) for w in windows]
     for w in windows:
         if w.ndim != 3 or w.shape[1] != cfg.seq_len:

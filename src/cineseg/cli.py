@@ -3,7 +3,8 @@ evaluation, gradient checking, and modality importance.
 
 Configuration is a flat key=value file (# comments allowed) plus
 repeatable --set key=value overrides; every key must be in the active
-command's registry, and dedicated flags (--movies, --shots, --seed) win
+command's registry, which maps it to its default, and a value parses as
+its default's type. Dedicated flags (--movies, --shots, --seed) win
 over both. Each run writes all outputs under one directory: --out names
 it exactly, otherwise a timestamped default under runs/ is created. No
 output file embeds a timestamp or an absolute path, so a re-run with
@@ -20,10 +21,12 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import alignfuse as af
 from . import dataio
+from . import distill
 from . import metrics as mx
 from . import sync
 from . import trainer
@@ -55,87 +58,78 @@ def _parse_modalities(text: str) -> tuple:
     return tuple(out)
 
 
+# the parser of a config value, by the type of its key's default
+_PARSERS = {bool: _parse_bool, tuple: _parse_modalities, int: int, float: float, str: str}
+
 SYNTH_KEYS = {
-    "movies": (int, 4),
-    "shots": (int, 200),
-    "shots_jitter": (int, 0),
-    "scenes": (int, 10),
-    "sentences": (int, 5),
-    "modalities": (_parse_modalities, (("visual", 16), ("audio", 12))),
-    "latent_dim": (int, 32),
-    "noise": (float, 0.1),
-    "tp_jitter": (float, 0.01),
-    "tp_motif_scale": (float, 0.0),
-    "tp_motif_halfwidth": (int, 2),
-    "cut_jitter": (float, 1.0 / 3.0),
-    "shot_seconds": (float, 2.0),
+    "movies": 4,
+    **{f.name: f.default for f in fields(dataio.SynthConfig)},
 }
 
 SCENE_KEYS = {
-    "model.seq_len": (int, 17),
-    "model.align_len": (int, 2),
-    "model.width": (int, 768),
-    "model.ffn_width": (int, 3072),
-    "model.unimodal_depth": (int, 2),
-    "model.fusion_depth": (int, 1),
-    "model.dropout": (float, 0.1),
-    "model.num_heads": (int, 1),
-    "model.align_pe_embed": (_parse_bool, True),
-    "model.align_pe_tokens": (_parse_bool, True),
-    "train.epochs": (int, 20),
-    "train.batch_size": (int, 1024),
-    "train.optimizer": (str, "adam"),
-    "train.lr": (float, 1e-4),
-    "train.holdout": (int, 2),
+    "model.seq_len": 17,
+    "model.align_len": 2,
+    "model.width": 768,
+    "model.ffn_width": 3072,
+    "model.unimodal_depth": 2,
+    "model.fusion_depth": 1,
+    "model.dropout": 0.1,
+    "model.num_heads": 1,
+    "model.align_pe_embed": True,
+    "model.align_pe_tokens": True,
+    "train.epochs": 20,
+    "train.batch_size": 1024,
+    "train.optimizer": "adam",
+    "train.lr": 1e-4,
+    "train.holdout": 2,
 }
+
+# the order of distill.DEFAULT_LOSS_WEIGHTS and TrainConfig.loss_weights
+LOSS_TERMS = ("contrastive", "synopsis", "distill")
 
 ACT_KEYS = {
-    "shot.seq_len": (int, 3000),
-    "shot.align_len": (int, 100),
-    "shot.width": (int, 128),
-    "shot.ffn_width": (int, 128),
-    "shot.unimodal_depth": (int, 1),
-    "shot.fusion_depth": (int, 1),
-    "shot.dropout": (float, 0.5),
-    "shot.num_heads": (int, 1),
-    "shot.align_pe_embed": (_parse_bool, True),
-    "shot.align_pe_tokens": (_parse_bool, True),
-    "synopsis.seq_len": (int, 60),
-    "synopsis.align_len": (int, 20),
-    "synopsis.width": (int, 0),  # 0 = match the shot model's fused width
-    "synopsis.ffn_width": (int, 128),
-    "synopsis.unimodal_depth": (int, 1),
-    "synopsis.fusion_depth": (int, 0),
-    "synopsis.dropout": (float, 0.1),
-    "train.epochs": (int, 10),
-    "train.batch_size": (int, 4),
-    "train.optimizer": (str, "sgd"),
-    "train.lr": (float, 1e-3),
-    "train.holdout": (int, 2),
-    "train.em_every": (int, 1),
-    "train.em_xi": (float, sync.DEFAULT_BAND_XI),
-    "train.em_percentile": (float, sync.DEFAULT_PERCENTILE),
-    "train.kd_joint": (_parse_bool, False),
-    "train.sync_dim": (int, 128),
-    "train.alpha_contrastive": (float, 1.0),
-    "train.alpha_synopsis": (float, 1.0),
-    "train.alpha_distill": (float, 10.0),
+    "shot.seq_len": 3000,
+    "shot.align_len": 100,
+    "shot.width": 128,
+    "shot.ffn_width": 128,
+    "shot.unimodal_depth": 1,
+    "shot.fusion_depth": 1,
+    "shot.dropout": 0.5,
+    "shot.num_heads": 1,
+    "shot.align_pe_embed": True,
+    "shot.align_pe_tokens": True,
+    "synopsis.seq_len": 60,
+    "synopsis.align_len": 20,
+    "synopsis.ffn_width": 128,
+    "synopsis.unimodal_depth": 1,
+    "synopsis.fusion_depth": 0,
+    "synopsis.dropout": 0.1,
+    "train.epochs": 10,
+    "train.batch_size": 4,
+    "train.optimizer": "sgd",
+    "train.lr": 1e-3,
+    "train.holdout": 2,
+    "train.em_every": 1,
+    "train.em_xi": sync.DEFAULT_BAND_XI,
+    "train.em_percentile": sync.DEFAULT_PERCENTILE,
+    "train.kd_joint": False,
+    "train.sync_dim": 128,
+    **{
+        f"train.alpha_{term}": weight
+        for term, weight in zip(LOSS_TERMS, distill.DEFAULT_LOSS_WEIGHTS)
+    },
 }
 
-SYNC_KEYS = {
-    "xi": (float, sync.DEFAULT_BAND_XI),
-    "percentile": (float, sync.DEFAULT_PERCENTILE),
-}
-
-EVAL_KEYS: dict = {}
+# eval and sync take no keys; sync uses the E-step settings in the checkpoint
+NO_KEYS: dict = {}
 
 IMPORTANCE_KEYS = {
-    "shot": (int, -1),  # scene task: key shot index, -1 = movie middle
+    "shot": -1,  # scene task: key shot index, -1 = movie middle
 }
 
 GRADCHECK_KEYS = {
-    "h": (float, 1e-5),
-    "tolerance": (float, GRADCHECK_TOLERANCE),
+    "h": 1e-5,
+    "tolerance": GRADCHECK_TOLERANCE,
 }
 
 
@@ -153,7 +147,7 @@ def read_config_file(path) -> dict:
 
 
 def resolve_config(registry: dict, config_path, sets) -> dict:
-    resolved = {key: default for key, (_, default) in registry.items()}
+    resolved = dict(registry)
     raw = {}
     if config_path:
         raw.update(read_config_file(config_path))
@@ -165,7 +159,7 @@ def resolve_config(registry: dict, config_path, sets) -> dict:
     for key, text in raw.items():
         if key not in registry:
             raise ConfigError(f"unknown config key '{key}'")
-        parse = registry[key][0]
+        parse = _PARSERS[type(registry[key])]
         try:
             resolved[key] = parse(text)
         except ConfigError:
@@ -179,12 +173,6 @@ def _section(cfg_map: dict, prefix: str) -> dict:
     """The keys under 'prefix.', with the prefix stripped."""
     start = len(prefix) + 1
     return {k[start:]: v for k, v in cfg_map.items() if k.startswith(prefix + ".")}
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _out_path(args) -> Path:
@@ -206,9 +194,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_config(out: Path, command: str, seed: int, resolved: dict) -> None:
-    payload = {"command": command, "seed": seed}
-    payload.update({k: _jsonable(v) for k, v in resolved.items()})
-    _write_json(out / "config.json", payload)
+    # json writes the modalities tuple as nested lists
+    _write_json(out / "config.json", {"command": command, "seed": seed, **resolved})
 
 
 def _print_json(payload) -> None:
@@ -285,15 +272,12 @@ def cmd_train_act(args) -> int:
     movies = dataio.load_dataset(Path(args.data))
     dims = tuple(s.dim for s in movies[0].streams)
     shot_cfg = af.ModelConfig(**_section(cfg_map, "shot"), num_classes=5, modality_dims=dims)
-    synopsis_fields = _section(cfg_map, "synopsis")
-    synopsis_fields["width"] = synopsis_fields["width"] or shot_cfg.fused_width
     synopsis_cfg = af.ModelConfig(
-        **synopsis_fields, num_classes=5, modality_dims=(sum(dims),)
+        **_section(cfg_map, "synopsis"), width=shot_cfg.fused_width,
+        num_classes=5, modality_dims=(sum(dims),),
     )
     train_fields = _section(cfg_map, "train")
-    loss_weights = tuple(
-        train_fields.pop(f"alpha_{term}") for term in ("contrastive", "synopsis", "distill")
-    )
+    loss_weights = tuple(train_fields.pop(f"alpha_{term}") for term in LOSS_TERMS)
     train_cfg = trainer.TrainConfig(
         task="act", seed=args.seed, loss_weights=loss_weights, **train_fields
     )
@@ -317,15 +301,10 @@ def cmd_train_act(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    cfg_map = resolve_config(SYNC_KEYS, args.config, args.set)
-    sync.check_e_step_config(cfg_map["xi"], cfg_map["percentile"])
+    cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     _, pipeline, _ = trainer.load_checkpoint(args.checkpoint, "act")
     movies = dataio.load_dataset(Path(args.data))
-    inputs = [trainer.movie_inputs(m) for m in movies]
-    syncs = sync.run_e_step(
-        pipeline.shot_model, pipeline.synopsis_model, pipeline.sync_head,
-        inputs, cfg_map["xi"], cfg_map["percentile"],
-    )
+    syncs = pipeline.e_step([trainer.movie_inputs(m) for m in movies])
     out = _run_dir(args)
     summary = []
     for movie, sm in zip(movies, syncs):
@@ -360,7 +339,7 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg_map = resolve_config(EVAL_KEYS, args.config, args.set)
+    cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
     epoch = int(extra.get("epoch", 0))
@@ -419,6 +398,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_importance(args) -> int:
     cfg_map = resolve_config(IMPORTANCE_KEYS, args.config, args.set)
+    if cfg_map["shot"] < -1:
+        raise ConfigError(f"shot is a shot index or -1 (movie middle), got {cfg_map['shot']}")
     kind, loaded, _ = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
     payload = []
@@ -513,6 +494,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .errors import BlobIOError, ConfigError, DataError, NumericError
 # act turning points of classic screenplay structure, as movie fractions
 THEORY_POSITIONS = (0.10, 0.25, 0.50, 0.75, 0.95)
 NUM_TURNING_POINTS = len(THEORY_POSITIONS)
+SHOT_SECONDS = 2.0  # every synthetic shot spans this long
 
 
 @dataclass
@@ -125,7 +127,6 @@ class SynthConfig:
     latent_dim: int = 32
     noise: float = 0.1
     tp_jitter: float = 0.01  # turning-point jitter as a fraction of the movie
-    shot_seconds: float = 2.0
     # scene cut jitter as a fraction of the even-grid scene spacing
     cut_jitter: float = 1.0 / 3.0
     # strength of a dataset-wide turning-point content cue added to the
@@ -144,7 +145,13 @@ class SynthConfig:
             raise ConfigError("need at least one synopsis sentence")
         if not self.modalities:
             raise ConfigError("need at least one modality")
+        names = [name for name, _ in self.modalities]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"modality names must be unique, got {names}")
         for name, dim in self.modalities:
+            # the name is its blob's file name, beside synopsis and gold_sync
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name) or name in ("synopsis", "gold_sync"):
+                raise ConfigError(f"modality name {name!r} is not [A-Za-z0-9_-]+ or is reserved")
             if dim < 1:
                 raise ConfigError(f"modality '{name}' dim must be positive")
         if self.latent_dim < 1:
@@ -215,7 +222,7 @@ def synth_movie(
     shot_latents = latents[scene_of]
 
     streams = []
-    shots = [(i * cfg.shot_seconds, (i + 1) * cfg.shot_seconds) for i in range(num_shots)]
+    shots = [(i * SHOT_SECONDS, (i + 1) * SHOT_SECONDS) for i in range(num_shots)]
     clean_parts = []
     for name, dim in cfg.modalities:
         mix = rng.normal(size=(cfg.latent_dim, dim))
@@ -400,12 +407,16 @@ def load_movie(manifest_path: Path) -> MovieSample:
     for key in ("movie_id", "shots", "modalities"):
         if key not in manifest:
             raise DataError(f"manifest {manifest_path} is missing '{key}'")
-    base = manifest_path.parent
     shots = [(float(s), float(e)) for s, e in manifest["shots"]]
+
+    def blob(name, dim: int) -> np.ndarray:
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise DataError(f"manifest {manifest_path} names blob {name!r}, not a file beside it")
+        return read_blob(manifest_path.parent / name, dim)
 
     streams = []
     for entry in manifest["modalities"]:
-        matrix = read_blob(base / entry["blob"], int(entry["dim"]))
+        matrix = blob(entry["blob"], int(entry["dim"]))
         if matrix.shape[0] != len(shots):
             raise DataError(
                 f"stream '{entry['name']}': blob has {matrix.shape[0]} rows for "
@@ -416,7 +427,7 @@ def load_movie(manifest_path: Path) -> MovieSample:
     synopsis = None
     if "synopsis_blob" in manifest:
         total = sum(s.dim for s in streams)
-        synopsis = read_blob(base / manifest["synopsis_blob"], total)
+        synopsis = blob(manifest["synopsis_blob"], total)
 
     scene_labels = None
     if "scene_labels" in manifest:
@@ -430,7 +441,7 @@ def load_movie(manifest_path: Path) -> MovieSample:
     if "gold_sync_blob" in manifest:
         if synopsis is None:
             raise DataError(f"manifest {manifest_path}: gold_sync_blob without synopsis_blob")
-        gold_sync = read_blob(base / manifest["gold_sync_blob"], synopsis.shape[0])
+        gold_sync = blob(manifest["gold_sync_blob"], synopsis.shape[0])
 
     sample = MovieSample(
         movie_id=str(manifest["movie_id"]),

@@ -31,7 +31,6 @@ class MetricsReport:
     flags: list = field(default_factory=list)
     threshold: float | None = None
     seed: int | None = None
-    config_digest: str | None = None
 
     def to_json(self) -> dict:
         return {
@@ -42,24 +41,10 @@ class MetricsReport:
             "flags": sorted(self.flags),
             "threshold": self.threshold,
             "seed": self.seed,
-            "config_digest": self.config_digest,
         }
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MetricsReport":
-        if payload.get("schema") != METRICS_SCHEMA:
-            raise DataError(f"not a metrics report: schema {payload.get('schema')!r}")
-        return cls(
-            task=payload["task"],
-            values=dict(payload["values"]),
-            flags=list(payload["flags"]),
-            threshold=payload["threshold"],
-            seed=payload["seed"],
-            config_digest=payload["config_digest"],
-        )
 
 
 # ---- boundary metrics ----
@@ -176,8 +161,6 @@ def gradcam_importance(model, feats_list, task: str):
     rows = af.encode_sequence(model, feats_list)
     logits = af.apply_head(model, rows).data
     if task == "scene":
-        if logits.shape[0] % 2 == 0:
-            raise DataError("scene importance needs an odd window so the key row is central")
         key = logits.shape[0] // 2
         selections = [(key, int(np.argmax(logits[key])))]
     elif task == "act":

@@ -267,8 +267,6 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
     dropout_rng = np.random.default_rng(dropout_seed)
     model = af.FusionModel(model_cfg, model_seed)
     optimizer = Optimizer(model.params, cfg.optimizer, cfg.lr)
-    if model_cfg.seq_len % 2 == 0:
-        raise ConfigError("scene windows need an odd length")
     half = model_cfg.seq_len // 2
     # the training movies' shots stacked once; a batch gathers its windows
     # through one [num_windows x window] index in (movie, key shot) order,
@@ -335,10 +333,22 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
 
 @dataclass
 class ActPipeline:
+    """Both towers, the sync head, and the E-step settings they trained
+    with, which the checkpoint keeps so a later sync export matches."""
+
     shot_model: af.FusionModel
     synopsis_model: af.FusionModel
     sync_head: sync.SyncHead
     max_p_col_dev: float = 0.0
+    em_xi: float = sync.DEFAULT_BAND_XI
+    em_percentile: float = sync.DEFAULT_PERCENTILE
+
+    def e_step(self, movie_inputs) -> list:
+        """One SyncMatrix per (shot feats, synopsis) pair of movie_inputs."""
+        return sync.run_e_step(
+            self.shot_model, self.synopsis_model, self.sync_head,
+            movie_inputs, self.em_xi, self.em_percentile,
+        )
 
     def named_params(self) -> dict:
         merged = {}
@@ -391,6 +401,8 @@ def save_checkpoint(path, trained, epoch: int | None = None) -> None:
     extra = {} if epoch is None else {"epoch": epoch}
     if isinstance(trained, ActPipeline):
         extra["max_p_col_dev"] = trained.max_p_col_dev
+        extra["em_xi"] = trained.em_xi
+        extra["em_percentile"] = trained.em_percentile
         configs = {
             "shot": trained.shot_model.config,
             "synopsis": trained.synopsis_model.config,
@@ -415,11 +427,16 @@ def load_checkpoint(path, expected: str | None = None):
     proj = arrays.get("sync.proj.w")
     if proj is None or proj.ndim != 2:
         raise DataError(f"{path} lacks the 2-D sync head parameter 'sync.proj.w'")
+    try:
+        em_xi, em_percentile = float(extra["em_xi"]), float(extra["em_percentile"])
+        sync.check_e_step_config(em_xi, em_percentile)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path} lacks valid E-step settings em_xi, em_percentile: {exc}")
     pipeline = ActPipeline(
         af.FusionModel(configs["shot"], seed=0),
         af.FusionModel(configs["synopsis"], seed=0),
         sync.SyncHead(configs["shot"].fused_width, proj.shape[1], seed=0),
-        max_p_col_dev=float(extra.get("max_p_col_dev", 0.0)),
+        float(extra.get("max_p_col_dev", 0.0)), em_xi, em_percentile,
     )
     af.load_params(pipeline.named_params(), arrays)
     return kind, pipeline, extra
@@ -565,12 +582,13 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
     pipeline = build_act_pipeline(shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed)
+    pipeline.em_xi, pipeline.em_percentile = cfg.em_xi, cfg.em_percentile
     head = pipeline.sync_head
     optimizer = Optimizer(pipeline.named_params(), cfg.optimizer, cfg.lr)
 
     inputs = [movie_inputs(m) for m in train_movies]
     bands = [
-        sync.band_mask(m.num_shots, synopsis.shape[0], cfg.em_xi)
+        sync.band_mask(m.num_shots, synopsis.shape[0], pipeline.em_xi)
         for m, (_, synopsis) in zip(train_movies, inputs)
     ]
     syncs = None
@@ -579,18 +597,12 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
         probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
         return act_report(probs, eval_movies, epoch, cfg.seed, pipeline.max_p_col_dev)
 
-    def e_step():
-        return sync.run_e_step(
-            pipeline.shot_model, pipeline.synopsis_model, head,
-            inputs, cfg.em_xi, cfg.em_percentile,
-        )
-
     reports = [report(0)]
     logs = []
     step = skipped_total = skipped_steps = 0
     for epoch in range(1, cfg.epochs + 1):
         if syncs is None or (epoch - 1) % cfg.em_every == 0:
-            syncs = e_step()
+            syncs = pipeline.e_step(inputs)
         order = shuffle_rng.permutation(len(train_movies))
         for start in range(0, len(order), cfg.batch_size):
             items = [
@@ -633,5 +645,5 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             "contrastive loss: skipped %d queries with no positive key "
             "in %d of %d steps", skipped_total, skipped_steps, step,
         )
-    final = {movie.movie_id: sm for movie, sm in zip(train_movies, e_step())}
+    final = {movie.movie_id: sm for movie, sm in zip(train_movies, pipeline.e_step(inputs))}
     return pipeline, final, reports, logs

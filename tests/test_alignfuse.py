@@ -71,6 +71,9 @@ def test_config_validation():
         tiny_cfg(num_heads=3).validate()  # does not divide width
     with pytest.raises(ConfigError):
         tiny_cfg(modality_dims=()).validate()
+    with pytest.raises(ConfigError, match="odd length"):
+        tiny_cfg(seq_len=4).validate()  # a scene window has no central key shot
+    tiny_cfg(seq_len=4, num_classes=5).validate()  # act sequences may be even
 
 
 def test_init_distributions():

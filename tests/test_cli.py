@@ -3,6 +3,7 @@ synthetic datasets, exit-code mapping, and byte-level reproducibility."""
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_parse_modalities():
     )
     with pytest.raises(ConfigError):
         cli._parse_modalities("visual16")
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.name
+)
+def test_shipped_config_resolves_against_its_command(path):
+    # each shipped config names its command on a "# Run: cineseg <command>" line
+    command = re.search(r"^# Run: cineseg (\S+)", path.read_text(), re.M).group(1)
+    registry = {
+        "synth": cli.SYNTH_KEYS, "train-scene": cli.SCENE_KEYS, "train-act": cli.ACT_KEYS,
+    }[command]
+    cli.resolve_config(registry, path, [])  # a stale or unknown key raises
 
 
 def test_main_without_command_exits_2():
@@ -266,8 +282,7 @@ def test_sync_command(act_run, act_data, tmp_path):
     out = tmp_path / "sync"
     code = cli.main(
         ["sync", "--checkpoint", str(act_run / "model.ckpt"),
-         "--data", str(act_data), "--out", str(out), "--pgm",
-         "--set", "percentile=90"]
+         "--data", str(act_data), "--out", str(out), "--pgm"]
     )
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -279,6 +294,20 @@ def test_sync_command(act_run, act_data, tmp_path):
     assert not sm.w[~band].any()
     pgm = (out / "movie_0000.pgm").read_bytes()
     assert pgm.startswith(b"P5\n3 24\n255\n")
+
+
+def test_sync_reproduces_train_act_syncs(act_run, act_data, tmp_path):
+    # the checkpoint carries the E-step settings training used
+    out = tmp_path / "sync"
+    code = cli.main(
+        ["sync", "--checkpoint", str(act_run / "model.ckpt"),
+         "--data", str(act_data), "--out", str(out)]
+    )
+    assert code == 0
+    trained = sorted((act_run / "sync").glob("*.json"))
+    assert [p.name for p in trained] == ["movie_0000.json", "movie_0001.json"]
+    for path in trained:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_eval_act(act_run, act_data, tmp_path):
@@ -380,13 +409,17 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit",
-    ["drop sync.log_tau", "drop sync.proj.w", "add sync.scale", "reshape sync.proj.b"],
+    ["drop sync.log_tau", "drop sync.proj.w", "add sync.scale", "reshape sync.proj.b",
+     "drop em_xi", "set em_percentile=150"],
 )
 def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, edit):
     kind, configs, arrays, extra = af.load_checkpoint(act_run / "model.ckpt")
     action, name = edit.split()
+    name, _, value = name.partition("=")
     if action == "drop":
-        del arrays[name]
+        del (extra if name.startswith("em_") else arrays)[name]
+    elif action == "set":
+        extra[name] = float(value)
     elif action == "add":
         arrays[name] = np.ones(1)
     else:
@@ -524,22 +557,32 @@ def test_rejected_train_scene_leaves_no_run_tree(
     [
         ["train-act", "--data", "{act}", "--set", "train.em_percentile=150"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=0"],
-        ["sync", "--checkpoint", "{ckpt}", "--data", "{act}", "--set", "percentile=150"],
-        ["sync", "--checkpoint", "{ckpt}", "--data", "{act}", "--set", "xi=-0.1"],
+        ["importance", "--checkpoint", "{scene_ckpt}", "--data", "{scene}", "--set", "shot=-5"],
         ["gradcheck", "--set", "h=0"],
         ["gradcheck", "--set", "h=nan"],
         ["gradcheck", "--set", "tolerance=0"],
         ["synth", "--movies", "-1"],
         ["synth", "--movies", "0"],
+        ["synth", "--movies", "1", "--seed", "-1"],
+        # modality names become blob file names: a duplicate loses a stream,
+        # "synopsis" clobbers the synopsis blob, a path escapes the movie dir
+        ["synth", "--movies", "1", "--set", "modalities=visual:4,visual:4"],
+        ["synth", "--movies", "1", "--set", "modalities=synopsis:4"],
+        ["synth", "--movies", "1", "--set", "modalities=../../escaped:4"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
-def test_bad_value_exits_2_before_any_work(act_data, act_run, tmp_path, capsys, argv):
+def test_bad_value_exits_2_before_any_work(
+    act_data, scene_data, scene_run, tmp_path, capsys, argv
+):
     out = tmp_path / "out"
-    paths = {"act": str(act_data), "ckpt": str(act_run / "model.ckpt")}
+    paths = {
+        "act": str(act_data), "scene": str(scene_data),
+        "scene_ckpt": str(scene_run / "model.ckpt"),
+    }
     argv = [a.format(**paths) for a in argv]
     if argv[0] == "train-act":  # the bad value comes last, so it wins
         argv = argv[:1] + _sets(ACT_MODEL_SET) + argv[1:]
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    assert not any(tmp_path.rglob("*"))  # no --out, nor any file beside it

@@ -253,3 +253,39 @@ def test_failed_write_leaves_no_file_behind(tmp_path, monkeypatch):
         dataio.atomic_write(target, b"new content")
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize(
+    "modalities",
+    [
+        (("visual", 6), ("visual", 4)),  # both would write visual.f64
+        (("synopsis", 6),),  # clobbers the synopsis blob
+        (("gold_sync", 6),),
+        (("../../escaped", 6),),  # a path, not a file name
+        (("", 6),),
+    ],
+    ids=["duplicate", "synopsis", "gold_sync", "path", "empty"],
+)
+def test_modality_names_must_be_unique_plain_file_names(modalities):
+    with pytest.raises(ConfigError, match="modality name"):
+        small_cfg(modalities=modalities).validate()
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [("modality", "../visual.f64"), ("synopsis_blob", "/dev/null"),
+     ("gold_sync_blob", "sub/gold_sync.f64"), ("modality", "..")],
+)
+def test_load_movie_rejects_blob_outside_movie_dir(tmp_path, key, name):
+    import json
+
+    movie = dataio.synth_movie(small_cfg(), np.random.default_rng(5), "m0")
+    manifest_path = dataio.save_movie(movie, tmp_path / "m0")
+    manifest = json.loads(manifest_path.read_text())
+    if key == "modality":
+        manifest["modalities"][0]["blob"] = name
+    else:
+        manifest[key] = name
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="not a file beside it"):
+        dataio.load_movie(manifest_path)

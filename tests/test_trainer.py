@@ -581,6 +581,7 @@ def test_act_checkpoint_round_trip(tmp_path):
     kind, loaded, extra = trainer.load_checkpoint(path, "act")
     assert kind == "act" and extra["epoch"] == 1
     assert extra["max_p_col_dev"] == pipeline.max_p_col_dev
+    assert (loaded.em_xi, loaded.em_percentile) == (0.3, 90.0)  # act_train_cfg's
     for name, p in pipeline.named_params().items():
         assert np.array_equal(p.data, loaded.named_params()[name].data)
 
