@@ -124,7 +124,7 @@ ACT_KEYS = {
 NO_KEYS: dict = {}
 
 IMPORTANCE_KEYS = {
-    "shot": -1,  # scene task: key shot index, -1 = movie middle
+    "shot": -1,  # scene task: key shot index, -1 = movie middle; act takes only -1
 }
 
 GRADCHECK_KEYS = {
@@ -311,12 +311,16 @@ def cmd_sync(args) -> int:
         _write_json(out / f"{movie.movie_id}.json", sync.sync_to_json(sm))
         if args.pgm:
             sync.write_pgm(sm.w, out / f"{movie.movie_id}.pgm")
+        assigned = int(sm.w.sum())
+        hits = int((sm.w * movie.gold_sync).sum())  # assigned pairs on the planted sync
         summary.append(
             {
                 "movie_id": movie.movie_id,
                 "shots": int(sm.w.shape[0]),
                 "sentences": int(sm.w.shape[1]),
-                "assigned": int(sm.w.sum()),
+                "assigned": assigned,
+                "gold_precision": hits / assigned if assigned else None,
+                "gold_recall": hits / movie.num_shots,
             }
         )
     _write_config(out, "sync", args.seed, cfg_map)
@@ -401,6 +405,8 @@ def cmd_importance(args) -> int:
     if cfg_map["shot"] < -1:
         raise ConfigError(f"shot is a shot index or -1 (movie middle), got {cfg_map['shot']}")
     kind, loaded, _ = trainer.load_checkpoint(args.checkpoint)
+    if kind == "act" and cfg_map["shot"] != -1:
+        raise ConfigError(f"shot applies to scene checkpoints only, got shot={cfg_map['shot']}")
     movies = dataio.load_dataset(Path(args.data))
     payload = []
     for movie in movies:

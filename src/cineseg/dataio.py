@@ -1,7 +1,9 @@
 """Movie samples, synthetic data, and disk I/O.
 
-A movie is a list of shot intervals plus one feature stream per
-modality, each holding one feature row per shot.
+A movie is num_shots shots, one feature stream per modality (one row
+per shot), a synopsis of sentence feature rows, and its planted ground
+truth: the shot that ends each scene, the gold sentence of each shot,
+and the gold sentences of each turning point.
 
 Synthetic movies plant all ground truth the trainers and metrics need:
 a hidden per-scene latent drives every modality through a fixed linear
@@ -11,13 +13,20 @@ is the mean of its shot span's concatenated features plus noise. With
 zero noise the shot-to-sentence assignment problem is exactly solvable,
 which the synchronization tests rely on.
 
-Disk format: one JSON manifest per movie plus raw little-endian float64
-blobs (row-major; the row count is the file size divided by 8*dim).
-Synopsis features live in the concatenated modality space, so their
-width is the sum of the modality dims and needs no extra manifest field.
-Loading checks one row per shot and restores the features bit-exactly.
-Every file is written through ``atomic_write``, so a failed write never
-leaves a partial file under its final name.
+Disk format: a movie directory holds manifest.json, one blob <name>.f64
+per modality and synopsis.f64; no manifest key names a file. Every key
+of MANIFEST_KEYS is required and no other is allowed: movie_id, the
+name of the movie's directory; num_shots, the count that every per-shot list and blob is checked
+against; modalities, a list of {name, dim} whose names follow
+check_modalities; scene_labels, 1 where a scene ends, else 0;
+sentence_of, each shot's gold synopsis sentence; tp_labels, each turning
+point's gold sentences. A manifest written by an older version fails to
+load with a DataError naming the keys; re-synthesize such datasets.
+Blobs are raw little-endian float64, row-major, with file size / (8*dim)
+rows; synopsis rows are as wide as the concatenated modalities. Loading
+restores the features bit-exactly. Every file is written through
+``atomic_write``, so a failed write never leaves a partial file under
+its final name.
 """
 
 from __future__ import annotations
@@ -35,7 +44,23 @@ from .errors import BlobIOError, ConfigError, DataError, NumericError
 # act turning points of classic screenplay structure, as movie fractions
 THEORY_POSITIONS = (0.10, 0.25, 0.50, 0.75, 0.95)
 NUM_TURNING_POINTS = len(THEORY_POSITIONS)
-SHOT_SECONDS = 2.0  # every synthetic shot spans this long
+MANIFEST_KEYS = ("movie_id", "num_shots", "modalities", "scene_labels", "sentence_of", "tp_labels")
+
+
+def check_modalities(modalities, error: type[Exception]) -> None:
+    """Raise error unless modalities is a non-empty list of (name, dim)
+    with positive dims and unique names that are plain blob file names
+    ([A-Za-z0-9_-]+) other than the synopsis blob's."""
+    if not modalities:
+        raise error("need at least one modality")
+    names = [name for name, _ in modalities]
+    for name, dim in modalities:
+        if not (isinstance(name, str) and re.fullmatch(r"[A-Za-z0-9_-]+", name)):
+            raise error(f"modality name {name!r} is not [A-Za-z0-9_-]+")
+        if name == "synopsis" or names.count(name) > 1:
+            raise error(f"modality name {name!r} is reserved or repeated in {names}")
+        if dim < 1:
+            raise error(f"modality '{name}' dim must be positive")
 
 
 @dataclass
@@ -57,61 +82,52 @@ class ModalityStream:
 
 @dataclass
 class MovieSample:
-    """A movie's shots, streams, and whatever ground truth it carries."""
+    """A movie's streams, synopsis and planted ground truth."""
 
     movie_id: str
-    shots: list[tuple[float, float]]
+    num_shots: int
     streams: list[ModalityStream]
-    synopsis_features: np.ndarray | None = None  # [num_sentences x sum(dims)]
-    scene_labels: np.ndarray | None = None  # [num_shots] in {0,1}, 1 = scene ends here
-    tp_labels: list[list[int]] | None = None  # per turning point, gold sentence indices
-    gold_sync: np.ndarray | None = None  # [num_shots x num_sentences] in {0,1}
+    synopsis_features: np.ndarray  # [num_sentences x sum(dims)]
+    scene_labels: np.ndarray  # [num_shots] in {0,1}, 1 = scene ends here
+    sentence_of: np.ndarray  # [num_shots], each shot's gold sentence index
+    tp_labels: list[list[int]]  # per turning point, gold sentence indices
+
+    def __post_init__(self):
+        self.validate()
 
     @property
-    def num_shots(self) -> int:
-        return len(self.shots)
+    def gold_sync(self) -> np.ndarray:
+        """The read-only one-hot [num_shots x num_sentences] of sentence_of."""
+        gold = np.eye(self.synopsis_features.shape[0])[self.sentence_of]
+        gold.flags.writeable = False
+        return gold
 
     def validate(self) -> None:
-        n = self.num_shots
-        if n == 0:
-            raise DataError(f"movie '{self.movie_id}' has no shots")
-        for s, e in self.shots:
-            if not e > s:
-                raise DataError(f"movie '{self.movie_id}' has an empty shot interval [{s}, {e})")
-        if self.scene_labels is not None:
-            if self.scene_labels.shape != (n,):
+        n, where = self.num_shots, f"movie '{self.movie_id}'"
+        if n < 1:
+            raise DataError(f"{where} has no shots")
+        check_modalities([(s.name, s.dim) for s in self.streams], DataError)
+        for s in self.streams:
+            if s.samples.shape[0] != n:
                 raise DataError(
-                    f"movie '{self.movie_id}': scene_labels shape {self.scene_labels.shape} "
-                    f"does not match {n} shots"
+                    f"{where}: stream '{s.name}' has {s.samples.shape[0]} rows for {n} shots"
                 )
-            if not np.isin(self.scene_labels, (0, 1)).all():
-                raise DataError(f"movie '{self.movie_id}': scene_labels must be binary")
-        if self.gold_sync is not None:
-            if self.synopsis_features is None:
-                raise DataError(f"movie '{self.movie_id}': gold_sync without synopsis features")
-            want = (n, self.synopsis_features.shape[0])
-            if self.gold_sync.shape != want:
-                raise DataError(
-                    f"movie '{self.movie_id}': gold_sync shape {self.gold_sync.shape}, "
-                    f"expected {want}"
-                )
-            if not (self.gold_sync.sum(axis=1) == 1).all():
-                raise DataError(
-                    f"movie '{self.movie_id}': every shot must map to exactly one sentence"
-                )
-        if self.tp_labels is not None:
-            if self.synopsis_features is None:
-                raise DataError(f"movie '{self.movie_id}': tp_labels without synopsis features")
-            n_sent = self.synopsis_features.shape[0]
-            if len(self.tp_labels) != NUM_TURNING_POINTS:
-                raise DataError(
-                    f"movie '{self.movie_id}': expected {NUM_TURNING_POINTS} turning points"
-                )
-            for gold in self.tp_labels:
-                if not gold:
-                    raise DataError(f"movie '{self.movie_id}': empty turning-point gold set")
-                if min(gold) < 0 or max(gold) >= n_sent:
-                    raise DataError(f"movie '{self.movie_id}': turning-point label out of range")
+        n_sent = self.synopsis_features.shape[0]
+        if n_sent < 1 or self.synopsis_features.shape[1:] != (sum(s.dim for s in self.streams),):
+            raise DataError(f"{where}: synopsis rows must be as wide as the modalities together")
+        for key, bound in (("scene_labels", 2), ("sentence_of", n_sent)):
+            labels = getattr(self, key)
+            if labels.shape != (n,):
+                raise DataError(f"{where}: {key} shape {labels.shape} does not match {n} shots")
+            if not 0 <= labels.min() <= labels.max() < bound:
+                raise DataError(f"{where}: {key} values must lie in [0, {bound})")
+        if len(self.tp_labels) != NUM_TURNING_POINTS:
+            raise DataError(f"{where}: expected {NUM_TURNING_POINTS} turning points")
+        for gold in self.tp_labels:
+            if not gold:
+                raise DataError(f"{where}: empty turning-point gold set")
+            if min(gold) < 0 or max(gold) >= n_sent:
+                raise DataError(f"{where}: turning-point label out of range")
 
 
 # ---- synthetic movies ----
@@ -143,17 +159,7 @@ class SynthConfig:
             raise ConfigError("sentence spans are whole scenes, so scenes >= sentences")
         if self.sentences < 1:
             raise ConfigError("need at least one synopsis sentence")
-        if not self.modalities:
-            raise ConfigError("need at least one modality")
-        names = [name for name, _ in self.modalities]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"modality names must be unique, got {names}")
-        for name, dim in self.modalities:
-            # the name is its blob's file name, beside synopsis and gold_sync
-            if not re.fullmatch(r"[A-Za-z0-9_-]+", name) or name in ("synopsis", "gold_sync"):
-                raise ConfigError(f"modality name {name!r} is not [A-Za-z0-9_-]+ or is reserved")
-            if dim < 1:
-                raise ConfigError(f"modality '{name}' dim must be positive")
+        check_modalities(self.modalities, ConfigError)
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be positive")
         if self.noise < 0:
@@ -222,7 +228,6 @@ def synth_movie(
     shot_latents = latents[scene_of]
 
     streams = []
-    shots = [(i * SHOT_SECONDS, (i + 1) * SHOT_SECONDS) for i in range(num_shots)]
     clean_parts = []
     for name, dim in cfg.modalities:
         mix = rng.normal(size=(cfg.latent_dim, dim))
@@ -242,9 +247,6 @@ def synth_movie(
     sizes = _partition_sizes(cfg.scenes, cfg.sentences)
     scene_to_sentence = np.repeat(np.arange(cfg.sentences), sizes)
     sentence_of = scene_to_sentence[scene_of]
-
-    gold_sync = np.zeros((num_shots, cfg.sentences), dtype=np.float64)
-    gold_sync[np.arange(num_shots), sentence_of] = 1.0
 
     clean_concat = np.concatenate(clean_parts, axis=1)
     synopsis = np.zeros((cfg.sentences, clean_concat.shape[1]))
@@ -281,17 +283,9 @@ def synth_movie(
                     span_size = int(np.count_nonzero(sentence_of == s))
                     synopsis[s] += bump * (inside / span_size)
 
-    sample = MovieSample(
-        movie_id=movie_id,
-        shots=shots,
-        streams=streams,
-        synopsis_features=synopsis,
-        scene_labels=scene_labels,
-        tp_labels=tp_labels,
-        gold_sync=gold_sync,
+    return MovieSample(
+        movie_id, num_shots, streams, synopsis, scene_labels, sentence_of, tp_labels
     )
-    sample.validate()
-    return sample
 
 
 def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
@@ -334,10 +328,7 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def write_blob(path: Path, matrix: np.ndarray) -> None:
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
-    if matrix.ndim != 2:
-        raise DataError(f"blobs hold 2-D matrices, got shape {matrix.shape}")
-    atomic_write(path, matrix.tobytes())
+    atomic_write(path, np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
 def read_blob(path: Path, dim: int) -> np.ndarray:
@@ -362,33 +353,17 @@ def save_movie(sample: MovieSample, out_dir: Path) -> Path:
     sample.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "movie_id": sample.movie_id,
-        "shots": [[float(s), float(e)] for s, e in sample.shots],
-        "modalities": [],
-    }
     for stream in sample.streams:
-        blob_name = f"{stream.name}.f64"
-        write_blob(out_dir / blob_name, stream.samples)
-        manifest["modalities"].append(
-            {"name": stream.name, "dim": stream.dim, "blob": blob_name}
-        )
-    if sample.synopsis_features is not None:
-        total = sum(s.dim for s in sample.streams)
-        if sample.synopsis_features.shape[1] != total:
-            raise DataError(
-                f"synopsis width {sample.synopsis_features.shape[1]} must equal the "
-                f"concatenated modality width {total}"
-            )
-        write_blob(out_dir / "synopsis.f64", sample.synopsis_features)
-        manifest["synopsis_blob"] = "synopsis.f64"
-    if sample.scene_labels is not None:
-        manifest["scene_labels"] = [int(v) for v in sample.scene_labels]
-    if sample.tp_labels is not None:
-        manifest["tp_labels"] = [[int(i) for i in gold] for gold in sample.tp_labels]
-    if sample.gold_sync is not None:
-        write_blob(out_dir / "gold_sync.f64", sample.gold_sync)
-        manifest["gold_sync_blob"] = "gold_sync.f64"
+        write_blob(out_dir / f"{stream.name}.f64", stream.samples)
+    write_blob(out_dir / "synopsis.f64", sample.synopsis_features)
+    manifest = {
+        "movie_id": sample.movie_id,
+        "num_shots": sample.num_shots,
+        "modalities": [{"name": s.name, "dim": s.dim} for s in sample.streams],
+        "scene_labels": sample.scene_labels.tolist(),
+        "sentence_of": sample.sentence_of.tolist(),
+        "tp_labels": sample.tp_labels,
+    }
     manifest_path = out_dir / "manifest.json"
     atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest_path
@@ -404,66 +379,41 @@ def load_movie(manifest_path: Path) -> MovieSample:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    for key in ("movie_id", "shots", "modalities"):
-        if key not in manifest:
-            raise DataError(f"manifest {manifest_path} is missing '{key}'")
-    shots = [(float(s), float(e)) for s, e in manifest["shots"]]
-
-    def blob(name, dim: int) -> np.ndarray:
-        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
-            raise DataError(f"manifest {manifest_path} names blob {name!r}, not a file beside it")
-        return read_blob(manifest_path.parent / name, dim)
-
-    streams = []
-    for entry in manifest["modalities"]:
-        matrix = blob(entry["blob"], int(entry["dim"]))
-        if matrix.shape[0] != len(shots):
-            raise DataError(
-                f"stream '{entry['name']}': blob has {matrix.shape[0]} rows for "
-                f"{len(shots)} shots"
-            )
-        streams.append(ModalityStream(entry["name"], matrix))
-
-    synopsis = None
-    if "synopsis_blob" in manifest:
-        total = sum(s.dim for s in streams)
-        synopsis = blob(manifest["synopsis_blob"], total)
-
-    scene_labels = None
-    if "scene_labels" in manifest:
+    keys = set(manifest) if isinstance(manifest, dict) else set()
+    missing = [k for k in MANIFEST_KEYS if k not in keys]
+    unknown = sorted(keys - set(MANIFEST_KEYS))
+    if missing or unknown:
+        raise DataError(
+            f"manifest {manifest_path}: missing keys {missing}, unknown keys {unknown}; "
+            f"re-synthesize datasets written by older versions"
+        )
+    try:
+        modalities = [(entry["name"], int(entry["dim"])) for entry in manifest["modalities"]]
+        movie_id, num_shots = manifest["movie_id"], int(manifest["num_shots"])
         scene_labels = np.asarray(manifest["scene_labels"], dtype=np.int64)
-
-    tp_labels = None
-    if "tp_labels" in manifest:
+        sentence_of = np.asarray(manifest["sentence_of"], dtype=np.int64)
         tp_labels = [[int(i) for i in gold] for gold in manifest["tp_labels"]]
-
-    gold_sync = None
-    if "gold_sync_blob" in manifest:
-        if synopsis is None:
-            raise DataError(f"manifest {manifest_path}: gold_sync_blob without synopsis_blob")
-        gold_sync = blob(manifest["gold_sync_blob"], synopsis.shape[0])
-
-    sample = MovieSample(
-        movie_id=str(manifest["movie_id"]),
-        shots=shots,
-        streams=streams,
-        synopsis_features=synopsis,
-        scene_labels=scene_labels,
-        tp_labels=tp_labels,
-        gold_sync=gold_sync,
-    )
-    sample.validate()
-    return sample
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"manifest {manifest_path} is malformed: {exc!r}") from exc
+    # train-act and sync name their per-movie files by movie_id
+    if movie_id != manifest_path.parent.name:
+        raise DataError(f"manifest {manifest_path} has movie_id {movie_id!r}, not its directory's")
+    # the names become blob paths, so check them before reading any blob
+    check_modalities(modalities, DataError)
+    streams = [
+        ModalityStream(name, read_blob(manifest_path.parent / f"{name}.f64", dim))
+        for name, dim in modalities
+    ]
+    synopsis = read_blob(manifest_path.parent / "synopsis.f64", sum(s.dim for s in streams))
+    return MovieSample(movie_id, num_shots, streams, synopsis, scene_labels, sentence_of, tp_labels)
 
 
 def save_dataset(samples: list[MovieSample], out_dir: Path) -> list[Path]:
-    out_dir = Path(out_dir)
-    return [save_movie(s, out_dir / s.movie_id) for s in samples]
+    return [save_movie(s, Path(out_dir) / s.movie_id) for s in samples]
 
 
 def load_dataset(root: Path) -> list[MovieSample]:
-    root = Path(root)
-    manifests = sorted(root.glob("*/manifest.json"))
+    manifests = sorted(Path(root).glob("*/manifest.json"))
     if not manifests:
         raise BlobIOError(f"no movie manifests under {root}")
     movies = [load_movie(p) for p in manifests]

@@ -444,14 +444,11 @@ def load_checkpoint(path, expected: str | None = None):
 
 def movie_inputs(movie):
     """(per-modality shot matrices, synopsis matrix) for the act pipeline."""
-    if movie.synopsis_features is None or movie.tp_labels is None:
-        raise DataError(f"movie {movie.movie_id} lacks synopsis supervision")
     return [s.samples for s in movie.streams], movie.synopsis_features
 
 
 def _gold_span_shots(movie, tp: int) -> np.ndarray:
-    sentences = movie.tp_labels[tp]
-    return np.flatnonzero(movie.gold_sync[:, sentences].any(axis=1))
+    return np.flatnonzero(np.isin(movie.sentence_of, movie.tp_labels[tp]))
 
 
 def _scene_partition(movie):

@@ -4,6 +4,7 @@ synthetic datasets, exit-code mapping, and byte-level reproducibility."""
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from cineseg import cli
 from cineseg import dataio
 from cineseg import gradcheck
 from cineseg import sync
+from cineseg import trainer
 from cineseg.errors import ConfigError
 from cineseg.numcore import Tensor
 
@@ -310,6 +312,28 @@ def test_sync_reproduces_train_act_syncs(act_run, act_data, tmp_path):
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_sync_summary_reports_gold_agreement(act_run, act_data, tmp_path, monkeypatch):
+    argv = ["sync", "--checkpoint", str(act_run / "model.ckpt"), "--data", str(act_data)]
+    out = tmp_path / "sync"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    record = json.loads((out / "summary.json").read_text())["movies"][0]
+    # recompute movie_0000's pair from its saved sync and its planted sentences
+    w = sync.sync_from_json(json.loads((out / "movie_0000.json").read_text())).w
+    manifest = json.loads((act_data / "movie_0000" / "manifest.json").read_text())
+    hits = sum(w[t, j] for t, j in enumerate(manifest["sentence_of"]))
+    assert record["assigned"] == w.sum() > hits > 0
+    assert record["gold_precision"] == hits / w.sum()
+    assert record["gold_recall"] == hits / 24
+    # with nothing assigned, precision is null and recall 0
+    monkeypatch.setattr(
+        trainer.ActPipeline, "e_step",
+        lambda self, inputs: [sync.SyncMatrix(np.zeros((24, 3)), 0.1, np.zeros(3))] * len(inputs),
+    )
+    assert cli.main(argv + ["--out", str(tmp_path / "empty")]) == 0
+    records = json.loads((tmp_path / "empty" / "summary.json").read_text())["movies"]
+    assert [(r["gold_precision"], r["gold_recall"]) for r in records] == [(None, 0.0)] * 4
+
+
 def test_eval_act(act_run, act_data, tmp_path):
     out = tmp_path / "eval"
     code = cli.main(
@@ -495,20 +519,41 @@ def test_gradcheck_helpers_gate_structural_zeros():
 
 
 def test_mismatched_modalities_exit_3(scene_data, tmp_path, capsys):
-    import shutil
-
     mixed = tmp_path / "mixed"
     shutil.copytree(scene_data, mixed)
     manifest = mixed / "movie_0002" / "manifest.json"
     payload = json.loads(manifest.read_text())
     payload["modalities"][1]["name"] = "sound"
     manifest.write_text(json.dumps(payload))
+    # the blob follows the name, so movie_0002 itself loads
+    (mixed / "movie_0002" / "audio.f64").rename(mixed / "movie_0002" / "sound.f64")
     code = cli.main(
         ["train-scene", "--data", str(mixed), "--out", str(tmp_path / "out")]
         + _sets(SCENE_MODEL_SET)
     )
     assert code == 3
     assert "movie_0002" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("train-scene", "scene_labels"), ("eval", "sentence_of")])
+def test_manifest_without_labels_exits_3(
+    scene_data, act_data, act_run, tmp_path, capsys, command, key
+):
+    data = tmp_path / "data"
+    shutil.copytree(scene_data if command == "train-scene" else act_data, data)
+    manifest = data / "movie_0001" / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    del payload[key]
+    manifest.write_text(json.dumps(payload))
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
+    if command == "train-scene":
+        argv += _sets(SCENE_MODEL_SET)
+    else:
+        argv += ["--checkpoint", str(act_run / "model.ckpt")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "movie_0001" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -558,6 +603,8 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["train-act", "--data", "{act}", "--set", "train.em_percentile=150"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=0"],
         ["importance", "--checkpoint", "{scene_ckpt}", "--data", "{scene}", "--set", "shot=-5"],
+        # only a scene checkpoint has a key shot
+        ["importance", "--checkpoint", "{act_ckpt}", "--data", "{act}", "--set", "shot=5"],
         ["gradcheck", "--set", "h=0"],
         ["gradcheck", "--set", "h=nan"],
         ["gradcheck", "--set", "tolerance=0"],
@@ -573,12 +620,12 @@ def test_rejected_train_scene_leaves_no_run_tree(
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
 def test_bad_value_exits_2_before_any_work(
-    act_data, scene_data, scene_run, tmp_path, capsys, argv
+    act_data, scene_data, scene_run, act_run, tmp_path, capsys, argv
 ):
     out = tmp_path / "out"
     paths = {
         "act": str(act_data), "scene": str(scene_data),
-        "scene_ckpt": str(scene_run / "model.ckpt"),
+        "scene_ckpt": str(scene_run / "model.ckpt"), "act_ckpt": str(act_run / "model.ckpt"),
     }
     argv = [a.format(**paths) for a in argv]
     if argv[0] == "train-act":  # the bad value comes last, so it wins

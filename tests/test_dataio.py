@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -162,26 +165,37 @@ def test_round_trip_is_bit_identical(tmp_path):
     manifest = dataio.save_movie(movie, tmp_path / "m0")
     back = dataio.load_movie(manifest)
     assert back.movie_id == movie.movie_id
-    assert back.shots == movie.shots
+    assert back.num_shots == movie.num_shots
     for sa, sb in zip(movie.streams, back.streams):
         assert sa.name == sb.name
         assert sa.samples.tobytes() == sb.samples.tobytes()
     assert back.synopsis_features.tobytes() == movie.synopsis_features.tobytes()
+    npt.assert_array_equal(back.sentence_of, movie.sentence_of)
     assert back.gold_sync.tobytes() == movie.gold_sync.tobytes()
     npt.assert_array_equal(back.scene_labels, movie.scene_labels)
     assert back.tp_labels == movie.tp_labels
 
 
 def test_manifest_schema_keys(tmp_path):
-    import json
-
     movie = dataio.synth_movie(small_cfg(), np.random.default_rng(2), "m0")
     manifest = json.loads(dataio.save_movie(movie, tmp_path / "m0").read_text())
-    assert set(manifest) == {
-        "movie_id", "shots", "modalities", "synopsis_blob", "scene_labels",
-        "tp_labels", "gold_sync_blob",
+    assert set(manifest) == set(dataio.MANIFEST_KEYS) == {
+        "movie_id", "num_shots", "modalities", "scene_labels", "sentence_of", "tp_labels",
     }
-    assert set(manifest["modalities"][0]) == {"name", "dim", "blob"}
+    assert manifest["num_shots"] == 40 and len(manifest["sentence_of"]) == 40
+    assert manifest["modalities"] == [{"name": "visual", "dim": 6}, {"name": "audio", "dim": 4}]
+    # blob names follow from the schema, and there is no other file
+    assert sorted(p.name for p in (tmp_path / "m0").iterdir()) == [
+        "audio.f64", "manifest.json", "synopsis.f64", "visual.f64",
+    ]
+
+
+def test_gold_sync_is_a_read_only_one_hot_view_of_sentence_of():
+    movie = dataio.synth_movie(small_cfg(), np.random.default_rng(3), "m0")
+    gold = movie.gold_sync
+    assert gold.shape == (40, 4) and not gold.flags.writeable
+    npt.assert_array_equal(gold.sum(axis=1), 1.0)
+    npt.assert_array_equal(gold.argmax(axis=1), movie.sentence_of)
 
 
 def test_blob_row_count_inferred_from_size(tmp_path):
@@ -260,15 +274,20 @@ def test_failed_write_leaves_no_file_behind(tmp_path, monkeypatch):
     [
         (("visual", 6), ("visual", 4)),  # both would write visual.f64
         (("synopsis", 6),),  # clobbers the synopsis blob
-        (("gold_sync", 6),),
         (("../../escaped", 6),),  # a path, not a file name
         (("", 6),),
     ],
-    ids=["duplicate", "synopsis", "gold_sync", "path", "empty"],
+    ids=["duplicate", "synopsis", "path", "empty"],
 )
 def test_modality_names_must_be_unique_plain_file_names(modalities):
     with pytest.raises(ConfigError, match="modality name"):
         small_cfg(modalities=modalities).validate()
+
+
+def _saved_manifest(tmp_path):
+    movie = dataio.synth_movie(small_cfg(), np.random.default_rng(5), "m0")
+    path = dataio.save_movie(movie, tmp_path / "m0")
+    return path, json.loads(path.read_text())
 
 
 @pytest.mark.parametrize(
@@ -277,15 +296,54 @@ def test_modality_names_must_be_unique_plain_file_names(modalities):
      ("gold_sync_blob", "sub/gold_sync.f64"), ("modality", "..")],
 )
 def test_load_movie_rejects_blob_outside_movie_dir(tmp_path, key, name):
-    import json
-
-    movie = dataio.synth_movie(small_cfg(), np.random.default_rng(5), "m0")
-    manifest_path = dataio.save_movie(movie, tmp_path / "m0")
-    manifest = json.loads(manifest_path.read_text())
+    # a modality name is the only part of a blob path that a manifest
+    # holds, and a key that once named a blob is an unknown key now
+    manifest_path, manifest = _saved_manifest(tmp_path)
     if key == "modality":
-        manifest["modalities"][0]["blob"] = name
+        manifest["modalities"][0]["name"] = name
     else:
         manifest[key] = name
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="not a file beside it"):
+    with pytest.raises(DataError, match=re.escape(repr(name if key == "modality" else key))):
+        dataio.load_movie(manifest_path)
+
+
+def _drop(key):
+    return lambda m: m.pop(key)
+
+
+def _old_format(m):
+    m["shots"] = [[2.0 * i, 2.0 * i + 2.0] for i in range(m.pop("num_shots"))]
+
+
+def _rename_first_modality(name):
+    return lambda m: m["modalities"][0].update(name=name)
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [(_drop(key), repr(key)) for key in dataio.MANIFEST_KEYS]
+    + [
+        (_old_format, "'num_shots'"),
+        (lambda m: m["sentence_of"].pop(), "sentence_of shape"),
+        (lambda m: m["sentence_of"].__setitem__(0, 4), "sentence_of values"),
+        (lambda m: m["sentence_of"].__setitem__(0, -1), "sentence_of values"),
+        (lambda m: m["scene_labels"].append(0), "scene_labels shape"),
+        (lambda m: m.update(movie_id="../m1"), "'../m1'"),
+        (lambda m: m["scene_labels"].__setitem__(0, 10**20), "OverflowError"),
+        (_rename_first_modality("../visual"), "'../visual'"),
+        (_rename_first_modality("synopsis"), "'synopsis'"),
+        (_rename_first_modality("audio"), "'audio'"),
+    ],
+    ids=[f"no-{key}" for key in dataio.MANIFEST_KEYS] + [
+        "old-format", "short-sentence_of", "sentence_of-too-high", "sentence_of-negative",
+        "long-scene_labels", "movie_id-not-dir-name", "huge-scene_label", "name-path",
+        "name-synopsis", "name-duplicate",
+    ],
+)
+def test_load_movie_rejects_malformed_manifest(tmp_path, edit, fault):
+    manifest_path, manifest = _saved_manifest(tmp_path)
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=re.escape(fault)):
         dataio.load_movie(manifest_path)

@@ -1,11 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package or of the tests imports a
+name it never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cineseg"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cineseg"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +30,8 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 3: tau"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -599,13 +599,6 @@ def test_scene_checkpoint_round_trip(tmp_path):
         trainer.load_checkpoint(path, "act")
 
 
-def test_movie_inputs_requires_synopsis():
-    movies = make_dataset(act_synth(), movies=1, seed=13)
-    movies[0].synopsis_features = None
-    with pytest.raises(DataError):
-        trainer.movie_inputs(movies[0])
-
-
 def test_act_eval_structure():
     movies = make_dataset(act_synth(), movies=2, seed=14)
     shot, _ = act_model_cfgs()
