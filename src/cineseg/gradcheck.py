@@ -123,11 +123,14 @@ def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> li
         grads, scale = _autodiff_grads(params, loss)
         auto.append(grads)
         gates.append(_noise_gate(scale, h))
+    # one finite-difference pass over every element of every parameter,
+    # so its workers are forked once per check, not once per parameter
+    flat, slices = trainer.flatten_params(params)
+    fd = nc.fd_gradient(lambda: [float(value.data) for value in losses()], Tensor(flat), h)
     errors = [{} for _ in names]
-    for pname, p in params.items():
-        fd = nc.fd_gradient(lambda: [float(value.data) for value in losses()], p, h)
+    for (pname, p), sl in zip(params.items(), slices):
         for k in range(len(names)):
-            errors[k][pname] = _gated_rel_error(auto[k][pname], fd[k], gates[k])
+            errors[k][pname] = _gated_rel_error(auto[k][pname], fd[k, sl].reshape(p.shape), gates[k])
     return [
         _summarize(name, params, errs, tolerance) for name, errs in zip(names, errors)
     ]

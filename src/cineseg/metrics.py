@@ -52,7 +52,10 @@ class MetricsReport:
 
 def average_precision(scores, labels) -> float:
     """Rank-accumulation AP: mean precision at each positive, scores
-    descending, ties broken by original index."""
+    descending. Tied scores form one threshold: each positive takes the
+    precision at the end of its tie group, so AP depends only on the
+    multiset of (score, label) pairs, as scikit-learn's
+    average_precision_score does."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -62,8 +65,12 @@ def average_precision(scores, labels) -> float:
     order = np.argsort(-scores, kind="stable")
     ranked = labels[order] == 1
     hits = np.cumsum(ranked)
-    ranks = np.flatnonzero(ranked) + 1
-    return float((hits[ranked] / ranks).mean())
+    sorted_scores = scores[order]
+    # the last position of every run of equal scores, then for each
+    # positive the end of its run (its own position when untied)
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    at = ends[np.searchsorted(ends, np.flatnonzero(ranked))]
+    return float((hits[at] / (at + 1)).mean())
 
 
 def f1_at(scores, labels, threshold: float = 0.5):

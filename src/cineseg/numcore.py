@@ -4,26 +4,39 @@ Implements exactly the operations the fusion models and the losses
 need: 2-D/3-D matrix products, linear layers, elementwise arithmetic
 with suffix broadcasting, softmax / log-softmax, layer normalization,
 the exact erf form of GeLU, row gathering/slicing/concatenation,
-dropout, and row L2-normalization. Every value is float64 and every
-operation checks its output for non-finite entries. A linear layer
-``x @ w + b`` records one node instead of a matmul and a bias add,
-because the cost of this core is Python overhead per node, not FLOPs.
+dropout, and row L2-normalization. Every value is float64. A linear
+layer ``x @ w + b`` records one node instead of a matmul and a bias
+add, because the cost of this core is Python overhead per node, not
+FLOPs.
 
-Ops append to the innermost active ``Tape`` whenever at least one
-input requires gradients. The tape is a flat list in execution order,
-which is already a topological order, so ``backward`` is one reverse
-sweep that applies each recorded backward rule exactly once.
-Gradients accumulate into ``Tensor.grad``; calling ``backward`` again
-without resetting keeps accumulating.
+Each op is its numpy forward plus a module-level backward rule
+``rule(g, inputs, out, saved)``; ``_emit`` does the rest. It checks the
+output of every op that can turn finite inputs into non-finite values,
+and appends a node to the innermost active ``Tape`` only when at least
+one input requires gradients. Without a tape an op builds no node and
+no closure. The one exception to the output check is the evaluations
+inside ``fd_gradient``: NaN and inf propagate through every op, so
+there only the losses that come back are checked.
+
+The tape is a flat list in execution order, which is already a
+topological order, so ``backward`` is one reverse sweep that applies
+each recorded backward rule exactly once. Gradients accumulate into
+``Tensor.grad``; calling ``backward`` again without resetting keeps
+accumulating.
+
+SciPy, which supplies GeLU's erf, is imported at the first ``gelu``
+call, so a process that runs no model never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -72,13 +85,14 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("name", "inputs", "output", "backward_fn")
+    __slots__ = ("name", "inputs", "output", "rule", "saved")
 
-    def __init__(self, name, inputs, output, backward_fn):
+    def __init__(self, name, inputs, output, rule, saved):
         self.name = name
         self.inputs = inputs
         self.output = output
-        self.backward_fn = backward_fn
+        self.rule = rule
+        self.saved = saved
 
 
 class Tape:
@@ -103,9 +117,16 @@ class Tape:
 
 _TAPE_STACK: list[Tape] = []
 
-
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+# ops whose output can be non-finite although every input is finite; the
+# rest (neg, transpose, reshape, narrow, concat, gather_rows,
+# expand_batch, clamp_min, dropout, and log, which checks its domain)
+# only move, select or scale finite values
+_CHECKED = frozenset({
+    "add", "sub", "mul", "div", "matmul", "linear", "sum", "exp", "gelu",
+    "softmax", "log_softmax", "layernorm", "normalize_rows",
+})
+# off only inside fd_gradient's evaluations, which check the losses instead
+_check_outputs = True
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -119,7 +140,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         g = node.output.grad
         if g is None:
             continue
-        node.backward_fn(g)
+        node.rule(g, node.inputs, node.output.data, node.saved)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -131,19 +152,25 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
+def _emit(name: str, rule, inputs: tuple, out, saved=None) -> Tensor:
+    """Wrap an op's forward output: check it, and record a node when a
+    tape is active and some input requires gradients, so the rule of a
+    one-input op accumulates without asking."""
+    if _check_outputs and name in _CHECKED and not np.isfinite(out).all():
         raise NumericError(f"operation '{name}' produced non-finite values")
-    return arr
-
-
-def _record(name, inputs, out_data, backward_fn) -> Tensor:
-    tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track)
-    if track:
-        tape.nodes.append(_Node(name, inputs, out, backward_fn))
-    return out
+    if _TAPE_STACK:
+        for t in inputs:
+            if t.requires_grad:
+                result = Tensor(out, requires_grad=True)
+                _TAPE_STACK[-1].nodes.append(_Node(name, inputs, result, rule, saved))
+                return result
+    # Tensor(out) without __init__'s call overhead: ops on float64 inputs
+    # give float64, and only 0-d results come back as numpy scalars
+    result = Tensor.__new__(Tensor)
+    result.data = out if type(out) is np.ndarray else np.asarray(out, dtype=np.float64)
+    result.requires_grad = False
+    result.grad = None
+    return result
 
 
 def _check_suffix(sa: tuple, sb: tuple) -> None:
@@ -166,107 +193,120 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _binary(a, b) -> tuple[Tensor, Tensor]:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_suffix(a.data.shape, b.data.shape)
+    return a, b
+
+
 # ---- elementwise arithmetic ----
 
 
+def _add_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(_reduce_to(g, a.shape))
+    if b.requires_grad:
+        b.accumulate(_reduce_to(g, b.shape))
+
+
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape)
-    out = _finite("add", a.data + b.data)
+    a, b = _binary(a, b)
+    return _emit("add", _add_back, (a, b), a.data + b.data)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(g, b.shape))
 
-    return _record("add", (a, b), out, bwd)
+def _sub_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(_reduce_to(g, a.shape))
+    if b.requires_grad:
+        b.accumulate(_reduce_to(-g, b.shape))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape)
-    out = _finite("sub", a.data - b.data)
+    a, b = _binary(a, b)
+    return _emit("sub", _sub_back, (a, b), a.data - b.data)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(-g, b.shape))
 
-    return _record("sub", (a, b), out, bwd)
+def _mul_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(_reduce_to(g * b.data, a.shape))
+    if b.requires_grad:
+        b.accumulate(_reduce_to(g * a.data, b.shape))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape)
-    out = _finite("mul", a.data * b.data)
+    a, b = _binary(a, b)
+    return _emit("mul", _mul_back, (a, b), a.data * b.data)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(g * a.data, b.shape))
 
-    return _record("mul", (a, b), out, bwd)
+def _div_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(_reduce_to(g / b.data, a.shape))
+    if b.requires_grad:
+        b.accumulate(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape)
-    out = _finite("div", a.data / b.data)
+    a, b = _binary(a, b)
+    return _emit("div", _div_back, (a, b), a.data / b.data)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_reduce_to(g / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
 
-    return _record("div", (a, b), out, bwd)
+def _neg_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(-g)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(-g)
-
-    return _record("neg", (a,), -a.data, bwd)
+    return _emit("neg", _neg_back, (a,), -a.data)
 
 
 # ---- linear algebra ----
 
 
+def _matmul_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.ndim == 2:
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g)
+    else:
+        if a.requires_grad:
+            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product: 2-D x 2-D or batched 3-D x 3-D."""
     a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.shape, b.shape
-    if a.ndim == 2 and b.ndim == 2:
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) == 2 and len(sb) == 2:
         if sa[1] != sb[0]:
             raise ShapeError(f"matmul mismatch: {sa} x {sb}")
-        out = a.data @ b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate(a.data.T @ g)
-
-    elif a.ndim == 3 and b.ndim == 3:
+    elif len(sa) == 3 and len(sb) == 3:
         if sa[0] != sb[0] or sa[2] != sb[1]:
             raise ShapeError(f"matmul mismatch: {sa} x {sb}")
-        out = a.data @ b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate(g @ np.swapaxes(b.data, -1, -2))
-            if b.requires_grad:
-                b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
-
     else:
         raise ShapeError(f"unsupported matmul ranks: {sa} x {sb}")
-    return _record("matmul", (a, b), _finite("matmul", out), bwd)
+    return _emit("matmul", _matmul_back, (a, b), a.data @ b.data)
+
+
+def _linear_back(g, inputs, out, saved):
+    x, w, b = inputs
+    if b.requires_grad:
+        b.accumulate(_reduce_to(g, b.shape))
+    if x.requires_grad:
+        x.accumulate(g @ w.data.T)
+    if w.requires_grad:
+        if x.ndim == 2:
+            w.accumulate(x.data.T @ g)
+        else:
+            w.accumulate(np.tensordot(x.data, g, axes=([0, 1], [0, 1])))
 
 
 def linear(x, w, b) -> Tensor:
@@ -276,26 +316,19 @@ def linear(x, w, b) -> Tensor:
     node: the bias gradient first, then x's, then w's.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    sx, sw = x.shape, w.shape
-    if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0]:
+    sx, sw = x.data.shape, w.data.shape
+    if len(sx) not in (2, 3) or len(sw) != 2 or sx[-1] != sw[0]:
         raise ShapeError(f"linear mismatch: {sx} x {sw}")
-    if b.shape != (sw[1],):
-        raise ShapeError(f"linear bias shape {b.shape} does not match weight {sw}")
+    if b.data.shape != (sw[1],):
+        raise ShapeError(f"linear bias shape {b.data.shape} does not match weight {sw}")
     out = x.data @ w.data
     out += b.data
+    return _emit("linear", _linear_back, (x, w, b), out)
 
-    def bwd(g):
-        if b.requires_grad:
-            b.accumulate(_reduce_to(g, b.shape))
-        if x.requires_grad:
-            x.accumulate(g @ w.data.T)
-        if w.requires_grad:
-            if x.ndim == 2:
-                w.accumulate(x.data.T @ g)
-            else:
-                w.accumulate(np.tensordot(x.data, g, axes=([0, 1], [0, 1])))
 
-    return _record("linear", (x, w, b), _finite("linear", out), bwd)
+def _transpose_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(np.swapaxes(g, -1, -2))
 
 
 def transpose(a) -> Tensor:
@@ -303,69 +336,69 @@ def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim not in (2, 3):
         raise ShapeError(f"transpose needs a 2-D or 3-D tensor, got {a.shape}")
-    out = np.swapaxes(a.data, -1, -2).copy()
+    return _emit("transpose", _transpose_back, (a,), np.swapaxes(a.data, -1, -2).copy())
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(np.swapaxes(g, -1, -2))
 
-    return _record("transpose", (a,), out, bwd)
+def _reshape_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(g.reshape(a.shape))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.reshape(shape).copy()
+    return _emit("reshape", _reshape_back, (a,), a.data.reshape(shape).copy())
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(a.shape))
 
-    return _record("reshape", (a,), out, bwd)
+def _narrow_back(g, inputs, out, sl):
+    (a,) = inputs
+    full = np.zeros_like(a.data)
+    full[sl] = g
+    a.accumulate(full)
 
 
 def narrow(a, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice along the last or second-to-last axis."""
     a = _as_tensor(a)
-    ax = axis if axis >= 0 else a.ndim + axis
-    if ax not in (a.ndim - 1, a.ndim - 2):
+    shape = a.data.shape
+    nd = len(shape)
+    ax = axis if axis >= 0 else nd + axis
+    if ax not in (nd - 1, nd - 2):
         raise ShapeError(f"narrow supports the last two axes only, got axis {axis}")
-    if not 0 <= start < stop <= a.shape[ax]:
-        raise ContractError(f"narrow range [{start}, {stop}) invalid for axis size {a.shape[ax]}")
-    sl = [slice(None)] * a.ndim
+    if not 0 <= start < stop <= shape[ax]:
+        raise ContractError(f"narrow range [{start}, {stop}) invalid for axis size {shape[ax]}")
+    sl = [slice(None)] * nd
     sl[ax] = slice(start, stop)
     sl = tuple(sl)
-    out = a.data[sl].copy()
+    return _emit("narrow", _narrow_back, (a,), a.data[sl].copy(), sl)
 
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[sl] = g
-            a.accumulate(full)
 
-    return _record("narrow", (a,), out, bwd)
+def _concat_back(g, parts, out, ax):
+    offset = 0
+    for p in parts:
+        size = p.shape[ax]
+        if p.requires_grad:
+            sl = [slice(None)] * g.ndim
+            sl[ax] = slice(offset, offset + size)
+            p.accumulate(g[tuple(sl)])
+        offset += size
 
 
 def concat(parts, axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
+    parts = tuple(_as_tensor(p) for p in parts)
     if not parts:
         raise ContractError("concat of zero tensors")
-    nd = parts[0].ndim
+    nd = parts[0].data.ndim
     ax = axis if axis >= 0 else nd + axis
-    if any(p.ndim != nd for p in parts) or ax not in (nd - 1, nd - 2):
+    if any(p.data.ndim != nd for p in parts) or ax not in (nd - 1, nd - 2):
         raise ShapeError("concat supports equal-rank tensors along the last two axes")
-    out = np.concatenate([p.data for p in parts], axis=ax)
-    sizes = [p.shape[ax] for p in parts]
+    return _emit("concat", _concat_back, parts, np.concatenate([p.data for p in parts], axis=ax), ax)
 
-    def bwd(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            if p.requires_grad:
-                sl = [slice(None)] * nd
-                sl[ax] = slice(offset, offset + size)
-                p.accumulate(g[tuple(sl)])
-            offset += size
 
-    return _record("concat", tuple(parts), out, bwd)
+def _gather_rows_back(g, inputs, out, idx):
+    (table,) = inputs
+    acc = np.zeros_like(table.data)
+    np.add.at(acc, idx, g)
+    table.accumulate(acc)
 
 
 def gather_rows(table, idx) -> Tensor:
@@ -376,126 +409,127 @@ def gather_rows(table, idx) -> Tensor:
         raise ShapeError(f"gather_rows needs 2-D table and 1-D index, got {table.shape}, {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError("gather_rows index out of range")
-    out = table.data[idx]
+    return _emit("gather_rows", _gather_rows_back, (table,), table.data[idx], idx)
 
-    def bwd(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, idx, g)
-            table.accumulate(acc)
 
-    return _record("gather_rows", (table,), out, bwd)
+def _expand_batch_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(g.sum(axis=0))
 
 
 def expand_batch(a, batch: int) -> Tensor:
     """Tile a tensor along a new leading batch axis; gradient sums back."""
     a = _as_tensor(a)
     out = np.broadcast_to(a.data, (batch,) + a.shape).copy()
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g.sum(axis=0))
-
-    return _record("expand_batch", (a,), out, bwd)
+    return _emit("expand_batch", _expand_batch_back, (a,), out)
 
 
 # ---- reductions and nonlinearities ----
 
 
+def _sum_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(np.broadcast_to(g, a.shape).copy())
+
+
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.asarray(a.data.sum())
+    return _emit("sum", _sum_back, (a,), np.asarray(a.data.sum()))
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(np.broadcast_to(g, a.shape).copy())
 
-    return _record("sum", (a,), _finite("sum", out), bwd)
+def _exp_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(g * out)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    out = _finite("exp", np.exp(a.data))
+    return _emit("exp", _exp_back, (a,), np.exp(a.data))
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * out)
 
-    return _record("exp", (a,), out, bwd)
+def _log_back(g, inputs, out, saved):
+    (a,) = inputs
+    a.accumulate(g / a.data)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     if (a.data <= 0.0).any():
         raise NumericError("log of a non-positive value")
-    out = np.log(a.data)
+    return _emit("log", _log_back, (a,), np.log(a.data))
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g / a.data)
 
-    return _record("log", (a,), out, bwd)
+def _clamp_min_back(g, inputs, out, floor):
+    (a,) = inputs
+    a.accumulate(g * (a.data > floor))
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """Elementwise max(a, floor); zero gradient where the floor is active."""
     a = _as_tensor(a)
-    out = np.maximum(a.data, floor)
+    return _emit("clamp_min", _clamp_min_back, (a,), np.maximum(a.data, floor), floor)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * (a.data > floor))
 
-    return _record("clamp_min", (a,), out, bwd)
+def _gelu_back(g, inputs, out, cdf):
+    (a,) = inputs
+    pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
+    a.accumulate(g * (cdf + a.data * pdf))
 
 
 def gelu(a) -> Tensor:
-    """Exact GeLU: x * Phi(x) with the Gaussian CDF via erf."""
+    """Exact GeLU: x * Phi(x) with the Gaussian CDF via SciPy's erf."""
+    from scipy.special import erf  # the first call pays SciPy's import
+
     a = _as_tensor(a)
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = _finite("gelu", a.data * cdf)
+    return _emit("gelu", _gelu_back, (a,), a.data * cdf, cdf)
 
-    def bwd(g):
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            a.accumulate(g * (cdf + a.data * pdf))
 
-    return _record("gelu", (a,), out, bwd)
+def _softmax_back(g, inputs, out, axis):
+    (a,) = inputs
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    a.accumulate(out * (g - dot))
 
 
 def softmax(a, axis: int) -> Tensor:
     a = _as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    return _emit("softmax", _softmax_back, (a,), e / e.sum(axis=axis, keepdims=True), axis)
 
-    def bwd(g):
-        if a.requires_grad:
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            a.accumulate(out * (g - dot))
 
-    return _record("softmax", (a,), _finite("softmax", out), bwd)
+def _log_softmax_back(g, inputs, out, axis):
+    (a,) = inputs
+    a.accumulate(g - np.exp(out) * g.sum(axis=axis, keepdims=True))
 
 
 def log_softmax(a, axis: int) -> Tensor:
     a = _as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    probs = np.exp(out)
+    return _emit("log_softmax", _log_softmax_back, (a,), shifted - lse, axis)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g - probs * g.sum(axis=axis, keepdims=True))
 
-    return _record("log_softmax", (a,), _finite("log_softmax", out), bwd)
+def _layernorm_back(g, inputs, out, saved):
+    a, gain, bias = inputs
+    xhat, inv = saved
+    width = a.shape[-1]
+    if gain.requires_grad:
+        gain.accumulate((g * xhat).reshape(-1, width).sum(axis=0))
+    if bias.requires_grad:
+        bias.accumulate(g.reshape(-1, width).sum(axis=0))
+    if a.requires_grad:
+        gg = g * gain.data
+        m1 = gg.sum(axis=-1, keepdims=True) / width
+        m2 = (gg * xhat).sum(axis=-1, keepdims=True) / width
+        a.accumulate(inv * (gg - m1 - xhat * m2))
 
 
 def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis (population variance), then scale and shift."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    width = a.shape[-1]
-    if gain.shape != (width,) or bias.shape != (width,):
+    width = a.data.shape[-1]
+    if gain.data.shape != (width,) or bias.data.shape != (width,):
         raise ShapeError(
             f"layernorm gain/bias must have shape ({width},), got {gain.shape}, {bias.shape}"
         )
@@ -505,20 +539,14 @@ def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (centered * centered).sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = _finite("layernorm", xhat * gain.data + bias.data)
+    out = xhat * gain.data + bias.data
+    return _emit("layernorm", _layernorm_back, (a, gain, bias), out, (xhat, inv))
 
-    def bwd(g):
-        if gain.requires_grad:
-            gain.accumulate((g * xhat).reshape(-1, width).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate(g.reshape(-1, width).sum(axis=0))
-        if a.requires_grad:
-            gg = g * gain.data
-            m1 = gg.sum(axis=-1, keepdims=True) / width
-            m2 = (gg * xhat).sum(axis=-1, keepdims=True) / width
-            a.accumulate(inv * (gg - m1 - xhat * m2))
 
-    return _record("layernorm", (a, gain, bias), out, bwd)
+def _normalize_rows_back(g, inputs, out, norm):
+    (a,) = inputs
+    dot = (out * g).sum(axis=1, keepdims=True)
+    a.accumulate((g - out * dot) / norm)
 
 
 def normalize_rows(a, eps: float = 1e-12) -> Tensor:
@@ -527,14 +555,12 @@ def normalize_rows(a, eps: float = 1e-12) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"normalize_rows needs a 2-D tensor, got {a.shape}")
     norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True) + eps)
-    out = a.data / norm
+    return _emit("normalize_rows", _normalize_rows_back, (a,), a.data / norm, norm)
 
-    def bwd(g):
-        if a.requires_grad:
-            dot = (out * g).sum(axis=1, keepdims=True)
-            a.accumulate((g - out * dot) / norm)
 
-    return _record("normalize_rows", (a,), _finite("normalize_rows", out), bwd)
+def _dropout_back(g, inputs, out, keep):
+    (a,) = inputs
+    a.accumulate(g * keep)
 
 
 def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -545,16 +571,76 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    out = a.data * keep
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * keep)
-
-    return _record("dropout", (a,), out, bwd)
+    return _emit("dropout", _dropout_back, (a,), a.data * keep, keep)
 
 
 # ---- gradient checking ----
+
+
+def _fd_columns(f, flat: np.flatiter, indices, h: float) -> list:
+    """One central difference per index; each loss is checked for
+    non-finite values in place of the per-op output checks."""
+    columns = []
+    for i in indices:
+        kept = flat[i]
+        try:
+            flat[i] = kept + h
+            hi = np.asarray(f(), dtype=np.float64)
+            flat[i] = kept - h
+            lo = np.asarray(f(), dtype=np.float64)
+        finally:
+            flat[i] = kept
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+            raise NumericError(f"finite-difference loss is non-finite at element {i}")
+        columns.append((hi - lo) / (2.0 * h))
+    return columns
+
+
+def _fd_worker(f, flat, indices, h, write_fd: int) -> None:
+    """Body of a forked worker: send its columns, or the exception that
+    stopped it, to the parent, and exit without unwinding the parent's
+    stack."""
+    try:
+        try:
+            payload = (True, np.stack(_fd_columns(f, flat, indices, h)))
+        except BaseException as exc:  # the parent re-raises it
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(payload, fh)
+    finally:
+        os._exit(0)
+
+
+def _fd_split(f, flat: np.flatiter, h: float) -> list:
+    """The columns of every index, in index order; see fd_gradient."""
+    processes = max(1, min(len(os.sched_getaffinity(0)), len(flat)))
+    first, *rest = np.array_split(np.arange(len(flat)), processes)
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for indices in rest:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _fd_worker(f, flat, indices, h, write_fd)
+            os.close(write_fd)
+            workers.append((pid, os.fdopen(read_fd, "rb")))
+        columns = _fd_columns(f, flat, first, h)
+        for pid, reader in workers:
+            try:
+                ok, result = pickle.loads(reader.read())
+            except Exception:
+                raise ContractError(f"finite-difference worker {pid} ended without a result") from None
+            if not ok:
+                raise result
+            columns.extend(result)
+        return columns
+    finally:
+        # a worker that is still running is only left when something failed
+        for pid, reader in workers:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def fd_gradient(f: Callable[[], float | Sequence[float]], param: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -565,17 +651,23 @@ def fd_gradient(f: Callable[[], float | Sequence[float]], param: Tensor, h: floa
     case. Mutates param.data in place and restores it. f must
     re-evaluate the losses from the current parameter values on every
     call.
+
+    The elements are split into contiguous chunks over at most one
+    process per usable CPU: the first chunk runs in this process, each
+    other one in a forked worker, so f's side effects there never come
+    back. The columns are joined in element order, the same bits as one
+    serial loop. Ops skip their output checks during the evaluations; a
+    non-finite loss raises NumericError instead, as does any NumericError
+    that a worker raises.
     """
-    flat = param.data.reshape(-1)
-    columns = []
-    for i in range(flat.size):
-        kept = flat[i]
-        flat[i] = kept + h
-        hi = np.asarray(f(), dtype=np.float64)
-        flat[i] = kept - h
-        lo = np.asarray(f(), dtype=np.float64)
-        flat[i] = kept
-        columns.append((hi - lo) / (2.0 * h))
+    global _check_outputs
+    # writes through .flat reach param.data whatever its memory layout
+    flat = param.data.flat
+    previous, _check_outputs = _check_outputs, False
+    try:
+        columns = _fd_split(f, flat, h)
+    finally:
+        _check_outputs = previous
     grad = np.stack(columns, axis=-1)
     return grad.reshape(grad.shape[:-1] + param.data.shape)
 

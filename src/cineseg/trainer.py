@@ -45,16 +45,37 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def flatten_params(params: dict) -> tuple[np.ndarray, list[slice]]:
+    """Move every parameter into one contiguous float64 vector, in dict
+    order, and rebind each Tensor's data to a view of its slice, so the
+    Tensor objects stay the same and edits of the vector reach them.
+    Returns the vector and the slices."""
+    seen = {}
+    for name, p in params.items():
+        if id(p) in seen:
+            raise ContractError(f"parameters '{seen[id(p)]}' and '{name}' are the same tensor")
+        seen[id(p)] = name
+    flat = np.empty(sum(p.data.size for p in params.values()))
+    slices = []
+    offset = 0
+    for p in params.values():
+        size = p.data.size
+        view = flat[offset:offset + size].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = view
+        slices.append(slice(offset, offset + size))
+        offset += size
+    return flat, slices
+
+
 class Optimizer:
     """SGD or bias-corrected Adam over a named parameter dict.
 
     The optimizer owns one contiguous float64 vector holding every
-    parameter; each Tensor's data is rebound to a view of its slice, so
-    the Tensor objects stay the same and in-place edits of their data
-    reach the vector. A step gathers the gradients into a second vector
-    and updates all parameters with a few whole-vector operations. A
-    parameter without a gradient keeps its value and Adam moments; the
-    update is masked over its slice.
+    parameter (flatten_params). A step gathers the gradients into a
+    second vector and updates all parameters with a few whole-vector
+    operations. A parameter without a gradient keeps its value and Adam
+    moments; the update is masked over its slice.
     """
 
     def __init__(self, params: dict, kind: str = "adam", lr: float = 1e-4):
@@ -63,27 +84,11 @@ class Optimizer:
         if lr <= 0:
             raise ConfigError("learning rate must be positive")
         self.params = dict(params)
-        seen = {}
-        for name, p in self.params.items():
-            if id(p) in seen:
-                raise ContractError(
-                    f"parameters '{seen[id(p)]}' and '{name}' are the same tensor"
-                )
-            seen[id(p)] = name
         self.kind = kind
         self.lr = float(lr)
         self.step_count = 0
-        self.flat = np.empty(sum(p.data.size for p in self.params.values()))
+        self.flat, self._slices = flatten_params(self.params)
         self._grad = np.zeros_like(self.flat)
-        self._slices = []
-        offset = 0
-        for p in self.params.values():
-            size = p.data.size
-            view = self.flat[offset:offset + size].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
-            self._slices.append(slice(offset, offset + size))
-            offset += size
         if kind == "adam":
             self._m = np.zeros_like(self.flat)
             self._v = np.zeros_like(self.flat)
@@ -114,7 +119,9 @@ class Optimizer:
             live[sl] = False
         return live
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """Update every parameter once; returns the global L2 norm of
+        the gathered gradient vector."""
         self.step_count += 1
         live = self._gather_grads()
         g = self._grad
@@ -130,6 +137,8 @@ class Optimizer:
             v_hat = v / (1.0 - ADAM_BETA2 ** self.step_count)
             update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         np.subtract(self.flat, update, out=self.flat, where=live)
+        # numpy's pairwise sum, not BLAS: the same bits on every run
+        return float(np.sqrt((g * g).sum()))
 
 
 @dataclass
@@ -306,6 +315,8 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
             step += 1
             one_class = bool(batch_labels.min() == batch_labels.max())
             single_class += one_class
+            nc.backward(tape, loss)
+            grad_norm = optimizer.step()
             logs.append(
                 {
                     "step": step,
@@ -314,10 +325,9 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
                     "lr": cfg.lr,
                     "seed": cfg.seed,
                     "single_class_batch": one_class,
+                    "grad_norm": grad_norm,
                 }
             )
-            nc.backward(tape, loss)
-            optimizer.step()
         reports.append(report(epoch))
         _save_epoch(checkpoint_dir, epoch, model)
     if single_class:
@@ -616,6 +626,10 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             step += 1
             skipped_total += skipped
             skipped_steps += skipped > 0
+            tau = float(head.tau().data)  # the temperature this step's loss used
+            nc.backward(tape, total)
+            grad_norm = optimizer.step()
+            head.clamp_tau()
             logs.append(
                 {
                     "step": step,
@@ -630,11 +644,10 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
                     "seed": cfg.seed,
                     "max_p_col_dev": step_dev,
                     "skipped_queries": skipped,
+                    "grad_norm": grad_norm,
+                    "tau": tau,
                 }
             )
-            nc.backward(tape, total)
-            optimizer.step()
-            head.clamp_tau()
         reports.append(report(epoch))
         _save_epoch(checkpoint_dir, epoch, pipeline)
     if skipped_total:

@@ -3,8 +3,11 @@ synthetic datasets, exit-code mapping, and byte-level reproducibility."""
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +203,34 @@ def test_synth_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+
+LAZY_SCIPY_SCRIPT = """
+import json, math, sys
+import numpy as np
+from cineseg import cli
+from cineseg import numcore as nc
+
+assert cli.main(json.loads(sys.argv[1])) == 0
+assert "scipy" not in sys.modules, "synth loaded scipy"
+x = np.linspace(-8.0, 8.0, 4001)
+out = nc.gelu(nc.Tensor(x)).data
+assert "scipy" in sys.modules, "gelu ran without scipy"
+from scipy.special import erf
+expected = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+assert out.tobytes() == expected.tobytes(), "gelu differs from the eager erf path"
+"""
+
+
+def test_synth_runs_without_scipy_until_the_first_gelu(tmp_path):
+    args = ["synth", "--movies", "2", "--shots", "20", "--seed", "9",
+            "--out", str(tmp_path / "data")] + _sets(SCENE_SET)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT, json.dumps(args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_synth_invalid_config_exits_2(tmp_path, capsys):

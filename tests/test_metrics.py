@@ -1,5 +1,5 @@
-"""Metric oracles: AP by rank accumulation, F1 variants, turning-point
-agreement hand cases, and modality importance symmetry."""
+"""Metric oracles: tie-aware AP by rank accumulation, F1 variants,
+turning-point agreement hand cases, and modality importance symmetry."""
 
 import json
 
@@ -29,9 +29,41 @@ def test_ap_interleaved_hand_case():
     assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
 
 
-def test_ap_ties_broken_by_index():
-    assert metrics.average_precision([0.5, 0.5, 0.5], [1, 0, 0]) == 1.0
+def test_ap_tied_scores_share_one_threshold():
+    # every tied positive takes the precision at the end of its tie group
+    assert metrics.average_precision([0.5, 0.5], [0, 1]) == 0.5
+    assert metrics.average_precision([0.5, 0.5], [1, 0]) == 0.5
+    assert metrics.average_precision([0.5, 0.5, 0.5], [1, 0, 0]) == pytest.approx(1.0 / 3.0)
     assert metrics.average_precision([0.5, 0.5, 0.5], [0, 0, 1]) == pytest.approx(1.0 / 3.0)
+    # a tie group behind an untied positive: mean(1/1, 3/4, 3/4)
+    ap = metrics.average_precision([0.9, 0.4, 0.4, 0.4, 0.1], [1, 1, 0, 1, 0])
+    assert ap == pytest.approx((1.0 + 0.75 + 0.75) / 3.0, abs=1e-12)
+
+
+def test_ap_invariant_under_permutations_with_ties():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        # few distinct values, so most items are tied with others
+        scores = rng.integers(0, 4, size=12) / 4.0
+        labels = (rng.random(12) < 0.4).astype(int)
+        labels[rng.integers(12)] = 1
+        base = metrics.average_precision(scores, labels)
+        for _ in range(5):
+            perm = rng.permutation(12)
+            assert metrics.average_precision(scores[perm], labels[perm]) == base
+
+
+def test_ap_without_ties_is_the_rank_accumulation_mean():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        scores = rng.standard_normal(30)
+        labels = (rng.random(30) < 0.3).astype(int)
+        labels[0] = 1
+        order = np.argsort(-scores)
+        ranked = labels[order] == 1
+        ranks = np.flatnonzero(ranked) + 1
+        expected = float((np.cumsum(ranked)[ranked] / ranks).mean())
+        assert metrics.average_precision(scores, labels) == expected
 
 
 def test_ap_invariant_under_monotone_transforms():

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -164,16 +167,17 @@ def _linear_case(rng, x_shape):
     return x, w, b, r
 
 
+def _shared_matmul_back(g, inputs, out, saved):
+    a, w = inputs
+    if a.requires_grad:
+        a.accumulate(g @ w.data.T)
+    if w.requires_grad:
+        w.accumulate(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
+
+
 def _shared_matmul(a, w):
     """The 3-D x shared 2-D matmul node linear replaced, as a reference."""
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w.accumulate(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
-
-    return nc._record("matmul", (a, w), a.data @ w.data, bwd)
+    return nc._emit("matmul", _shared_matmul_back, (a, w), a.data @ w.data)
 
 
 @pytest.mark.parametrize("x_shape", [(4, 5), (2, 4, 5)])
@@ -328,8 +332,8 @@ def test_tape_topological_order_and_single_visit():
 
     visits = []
     for node in tape.nodes:
-        original = node.backward_fn
-        node.backward_fn = (lambda f, n: lambda g: (visits.append(n), f(g)))(
+        original = node.rule
+        node.rule = (lambda f, n: lambda *args: (visits.append(n), f(*args)))(
             original, node.name
         )
     nc.backward(tape, loss)
@@ -391,3 +395,113 @@ def test_detach_blocks_gradient():
         loss = nc.sum_all(nc.mul(a.detach(), a))
     nc.backward(tape, loss)
     npt.assert_allclose(a.grad, [3.0])
+
+
+# ---- finite differences over forked workers ----
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that waits on a worker for more than 60 s instead of
+    hanging the suite; forked workers do not inherit the alarm."""
+
+    def expire(signum, frame):
+        raise TimeoutError("finite differences waited on a worker for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _fd_case():
+    rng = np.random.default_rng(30)
+    x = leaf(rng, 3, 4)
+    w = leaf(rng, 4, 2)
+
+    def losses():
+        y = nc.gelu(nc.matmul(x, w))
+        return [float(nc.sum_all(y).data), float(nc.sum_all(nc.mul(y, y)).data)]
+
+    return x, losses
+
+
+def test_fd_gradient_split_over_workers_is_the_in_process_loop(monkeypatch, time_limit):
+    x, losses = _fd_case()
+    before = x.data.copy()
+    forks = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 1)
+    serial = nc.fd_gradient(losses, x)
+    assert forks == []  # one CPU: the loop runs in process
+    _cpus(monkeypatch, 2)
+    split = nc.fd_gradient(losses, x)
+    assert len(forks) == 1
+    assert split.shape == serial.shape == (2, 3, 4)
+    assert split.tobytes() == serial.tobytes()
+    assert x.data.tobytes() == before.tobytes()
+
+
+def test_fd_gradient_perturbs_a_non_contiguous_parameter(monkeypatch, time_limit):
+    _cpus(monkeypatch, 2)
+    x = nc.Tensor(np.arange(1.0, 7.0).reshape(2, 3).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    fd = nc.fd_gradient(lambda: float(nc.sum_all(nc.mul(x, x)).data), x)
+    npt.assert_allclose(fd, 2.0 * x.data, rtol=1e-8)
+
+
+def test_fd_gradient_starts_no_more_workers_than_cpus_or_elements(monkeypatch, time_limit):
+    x, losses = _fd_case()
+    forks = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 3)
+    nc.fd_gradient(losses, x)
+    assert len(forks) == 2  # the third chunk runs in process
+    forks.clear()
+    pair = nc.Tensor([0.5, -0.5], requires_grad=True)
+    nc.fd_gradient(lambda: float(nc.sum_all(nc.gelu(pair)).data), pair)
+    assert len(forks) == 1  # two elements, two chunks
+
+
+def test_fd_gradient_worker_errors_reach_the_parent(monkeypatch, time_limit):
+    _cpus(monkeypatch, 2)
+    # the last element sits within h of zero, so only the worker's chunk
+    # takes the log of a non-positive value
+    x = nc.Tensor([1.0, 2.0, 3.0, 1e-6], requires_grad=True)
+    before = x.data.copy()
+    with pytest.raises(NumericError, match="non-positive"):
+        nc.fd_gradient(lambda: float(nc.sum_all(nc.log(x)).data), x)
+    assert x.data.tobytes() == before.tobytes()
+    # a non-finite loss is caught in the worker that evaluated it
+    y = nc.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+    with pytest.raises(NumericError, match="element 3"):
+        nc.fd_gradient(lambda: np.inf if y.data[3] > 4.0 else float(y.data.sum()), y)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_fd_gradient_checks_losses_not_ops(monkeypatch):
+    _cpus(monkeypatch, 1)
+    y = nc.Tensor([1.0, 700.0], requires_grad=True)
+    # exp overflows inside the loss, which the loss check catches
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="finite-difference loss"):
+            nc.fd_gradient(lambda: float(nc.sum_all(nc.exp(nc.add(y, y))).data), y)
+        # outside fd_gradient the op itself still raises
+        with pytest.raises(NumericError, match="operation 'exp'"):
+            nc.exp(nc.add(y, y))

@@ -365,12 +365,14 @@ def test_train_scene_does_not_mutate_dataset():
         assert np.array_equal(movie.scene_labels, labels)
 
 
-def test_train_scene_logged_loss_matches_recomputation():
-    movies = make_dataset(scene_synth(), movies=4, seed=4)
-    cfg = scene_train_cfg(epochs=1, batch_size=16)
-    model_cfg = scene_model_cfg()
-    _, _, logs = trainer.train_scene(movies, model_cfg, cfg)
+def _global_grad_norm(params):
+    """The L2 norm over every parameter's gradient, one tensor at a time."""
+    return float(np.sqrt(sum((p.grad ** 2).sum() for p in params.values() if p.grad is not None)))
 
+
+def _first_scene_step(movies, model_cfg, cfg):
+    """The first training step by hand: fresh model, first batch; returns
+    the model, with gradients, and the taped loss."""
     shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     model = af.FusionModel(model_cfg, model_seed)
     half = model_cfg.seq_len // 2
@@ -387,9 +389,30 @@ def test_train_scene_logged_loss_matches_recomputation():
         for m in range(len(model_cfg.modality_dims))
     ]
     labels = np.array([movie.scene_labels[t] for movie, t in chosen])
-    logits = af.forward_scene(model, [Tensor(f) for f in feats])
-    loss = trainer.weighted_scene_ce(logits, labels)
+    with nc.Tape() as tape:
+        logits = af.forward_scene(model, [Tensor(f) for f in feats])
+        loss = trainer.weighted_scene_ce(logits, labels)
+    nc.backward(tape, loss)
+    return model, loss
+
+
+def test_train_scene_logged_loss_matches_recomputation():
+    movies = make_dataset(scene_synth(), movies=4, seed=4)
+    cfg = scene_train_cfg(epochs=1, batch_size=16)
+    model_cfg = scene_model_cfg()
+    _, _, logs = trainer.train_scene(movies, model_cfg, cfg)
+    _, loss = _first_scene_step(movies, model_cfg, cfg)
     assert float(loss.data) == pytest.approx(logs[0]["losses"]["scene_ce"], abs=1e-9)
+
+
+def test_train_scene_logs_the_first_step_grad_norm():
+    movies = make_dataset(scene_synth(), movies=4, seed=4)
+    cfg = scene_train_cfg(epochs=1, batch_size=16)
+    model_cfg = scene_model_cfg()
+    _, _, logs = trainer.train_scene(movies, model_cfg, cfg)
+    model, _ = _first_scene_step(movies, model_cfg, cfg)
+    assert logs[0]["grad_norm"] > 0.0
+    assert logs[0]["grad_norm"] == pytest.approx(_global_grad_norm(model.params), rel=1e-12)
 
 
 def test_train_scene_needs_spare_movies():
@@ -488,13 +511,10 @@ def test_train_act_shapes_logs_and_target_columns():
         assert {"span_hit_rate", "ta", "pa", "d"} <= set(report.values)
 
 
-def test_train_act_logged_losses_match_act_objective():
-    movies = make_dataset(act_synth(), movies=5, seed=8)
-    shot, synopsis = act_model_cfgs()
-    cfg = act_train_cfg(epochs=1)
-    _, _, _, logs = trainer.train_act(movies, shot, synopsis, cfg)
-
-    # the first step by hand: fresh pipeline, first E-step, first batch
+def _first_act_step(movies, shot, synopsis, cfg):
+    """The first training step by hand: fresh pipeline, first E-step,
+    first batch; returns the pipeline, with gradients, the batch and
+    act_objective's result."""
     shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     pipeline = trainer.build_act_pipeline(shot, synopsis, cfg.sync_dim, model_seed)
     train_movies = movies[:-cfg.holdout]
@@ -509,9 +529,20 @@ def test_train_act_logged_losses_match_act_objective():
         w = syncs[mi].w
         band = sync.band_mask(*w.shape, cfg.em_xi)
         items.append((*inputs[mi], w, band, train_movies[mi].tp_labels))
-    total, (l_c, l_ce, l_kd), col_dev = trainer.act_objective(
-        pipeline, items, cfg.loss_weights, rng=np.random.default_rng(dropout_seed)
-    )
+    with nc.Tape() as tape:
+        result = trainer.act_objective(
+            pipeline, items, cfg.loss_weights, rng=np.random.default_rng(dropout_seed)
+        )
+    nc.backward(tape, result[0])
+    return pipeline, items, result
+
+
+def test_train_act_logged_losses_match_act_objective():
+    movies = make_dataset(act_synth(), movies=5, seed=8)
+    shot, synopsis = act_model_cfgs()
+    cfg = act_train_cfg(epochs=1)
+    _, _, _, logs = trainer.train_act(movies, shot, synopsis, cfg)
+    _, items, (total, (l_c, l_ce, l_kd), col_dev) = _first_act_step(movies, shot, synopsis, cfg)
     assert logs[0]["losses"] == {
         "contrastive": float(l_c.data),
         "synopsis_ce": float(l_ce.data),
@@ -520,6 +551,20 @@ def test_train_act_logged_losses_match_act_objective():
     }
     assert logs[0]["max_p_col_dev"] == col_dev
     assert logs[0]["skipped_queries"] == sync.skipped_queries([it[2] for it in items])
+
+
+def test_train_act_logs_the_first_step_grad_norm_and_tau():
+    movies = make_dataset(act_synth(), movies=5, seed=8)
+    shot, synopsis = act_model_cfgs()
+    cfg = act_train_cfg(epochs=1)
+    _, _, _, logs = trainer.train_act(movies, shot, synopsis, cfg)
+    pipeline, _, _ = _first_act_step(movies, shot, synopsis, cfg)
+    params = pipeline.named_params()
+    assert logs[0]["grad_norm"] > 0.0
+    assert logs[0]["grad_norm"] == pytest.approx(_global_grad_norm(params), rel=1e-12)
+    # the temperature the first step's loss used: the initial one
+    assert logs[0]["tau"] == float(np.exp(params["sync.log_tau"].data))
+    assert all(rec["tau"] > 0.0 for rec in logs)
 
 
 def test_train_act_deterministic():
