@@ -26,18 +26,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+import os
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import numcore as nc
-from .dataio import atomic_write
+from .dataio import NUM_TURNING_POINTS, atomic_write
 from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
 CHECKPOINT_FORMAT = "cineseg-checkpoint"
 CHECKPOINT_VERSION = 1
+# the JSON types a checkpoint may give each ModelConfig field, by its
+# annotation (modality_dims is a list of ints)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass
@@ -49,7 +53,7 @@ class ModelConfig:
     unimodal_depth: int
     fusion_depth: int
     dropout: float
-    num_classes: int  # 2 = scene boundary, 5 = turning points
+    num_classes: int  # 2 = scene boundary, NUM_TURNING_POINTS = acts
     modality_dims: tuple
     num_heads: int = 1
     align_pe_embed: bool = True  # add alignment PE to embeddings
@@ -72,8 +76,8 @@ class ModelConfig:
             raise ConfigError("encoder depths must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.num_classes not in (2, 5):
-            raise ConfigError(f"num_classes must be 2 or 5, got {self.num_classes}")
+        if self.num_classes not in (2, NUM_TURNING_POINTS):
+            raise ConfigError(f"num_classes must be 2 or {NUM_TURNING_POINTS}, got {self.num_classes}")
         if self.num_classes == 2 and self.seq_len % 2 == 0:
             raise ConfigError("scene windows need an odd length so the key shot is central")
         if not self.modality_dims or any(d < 1 for d in self.modality_dims):
@@ -87,11 +91,30 @@ class ModelConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["modality_dims"] = tuple(d["modality_dims"])
-        cfg = cls(**d)
-        cfg.validate()
+    def from_dict(cls, d) -> "ModelConfig":
+        """The inverse of to_dict for a checkpoint's config: every field
+        present with its JSON type and a valid value, else a DataError."""
+        if not isinstance(d, dict):
+            raise DataError(f"a model config must be an object, got {type(d).__name__}")
+        names = {f.name for f in fields(cls)}
+        if set(d) != names:
+            raise DataError(
+                f"model config keys: missing {sorted(names - set(d))}, "
+                f"unknown {sorted(set(d) - names)}"
+            )
+        for f in fields(cls):
+            value = d[f.name]
+            if f.name == "modality_dims":
+                ok = isinstance(value, list) and all(type(v) is int for v in value)
+            else:
+                ok = type(value) in _JSON_TYPES[f.type]
+            if not ok:
+                raise DataError(f"model config key '{f.name}' has a bad type: {value!r}")
+        cfg = cls(**{**d, "modality_dims": tuple(d["modality_dims"])})
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise DataError(f"model config rejected: {exc}") from None
         return cfg
 
 
@@ -205,21 +228,21 @@ def embed_modality(model, feats, m: int, rng=None, collect=None) -> Tensor:
 
     Regular PE is indexed by absolute position; the alignment PE bucket
     for position i of a length-L_in input is floor(align_len * i / L_in).
+    A given collect gets the sum before the layernorm in "embed_pre_norm".
     """
     cfg = model.config
-    x = feats if isinstance(feats, Tensor) else Tensor(feats)
-    if x.ndim != 3:
-        raise ContractError(f"embed_modality expects [batch x length x dim], got {x.shape}")
-    length = x.shape[1]
+    if feats.ndim != 3:
+        raise ContractError(f"embed_modality expects [batch x length x dim], got {feats.shape}")
+    length = feats.shape[1]
     if length > cfg.seq_len:
         raise DataError(
             f"input length {length} exceeds model length {cfg.seq_len}; chunk the input"
         )
-    if x.shape[2] != cfg.modality_dims[m]:
+    if feats.shape[2] != cfg.modality_dims[m]:
         raise DataError(
-            f"modality {m} width {x.shape[2]} does not match config {cfg.modality_dims[m]}"
+            f"modality {m} width {feats.shape[2]} does not match config {cfg.modality_dims[m]}"
         )
-    x = _linear_apply(model, f"mod{m}.proj", x)
+    x = _linear_apply(model, f"mod{m}.proj", feats)
     x = nc.add(x, nc.narrow(model[f"mod{m}.pe"], -2, 0, length))
     if cfg.align_pe_embed:
         x = nc.add(x, nc.gather_rows(model["align_pe"], align_buckets(length, cfg.align_len)))
@@ -250,8 +273,9 @@ def unimodal_encode(model, embedded: Tensor, m: int, rng=None):
     return tokens_out, latents
 
 
-def fusion_encode(model, token_sets: list, latents: list, rng=None, collect=None) -> Tensor:
-    """Cross-modal stage; returns the fused representation [B x L_in x M*C].
+def fusion_encode(model, token_sets: list, latents: list, rng=None):
+    """Cross-modal stage; returns the fused representation [B x L_in x M*C]
+    and the length of every sequence a fusion block attended over.
 
     Per block, every modality encodes [all M token sets; its own latents]
     with its own parameters; each token set's next value is the mean of
@@ -261,13 +285,13 @@ def fusion_encode(model, token_sets: list, latents: list, rng=None, collect=None
     cfg = model.config
     n_mod = cfg.num_modalities
     ln = cfg.align_len
+    seq_lens = []
     for d in range(cfg.fusion_depth):
         updates = [[] for _ in range(n_mod)]  # per token set
         new_latents = []
         for m in range(n_mod):
             seq = nc.concat(token_sets + [latents[m]], -2)
-            if collect is not None:
-                collect.setdefault("fusion_seq_lens", []).append(seq.shape[-2])
+            seq_lens.append(seq.shape[-2])
             out = _encoder_block(model, f"mod{m}.fus{d}.", seq, rng)
             for j in range(n_mod):
                 updates[j].append(nc.narrow(out, -2, j * ln, (j + 1) * ln))
@@ -280,11 +304,12 @@ def fusion_encode(model, token_sets: list, latents: list, rng=None, collect=None
             merged.append(nc.mul(total, 1.0 / n_mod))
         token_sets = merged
         latents = new_latents
-    return latents[0] if n_mod == 1 else nc.concat(latents, -1)
+    return (latents[0] if n_mod == 1 else nc.concat(latents, -1)), seq_lens
 
 
 def encode(model, feats_list, rng=None, collect=None) -> Tensor:
-    """Full encoder: per-modality embedding, unimodal blocks, fusion."""
+    """Full encoder: per-modality embedding, unimodal blocks, fusion. A
+    given collect also gets the fusion attention lengths in "fusion_seq_lens"."""
     cfg = model.config
     if len(feats_list) != cfg.num_modalities:
         raise DataError(
@@ -296,37 +321,36 @@ def encode(model, feats_list, rng=None, collect=None) -> Tensor:
         tokens, lat = unimodal_encode(model, embedded, m, rng)
         token_sets.append(tokens)
         latents.append(lat)
-    return fusion_encode(model, token_sets, latents, rng, collect)
+    fused, seq_lens = fusion_encode(model, token_sets, latents, rng)
+    if collect is not None:
+        collect["fusion_seq_lens"] = seq_lens
+    return fused
 
 
-def forward_scene(model, windows, rng=None, collect=None) -> Tensor:
+def forward_scene(model, windows, rng=None) -> Tensor:
     """Boundary logits [B x 2] for the middle (key) shot of each window."""
     cfg = model.config
     if cfg.num_classes != 2:
         raise ContractError("scene forward needs a 2-class head")
-    windows = [w if isinstance(w, Tensor) else Tensor(w) for w in windows]
     for w in windows:
         if w.ndim != 3 or w.shape[1] != cfg.seq_len:
             raise DataError(
                 f"scene windows must be [batch x {cfg.seq_len} x dim], got {w.shape}"
             )
-    fused = encode(model, windows, rng, collect)
+    fused = encode(model, windows, rng)
     key = cfg.seq_len // 2
     row = nc.reshape(nc.narrow(fused, -2, key, key + 1), (fused.shape[0], cfg.fused_width))
     return _linear_apply(model, "head", row)
 
 
-def encode_sequence(model, feats_list, rng=None, collect=None) -> Tensor:
+def encode_sequence(model, feats_list, rng=None) -> Tensor:
     """Fused per-position features [L_in x fused_width] for one sequence."""
     feats3 = []
     for f in feats_list:
-        t = f if isinstance(f, Tensor) else Tensor(f)
-        if t.ndim != 2:
-            raise ContractError(f"sequence forward expects 2-D features, got {t.shape}")
-        feats3.append(nc.reshape(t, (1,) + t.shape))
-    fused = encode(model, feats3, rng, collect)
-    if collect is not None:
-        collect["fused"] = fused
+        if f.ndim != 2:
+            raise ContractError(f"sequence forward expects 2-D features, got {f.shape}")
+        feats3.append(nc.reshape(f, (1,) + f.shape))
+    fused = encode(model, feats3, rng)
     return nc.reshape(fused, (fused.shape[1], model.config.fused_width))
 
 
@@ -335,11 +359,11 @@ def apply_head(model, rows) -> Tensor:
     return _linear_apply(model, "head", rows)
 
 
-def forward_act(model, feats_list, rng=None, collect=None) -> Tensor:
-    """Per-shot turning-point logits [L_in x 5] for one movie."""
-    if model.config.num_classes != 5:
-        raise ContractError("act forward needs a 5-class head")
-    return apply_head(model, encode_sequence(model, feats_list, rng, collect))
+def forward_act(model, feats_list, rng=None) -> Tensor:
+    """Per-shot turning-point logits [L_in x NUM_TURNING_POINTS] for one movie."""
+    if model.config.num_classes != NUM_TURNING_POINTS:
+        raise ContractError(f"act forward needs a {NUM_TURNING_POINTS}-class head")
+    return apply_head(model, encode_sequence(model, feats_list, rng))
 
 
 # ---- checkpoints ----
@@ -362,36 +386,82 @@ def save_checkpoint(path, kind: str, configs: dict, params: dict, extra: dict | 
     atomic_write(path, b"".join(chunks))
 
 
+def _parse_header(path, line: bytes):
+    """(kind, configs, [(name, shape)], extra) from a checkpoint's first
+    line; a DataError unless it has the layout save_checkpoint writes."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path} does not start with a checkpoint header") from exc
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise DataError(
+            f"{path} has checkpoint version {header.get('version')}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    for key, want in (("kind", str), ("configs", dict), ("params", list), ("extra", dict)):
+        if not isinstance(header.get(key), want):
+            raise DataError(
+                f"{path}: checkpoint header key '{key}' must hold a {want.__name__}, "
+                f"got {type(header.get(key)).__name__}"
+            )
+    kind, configs, params, extra = (header[k] for k in ("kind", "configs", "params", "extra"))
+    layout = []
+    for meta in params:
+        entry = meta if isinstance(meta, dict) else {}
+        name, shape = entry.get("name"), entry.get("shape")
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise DataError(
+                f"{path}: parameter entry {meta!r} needs a 'name' and a 'shape' "
+                "of non-negative integers"
+            )
+        layout.append((name, tuple(shape)))
+    if len({name for name, _ in layout}) != len(layout):
+        raise DataError(f"{path} lists a parameter name twice")
+    parsed = {}
+    for key, value in configs.items():
+        try:
+            parsed[key] = ModelConfig.from_dict(value)
+        except DataError as exc:
+            raise DataError(f"{path}: config '{key}': {exc}") from None
+    return kind, parsed, layout, extra
+
+
 def load_checkpoint(path):
-    """Returns (kind, configs, arrays, extra); bit-exact with what was saved."""
+    """Returns (kind, configs, arrays, extra); bit-exact with what was saved.
+
+    The header is checked in full, and the parameter sizes it lists
+    against the file's length, before any parameter is read. A parameter
+    larger than all the bytes after the header, or bytes to spare after
+    the last parameter, is a DataError; a file that ends inside the
+    parameters is truncated, a BlobIOError.
+    """
     path = Path(path)
     if not path.exists():
         raise BlobIOError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path} does not start with a checkpoint header") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"{path} has checkpoint version {header.get('version')}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        arrays = {}
-        for meta in header["params"]:
-            shape = tuple(int(s) for s in meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise BlobIOError(
-                    f"{path}: parameter '{meta['name']}' truncated "
-                    f"({len(raw)} of {8 * count} bytes)"
+        kind, configs, layout, extra = _parse_header(path, fh.readline())
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        sizes = [8 * math.prod(shape) for _, shape in layout]
+        offset = 0
+        for (name, _), size in zip(layout, sizes):
+            if size > remaining:  # taken as a bad shape rather than a cut file
+                raise DataError(
+                    f"{path}: parameter '{name}' lists {size} bytes, more than the "
+                    f"{remaining} the file holds after its header"
                 )
-            arrays[meta["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
+            if offset + size > remaining:
+                raise BlobIOError(
+                    f"{path}: parameter '{name}' truncated "
+                    f"({remaining - offset} of {size} bytes)"
+                )
+            offset += size
+        if offset < remaining:
             raise DataError(f"{path} has trailing bytes after the last parameter")
-    configs = {k: ModelConfig.from_dict(v) for k, v in header["configs"].items()}
-    return header["kind"], configs, arrays, header.get("extra", {})
+        arrays = {
+            name: np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
+            for (name, shape), size in zip(layout, sizes)
+        }
+    return kind, configs, arrays, extra

@@ -32,7 +32,6 @@ from . import sync
 from . import trainer
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradient_checks
-from .numcore import Tensor
 
 
 # ---- config plumbing ----
@@ -134,8 +133,12 @@ GRADCHECK_KEYS = {
 
 
 def read_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     entries = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -271,10 +274,12 @@ def cmd_train_act(args) -> int:
     cfg_map = resolve_config(ACT_KEYS, args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
     dims = tuple(s.dim for s in movies[0].streams)
-    shot_cfg = af.ModelConfig(**_section(cfg_map, "shot"), num_classes=5, modality_dims=dims)
+    shot_cfg = af.ModelConfig(
+        **_section(cfg_map, "shot"), num_classes=dataio.NUM_TURNING_POINTS, modality_dims=dims
+    )
     synopsis_cfg = af.ModelConfig(
         **_section(cfg_map, "synopsis"), width=shot_cfg.fused_width,
-        num_classes=5, modality_dims=(sum(dims),),
+        num_classes=dataio.NUM_TURNING_POINTS, modality_dims=(sum(dims),),
     )
     train_fields = _section(cfg_map, "train")
     loss_weights = tuple(train_fields.pop(f"alpha_{term}") for term in LOSS_TERMS)
@@ -346,7 +351,7 @@ def cmd_eval(args) -> int:
     cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
-    epoch = int(extra.get("epoch", 0))
+    epoch = extra.get("epoch", 0)
     # one forward per movie feeds both the report and scores.csv
     if kind == "scene":
         scores = [trainer.scene_shot_scores(loaded, movie) for movie in movies]
@@ -359,8 +364,8 @@ def cmd_eval(args) -> int:
             ]
     else:
         probs = [trainer.act_shot_probs(loaded.shot_model, movie) for movie in movies]
-        report = trainer.act_report(probs, movies, epoch, args.seed, loaded.max_p_col_dev)
-        rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(5)]]
+        report = trainer.act_report(probs, movies, epoch, args.seed)
+        rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(dataio.NUM_TURNING_POINTS)]]
         for movie, movie_probs in zip(movies, probs):
             rows += [
                 [movie.movie_id, t] + [_format(p) for p in row]
@@ -418,14 +423,12 @@ def cmd_importance(args) -> int:
                     f"shot {t} outside movie {movie.movie_id} ({movie.num_shots} shots)"
                 )
             idx = trainer.window_index([t], loaded.config.seq_len // 2, movie.num_shots)[0]
-            feats = [Tensor(s.samples[idx]) for s in movie.streams]
+            feats = [s.samples[idx] for s in movie.streams]
             weights, fallback = mx.gradcam_importance(loaded, feats, "scene")
             record["shot"] = t
         else:
             feats, _ = trainer.movie_inputs(movie)
-            weights, fallback = mx.gradcam_importance(
-                loaded.shot_model, [Tensor(f) for f in feats], "act"
-            )
+            weights, fallback = mx.gradcam_importance(loaded.shot_model, feats, "act")
         record["weights"] = {s.name: float(w) for s, w in zip(movie.streams, weights)}
         record["uniform_fallback"] = fallback
         payload.append(record)

@@ -24,8 +24,6 @@ DEFAULT_LOSS_WEIGHTS = (1.0, 1.0, 10.0)  # contrastive, synopsis CE, distillatio
 
 def attention_weights(u, v, tau) -> Tensor:
     """Shot-over-sentence attention: row softmax of (u @ v.T) / tau."""
-    u = u if isinstance(u, Tensor) else Tensor(u)
-    v = v if isinstance(v, Tensor) else Tensor(v)
     sims = nc.div(nc.matmul(u, nc.transpose(v)), tau)
     return nc.softmax(sims, axis=1)
 
@@ -38,13 +36,11 @@ def transfer_targets(attn: Tensor, q) -> Tensor:
     sum to one. Adding a constant to a column of q leaves the result
     unchanged because attention rows sum to one.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
     return nc.softmax(nc.matmul(attn, q), axis=0)
 
 
 def shot_distribution(logits) -> Tensor:
     """Per turning point, the shot-axis softmax of the shot logits."""
-    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     return nc.softmax(logits, axis=0)
 
 
@@ -54,8 +50,7 @@ def kd_loss(shot_probs, target_probs) -> Tensor:
     Expects column-stochastic matrices [num_shots x num_tp]; entries are
     floored at 1e-12 before the logs.
     """
-    o = shot_probs if isinstance(shot_probs, Tensor) else Tensor(shot_probs)
-    p = target_probs if isinstance(target_probs, Tensor) else Tensor(target_probs)
+    o, p = shot_probs, target_probs
     if o.shape != p.shape:
         raise DataError(f"distributions differ in shape: {o.shape} vs {p.shape}")
     log_o = nc.log(nc.clamp_min(o, PROB_FLOOR))
@@ -69,8 +64,7 @@ def synopsis_ce_loss(sentence_logits, tp_labels) -> Tensor:
     For each turning point the target is uniform over its gold sentence
     index set; the per-turning-point terms are summed.
     """
-    q = sentence_logits if isinstance(sentence_logits, Tensor) else Tensor(sentence_logits)
-    num_sentences, num_tp = q.shape
+    num_sentences, num_tp = sentence_logits.shape
     if len(tp_labels) != num_tp:
         raise DataError(f"{len(tp_labels)} gold sets for {num_tp} turning points")
     target = np.zeros((num_sentences, num_tp))
@@ -81,7 +75,7 @@ def synopsis_ce_loss(sentence_logits, tp_labels) -> Tensor:
             if not 0 <= s < num_sentences:
                 raise DataError(f"gold sentence {s} out of range for {num_sentences} sentences")
             target[s, n] = 1.0 / len(gold)
-    return nc.neg(nc.sum_all(nc.mul(nc.log_softmax(q, axis=0), target)))
+    return nc.neg(nc.sum_all(nc.mul(nc.log_softmax(sentence_logits, axis=0), target)))
 
 
 def total_loss(contrastive, synopsis_ce, distillation, weights=DEFAULT_LOSS_WEIGHTS) -> Tensor:
@@ -93,8 +87,8 @@ def total_loss(contrastive, synopsis_ce, distillation, weights=DEFAULT_LOSS_WEIG
     }
     terms = []
     for (name, value), weight in zip(parts.items(), weights):
-        value = value if isinstance(value, Tensor) else Tensor(value)
-        if not np.isfinite(value.data).all():
+        # the values of a Tensor or of an array, without building a Tensor
+        if not np.isfinite(getattr(value, "data", value)).all():
             raise NumericError(f"{name} component of the total loss is not finite")
         terms.append(nc.mul(value, float(weight)))
     return nc.add(nc.add(terms[0], terms[1]), terms[2])

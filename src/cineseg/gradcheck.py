@@ -20,8 +20,8 @@ from . import distill
 from . import numcore as nc
 from . import sync
 from . import trainer
+from .dataio import NUM_TURNING_POINTS
 from .errors import ConfigError
-from .numcore import Tensor
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -36,7 +36,7 @@ def _tiny_scene_setup(seed: int):
     model_seed, data_seed = root.spawn(2)
     model = af.FusionModel(cfg, model_seed)
     rng = np.random.default_rng(data_seed)
-    windows = [Tensor(rng.standard_normal((2, 5, d))) for d in cfg.modality_dims]
+    windows = [rng.standard_normal((2, 5, d)) for d in cfg.modality_dims]
     labels = np.array([0, 1])
 
     def loss_fn():
@@ -49,12 +49,12 @@ def _tiny_act_setup(seed: int):
     shot_cfg = af.ModelConfig(
         seq_len=5, align_len=2, width=8, ffn_width=16,
         unimodal_depth=1, fusion_depth=1, dropout=0.0,
-        num_classes=5, modality_dims=(3, 2),
+        num_classes=NUM_TURNING_POINTS, modality_dims=(3, 2),
     )
     synopsis_cfg = af.ModelConfig(
         seq_len=3, align_len=2, width=16, ffn_width=16,
         unimodal_depth=1, fusion_depth=0, dropout=0.0,
-        num_classes=5, modality_dims=(5,),
+        num_classes=NUM_TURNING_POINTS, modality_dims=(5,),
     )
     root = np.random.SeedSequence(seed)
     model_seed, data_seed = root.spawn(2)
@@ -126,7 +126,7 @@ def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> li
     # one finite-difference pass over every element of every parameter,
     # so its workers are forked once per check, not once per parameter
     flat, slices = trainer.flatten_params(params)
-    fd = nc.fd_gradient(lambda: [float(value.data) for value in losses()], Tensor(flat), h)
+    fd = nc.fd_gradient(lambda: [float(value.data) for value in losses()], flat, h)
     errors = [{} for _ in names]
     for (pname, p), sl in zip(params.items(), slices):
         for k in range(len(names)):

@@ -1,12 +1,14 @@
 """Evaluation: boundary AP and F1, turning-point agreement, and
 Grad-CAM modality importance.
 
-Turning-point agreement definitions used throughout this repo: per TP
-event the evaluator takes the single argmax scene; TA counts events
-whose scene is in the gold set; PA counts events whose scene falls in
-the gold set's closed index interval; D is |predicted - nearest gold| /
-total scenes, averaged over events, times 100. Reports carry a flag
-naming these as operational definitions.
+Turning-point agreement follows TRIPOD (Papalampidi et al., arXiv
+1908.10328). Per turning-point event, S = {the argmax scene} and G is
+the set of gold scenes; averaged over events and times 100:
+
+- TA (total agreement) = |S & G| / |S | G|;
+- PA (partial agreement) = 1 if S & G is non-empty, else 0;
+- D (distance) = min |s - g| over s in S, g in G, divided by the
+  number of scenes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import ContractError, DataError
 
 METRICS_SCHEMA = "cineseg-metrics"
 METRICS_VERSION = 1
-TP_DEFINITIONS_FLAG = "tp-agreement-definitions-local-to-this-repo"
 
 
 @dataclass
@@ -105,31 +106,29 @@ def best_f1(scores, labels):
 
 
 def tp_metrics(events):
-    """Pooled TA/PA/D over TP events from any number of movies.
+    """Pooled TRIPOD TA/PA/D over TP events from any number of movies.
 
-    events: iterable of (predicted_scene, gold_scene_set, total_scenes).
-    Returns a dict with percentages for ta/pa and the scaled distance d.
+    events: iterable of (predicted_scene, gold_scene_set, total_scenes),
+    with S = {predicted_scene} and G = gold_scene_set. Returns a dict
+    with the percentages ta and pa and the scaled distance d.
     """
     events = list(events)
     if not events:
         raise DataError("tp_metrics needs at least one event")
-    ta_hits, pa_hits, distances = 0, 0, []
+    ta, pa, distances = [], [], []
     for predicted, gold, total_scenes in events:
-        gold = sorted(int(g) for g in gold)
+        gold = {int(g) for g in gold}
         if not gold:
             raise DataError("a turning point with an empty gold set cannot be scored")
         if total_scenes < 1:
             raise DataError("total_scenes must be positive")
-        predicted = int(predicted)
-        if predicted in gold:
-            ta_hits += 1
-        if gold[0] <= predicted <= gold[-1]:
-            pa_hits += 1
-        distances.append(min(abs(predicted - g) for g in gold) / total_scenes)
-    n = len(events)
+        predicted = {int(predicted)}
+        ta.append(len(predicted & gold) / len(predicted | gold))
+        pa.append(float(bool(predicted & gold)))
+        distances.append(min(abs(s - g) for s in predicted for g in gold) / total_scenes)
     return {
-        "ta": 100.0 * ta_hits / n,
-        "pa": 100.0 * pa_hits / n,
+        "ta": 100.0 * float(np.mean(ta)),
+        "pa": 100.0 * float(np.mean(pa)),
         "d": 100.0 * float(np.mean(distances)),
     }
 

@@ -24,6 +24,10 @@ each recorded backward rule exactly once. Gradients accumulate into
 ``Tensor.grad``; calling ``backward`` again without resetting keeps
 accumulating.
 
+Only this module turns arrays into Tensors: every op takes numpy
+arrays or Tensors and wraps the arrays itself, so callers pass their
+arrays straight in and create Tensors only for parameters.
+
 SciPy, which supplies GeLU's erf, is imported at the first ``gelu``
 call, so a process that runs no model never loads it.
 """
@@ -65,9 +69,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same values, detached from gradient tracking."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
@@ -145,7 +146,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -643,14 +644,14 @@ def _fd_split(f, flat: np.flatiter, h: float) -> list:
             os.waitpid(pid, 0)
 
 
-def fd_gradient(f: Callable[[], float | Sequence[float]], param: Tensor, h: float = 1e-5) -> np.ndarray:
+def fd_gradient(f: Callable[[], float | Sequence[float]], param, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of f() w.r.t. param, element by element.
 
+    param is a Tensor or a float64 array, mutated in place and restored.
     f returns one loss, or several losses from one forward; the result
     has param's shape, behind one leading axis per loss in the latter
-    case. Mutates param.data in place and restores it. f must
-    re-evaluate the losses from the current parameter values on every
-    call.
+    case. f must re-evaluate the losses from the current parameter
+    values on every call.
 
     The elements are split into contiguous chunks over at most one
     process per usable CPU: the first chunk runs in this process, each
@@ -661,15 +662,16 @@ def fd_gradient(f: Callable[[], float | Sequence[float]], param: Tensor, h: floa
     that a worker raises.
     """
     global _check_outputs
-    # writes through .flat reach param.data whatever its memory layout
-    flat = param.data.flat
+    data = param.data if isinstance(param, Tensor) else param
+    # writes through .flat reach the values whatever their memory layout
+    flat = data.flat
     previous, _check_outputs = _check_outputs, False
     try:
         columns = _fd_split(f, flat, h)
     finally:
         _check_outputs = previous
     grad = np.stack(columns, axis=-1)
-    return grad.reshape(grad.shape[:-1] + param.data.shape)
+    return grad.reshape(grad.shape[:-1] + data.shape)
 
 
 def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

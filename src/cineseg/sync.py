@@ -58,9 +58,9 @@ def check_e_step_config(xi: float, percentile: float) -> None:
     """ConfigError unless the band is non-empty (0 < xi) and the
     threshold percentile lies in [0, 100]."""
     if not xi > 0:
-        raise ConfigError(f"band half-width xi must be positive, got {xi}")
+        raise ConfigError(f"em_xi (the band half-width) must be positive, got {xi}")
     if not 0 <= percentile <= 100:
-        raise ConfigError(f"percentile must lie in [0, 100], got {percentile}")
+        raise ConfigError(f"em_percentile must lie in [0, 100], got {percentile}")
 
 
 def lambda_per_sentence(values: np.ndarray, percentile: float = DEFAULT_PERCENTILE) -> np.ndarray:

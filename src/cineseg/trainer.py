@@ -34,6 +34,7 @@ from . import distill
 from . import metrics as mx
 from . import numcore as nc
 from . import sync
+from .dataio import NUM_TURNING_POINTS
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .numcore import Tensor
 
@@ -94,8 +95,7 @@ class Optimizer:
             self._v = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        nc.zero_grads(self.params.values())
 
     def _gather_grads(self):
         """Fill the gradient vector; True, or a mask of the live entries
@@ -224,7 +224,7 @@ def scene_shot_scores(model, movie) -> np.ndarray:
     scores = np.empty(n)
     for start in range(0, n, 256):
         idx = window_index(np.arange(start, min(start + 256, n)), half, n)
-        logits = af.forward_scene(model, [Tensor(s.samples[idx]) for s in movie.streams])
+        logits = af.forward_scene(model, [s.samples[idx] for s in movie.streams])
         probs = nc.softmax(logits, axis=-1)
         scores[start:start + len(idx)] = probs.data[:, 1]
     return scores
@@ -308,9 +308,7 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
             batch_labels = labels[chosen[:, half]]
             optimizer.zero_grad()
             with nc.Tape() as tape:
-                logits = af.forward_scene(
-                    model, [Tensor(s[chosen]) for s in streams], dropout_rng
-                )
+                logits = af.forward_scene(model, [s[chosen] for s in streams], dropout_rng)
                 loss = weighted_scene_ce(logits, batch_labels)
             step += 1
             one_class = bool(batch_labels.min() == batch_labels.max())
@@ -349,9 +347,8 @@ class ActPipeline:
     shot_model: af.FusionModel
     synopsis_model: af.FusionModel
     sync_head: sync.SyncHead
-    max_p_col_dev: float = 0.0
-    em_xi: float = sync.DEFAULT_BAND_XI
-    em_percentile: float = sync.DEFAULT_PERCENTILE
+    em_xi: float
+    em_percentile: float
 
     def e_step(self, movie_inputs) -> list:
         """One SyncMatrix per (shot feats, synopsis) pair of movie_inputs."""
@@ -372,7 +369,10 @@ class ActPipeline:
         return merged
 
 
-def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed) -> ActPipeline:
+def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.DEFAULT_BAND_XI,
+                       em_percentile=sync.DEFAULT_PERCENTILE) -> ActPipeline:
+    """The only ActPipeline constructor, for training and loading alike."""
+    sync.check_e_step_config(em_xi, em_percentile)
     if synopsis_cfg.num_modalities != 1:
         raise ConfigError("the synopsis model takes a single text modality")
     if shot_cfg.fused_width != synopsis_cfg.fused_width:
@@ -390,11 +390,17 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed) -> ActPipeli
     return ActPipeline(
         af.FusionModel(shot_cfg, tower_seed),
         af.FusionModel(synopsis_cfg, tower_seed),
-        sync.SyncHead(shot_cfg.fused_width, sync_dim, head_seed),
+        sync.SyncHead(shot_cfg.fused_width, sync_dim, head_seed), em_xi, em_percentile,
     )
 
 
 # ---- checkpoints ----
+
+# the configs of each checkpoint kind, with the class count of each
+_CHECKPOINT_CLASSES = {
+    "scene": {"model": 2},
+    "act": {"shot": NUM_TURNING_POINTS, "synopsis": NUM_TURNING_POINTS},
+}
 
 
 def _save_epoch(checkpoint_dir, epoch: int, trained) -> None:
@@ -410,7 +416,6 @@ def save_checkpoint(path, trained, epoch: int | None = None) -> None:
     """A FusionModel as a 'scene' checkpoint, an ActPipeline as an 'act' one."""
     extra = {} if epoch is None else {"epoch": epoch}
     if isinstance(trained, ActPipeline):
-        extra["max_p_col_dev"] = trained.max_p_col_dev
         extra["em_xi"] = trained.em_xi
         extra["em_percentile"] = trained.em_percentile
         configs = {
@@ -424,12 +429,22 @@ def save_checkpoint(path, trained, epoch: int | None = None) -> None:
 
 def load_checkpoint(path, expected: str | None = None):
     """(kind, FusionModel or ActPipeline, extra) from one read of the file;
-    a kind other than expected (when given) is a DataError."""
+    a kind other than expected (when given), or a checkpoint that training
+    could not have written, is a DataError."""
     kind, configs, arrays, extra = af.load_checkpoint(path)
-    if kind not in ("scene", "act"):
+    if kind not in _CHECKPOINT_CLASSES:
         raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
     if expected is not None and kind != expected:
         raise DataError(f"{path} holds a {kind!r} checkpoint, expected {expected}")
+    classes = {name: cfg.num_classes for name, cfg in configs.items()}
+    if classes != _CHECKPOINT_CLASSES[kind]:
+        raise DataError(
+            f"{path}: a {kind} checkpoint needs configs with these class counts: "
+            f"{_CHECKPOINT_CLASSES[kind]}, got {classes}"
+        )
+    epoch = extra.get("epoch", 0)
+    if type(epoch) is not int or epoch < 0:
+        raise DataError(f"{path}: extra 'epoch' must be a non-negative integer, got {epoch!r}")
     if kind == "scene":
         model = af.FusionModel(configs["model"], seed=0)
         af.load_params(model.params, arrays)
@@ -437,17 +452,15 @@ def load_checkpoint(path, expected: str | None = None):
     proj = arrays.get("sync.proj.w")
     if proj is None or proj.ndim != 2:
         raise DataError(f"{path} lacks the 2-D sync head parameter 'sync.proj.w'")
-    try:
+    try:  # a ConfigError is a ValueError
+        if not all(type(extra[key]) in (int, float) for key in ("em_xi", "em_percentile")):
+            raise TypeError("em_xi and em_percentile must be numbers")
         em_xi, em_percentile = float(extra["em_xi"]), float(extra["em_percentile"])
-        sync.check_e_step_config(em_xi, em_percentile)
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"{path} lacks valid E-step settings em_xi, em_percentile: {exc}")
-    pipeline = ActPipeline(
-        af.FusionModel(configs["shot"], seed=0),
-        af.FusionModel(configs["synopsis"], seed=0),
-        sync.SyncHead(configs["shot"].fused_width, proj.shape[1], seed=0),
-        float(extra.get("max_p_col_dev", 0.0)), em_xi, em_percentile,
-    )
+        pipeline = build_act_pipeline(
+            configs["shot"], configs["synopsis"], proj.shape[1], 0, em_xi, em_percentile
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} holds no act pipeline that training accepts: {exc}") from None
     af.load_params(pipeline.named_params(), arrays)
     return kind, pipeline, extra
 
@@ -468,7 +481,7 @@ def _scene_partition(movie):
 
 
 def act_shot_probs(shot_model, movie) -> np.ndarray:
-    """Per turning point, the shot distribution of one movie [num_shots x 5]."""
+    """Per turning point, the shot distribution of one movie [shots x turning points]."""
     feats, _ = movie_inputs(movie)
     return distill.shot_distribution(af.forward_act(shot_model, feats)).data
 
@@ -498,24 +511,16 @@ def act_eval(per_movie_probs, movies):
     return hits, total, events
 
 
-def act_report(
-    per_movie_probs, eval_movies, epoch: int, seed: int, max_p_col_dev: float
-) -> mx.MetricsReport:
+def act_report(per_movie_probs, eval_movies, epoch: int, seed: int) -> mx.MetricsReport:
     hits, total, events = act_eval(per_movie_probs, eval_movies)
     values = {
         "epoch": float(epoch),
         "span_hits": float(hits),
         "span_total": float(total),
         "span_hit_rate": hits / total,
-        "max_p_col_dev": max_p_col_dev,
         **mx.tp_metrics(events),
     }
-    return mx.MetricsReport(
-        task="act",
-        values=values,
-        flags=[mx.TP_DEFINITIONS_FLAG],
-        seed=seed,
-    )
+    return mx.MetricsReport(task="act", values=values, seed=seed)
 
 
 def _mean(parts):
@@ -588,8 +593,9 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
-    pipeline = build_act_pipeline(shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed)
-    pipeline.em_xi, pipeline.em_percentile = cfg.em_xi, cfg.em_percentile
+    pipeline = build_act_pipeline(
+        shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed, cfg.em_xi, cfg.em_percentile
+    )
     head = pipeline.sync_head
     optimizer = Optimizer(pipeline.named_params(), cfg.optimizer, cfg.lr)
 
@@ -602,7 +608,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
 
     def report(epoch):
         probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
-        return act_report(probs, eval_movies, epoch, cfg.seed, pipeline.max_p_col_dev)
+        return act_report(probs, eval_movies, epoch, cfg.seed)
 
     reports = [report(0)]
     logs = []
@@ -622,7 +628,6 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
                     pipeline, items, cfg.loss_weights, cfg.kd_joint, dropout_rng
                 )
             skipped = sync.skipped_queries([item[2] for item in items])
-            pipeline.max_p_col_dev = max(pipeline.max_p_col_dev, step_dev)
             step += 1
             skipped_total += skipped
             skipped_steps += skipped > 0

@@ -4,6 +4,7 @@ import pytest
 
 import cineseg.alignfuse as af
 import cineseg.numcore as nc
+import cineseg.trainer as trainer
 from cineseg.errors import BlobIOError, ConfigError, DataError
 
 
@@ -111,10 +112,9 @@ def test_fusion_sequence_length_and_fused_width():
     )
     model = af.FusionModel(cfg, seed=2)
     collect = {}
-    feats = [rng.normal(size=(17, d)) for d in cfg.modality_dims]
-    af.forward_act(model, feats, collect=collect)
+    feats = [rng.normal(size=(1, 17, d)) for d in cfg.modality_dims]
+    fused = af.encode(model, feats, collect=collect)
     assert collect["fusion_seq_lens"] == [3 * 2 + 17] * 3
-    fused = collect["fused"]
     assert fused.shape == (1, 17, 3 * cfg.width)
 
 
@@ -123,10 +123,11 @@ def test_single_modality_fusion_degenerates():
     cfg = tiny_cfg(modality_dims=(6,), num_classes=5)
     model = af.FusionModel(cfg, seed=3)
     collect = {}
-    logits = af.forward_act(model, [rng.normal(size=(5, 6))], collect=collect)
-    assert logits.shape == (5, 5)
+    feats = [rng.normal(size=(1, 5, 6))]
+    fused = af.encode(model, feats, collect=collect)
     assert collect["fusion_seq_lens"] == [2 + 5]
-    assert collect["fused"].shape == (1, 5, cfg.width)
+    assert fused.shape == (1, 5, cfg.width)
+    assert af.forward_act(model, [feats[0][0]]).shape == (5, 5)
 
 
 def test_shorter_inputs_use_leading_positions():
@@ -252,6 +253,49 @@ def test_model_gradients_match_finite_differences_smoke():
         p = model[name]
         fd = nc.fd_gradient(lambda: float(make_loss().data), p)
         err = nc.max_rel_error(p.grad, fd)
+        assert err < 1e-4, f"{name}: rel err {err:.2e}"
+
+
+def test_two_head_attention_matches_a_per_head_reference():
+    cfg = tiny_cfg(num_heads=2)
+    model = af.FusionModel(cfg, seed=19)
+    x = np.random.default_rng(19).normal(size=(2, 7, cfg.width))
+    got = af._attention(model, "mod0.uni0.", x).data
+
+    def project(piece):
+        prefix = f"mod0.uni0.attn.{piece}"
+        return x @ model[prefix + ".w"].data + model[prefix + ".b"].data
+
+    q, k, v = project("q"), project("k"), project("v")
+    half = cfg.width // 2
+    heads = []
+    for h in range(2):
+        cols = slice(h * half, (h + 1) * half)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(half)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        heads.append(weights @ v[..., cols])
+    npt.assert_allclose(got, np.concatenate(heads, axis=-1), rtol=1e-12, atol=1e-14)
+
+
+def test_two_head_gradients_match_finite_differences():
+    rng = np.random.default_rng(20)
+    cfg = tiny_cfg(num_heads=2)
+    model = af.FusionModel(cfg, seed=20)
+    feats = rand_inputs(rng, cfg)
+    r = rng.normal(size=(2, 2))
+
+    def make_loss():
+        return nc.sum_all(nc.mul(af.forward_scene(model, feats), r))
+
+    with nc.Tape() as tape:
+        loss = make_loss()
+    nc.backward(tape, loss)
+    # one finite-difference pass over every element of every parameter
+    flat, slices = trainer.flatten_params(model.params)
+    fd = nc.fd_gradient(lambda: float(make_loss().data), flat)
+    for (name, p), sl in zip(model.params.items(), slices):
+        err = nc.max_rel_error(p.grad, fd[sl].reshape(p.shape))
         assert err < 1e-4, f"{name}: rel err {err:.2e}"
 
 

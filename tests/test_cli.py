@@ -465,7 +465,7 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit",
     ["drop sync.log_tau", "drop sync.proj.w", "add sync.scale", "reshape sync.proj.b",
-     "drop em_xi", "set em_percentile=150"],
+     "drop em_xi", "set em_percentile=150", "quote em_xi=0.3"],
 )
 def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, edit):
     kind, configs, arrays, extra = af.load_checkpoint(act_run / "model.ckpt")
@@ -475,6 +475,8 @@ def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, e
         del (extra if name.startswith("em_") else arrays)[name]
     elif action == "set":
         extra[name] = float(value)
+    elif action == "quote":  # a number written as a JSON string
+        extra[name] = value
     elif action == "add":
         arrays[name] = np.ones(1)
     else:
@@ -488,6 +490,56 @@ def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, e
     assert code == 3
     err = capsys.readouterr().err
     assert "data error" in err and name in err
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _setting(path, value):
+    """A header edit that replaces the entry at a key path."""
+
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+
+    return edit
+
+
+MALFORMED_HEADERS = {
+    "header is a list": lambda header: [header],
+    "configs missing": _without("configs"),
+    "params missing": _without("params"),
+    "params is 7": _setting(["params"], 7),
+    "configs is a list": _setting(["configs"], []),
+    "extra is null": _setting(["extra"], None),
+    "epoch is a string": _setting(["extra", "epoch"], "x"),
+    "shape is a string": _setting(["params", 0, "shape"], "x"),
+    "shape is negative": _setting(["params", 0, "shape"], [-1]),
+    "shape needs 8 TB": _setting(["params", 0, "shape"], [10**12]),
+    "unknown config key": _setting(["configs", "model", "colour"], 1),
+    "modality_dims is an int": _setting(["configs", "model", "modality_dims"], 5),
+    "even scene seq_len": _setting(["configs", "model", "seq_len"], 6),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_HEADERS))
+def test_malformed_checkpoint_header_exits_3(scene_run, scene_data, tmp_path, capsys, edit):
+    header, _, blobs = (scene_run / "model.ckpt").read_bytes().partition(b"\n")
+    header = MALFORMED_HEADERS[edit](json.loads(header))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+    out = tmp_path / "out"
+    code = cli.main(
+        ["eval", "--checkpoint", str(bad), "--data", str(scene_data), "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("data error") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_nonfinite_blob_exits_4(scene_data, scene_run, tmp_path, capsys):
@@ -664,3 +716,13 @@ def test_bad_value_exits_2_before_any_work(
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not any(tmp_path.rglob("*"))  # no --out, nor any file beside it
+
+
+def test_non_utf8_config_file_exits_2_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfeshots=40\n")
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg), "--movies", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg) in err
+    assert not out.exists()

@@ -73,3 +73,70 @@ def test_no_module_level_scipy_import(path):
     # SciPy's import costs more than a synth run; gelu imports it on first use
     scipy = [m for m in module_level_imports(path.read_text()) if m.split(".")[0] == "scipy"]
     assert scipy == []
+
+
+def tensor_boundary_violations(source: str) -> list[str]:
+    """Array-to-Tensor conversions outside numcore, whose ops wrap arrays
+    themselves: every isinstance(..., Tensor) check, and every Tensor(...)
+    call that neither creates a parameter (requires_grad=True) nor wraps
+    a numeric literal."""
+
+    def is_tensor(node):
+        return (isinstance(node, ast.Name) and node.id == "Tensor") or (
+            isinstance(node, ast.Attribute) and node.attr == "Tensor"
+        )
+
+    def is_number(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return False
+        return type(value) in (int, float)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            if any(is_tensor(n) for arg in node.args[1:] for n in ast.walk(arg)):
+                found.append(f"line {node.lineno}: isinstance check against Tensor")
+        elif is_tensor(node.func):
+            parameter = any(
+                k.arg == "requires_grad" and isinstance(k.value, ast.Constant)
+                and k.value.value is True
+                for k in node.keywords
+            )
+            literal = len(node.args) == 1 and not node.keywords and is_number(node.args[0])
+            if not (parameter or literal):
+                found.append(f"line {node.lineno}: Tensor(...) of a non-literal")
+    return found
+
+
+def test_checker_finds_tensor_conversions():
+    source = (
+        "from .numcore import Tensor\n"
+        "a = Tensor(rows)\n"
+        "b = Tensor(np.zeros(3), requires_grad=True)\n"
+        "c = Tensor(0.0) if Tensor(-1) else None\n"
+        "d = nc.Tensor(rows)\n"
+        "e = isinstance(x, Tensor)\n"
+        "f = isinstance(x, (list, nc.Tensor))\n"
+        "g = Tensor(rows, requires_grad=False)\n"
+        "h = Tensor(True)\n"
+    )
+    assert tensor_boundary_violations(source) == [
+        "line 2: Tensor(...) of a non-literal",
+        "line 5: Tensor(...) of a non-literal",
+        "line 6: isinstance check against Tensor",
+        "line 7: isinstance check against Tensor",
+        "line 8: Tensor(...) of a non-literal",
+        "line 9: Tensor(...) of a non-literal",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "numcore.py"],
+    ids=lambda p: p.name,
+)
+def test_only_numcore_turns_arrays_into_tensors(path):
+    assert tensor_boundary_violations(path.read_text()) == []

@@ -162,11 +162,25 @@ def test_tp_metrics_hand_case():
     assert result["d"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tp_metrics_partial_agreement_inside_interval():
-    result = metrics.tp_metrics([(3, {2, 5}, 10)])
-    assert result["ta"] == 0.0
-    assert result["pa"] == 100.0
-    assert result["d"] == pytest.approx(10.0)
+def test_tp_metrics_one_gold_scene():
+    # S = {4}, G = {4}: TA 1/1, PA 1, D 0; S = {6}, G = {4}: TA 0, PA 0, D 2/10
+    result = metrics.tp_metrics([(4, {4}, 10), (6, {4}, 10)])
+    assert result == {"ta": 50.0, "pa": 50.0, "d": pytest.approx(10.0)}
+
+
+@pytest.mark.parametrize(
+    "event, want",
+    [
+        # S = {3} inside G = {3, 7}: |S & G| / |S | G| = 1/2, PA 1, D 0
+        ((3, {3, 7}, 13), {"ta": 50.0, "pa": 100.0, "d": 0.0}),
+        # a scene between two gold scenes is no agreement: D = 2/13
+        ((5, {3, 7}, 13), {"ta": 0.0, "pa": 0.0, "d": pytest.approx(100 * 2 / 13)}),
+        ((3, {2, 5}, 10), {"ta": 0.0, "pa": 0.0, "d": pytest.approx(10.0)}),
+    ],
+    ids=["S-in-G", "S-between-G-13", "S-between-G-10"],
+)
+def test_tp_metrics_two_gold_scenes(event, want):
+    assert metrics.tp_metrics([event]) == want
 
 
 def test_tp_metrics_constant_distance():
