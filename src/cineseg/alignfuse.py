@@ -20,13 +20,18 @@ Encoder blocks follow post-norm ordering: self-attention, residual +
 layernorm, a GeLU feed-forward (width -> ffn_width -> width), residual
 + layernorm, then dropout. Attention is single-head scaled dot product
 by default; num_heads > 1 splits channels evenly.
+
+A checkpoint is a JSON header line (format, version, kind, configs,
+extra) and then every parameter's float64 bytes in the order the model
+constructors create them. The header names no parameter, so a change of
+that order (FusionModel, sync.SyncHead, trainer.ActPipeline.named_params)
+must bump CHECKPOINT_VERSION.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -38,7 +43,7 @@ from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
 CHECKPOINT_FORMAT = "cineseg-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the JSON types a checkpoint may give each ModelConfig field, by its
 # annotation (modality_dims is a list of ints)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -93,7 +98,8 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d) -> "ModelConfig":
         """The inverse of to_dict for a checkpoint's config: every field
-        present with its JSON type and a valid value, else a DataError."""
+        present with its JSON type, else a DataError. The values are
+        checked once, by the model constructor."""
         if not isinstance(d, dict):
             raise DataError(f"a model config must be an object, got {type(d).__name__}")
         names = {f.name for f in fields(cls)}
@@ -110,12 +116,7 @@ class ModelConfig:
                 ok = type(value) in _JSON_TYPES[f.type]
             if not ok:
                 raise DataError(f"model config key '{f.name}' has a bad type: {value!r}")
-        cfg = cls(**{**d, "modality_dims": tuple(d["modality_dims"])})
-        try:
-            cfg.validate()
-        except ConfigError as exc:
-            raise DataError(f"model config rejected: {exc}") from None
-        return cfg
+        return cls(**{**d, "modality_dims": tuple(d["modality_dims"])})
 
 
 def align_buckets(seq_len: int, align_len: int) -> np.ndarray:
@@ -171,25 +172,6 @@ class FusionModel:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-
-def load_params(params: dict, arrays: dict) -> None:
-    """Copy checkpoint arrays into the named parameter tensors in place;
-    the names and shapes must match exactly."""
-    missing = set(params) - set(arrays)
-    extra = set(arrays) - set(params)
-    if missing or extra:
-        raise DataError(
-            f"checkpoint parameters do not match model: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}"
-        )
-    for name, tensor in params.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != tensor.shape:
-            raise DataError(
-                f"parameter '{name}': checkpoint shape {arr.shape} vs model {tensor.shape}"
-            )
-        tensor.data[...] = arr
 
 
 def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
@@ -370,15 +352,12 @@ def forward_act(model, feats_list, rng=None) -> Tensor:
 
 
 def save_checkpoint(path, kind: str, configs: dict, params: dict, extra: dict | None = None):
-    """One file: a JSON header line, then named float64 blobs in order."""
+    """A header line, then the parameters' float64 bytes in dict order."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "kind": kind,
         "configs": {k: v.to_dict() for k, v in configs.items()},
-        "params": [
-            {"name": name, "shape": list(t.shape)} for name, t in params.items()
-        ],
         "extra": extra or {},
     }
     chunks = [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"]
@@ -386,9 +365,13 @@ def save_checkpoint(path, kind: str, configs: dict, params: dict, extra: dict | 
     atomic_write(path, b"".join(chunks))
 
 
-def _parse_header(path, line: bytes):
-    """(kind, configs, [(name, shape)], extra) from a checkpoint's first
-    line; a DataError unless it has the layout save_checkpoint writes."""
+def load_checkpoint(path):
+    """(kind, configs, extra, body) with the parameter bytes in body; a
+    header that save_checkpoint could not have written is a DataError."""
+    path = Path(path)
+    if not path.exists():
+        raise BlobIOError(f"checkpoint not found: {path}")
+    line, _, body = path.read_bytes().partition(b"\n")
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -397,71 +380,35 @@ def _parse_header(path, line: bytes):
         raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise DataError(
-            f"{path} has checkpoint version {header.get('version')}, "
-            f"expected {CHECKPOINT_VERSION}"
+            f"{path} has checkpoint version {header.get('version')}, this version reads "
+            f"only {CHECKPOINT_VERSION}; re-train the model to write one"
         )
-    for key, want in (("kind", str), ("configs", dict), ("params", list), ("extra", dict)):
+    for key, want in (("kind", str), ("configs", dict), ("extra", dict)):
         if not isinstance(header.get(key), want):
             raise DataError(
                 f"{path}: checkpoint header key '{key}' must hold a {want.__name__}, "
                 f"got {type(header.get(key)).__name__}"
             )
-    kind, configs, params, extra = (header[k] for k in ("kind", "configs", "params", "extra"))
-    layout = []
-    for meta in params:
-        entry = meta if isinstance(meta, dict) else {}
-        name, shape = entry.get("name"), entry.get("shape")
-        if not (isinstance(name, str) and isinstance(shape, list)
-                and all(type(n) is int and n >= 0 for n in shape)):
-            raise DataError(
-                f"{path}: parameter entry {meta!r} needs a 'name' and a 'shape' "
-                "of non-negative integers"
-            )
-        layout.append((name, tuple(shape)))
-    if len({name for name, _ in layout}) != len(layout):
-        raise DataError(f"{path} lists a parameter name twice")
-    parsed = {}
-    for key, value in configs.items():
+    configs = {}
+    for key, value in header["configs"].items():
         try:
-            parsed[key] = ModelConfig.from_dict(value)
+            configs[key] = ModelConfig.from_dict(value)
         except DataError as exc:
             raise DataError(f"{path}: config '{key}': {exc}") from None
-    return kind, parsed, layout, extra
+    return header["kind"], configs, header["extra"], body
 
 
-def load_checkpoint(path):
-    """Returns (kind, configs, arrays, extra); bit-exact with what was saved.
-
-    The header is checked in full, and the parameter sizes it lists
-    against the file's length, before any parameter is read. A parameter
-    larger than all the bytes after the header, or bytes to spare after
-    the last parameter, is a DataError; a file that ends inside the
-    parameters is truncated, a BlobIOError.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise BlobIOError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
-        kind, configs, layout, extra = _parse_header(path, fh.readline())
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        sizes = [8 * math.prod(shape) for _, shape in layout]
-        offset = 0
-        for (name, _), size in zip(layout, sizes):
-            if size > remaining:  # taken as a bad shape rather than a cut file
-                raise DataError(
-                    f"{path}: parameter '{name}' lists {size} bytes, more than the "
-                    f"{remaining} the file holds after its header"
-                )
-            if offset + size > remaining:
-                raise BlobIOError(
-                    f"{path}: parameter '{name}' truncated "
-                    f"({remaining - offset} of {size} bytes)"
-                )
-            offset += size
-        if offset < remaining:
-            raise DataError(f"{path} has trailing bytes after the last parameter")
-        arrays = {
-            name: np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
-            for (name, shape), size in zip(layout, sizes)
-        }
-    return kind, configs, arrays, extra
+def load_params(params: dict, body: bytes, path) -> None:
+    """Fill the parameters in place, in dict order, from a checkpoint body
+    that covers them exactly: a shorter body is a BlobIOError, a longer
+    one a DataError."""
+    need = 8 * sum(t.data.size for t in params.values())
+    if len(body) < need:
+        raise BlobIOError(f"{path} is truncated: {len(body)} of the {need} parameter bytes")
+    if len(body) > need:
+        raise DataError(f"{path} has {len(body) - need} trailing bytes after its parameters")
+    flat = np.frombuffer(body, dtype="<f8")
+    offset = 0
+    for t in params.values():
+        t.data[...] = flat[offset:offset + t.data.size].reshape(t.data.shape)
+        offset += t.data.size

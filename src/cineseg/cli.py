@@ -74,8 +74,6 @@ SCENE_KEYS = {
     "model.fusion_depth": 1,
     "model.dropout": 0.1,
     "model.num_heads": 1,
-    "model.align_pe_embed": True,
-    "model.align_pe_tokens": True,
     "train.epochs": 20,
     "train.batch_size": 1024,
     "train.optimizer": "adam",
@@ -95,8 +93,6 @@ ACT_KEYS = {
     "shot.fusion_depth": 1,
     "shot.dropout": 0.5,
     "shot.num_heads": 1,
-    "shot.align_pe_embed": True,
-    "shot.align_pe_tokens": True,
     "synopsis.seq_len": 60,
     "synopsis.align_len": 20,
     "synopsis.ffn_width": 128,
@@ -111,7 +107,6 @@ ACT_KEYS = {
     "train.em_every": 1,
     "train.em_xi": sync.DEFAULT_BAND_XI,
     "train.em_percentile": sync.DEFAULT_PERCENTILE,
-    "train.kd_joint": False,
     "train.sync_dim": 128,
     **{
         f"train.alpha_{term}": weight

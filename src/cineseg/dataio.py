@@ -162,16 +162,14 @@ class SynthConfig:
         check_modalities(self.modalities, ConfigError)
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be positive")
-        if self.noise < 0:
-            raise ConfigError("noise must be non-negative")
         if self.shots_jitter < 0:
             raise ConfigError("shots_jitter must be non-negative")
-        if self.tp_motif_scale < 0:
-            raise ConfigError("tp_motif_scale must be non-negative")
         if self.tp_motif_halfwidth < 0:
             raise ConfigError("tp_motif_halfwidth must be non-negative")
-        if self.cut_jitter < 0:
-            raise ConfigError("cut_jitter must be non-negative")
+        for name in ("noise", "tp_jitter", "cut_jitter", "tp_motif_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _scene_latents(rng, scenes: int, latent_dim: int) -> np.ndarray:

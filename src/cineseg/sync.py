@@ -55,10 +55,10 @@ def compute_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def check_e_step_config(xi: float, percentile: float) -> None:
-    """ConfigError unless the band is non-empty (0 < xi) and the
+    """ConfigError unless the band is non-empty (0 < xi < inf) and the
     threshold percentile lies in [0, 100]."""
-    if not xi > 0:
-        raise ConfigError(f"em_xi (the band half-width) must be positive, got {xi}")
+    if not 0 < xi < np.inf:
+        raise ConfigError(f"em_xi (the band half-width) must be positive and finite, got {xi}")
     if not 0 <= percentile <= 100:
         raise ConfigError(f"em_percentile must lie in [0, 100], got {percentile}")
 

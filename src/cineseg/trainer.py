@@ -82,8 +82,8 @@ class Optimizer:
     def __init__(self, params: dict, kind: str = "adam", lr: float = 1e-4):
         if kind not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer kind {kind!r}")
-        if lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (np.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         self.params = dict(params)
         self.kind = kind
         self.lr = float(lr)
@@ -170,9 +170,8 @@ class TrainConfig:
             raise ConfigError("em_every must be at least 1")
         if len(self.loss_weights) != 3:
             raise ConfigError("loss_weights needs exactly three entries")
-        if self.sync_dim < 1:
-            raise ConfigError("sync_dim must be positive")
-        sync.check_e_step_config(self.em_xi, self.em_percentile)
+        if not all(np.isfinite(w) and w >= 0 for w in self.loss_weights):
+            raise ConfigError(f"loss weights must be finite and >= 0, got {self.loss_weights}")
 
 
 def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
@@ -373,6 +372,8 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.D
                        em_percentile=sync.DEFAULT_PERCENTILE) -> ActPipeline:
     """The only ActPipeline constructor, for training and loading alike."""
     sync.check_e_step_config(em_xi, em_percentile)
+    if sync_dim < 1:
+        raise ConfigError(f"sync_dim must be positive, got {sync_dim}")
     if synopsis_cfg.num_modalities != 1:
         raise ConfigError("the synopsis model takes a single text modality")
     if shot_cfg.fused_width != synopsis_cfg.fused_width:
@@ -418,6 +419,7 @@ def save_checkpoint(path, trained, epoch: int | None = None) -> None:
     if isinstance(trained, ActPipeline):
         extra["em_xi"] = trained.em_xi
         extra["em_percentile"] = trained.em_percentile
+        extra["sync_dim"] = trained.sync_head.proj_dim
         configs = {
             "shot": trained.shot_model.config,
             "synopsis": trained.synopsis_model.config,
@@ -430,8 +432,9 @@ def save_checkpoint(path, trained, epoch: int | None = None) -> None:
 def load_checkpoint(path, expected: str | None = None):
     """(kind, FusionModel or ActPipeline, extra) from one read of the file;
     a kind other than expected (when given), or a checkpoint that training
-    could not have written, is a DataError."""
-    kind, configs, arrays, extra = af.load_checkpoint(path)
+    could not have written, is a DataError. The model is built by the
+    constructor training uses, so its checks run here too."""
+    kind, configs, extra, body = af.load_checkpoint(path)
     if kind not in _CHECKPOINT_CLASSES:
         raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
     if expected is not None and kind != expected:
@@ -445,24 +448,22 @@ def load_checkpoint(path, expected: str | None = None):
     epoch = extra.get("epoch", 0)
     if type(epoch) is not int or epoch < 0:
         raise DataError(f"{path}: extra 'epoch' must be a non-negative integer, got {epoch!r}")
-    if kind == "scene":
-        model = af.FusionModel(configs["model"], seed=0)
-        af.load_params(model.params, arrays)
-        return kind, model, extra
-    proj = arrays.get("sync.proj.w")
-    if proj is None or proj.ndim != 2:
-        raise DataError(f"{path} lacks the 2-D sync head parameter 'sync.proj.w'")
-    try:  # a ConfigError is a ValueError
-        if not all(type(extra[key]) in (int, float) for key in ("em_xi", "em_percentile")):
-            raise TypeError("em_xi and em_percentile must be numbers")
-        em_xi, em_percentile = float(extra["em_xi"]), float(extra["em_percentile"])
-        pipeline = build_act_pipeline(
-            configs["shot"], configs["synopsis"], proj.shape[1], 0, em_xi, em_percentile
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path} holds no act pipeline that training accepts: {exc}") from None
-    af.load_params(pipeline.named_params(), arrays)
-    return kind, pipeline, extra
+    try:
+        if kind == "scene":
+            trained = af.FusionModel(configs["model"], seed=0)
+            params = trained.params
+        else:
+            xi, percentile, sync_dim = (extra.get(k) for k in ("em_xi", "em_percentile", "sync_dim"))
+            if {type(xi), type(percentile)} - {int, float} or type(sync_dim) is not int:
+                raise ConfigError("em_xi and em_percentile must be numbers, sync_dim an integer")
+            trained = build_act_pipeline(
+                configs["shot"], configs["synopsis"], sync_dim, 0, float(xi), float(percentile)
+            )
+            params = trained.named_params()
+    except ConfigError as exc:
+        raise DataError(f"{path} holds no {kind} model that training accepts: {exc}") from None
+    af.load_params(params, body, path)
+    return kind, trained, extra
 
 
 def movie_inputs(movie):

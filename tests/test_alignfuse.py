@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import cineseg.alignfuse as af
+import cineseg.gradcheck as gradcheck
 import cineseg.numcore as nc
 import cineseg.trainer as trainer
 from cineseg.errors import BlobIOError, ConfigError, DataError
@@ -315,10 +316,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = af.FusionModel(cfg, seed=16)
     path = tmp_path / "model.ckpt"
     af.save_checkpoint(path, "scene", {"model": cfg}, model.params, extra={"seed": 16})
-    kind, configs, arrays, extra = af.load_checkpoint(path)
+    kind, configs, extra, body = af.load_checkpoint(path)
     assert kind == "scene" and extra == {"seed": 16}
     rebuilt = af.FusionModel(configs["model"], seed=0)
-    af.load_params(rebuilt.params, arrays)
+    af.load_params(rebuilt.params, body, path)
     for name in model.params:
         assert rebuilt[name].data.tobytes() == model[name].data.tobytes()
     # a second save of the loaded state reproduces the file byte for byte
@@ -335,23 +336,121 @@ def test_checkpoint_errors(tmp_path):
     with pytest.raises(BlobIOError):
         af.load_checkpoint(tmp_path / "nope.ckpt")
     data = path.read_bytes()
+    # a file cut inside its parameters still has a whole header; the
+    # missing bytes show when they are mapped onto the model
     (tmp_path / "cut.ckpt").write_bytes(data[:-16])
+    _, configs, _, body = af.load_checkpoint(tmp_path / "cut.ckpt")
     with pytest.raises(BlobIOError) as exc:
-        af.load_checkpoint(tmp_path / "cut.ckpt")
+        af.load_params(af.FusionModel(configs["model"], seed=0).params, body, "cut.ckpt")
     assert "bytes" in str(exc.value)
     (tmp_path / "junk.ckpt").write_bytes(b"\x00\x01binary\n" + data)
     with pytest.raises(DataError):
         af.load_checkpoint(tmp_path / "junk.ckpt")
+    (tmp_path / "old.ckpt").write_bytes(data.replace(b'"version": 2', b'"version": 1', 1))
+    with pytest.raises(DataError, match="re-train"):
+        af.load_checkpoint(tmp_path / "old.ckpt")
 
 
 def test_load_params_rejects_mismatches():
     model = af.FusionModel(tiny_cfg(), seed=18)
-    arrays = {k: v.data for k, v in model.params.items()}
-    bad = dict(arrays)
-    bad.pop("head.w")
-    with pytest.raises(DataError):
-        af.load_params(model.params, bad)
-    bad2 = dict(arrays)
-    bad2["head.w"] = np.zeros((1, 1))
-    with pytest.raises(DataError):
-        af.load_params(model.params, bad2)
+    body = b"".join(p.data.tobytes() for p in model.params.values())
+    with pytest.raises(BlobIOError):  # a body cut inside the parameters
+        af.load_params(model.params, body[:-8], "short.ckpt")
+    with pytest.raises(DataError):  # bytes to spare after the last parameter
+        af.load_params(model.params, body + bytes(8), "long.ckpt")
+    af.load_params(model.params, body, "exact.ckpt")
+
+
+# the (name, shape) order in which the constructors create the parameters
+# of gradcheck's tiny models; a checkpoint body follows it
+SCENE_LAYOUT = [
+    ("align_pe", (2, 8)), ("mod0.proj.w", (3, 8)), ("mod0.proj.b", (8,)),
+    ("mod0.pe", (5, 8)), ("mod0.embed_ln.g", (8,)), ("mod0.embed_ln.b", (8,)),
+    ("mod0.tokens", (2, 8)), ("mod0.uni0.attn.q.w", (8, 8)), ("mod0.uni0.attn.q.b", (8,)),
+    ("mod0.uni0.attn.k.w", (8, 8)), ("mod0.uni0.attn.k.b", (8,)),
+    ("mod0.uni0.attn.v.w", (8, 8)), ("mod0.uni0.attn.v.b", (8,)), ("mod0.uni0.ln1.g", (8,)),
+    ("mod0.uni0.ln1.b", (8,)), ("mod0.uni0.ffn.lift.w", (8, 16)),
+    ("mod0.uni0.ffn.lift.b", (16,)), ("mod0.uni0.ffn.drop.w", (16, 8)),
+    ("mod0.uni0.ffn.drop.b", (8,)), ("mod0.uni0.ln2.g", (8,)), ("mod0.uni0.ln2.b", (8,)),
+    ("mod0.fus0.attn.q.w", (8, 8)), ("mod0.fus0.attn.q.b", (8,)),
+    ("mod0.fus0.attn.k.w", (8, 8)), ("mod0.fus0.attn.k.b", (8,)),
+    ("mod0.fus0.attn.v.w", (8, 8)), ("mod0.fus0.attn.v.b", (8,)), ("mod0.fus0.ln1.g", (8,)),
+    ("mod0.fus0.ln1.b", (8,)), ("mod0.fus0.ffn.lift.w", (8, 16)),
+    ("mod0.fus0.ffn.lift.b", (16,)), ("mod0.fus0.ffn.drop.w", (16, 8)),
+    ("mod0.fus0.ffn.drop.b", (8,)), ("mod0.fus0.ln2.g", (8,)), ("mod0.fus0.ln2.b", (8,)),
+    ("mod1.proj.w", (2, 8)), ("mod1.proj.b", (8,)), ("mod1.pe", (5, 8)),
+    ("mod1.embed_ln.g", (8,)), ("mod1.embed_ln.b", (8,)), ("mod1.tokens", (2, 8)),
+    ("mod1.uni0.attn.q.w", (8, 8)), ("mod1.uni0.attn.q.b", (8,)),
+    ("mod1.uni0.attn.k.w", (8, 8)), ("mod1.uni0.attn.k.b", (8,)),
+    ("mod1.uni0.attn.v.w", (8, 8)), ("mod1.uni0.attn.v.b", (8,)), ("mod1.uni0.ln1.g", (8,)),
+    ("mod1.uni0.ln1.b", (8,)), ("mod1.uni0.ffn.lift.w", (8, 16)),
+    ("mod1.uni0.ffn.lift.b", (16,)), ("mod1.uni0.ffn.drop.w", (16, 8)),
+    ("mod1.uni0.ffn.drop.b", (8,)), ("mod1.uni0.ln2.g", (8,)), ("mod1.uni0.ln2.b", (8,)),
+    ("mod1.fus0.attn.q.w", (8, 8)), ("mod1.fus0.attn.q.b", (8,)),
+    ("mod1.fus0.attn.k.w", (8, 8)), ("mod1.fus0.attn.k.b", (8,)),
+    ("mod1.fus0.attn.v.w", (8, 8)), ("mod1.fus0.attn.v.b", (8,)), ("mod1.fus0.ln1.g", (8,)),
+    ("mod1.fus0.ln1.b", (8,)), ("mod1.fus0.ffn.lift.w", (8, 16)),
+    ("mod1.fus0.ffn.lift.b", (16,)), ("mod1.fus0.ffn.drop.w", (16, 8)),
+    ("mod1.fus0.ffn.drop.b", (8,)), ("mod1.fus0.ln2.g", (8,)), ("mod1.fus0.ln2.b", (8,)),
+    ("head.w", (16, 2)), ("head.b", (2,)),
+]
+ACT_LAYOUT = [
+    ("shot.align_pe", (2, 8)), ("shot.mod0.proj.w", (3, 8)), ("shot.mod0.proj.b", (8,)),
+    ("shot.mod0.pe", (5, 8)), ("shot.mod0.embed_ln.g", (8,)),
+    ("shot.mod0.embed_ln.b", (8,)), ("shot.mod0.tokens", (2, 8)),
+    ("shot.mod0.uni0.attn.q.w", (8, 8)), ("shot.mod0.uni0.attn.q.b", (8,)),
+    ("shot.mod0.uni0.attn.k.w", (8, 8)), ("shot.mod0.uni0.attn.k.b", (8,)),
+    ("shot.mod0.uni0.attn.v.w", (8, 8)), ("shot.mod0.uni0.attn.v.b", (8,)),
+    ("shot.mod0.uni0.ln1.g", (8,)), ("shot.mod0.uni0.ln1.b", (8,)),
+    ("shot.mod0.uni0.ffn.lift.w", (8, 16)), ("shot.mod0.uni0.ffn.lift.b", (16,)),
+    ("shot.mod0.uni0.ffn.drop.w", (16, 8)), ("shot.mod0.uni0.ffn.drop.b", (8,)),
+    ("shot.mod0.uni0.ln2.g", (8,)), ("shot.mod0.uni0.ln2.b", (8,)),
+    ("shot.mod0.fus0.attn.q.w", (8, 8)), ("shot.mod0.fus0.attn.q.b", (8,)),
+    ("shot.mod0.fus0.attn.k.w", (8, 8)), ("shot.mod0.fus0.attn.k.b", (8,)),
+    ("shot.mod0.fus0.attn.v.w", (8, 8)), ("shot.mod0.fus0.attn.v.b", (8,)),
+    ("shot.mod0.fus0.ln1.g", (8,)), ("shot.mod0.fus0.ln1.b", (8,)),
+    ("shot.mod0.fus0.ffn.lift.w", (8, 16)), ("shot.mod0.fus0.ffn.lift.b", (16,)),
+    ("shot.mod0.fus0.ffn.drop.w", (16, 8)), ("shot.mod0.fus0.ffn.drop.b", (8,)),
+    ("shot.mod0.fus0.ln2.g", (8,)), ("shot.mod0.fus0.ln2.b", (8,)),
+    ("shot.mod1.proj.w", (2, 8)), ("shot.mod1.proj.b", (8,)), ("shot.mod1.pe", (5, 8)),
+    ("shot.mod1.embed_ln.g", (8,)), ("shot.mod1.embed_ln.b", (8,)),
+    ("shot.mod1.tokens", (2, 8)), ("shot.mod1.uni0.attn.q.w", (8, 8)),
+    ("shot.mod1.uni0.attn.q.b", (8,)), ("shot.mod1.uni0.attn.k.w", (8, 8)),
+    ("shot.mod1.uni0.attn.k.b", (8,)), ("shot.mod1.uni0.attn.v.w", (8, 8)),
+    ("shot.mod1.uni0.attn.v.b", (8,)), ("shot.mod1.uni0.ln1.g", (8,)),
+    ("shot.mod1.uni0.ln1.b", (8,)), ("shot.mod1.uni0.ffn.lift.w", (8, 16)),
+    ("shot.mod1.uni0.ffn.lift.b", (16,)), ("shot.mod1.uni0.ffn.drop.w", (16, 8)),
+    ("shot.mod1.uni0.ffn.drop.b", (8,)), ("shot.mod1.uni0.ln2.g", (8,)),
+    ("shot.mod1.uni0.ln2.b", (8,)), ("shot.mod1.fus0.attn.q.w", (8, 8)),
+    ("shot.mod1.fus0.attn.q.b", (8,)), ("shot.mod1.fus0.attn.k.w", (8, 8)),
+    ("shot.mod1.fus0.attn.k.b", (8,)), ("shot.mod1.fus0.attn.v.w", (8, 8)),
+    ("shot.mod1.fus0.attn.v.b", (8,)), ("shot.mod1.fus0.ln1.g", (8,)),
+    ("shot.mod1.fus0.ln1.b", (8,)), ("shot.mod1.fus0.ffn.lift.w", (8, 16)),
+    ("shot.mod1.fus0.ffn.lift.b", (16,)), ("shot.mod1.fus0.ffn.drop.w", (16, 8)),
+    ("shot.mod1.fus0.ffn.drop.b", (8,)), ("shot.mod1.fus0.ln2.g", (8,)),
+    ("shot.mod1.fus0.ln2.b", (8,)), ("shot.head.w", (16, 5)), ("shot.head.b", (5,)),
+    ("synopsis.align_pe", (2, 16)), ("synopsis.mod0.proj.w", (5, 16)),
+    ("synopsis.mod0.proj.b", (16,)), ("synopsis.mod0.pe", (3, 16)),
+    ("synopsis.mod0.embed_ln.g", (16,)), ("synopsis.mod0.embed_ln.b", (16,)),
+    ("synopsis.mod0.tokens", (2, 16)), ("synopsis.mod0.uni0.attn.q.w", (16, 16)),
+    ("synopsis.mod0.uni0.attn.q.b", (16,)), ("synopsis.mod0.uni0.attn.k.w", (16, 16)),
+    ("synopsis.mod0.uni0.attn.k.b", (16,)), ("synopsis.mod0.uni0.attn.v.w", (16, 16)),
+    ("synopsis.mod0.uni0.attn.v.b", (16,)), ("synopsis.mod0.uni0.ln1.g", (16,)),
+    ("synopsis.mod0.uni0.ln1.b", (16,)), ("synopsis.mod0.uni0.ffn.lift.w", (16, 16)),
+    ("synopsis.mod0.uni0.ffn.lift.b", (16,)), ("synopsis.mod0.uni0.ffn.drop.w", (16, 16)),
+    ("synopsis.mod0.uni0.ffn.drop.b", (16,)), ("synopsis.mod0.uni0.ln2.g", (16,)),
+    ("synopsis.mod0.uni0.ln2.b", (16,)), ("synopsis.head.w", (16, 5)),
+    ("synopsis.head.b", (5,)), ("sync.proj.w", (16, 6)), ("sync.proj.b", (6,)),
+    ("sync.log_tau", ()),
+]
+
+
+def test_parameter_layout_is_pinned():
+    scene_params, _ = gradcheck._tiny_scene_setup(0)
+    pipeline, _ = gradcheck._tiny_act_setup(0)
+    for params, layout in ((scene_params, SCENE_LAYOUT), (pipeline.named_params(), ACT_LAYOUT)):
+        got = [(name, p.data.shape) for name, p in params.items()]
+        assert got == layout, (
+            "the parameter layout changed; checkpoints store parameters in this "
+            "order, so bump alignfuse.CHECKPOINT_VERSION and update the layout here"
+        )

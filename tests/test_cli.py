@@ -20,7 +20,6 @@ from cineseg import gradcheck
 from cineseg import sync
 from cineseg import trainer
 from cineseg.errors import ConfigError
-from cineseg.numcore import Tensor
 
 
 def tree_digest(root) -> str:
@@ -464,32 +463,37 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit",
-    ["drop sync.log_tau", "drop sync.proj.w", "add sync.scale", "reshape sync.proj.b",
-     "drop em_xi", "set em_percentile=150", "quote em_xi=0.3"],
+    ["drop em_xi", "set em_percentile=150", "quote em_xi=0.3", "drop sync_dim",
+     "set sync_dim=0", "quote sync_dim=6", "add 8 trailing bytes", "cut 8 bytes"],
 )
 def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, edit):
-    kind, configs, arrays, extra = af.load_checkpoint(act_run / "model.ckpt")
-    action, name = edit.split()
+    header, _, body = (act_run / "model.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    action, name = edit.split(maxsplit=1)
     name, _, value = name.partition("=")
+    extra = header["extra"]
     if action == "drop":
-        del (extra if name.startswith("em_") else arrays)[name]
+        del extra[name]
     elif action == "set":
-        extra[name] = float(value)
+        extra[name] = json.loads(value)
     elif action == "quote":  # a number written as a JSON string
         extra[name] = value
     elif action == "add":
-        arrays[name] = np.ones(1)
+        body += bytes(8)
     else:
-        arrays[name] = arrays[name][:-1]
+        body = body[:-8]
     bad = tmp_path / "bad.ckpt"
-    af.save_checkpoint(bad, kind, configs, {n: Tensor(a) for n, a in arrays.items()}, extra)
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    out = tmp_path / "out"
     code = cli.main(
-        ["eval", "--checkpoint", str(bad), "--data", str(act_data),
-         "--out", str(tmp_path / "out")]
+        ["eval", "--checkpoint", str(bad), "--data", str(act_data), "--out", str(out)]
     )
-    assert code == 3
     err = capsys.readouterr().err
-    assert "data error" in err and name in err
+    if action == "cut":  # a file cut inside its parameters is an I/O error
+        assert code == 5 and "io error" in err and "truncated" in err
+    else:
+        assert code == 3 and "data error" in err and name in err
+    assert not out.exists()
 
 
 def _without(key):
@@ -512,14 +516,13 @@ def _setting(path, value):
 MALFORMED_HEADERS = {
     "header is a list": lambda header: [header],
     "configs missing": _without("configs"),
-    "params missing": _without("params"),
-    "params is 7": _setting(["params"], 7),
     "configs is a list": _setting(["configs"], []),
     "extra is null": _setting(["extra"], None),
     "epoch is a string": _setting(["extra", "epoch"], "x"),
-    "shape is a string": _setting(["params", 0, "shape"], "x"),
-    "shape is negative": _setting(["params", 0, "shape"], [-1]),
-    "shape needs 8 TB": _setting(["params", 0, "shape"], [10**12]),
+    # the layout an older version wrote: parameter names and shapes
+    "version 1 with a params list": lambda header: {
+        **header, "version": 1, "params": [{"name": "align_pe", "shape": [2, 8]}],
+    },
     "unknown config key": _setting(["configs", "model", "colour"], 1),
     "modality_dims is an int": _setting(["configs", "model", "modality_dims"], 5),
     "even scene seq_len": _setting(["configs", "model", "seq_len"], 6),
@@ -685,6 +688,13 @@ def test_rejected_train_scene_leaves_no_run_tree(
     [
         ["train-act", "--data", "{act}", "--set", "train.em_percentile=150"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=0"],
+        ["train-act", "--data", "{act}", "--set", "train.em_xi=inf"],
+        ["train-act", "--data", "{act}", "--set", "train.alpha_distill=nan"],
+        ["train-act", "--data", "{act}", "--set", "train.alpha_distill=-1"],
+        ["train-act", "--data", "{act}", "--set", "train.lr=nan"],
+        ["train-act", "--data", "{act}", "--set", "train.lr=inf"],
+        ["train-scene", "--data", "{scene}", "--set", "train.lr=nan"],
+        ["train-scene", "--data", "{scene}", "--set", "train.lr=inf"],
         ["importance", "--checkpoint", "{scene_ckpt}", "--data", "{scene}", "--set", "shot=-5"],
         # only a scene checkpoint has a key shot
         ["importance", "--checkpoint", "{act_ckpt}", "--data", "{act}", "--set", "shot=5"],
@@ -694,6 +704,12 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["synth", "--movies", "-1"],
         ["synth", "--movies", "0"],
         ["synth", "--movies", "1", "--seed", "-1"],
+        ["synth", "--movies", "1", "--set", "noise=nan"],
+        ["synth", "--movies", "1", "--set", "noise=inf"],
+        ["synth", "--movies", "1", "--set", "tp_motif_scale=inf"],
+        ["synth", "--movies", "1", "--set", "cut_jitter=inf"],
+        ["synth", "--movies", "1", "--set", "tp_jitter=nan"],
+        ["synth", "--movies", "1", "--set", "tp_jitter=-1"],
         # modality names become blob file names: a duplicate loses a stream,
         # "synopsis" clobbers the synopsis blob, a path escapes the movie dir
         ["synth", "--movies", "1", "--set", "modalities=visual:4,visual:4"],
@@ -711,10 +727,11 @@ def test_bad_value_exits_2_before_any_work(
         "scene_ckpt": str(scene_run / "model.ckpt"), "act_ckpt": str(act_run / "model.ckpt"),
     }
     argv = [a.format(**paths) for a in argv]
-    if argv[0] == "train-act":  # the bad value comes last, so it wins
-        argv = argv[:1] + _sets(ACT_MODEL_SET) + argv[1:]
+    model_set = {"train-act": ACT_MODEL_SET, "train-scene": SCENE_MODEL_SET}.get(argv[0], [])
+    argv = argv[:1] + _sets(model_set) + argv[1:]  # the bad value comes last, so it wins
     assert cli.main(argv + ["--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
     assert not any(tmp_path.rglob("*"))  # no --out, nor any file beside it
 
 
