@@ -179,20 +179,8 @@ def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
 
 
 def _attention(model, prefix: str, x: Tensor) -> Tensor:
-    cfg = model.config
-    q = _linear_apply(model, prefix + "attn.q", x)
-    k = _linear_apply(model, prefix + "attn.k", x)
-    v = _linear_apply(model, prefix + "attn.v", x)
-    head_dim = cfg.width // cfg.num_heads
-    scale = 1.0 / math.sqrt(head_dim)
-    outs = []
-    for h in range(cfg.num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = (nc.narrow(t, -1, lo, hi) for t in (q, k, v))
-        scores = nc.mul(nc.matmul(qh, nc.transpose(kh)), scale)
-        weights = nc.softmax(scores, axis=-1)
-        outs.append(nc.matmul(weights, vh))
-    return outs[0] if len(outs) == 1 else nc.concat(outs, -1)
+    q, k, v = (_linear_apply(model, prefix + "attn." + p, x) for p in "qkv")
+    return nc.attention(q, k, v, model.config.num_heads)
 
 
 def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:

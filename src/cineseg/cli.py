@@ -212,7 +212,6 @@ def cmd_synth(args) -> int:
     synth_cfg = dataio.SynthConfig(
         **{k: v for k, v in cfg_map.items() if k != "movies"}
     )
-    synth_cfg.validate()
     movies = dataio.make_dataset(synth_cfg, cfg_map["movies"], args.seed)
     out = _run_dir(args)
     dataio.save_dataset(movies, out)

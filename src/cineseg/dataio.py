@@ -133,8 +133,14 @@ class MovieSample:
 # ---- synthetic movies ----
 
 
+MAX_FEATURE_SCALE = 1e3
+
+
 @dataclass
 class SynthConfig:
+    """noise and tp_motif_scale scale unit-RMS features, so they lie in
+    [0, MAX_FEATURE_SCALE = 1e3]; tp_jitter and cut_jitter are fractions in [0, 1]."""
+
     shots: int = 200
     shots_jitter: int = 0  # per-movie shot count varies by +/- this
     scenes: int = 10
@@ -166,10 +172,11 @@ class SynthConfig:
             raise ConfigError("shots_jitter must be non-negative")
         if self.tp_motif_halfwidth < 0:
             raise ConfigError("tp_motif_halfwidth must be non-negative")
-        for name in ("noise", "tp_jitter", "cut_jitter", "tp_motif_scale"):
+        for name, top in (("noise", MAX_FEATURE_SCALE), ("tp_motif_scale", MAX_FEATURE_SCALE),
+                          ("tp_jitter", 1.0), ("cut_jitter", 1.0)):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+            if not 0.0 <= value <= top:  # NaN fails too
+                raise ConfigError(f"{name} must lie in [0, {top:g}], got {value}")
 
 
 def _scene_latents(rng, scenes: int, latent_dim: int) -> np.ndarray:
@@ -199,9 +206,9 @@ def synth_movie(
     tp_motifs, when given, holds one unit-RMS feature-space direction per
     turning point (concatenated over modalities); it is added around each
     planted TP shot at cfg.tp_motif_scale, and the synopsis rows shift by
-    the span mean of the same bump.
+    the span mean of the same bump. cfg is assumed valid: make_dataset
+    validates it.
     """
-    cfg.validate()
     num_shots = int(cfg.shots)
     if cfg.shots_jitter:
         num_shots += int(rng.integers(-cfg.shots_jitter, cfg.shots_jitter + 1))
@@ -288,6 +295,7 @@ def synth_movie(
 
 def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
     """Generate a deterministic list of movies from one root seed."""
+    cfg.validate()
     if movies < 1:
         raise ConfigError(f"need at least one movie, got {movies}")
     root = np.random.SeedSequence(seed)

@@ -4,10 +4,16 @@ Implements exactly the operations the fusion models and the losses
 need: 2-D/3-D matrix products, linear layers, elementwise arithmetic
 with suffix broadcasting, softmax / log-softmax, layer normalization,
 the exact erf form of GeLU, row gathering/slicing/concatenation,
-dropout, and row L2-normalization. Every value is float64. A linear
-layer ``x @ w + b`` records one node instead of a matmul and a bias
-add, because the cost of this core is Python overhead per node, not
-FLOPs.
+dropout, row L2-normalization and scaled dot-product attention. Every
+value is float64. A linear layer ``x @ w + b`` records one node instead
+of a matmul and a bias add, because the cost of this core is Python
+overhead per node, not FLOPs.
+
+Attention's L x L arrays are the only large ones. A recorded call keeps
+one fresh L x L array per head, its saved softmax weights; unrecorded
+calls and every backward use workspaces instead: one grow-only float64
+buffer per slot, private to this module, never returned nor saved on a
+node (forked ``fd_gradient`` workers get their own copies).
 
 Each op is its numpy forward plus a module-level backward rule
 ``rule(g, inputs, out, saved)``; ``_emit`` does the rest. It checks the
@@ -124,7 +130,7 @@ _TAPE_STACK: list[Tape] = []
 # only move, select or scale finite values
 _CHECKED = frozenset({
     "add", "sub", "mul", "div", "matmul", "linear", "sum", "exp", "gelu",
-    "softmax", "log_softmax", "layernorm", "normalize_rows",
+    "softmax", "log_softmax", "layernorm", "normalize_rows", "attention",
 })
 # off only inside fd_gradient's evaluations, which check the losses instead
 _check_outputs = True
@@ -573,6 +579,74 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
         raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
     return _emit("dropout", _dropout_back, (a,), a.data * keep, keep)
+
+
+# ---- attention ----
+
+# attention's workspaces, one per slot; see the module docstring
+_WORKSPACES: dict[str, np.ndarray] = {}
+
+
+def _workspace(slot: str, shape: tuple) -> np.ndarray:
+    size = math.prod(shape)
+    buf = _WORKSPACES.get(slot)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACES[slot] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _attention_back(g, inputs, out, saved):
+    scale, heads = saved
+    grads = [np.empty_like(out) for _ in inputs]
+    for cols, qh, kh_t, vh, w in heads:
+        # the chain's arithmetic and operand layouts; the L x L gradients
+        # go to workspaces, and w is never written
+        gh = np.ascontiguousarray(g[..., cols])
+        grads[2][..., cols] = np.swapaxes(w, -1, -2) @ gh
+        gw = np.matmul(gh, np.swapaxes(vh, -1, -2), out=_workspace("gw", w.shape))
+        dot = np.multiply(gw, w, out=_workspace("gw_w", w.shape)).sum(axis=-1, keepdims=True)
+        gw -= dot
+        gw *= w
+        gw *= scale
+        grads[0][..., cols] = gw @ np.swapaxes(kh_t, -1, -2)
+        grads[1][..., cols] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gw, -1, -2)
+    for t, gt in zip(inputs, grads):
+        if t.requires_grad:
+            t.accumulate(gt)
+
+
+def attention(q, k, v, num_heads: int) -> Tensor:
+    """Scaled dot-product attention over [B x L x C] inputs as one node,
+    head h on columns [h * C / num_heads, (h + 1) * C / num_heads), with
+    the bits of the per-head chain of narrow, transpose, matmul, scale,
+    softmax and matmul nodes; the softmax runs in place on the scores."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(f"attention needs equal 3-D shapes, got {shape}, {k.shape}, {v.shape}")
+    if num_heads < 1 or shape[2] % num_heads:
+        raise ShapeError(f"attention width {shape[2]} does not split into {num_heads} heads")
+    recorded = bool(_TAPE_STACK) and (q.requires_grad or k.requires_grad or v.requires_grad)
+    head_dim = shape[2] // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    heads, outs = [], []
+    for h in range(num_heads):
+        cols = slice(h * head_dim, (h + 1) * head_dim)
+        qh, kh, vh = (np.ascontiguousarray(t.data[..., cols]) for t in (q, k, v))
+        kh_t = np.swapaxes(kh, -1, -2).copy()
+        ws = None if recorded else _workspace("scores", shape[:2] + shape[1:2])
+        s = np.matmul(qh, kh_t, out=ws)
+        s *= scale
+        # finite scaled scores give finite softmax weights
+        if _check_outputs and not np.isfinite(s).all():
+            raise NumericError("operation 'attention' produced non-finite scores")
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        outs.append(s @ vh)
+        heads.append((cols, qh, kh_t, vh, s))
+    out = outs[0] if num_heads == 1 else np.concatenate(outs, axis=-1)
+    return _emit("attention", _attention_back, (q, k, v), out, (scale, heads) if recorded else None)
 
 
 # ---- gradient checking ----

@@ -154,7 +154,6 @@ class TrainConfig:
     em_every: int = 1
     em_xi: float = sync.DEFAULT_BAND_XI
     em_percentile: float = sync.DEFAULT_PERCENTILE
-    kd_joint: bool = False
     sync_dim: int = 128
 
     def validate(self) -> None:
@@ -626,7 +625,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             optimizer.zero_grad()
             with nc.Tape() as tape:
                 total, (l_c, l_ce, l_kd), step_dev = act_objective(
-                    pipeline, items, cfg.loss_weights, cfg.kd_joint, dropout_rng
+                    pipeline, items, cfg.loss_weights, rng=dropout_rng
                 )
             skipped = sync.skipped_queries([item[2] for item in items])
             step += 1

@@ -279,6 +279,16 @@ def test_two_head_attention_matches_a_per_head_reference():
     npt.assert_allclose(got, np.concatenate(heads, axis=-1), rtol=1e-12, atol=1e-14)
 
 
+def test_single_head_encoder_block_records_one_attention_node():
+    model = af.FusionModel(tiny_cfg(), seed=21)
+    x = nc.Tensor(np.random.default_rng(21).normal(size=(2, 5, 8)), requires_grad=True)
+    with nc.Tape() as tape:
+        af._encoder_block(model, "mod0.uni0.", x, None)
+    names = [node.name for node in tape.nodes]
+    assert names.count("attention") == 1
+    assert "softmax" not in names and "narrow" not in names
+
+
 def test_two_head_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
     cfg = tiny_cfg(num_heads=2)

@@ -710,6 +710,12 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["synth", "--movies", "1", "--set", "cut_jitter=inf"],
         ["synth", "--movies", "1", "--set", "tp_jitter=nan"],
         ["synth", "--movies", "1", "--set", "tp_jitter=-1"],
+        # finite but past each setting's range: fractions above 1, scales
+        # above the feature-scale ceiling
+        ["synth", "--movies", "1", "--set", "noise=1e308"],
+        ["synth", "--movies", "1", "--set", "tp_motif_scale=1e308"],
+        ["synth", "--movies", "1", "--set", "cut_jitter=1e308"],
+        ["synth", "--movies", "1", "--set", "tp_jitter=1e30"],
         # modality names become blob file names: a duplicate loses a stream,
         # "synopsis" clobbers the synopsis blob, a path escapes the movie dir
         ["synth", "--movies", "1", "--set", "modalities=visual:4,visual:4"],

@@ -81,18 +81,24 @@ def test_synth_shot_count_jitter_varies_lengths():
 
 
 def test_synth_rejects_bad_configs():
-    with pytest.raises(ConfigError):
-        dataio.synth_movie(small_cfg(scenes=2, sentences=4), np.random.default_rng(0), "m")
-    with pytest.raises(ConfigError):
-        dataio.synth_movie(small_cfg(shots=5, scenes=8), np.random.default_rng(0), "m")
-    with pytest.raises(ConfigError):
-        dataio.synth_movie(small_cfg(noise=-1.0), np.random.default_rng(0), "m")
-    with pytest.raises(ConfigError):
-        dataio.synth_movie(small_cfg(tp_motif_scale=-0.5), np.random.default_rng(0), "m")
-    with pytest.raises(ConfigError):
-        dataio.synth_movie(small_cfg(tp_motif_halfwidth=-1), np.random.default_rng(0), "m")
-    with pytest.raises(ConfigError):
-        dataio.synth_movie(small_cfg(cut_jitter=-0.1), np.random.default_rng(0), "m")
+    for overrides in (
+        dict(scenes=2, sentences=4),
+        dict(shots=5, scenes=8),
+        dict(noise=-1.0),
+        dict(noise=1001.0),
+        dict(tp_motif_scale=-0.5),
+        dict(tp_motif_halfwidth=-1),
+        dict(cut_jitter=-0.1),
+        dict(cut_jitter=1.5),
+        dict(tp_jitter=1.5),
+    ):
+        with pytest.raises(ConfigError):
+            dataio.make_dataset(small_cfg(**overrides), 1, seed=0)
+
+
+def test_synth_bounds_are_inclusive():
+    movie, = dataio.make_dataset(small_cfg(noise=1e3, tp_jitter=1.0, cut_jitter=1.0), 1, seed=0)
+    assert all(np.isfinite(s.samples).all() for s in movie.streams)
 
 
 # ---- turning-point motif and cut jitter ----

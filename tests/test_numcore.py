@@ -1,5 +1,7 @@
+import math
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -214,6 +216,153 @@ def test_linear_shape_errors():
         nc.linear(nc.Tensor(np.zeros(3)), nc.Tensor(np.zeros((3, 5))), nc.Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
         nc.linear(x, nc.Tensor(np.zeros((2, 3, 5))), nc.Tensor(np.zeros(5)))
+
+
+# ---- fused attention ----
+
+
+def _attention_chain(q, k, v, num_heads):
+    """The per-head narrow / transpose / matmul / mul / softmax / matmul
+    chain that attention replaced, as a reference."""
+    head_dim = q.shape[-1] // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    outs = []
+    for h in range(num_heads):
+        lo, hi = h * head_dim, (h + 1) * head_dim
+        qh, kh, vh = (nc.narrow(t, -1, lo, hi) for t in (q, k, v))
+        scores = nc.mul(nc.matmul(qh, nc.transpose(kh)), scale)
+        outs.append(nc.matmul(nc.softmax(scores, axis=-1), vh))
+    return outs[0] if num_heads == 1 else nc.concat(outs, -1)
+
+
+def _attention_case(rng, batch=2, length=7, width=6):
+    q, k, v = (leaf(rng, batch, length, width) for _ in range(3))
+    return q, k, v, rng.uniform(-1, 1, size=(batch, length, width))
+
+
+def _attention_loss(q, k, v, r, num_heads):
+    return nc.sum_all(nc.mul(nc.attention(q, k, v, num_heads), r))
+
+
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_attention_is_bit_identical_to_the_chain(num_heads):
+    rng = np.random.default_rng(40)
+    q, k, v, r = _attention_case(rng)
+    results = []
+    for op in (nc.attention, _attention_chain):
+        nc.zero_grads((q, k, v))
+        with nc.Tape() as tape:
+            out = op(q, k, v, num_heads)
+            loss = nc.sum_all(nc.mul(out, r))
+        nc.backward(tape, loss)
+        results.append((out.data, q.grad, k.grad, v.grad))
+    for fused, chain in zip(*results):
+        # the layout too: BLAS may round differently over other strides
+        assert (fused.tobytes(), fused.strides) == (chain.tobytes(), chain.strides)
+
+
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_grad_attention_matches_finite_differences(num_heads):
+    rng = np.random.default_rng(41)
+    q, k, v, r = _attention_case(rng, batch=2, length=4, width=4)
+    fd_check(lambda: _attention_loss(q, k, v, r, num_heads), {"q": q, "k": k, "v": v})
+
+
+def test_attention_backward_twice_doubles_the_gradients():
+    rng = np.random.default_rng(42)
+    q, k, v, r = _attention_case(rng)
+    with nc.Tape() as tape:
+        loss = _attention_loss(q, k, v, r, 2)
+    nc.backward(tape, loss)
+    first = [t.grad.copy() for t in (q, k, v)]
+    # an unrecorded call of another shape in between reuses the workspaces
+    nc.attention(*(rng.normal(size=(1, 9, 6)) for _ in range(3)), 2)
+    nc.zero_grads(node.output for node in tape.nodes)  # keep the inputs' grads
+    nc.backward(tape, loss)
+    for t, g in zip((q, k, v), first):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+def _shares_a_workspace(a):
+    return any(np.shares_memory(a, buf) for buf in nc._WORKSPACES.values())
+
+
+def test_attention_results_never_alias_a_workspace():
+    rng = np.random.default_rng(43)
+    q, k, v, _ = _attention_case(rng)
+    first = nc.attention(q.data, k.data, v.data, 1).data
+    kept = first.copy()
+    second = nc.attention(k.data, v.data, q.data, 1).data
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
+    with nc.Tape() as tape:
+        recorded = nc.attention(q, k, v, 2)
+    (node,) = tape.nodes
+    _, heads = node.saved
+    assert nc._WORKSPACES  # the unrecorded calls used them
+    for a in [first, second, recorded.data] + [x for head in heads for x in head[1:]]:
+        assert not _shares_a_workspace(a)
+
+
+def test_attention_non_finite_scores_raise():
+    rng = np.random.default_rng(44)
+    q, k, v, r = _attention_case(rng)
+    huge = nc.Tensor(np.full(q.shape, 1e200), requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="'attention'"):
+            nc.attention(huge.data, huge.data, v.data, 2)
+        with nc.Tape():
+            with pytest.raises(NumericError, match="'attention'"):
+                nc.attention(huge, huge, v, 2)
+        nan_v = np.where(np.arange(q.shape[-1]) == 0, np.nan, v.data)
+        with pytest.raises(NumericError, match="'attention'"):
+            nc.attention(q.data, k.data, nan_v, 1)
+        # inside finite differences only the returned loss is checked
+        with pytest.raises(NumericError, match="finite-difference loss"):
+            nc.fd_gradient(lambda: float(_attention_loss(huge, huge, v, r, 2).data), v.data[0, 0])
+
+
+def test_attention_shape_errors():
+    x = np.zeros((2, 3, 6))
+    with pytest.raises(ShapeError):
+        nc.attention(x[0], x[0], x[0], 1)
+    with pytest.raises(ShapeError):
+        nc.attention(x, x, x, 4)
+    with pytest.raises(ShapeError):
+        nc.attention(x, x, x, 0)
+    with pytest.raises(ShapeError):
+        nc.attention(x, x[:, :2], x, 1)
+
+
+def test_attention_allocates_less_than_one_score_matrix():
+    # numpy reports its buffers to tracemalloc; L x L float64 scores at
+    # the act model's 312 positions are 780 KB
+    length = 312
+    limit = length * length * 8
+    rng = np.random.default_rng(45)
+    q, k, v, r = _attention_case(rng, batch=1, length=length, width=8)
+
+    def recorded():
+        with nc.Tape() as tape:
+            loss = _attention_loss(q, k, v, r, 1)
+        return tape, loss
+
+    nc.backward(*recorded())
+    nc.attention(q.data, k.data, v.data, 1)  # warm-up: the workspaces grow
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        nc.attention(q.data, k.data, v.data, 1)
+        unrecorded_peak = tracemalloc.get_traced_memory()[1]
+        tape, loss = recorded()
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        nc.backward(tape, loss)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert unrecorded_peak < limit
+    assert backward_peak < limit
 
 
 def test_grad_shape_ops():
