@@ -134,6 +134,9 @@ class MovieSample:
 
 
 MAX_FEATURE_SCALE = 1e3
+# the most float64 values one synth run may hold (800 MB), the same on
+# every box; make_dataset checks it before it allocates anything
+MAX_SYNTH_VALUES = 10**8
 
 
 @dataclass
@@ -294,10 +297,24 @@ def synth_movie(
 
 
 def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
-    """Generate a deterministic list of movies from one root seed."""
+    """Generate a deterministic list of movies from one root seed, after
+    checking cfg and the MAX_SYNTH_VALUES budget."""
     cfg.validate()
     if movies < 1:
         raise ConfigError(f"need at least one movie, got {movies}")
+    width = sum(dim for _, dim in cfg.modalities)
+    # in Python ints, which do not overflow: every movie's shot latents and
+    # streams at its longest and its synopsis, plus one movie's scene
+    # latents and modality mixing maps
+    held = (movies * ((cfg.shots + cfg.shots_jitter) * (cfg.latent_dim + width)
+                      + cfg.sentences * width) + cfg.latent_dim * (cfg.scenes + width))
+    if held > MAX_SYNTH_VALUES:
+        raise ConfigError(
+            f"synth would hold {held:,} float64 values, over the budget of "
+            f"{MAX_SYNTH_VALUES:,}; lower movies ({movies}), shots ({cfg.shots}), "
+            f"shots_jitter ({cfg.shots_jitter}), latent_dim ({cfg.latent_dim}) or "
+            f"modalities (dims sum to {width})"
+        )
     root = np.random.SeedSequence(seed)
     children = root.spawn(movies)
     motifs = None

@@ -27,19 +27,33 @@ there only the losses that come back are checked.
 The tape is a flat list in execution order, which is already a
 topological order, so ``backward`` is one reverse sweep that applies
 each recorded backward rule exactly once. Gradients accumulate into
-``Tensor.grad``; calling ``backward`` again without resetting keeps
-accumulating.
+the ``Tensor.grad`` of the tape's inputs; calling ``backward`` again
+without resetting keeps accumulating, so a second pass over one tape
+doubles them. A node output's gradient is dropped once its rule has
+run: every consumer was swept before it, and a later pass starts it
+afresh.
 
 Only this module turns arrays into Tensors: every op takes numpy
 arrays or Tensors and wraps the arrays itself, so callers pass their
 arrays straight in and create Tensors only for parameters.
 
-SciPy, which supplies GeLU's erf, is imported at the first ``gelu``
-call, so a process that runs no model never loads it.
+GeLU's erf is SciPy's own ufunc, loaded at the first ``gelu`` call
+from the one extension module that defines it,
+``scipy/special/_special_ufuncs``, found beside SciPy's package without
+running SciPy's ``__init__``. The ``scipy.special`` package is not
+imported: its array-API backends cost about 0.3 s and 16 MB per
+process, and the ufunc is the very object ``scipy.special.erf`` names,
+so every bit is the same. A SciPy whose layout lacks that file, or
+defines erf elsewhere, is served by ``from scipy.special import erf``
+at the full import's cost. A process that runs no model loads no SciPy
+at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
 import pickle
@@ -144,10 +158,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("loss was not recorded on any tape; nothing to differentiate")
     loss.accumulate(np.ones_like(loss.data))
     for node in reversed(tape.nodes):
-        g = node.output.grad
-        if g is None:
+        out = node.output
+        if out.grad is None:
             continue
-        node.rule(g, node.inputs, node.output.data, node.saved)
+        node.rule(out.grad, node.inputs, out.data, node.saved)
+        out.grad = None  # read by no later rule; see the module docstring
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -313,7 +328,10 @@ def _linear_back(g, inputs, out, saved):
         if x.ndim == 2:
             w.accumulate(x.data.T @ g)
         else:
-            w.accumulate(np.tensordot(x.data, g, axes=([0, 1], [0, 1])))
+            # the operands np.tensordot(x, g, axes=([0, 1], [0, 1])) builds,
+            # without its Python overhead
+            c, n = x.shape[2], g.shape[2]
+            w.accumulate(np.dot(x.data.transpose(2, 0, 1).reshape(c, -1), g.reshape(-1, n)))
 
 
 def linear(x, w, b) -> Tensor:
@@ -483,12 +501,31 @@ def _gelu_back(g, inputs, out, cdf):
     a.accumulate(g * (cdf + a.data * pdf))
 
 
+# the extension module that defines SciPy's erf ufunc
+_ERF_MODULE = "_special_ufuncs"
+
+
+@functools.cache
+def _erf():
+    """SciPy's erf ufunc, without importing scipy.special; see the module
+    docstring."""
+    special = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "special")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(special, _ERF_MODULE + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(f"scipy.special.{_ERF_MODULE}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "erf"):
+                return module.erf
+    from scipy.special import erf  # another SciPy layout: the full import
+    return erf
+
+
 def gelu(a) -> Tensor:
     """Exact GeLU: x * Phi(x) with the Gaussian CDF via SciPy's erf."""
-    from scipy.special import erf  # the first call pays SciPy's import
-
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf()(a.data * _INV_SQRT2))
     return _emit("gelu", _gelu_back, (a,), a.data * cdf, cdf)
 
 

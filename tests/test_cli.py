@@ -214,22 +214,43 @@ assert cli.main(json.loads(sys.argv[1])) == 0
 assert "scipy" not in sys.modules, "synth loaded scipy"
 x = np.linspace(-8.0, 8.0, 4001)
 out = nc.gelu(nc.Tensor(x)).data
-assert "scipy" in sys.modules, "gelu ran without scipy"
+assert "scipy.special" not in sys.modules, "gelu imported scipy.special"
 from scipy.special import erf
 expected = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
 assert out.tobytes() == expected.tobytes(), "gelu differs from the eager erf path"
 """
 
 
-def test_synth_runs_without_scipy_until_the_first_gelu(tmp_path):
-    args = ["synth", "--movies", "2", "--shots", "20", "--seed", "9",
-            "--out", str(tmp_path / "data")] + _sets(SCENE_SET)
+def _run_script(script, args):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", LAZY_SCIPY_SCRIPT, json.dumps(args)],
+        [sys.executable, "-c", script, json.dumps(args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_synth_runs_without_scipy_until_the_first_gelu(tmp_path):
+    _run_script(LAZY_SCIPY_SCRIPT, ["synth", "--movies", "2", "--shots", "20", "--seed", "9",
+                                    "--out", str(tmp_path / "data")] + _sets(SCENE_SET))
+
+
+MODEL_COMMAND_SCRIPT = """
+import json, sys
+from cineseg import cli
+from cineseg import numcore as nc
+
+assert cli.main(json.loads(sys.argv[1])) == 0
+assert "scipy.special" not in sys.modules, "the command imported scipy.special"
+assert nc._erf.cache_info().currsize == 1, "the model ran no GeLU"
+import scipy.special
+assert nc._erf() is scipy.special.erf, "a later scipy.special import names another erf"
+"""
+
+
+def test_model_command_never_imports_scipy_special(scene_run, scene_data, tmp_path):
+    _run_script(MODEL_COMMAND_SCRIPT, ["eval", "--checkpoint", str(scene_run / "model.ckpt"),
+                                       "--data", str(scene_data), "--out", str(tmp_path / "eval")])
 
 
 def test_synth_invalid_config_exits_2(tmp_path, capsys):
@@ -721,6 +742,10 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["synth", "--movies", "1", "--set", "modalities=visual:4,visual:4"],
         ["synth", "--movies", "1", "--set", "modalities=synopsis:4"],
         ["synth", "--movies", "1", "--set", "modalities=../../escaped:4"],
+        # past the dataio.MAX_SYNTH_VALUES budget, rejected before any allocation
+        ["synth", "--movies", "1", "--shots", "1000000000000"],
+        ["synth", "--movies", "1", "--set", "latent_dim=100000000000"],
+        ["synth", "--movies", "1", "--set", "modalities=a:100000000000"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

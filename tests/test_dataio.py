@@ -101,6 +101,28 @@ def test_synth_bounds_are_inclusive():
     assert all(np.isfinite(s.samples).all() for s in movie.streams)
 
 
+def test_synth_value_budget_is_inclusive(monkeypatch):
+    cfg = small_cfg(shots_jitter=3)
+    # 2 movies x (43 shots x (16 + 10) + 4 sentences x 10) + 16 x (8 scenes + 10)
+    held = 2 * (43 * 26 + 40) + 16 * 18
+    monkeypatch.setattr(dataio, "MAX_SYNTH_VALUES", held)
+    assert len(dataio.make_dataset(cfg, 2, seed=0)) == 2
+    monkeypatch.setattr(dataio, "MAX_SYNTH_VALUES", held - 1)
+    with pytest.raises(ConfigError, match=f"hold {held:,} float64 values"):
+        dataio.make_dataset(cfg, 2, seed=0)
+
+
+@pytest.mark.parametrize("overrides, named", [
+    (dict(shots=10**12), "shots (1000000000000)"),
+    (dict(latent_dim=10**11), "latent_dim (100000000000)"),
+    (dict(modalities=(("a", 10**11),)), "modalities (dims sum to 100000000000)"),
+], ids=["shots", "latent_dim", "modalities"])
+def test_synth_over_the_value_budget_names_its_settings(overrides, named):
+    # checked with Python ints before numpy allocates anything
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        dataio.make_dataset(small_cfg(**overrides), 1, seed=0)
+
+
 # ---- turning-point motif and cut jitter ----
 
 

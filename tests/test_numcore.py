@@ -72,6 +72,27 @@ def test_gelu_frozen_values():
     )
 
 
+def test_erf_is_scipys_own_ufunc():
+    import scipy.special
+
+    assert nc._erf() is scipy.special.erf
+
+
+@pytest.mark.parametrize("module", ["_no_such_module", "_gufuncs"], ids=["missing file", "no erf in it"])
+def test_erf_falls_back_to_the_scipy_special_import(monkeypatch, module):
+    x = np.linspace(-8.0, 8.0, 4001)
+    expected = nc.gelu(nc.Tensor(x)).data
+    monkeypatch.setattr(nc, "_ERF_MODULE", module)
+    nc._erf.cache_clear()
+    try:
+        import scipy.special
+
+        assert nc._erf() is scipy.special.erf
+        assert nc.gelu(nc.Tensor(x)).data.tobytes() == expected.tobytes()
+    finally:
+        nc._erf.cache_clear()
+
+
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -197,6 +218,24 @@ def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
         results.append((out.data, x.grad, w.grad, b.grad))
     for fused, composite in zip(*results):
         assert np.array_equal(fused, composite)
+
+
+@pytest.mark.parametrize(
+    "x_shape, n", [((1, 324, 16), 16), ((1, 5, 3), 7), ((3, 4, 5), 2), ((2, 1, 6), 1)],
+    ids=["1x324x16-16", "1x5x3-7", "3x4x5-2", "2x1x6-1"],
+)
+def test_linear_3d_weight_gradient_is_tensordots(x_shape, n):
+    rng = np.random.default_rng(16)
+    x = nc.Tensor(rng.normal(size=x_shape))
+    w = leaf(rng, x_shape[-1], n)
+    b = nc.Tensor(rng.normal(size=n))
+    g = rng.normal(size=x_shape[:-1] + (n,))
+    with nc.Tape() as tape:
+        loss = nc.sum_all(nc.mul(nc.linear(x, w, b), g))
+    nc.backward(tape, loss)
+    expected = np.tensordot(x.data, g, axes=([0, 1], [0, 1]))
+    assert w.grad.tobytes() == expected.tobytes()
+    assert w.grad.strides == expected.strides
 
 
 def test_grad_linear_matches_finite_differences():
@@ -499,6 +538,17 @@ def test_backward_accumulates_across_calls():
         loss2 = nc.sum_all(nc.mul(a, a))
     nc.backward(tape2, loss2)
     npt.assert_allclose(a.grad, 2 * first, atol=1e-15)
+
+
+def test_backward_twice_over_one_tape_doubles_the_gradients():
+    a = nc.Tensor([3.0], requires_grad=True)
+    with nc.Tape() as tape:
+        loss = nc.sum_all(nc.mul(nc.mul(a, 2.0), 1.0))
+    nc.backward(tape, loss)
+    assert a.grad.tolist() == [2.0]
+    nc.backward(tape, loss)  # no reset in between
+    assert a.grad.tolist() == [4.0]
+    assert all(node.output.grad is None for node in tape.nodes)
 
 
 def test_no_tape_records_nothing():
