@@ -10,6 +10,17 @@ of all token sets with its own latents, and each token set's next value
 is the mean of its per-modality updates. The fused representation is
 the channel-wise concatenation of the per-modality latents.
 
+The towers run as one [B x M x L x C] tensor from the embedding
+layernorm to the fused output, so each depth is one encoder block for
+all M and a fusion block builds the shared token input once. Their
+parameters are stacked along a leading modality axis (embed_ln and
+every block's q, k, v, ln1, ffn and ln2; vectors as [M x 1 x N]). The
+input projections, positional tables and bottleneck tokens, whose
+shapes or gradient order are per modality, stay per modality. Each
+modality's tokens take the alignment PE right after its embedding does,
+so the shared table's gradient sums in the per-modality order, and the
+stacked graph keeps the bits of one op sequence per modality.
+
 The alignment encoding maps position i of a length-L input to bucket
 floor(align_len * i / L), so two inputs of different lengths share the
 same coarse timeline. It is the piece that makes shot sequences and
@@ -25,7 +36,10 @@ A checkpoint is a JSON header line (format, version, kind, configs,
 extra) and then every parameter's float64 bytes in the order the model
 constructors create them. The header names no parameter, so a change of
 that order (FusionModel, sync.SyncHead, trainer.ActPipeline.named_params)
-must bump CHECKPOINT_VERSION.
+must bump CHECKPOINT_VERSION; version 3 holds the stacked towers, each
+stacked parameter where its modality-0 slice was. The constructor draws
+its random values in the per-modality order, so a seed gives the same
+initial values as before the stacking.
 """
 
 from __future__ import annotations
@@ -43,7 +57,11 @@ from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
 CHECKPOINT_FORMAT = "cineseg-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# the most parameters a model or an act pipeline may have, checked from
+# the configs before any allocation: 800 MB per float64 copy, of which
+# training holds about five (values, two gradient copies, Adam moments)
+MAX_MODEL_PARAMS = 10**8
 # the JSON types a checkpoint may give each ModelConfig field, by its
 # annotation (modality_dims is a list of ints)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -72,6 +90,16 @@ class ModelConfig:
     def fused_width(self) -> int:
         return self.width * self.num_modalities
 
+    @property
+    def num_params(self) -> int:
+        """How many float64 values FusionModel holds, in Python ints."""
+        c, ck, a, n = self.width, self.ffn_width, self.align_len, self.num_modalities
+        block = 3 * c * c + 2 * c * ck + ck + 8 * c  # q, k, v, ffn, ln1, ln2
+        depth = self.unimodal_depth + self.fusion_depth
+        per_modality = (self.seq_len + a + 2) * c + depth * block  # pe, tokens, embed_ln
+        return (a * c + sum(d * c + c for d in self.modality_dims) + n * per_modality
+                + (self.fused_width + 1) * self.num_classes)
+
     def validate(self) -> None:
         if self.seq_len < 1 or self.width < 1 or self.ffn_width < 1:
             raise ConfigError("seq_len, width, and ffn_width must be positive")
@@ -89,6 +117,7 @@ class ModelConfig:
             raise ConfigError("modality_dims must be a non-empty tuple of positive ints")
         if self.num_heads < 1 or self.width % self.num_heads:
             raise ConfigError("num_heads must be positive and divide width")
+        check_param_budget(self.num_params, f"the model {self.to_dict()}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -119,6 +148,13 @@ class ModelConfig:
         return cls(**{**d, "modality_dims": tuple(d["modality_dims"])})
 
 
+def check_param_budget(count: int, what: str) -> None:
+    if count > MAX_MODEL_PARAMS:
+        raise ConfigError(
+            f"{what} has {count:,} parameters, over the budget of {MAX_MODEL_PARAMS:,}"
+        )
+
+
 def align_buckets(seq_len: int, align_len: int) -> np.ndarray:
     """Alignment bucket floor(align_len * i / seq_len) of every position i."""
     return (align_len * np.arange(seq_len, dtype=np.int64)) // seq_len
@@ -137,38 +173,46 @@ class FusionModel:
         self._table(rng, "align_pe", config.align_len, c)
         for m, dim in enumerate(config.modality_dims):
             p = f"mod{m}."
-            self._linear(rng, p + "proj", dim, c)
+            self._linear(rng, p + "proj", None, dim, c)
             self._table(rng, p + "pe", config.seq_len, c)
-            self._layernorm(p + "embed_ln", c)
-            self._table(rng, p + "tokens", config.align_len, c)
+            self._layernorm("embed_ln", m, c)
+            self._table(rng, p + "tokens", 1, config.align_len, c)
             for d in range(config.unimodal_depth):
-                self._block(rng, f"{p}uni{d}.", c, ck)
+                self._block(rng, f"uni{d}.", m, c, ck)
             for d in range(config.fusion_depth):
-                self._block(rng, f"{p}fus{d}.", c, ck)
-        self._linear(rng, "head", config.fused_width, config.num_classes)
+                self._block(rng, f"fus{d}.", m, c, ck)
+        self._linear(rng, "head", None, config.fused_width, config.num_classes)
 
-    def _param(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Tensor(data, requires_grad=True)
+    def _put(self, name: str, m, value: np.ndarray) -> None:
+        """value as parameter name, or as slice m of the stacked parameter
+        name, which its modality-0 slice creates: [M x ...] for matrices,
+        [M x 1 x N] for vectors, which then broadcast over positions."""
+        if m is not None:
+            value = value.reshape(-1, value.shape[-1])
+        if m in (None, 0):
+            stack = () if m is None else (self.config.num_modalities,)
+            self.params[name] = Tensor(np.empty(stack + value.shape), requires_grad=True)
+        self.params[name].data[... if m is None else m] = value
 
-    def _table(self, rng, name: str, rows: int, cols: int) -> None:
-        self._param(name, rng.normal(0.0, 0.02, size=(rows, cols)))
+    def _table(self, rng, name: str, *shape: int) -> None:
+        self._put(name, None, rng.normal(0.0, 0.02, size=shape))
 
-    def _linear(self, rng, name: str, fan_in: int, fan_out: int) -> None:
+    def _linear(self, rng, name: str, m, fan_in: int, fan_out: int) -> None:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        self._param(name + ".w", rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        self._param(name + ".b", np.zeros(fan_out))
+        self._put(name + ".w", m, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        self._put(name + ".b", m, np.zeros(fan_out))
 
-    def _layernorm(self, name: str, width: int) -> None:
-        self._param(name + ".g", np.ones(width))
-        self._param(name + ".b", np.zeros(width))
+    def _layernorm(self, name: str, m, width: int) -> None:
+        self._put(name + ".g", m, np.ones(width))
+        self._put(name + ".b", m, np.zeros(width))
 
-    def _block(self, rng, prefix: str, c: int, ck: int) -> None:
+    def _block(self, rng, prefix: str, m, c: int, ck: int) -> None:
         for piece in ("attn.q", "attn.k", "attn.v"):
-            self._linear(rng, prefix + piece, c, c)
-        self._layernorm(prefix + "ln1", c)
-        self._linear(rng, prefix + "ffn.lift", c, ck)
-        self._linear(rng, prefix + "ffn.drop", ck, c)
-        self._layernorm(prefix + "ln2", c)
+            self._linear(rng, prefix + piece, m, c, c)
+        self._layernorm(prefix + "ln1", m, c)
+        self._linear(rng, prefix + "ffn.lift", m, c, ck)
+        self._linear(rng, prefix + "ffn.drop", m, ck, c)
+        self._layernorm(prefix + "ln2", m, c)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -184,6 +228,7 @@ def _attention(model, prefix: str, x: Tensor) -> Tensor:
 
 
 def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:
+    """One block of every tower at once: x is [B x M x T x C]."""
     cfg = model.config
     attn = _attention(model, prefix, x)
     x = nc.layernorm(nc.add(x, attn), model[prefix + "ln1.g"], model[prefix + "ln1.b"])
@@ -193,57 +238,60 @@ def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:
     return nc.dropout(x, cfg.dropout, rng)
 
 
-def embed_modality(model, feats, m: int, rng=None, collect=None) -> Tensor:
-    """Project one modality and add positional encodings: [B x L_in x C].
+def embed_modality(model, feats, m: int, collect=None) -> Tensor:
+    """Project modality m and add positional encodings: its [B x 1 x L_in
+    x C] slice of the stacked towers, before their layernorm.
 
     Regular PE is indexed by absolute position; the alignment PE bucket
     for position i of a length-L_in input is floor(align_len * i / L_in).
-    A given collect gets the sum before the layernorm in "embed_pre_norm".
+    A given collect gets the [B x L_in x C] sum in "embed_pre_norm".
     """
     cfg = model.config
     if feats.ndim != 3:
         raise ContractError(f"embed_modality expects [batch x length x dim], got {feats.shape}")
-    length = feats.shape[1]
+    batch, length, dim = feats.shape
     if length > cfg.seq_len:
         raise DataError(
             f"input length {length} exceeds model length {cfg.seq_len}; chunk the input"
         )
-    if feats.shape[2] != cfg.modality_dims[m]:
+    if dim != cfg.modality_dims[m]:
         raise DataError(
-            f"modality {m} width {feats.shape[2]} does not match config {cfg.modality_dims[m]}"
+            f"modality {m} width {dim} does not match config {cfg.modality_dims[m]}"
         )
-    x = _linear_apply(model, f"mod{m}.proj", feats)
+    x = _linear_apply(model, f"mod{m}.proj", nc.reshape(feats, (batch, 1, length, dim)))
     x = nc.add(x, nc.narrow(model[f"mod{m}.pe"], -2, 0, length))
     if cfg.align_pe_embed:
         x = nc.add(x, nc.gather_rows(model["align_pe"], align_buckets(length, cfg.align_len)))
     if collect is not None:
-        collect.setdefault("embed_pre_norm", {})[m] = x
-    x = nc.layernorm(x, model[f"mod{m}.embed_ln.g"], model[f"mod{m}.embed_ln.b"])
-    return nc.dropout(x, cfg.dropout, rng)
+        collect.setdefault("embed_pre_norm", {})[m] = nc.reshape(x, (batch, length, cfg.width))
+    return x
 
 
 def make_bottleneck(model, m: int) -> Tensor:
-    """Modality m's bottleneck tokens, with the shared alignment PE added."""
+    """Modality m's [1 x A x C] bottleneck tokens, with the shared
+    alignment PE added."""
     tokens = model[f"mod{m}.tokens"]
     if model.config.align_pe_tokens:
         tokens = nc.add(tokens, model["align_pe"])
     return tokens
 
 
-def unimodal_encode(model, embedded: Tensor, m: int, rng=None):
-    """Run [tokens; latents] through modality m's own encoder blocks."""
+def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor, rng=None):
+    """Normalize the stacked embeddings [B x M x L x C] and run [tokens;
+    latents] through every modality's own encoder blocks; returns the
+    tokens [B x M x A x C] and the latents [B x M x L x C]."""
     cfg = model.config
-    batch = embedded.shape[0]
-    tokens = nc.expand_batch(make_bottleneck(model, m), batch)
-    seq = nc.concat([tokens, embedded], -2)
+    x = nc.layernorm(embedded, model["embed_ln.g"], model["embed_ln.b"])
+    x = nc.dropout(x, cfg.dropout, rng)
+    seq = nc.concat([nc.expand_batch(bottlenecks, x.shape[0]), x], -2)
     for d in range(cfg.unimodal_depth):
-        seq = _encoder_block(model, f"mod{m}.uni{d}.", seq, rng)
+        seq = _encoder_block(model, f"uni{d}.", seq, rng)
     tokens_out = nc.narrow(seq, -2, 0, cfg.align_len)
     latents = nc.narrow(seq, -2, cfg.align_len, seq.shape[-2])
     return tokens_out, latents
 
 
-def fusion_encode(model, token_sets: list, latents: list, rng=None):
+def fusion_encode(model, tokens: Tensor, latents: Tensor, rng=None):
     """Cross-modal stage; returns the fused representation [B x L_in x M*C]
     and the length of every sequence a fusion block attended over.
 
@@ -253,45 +301,40 @@ def fusion_encode(model, token_sets: list, latents: list, rng=None):
     concatenation of the final per-modality latents.
     """
     cfg = model.config
-    n_mod = cfg.num_modalities
-    ln = cfg.align_len
+    batch, n_mod, ln, width = tokens.shape
+    shared = n_mod * ln
+    # every token set, in modality order, broadcast to each tower by concat
+    token_sets = nc.reshape(tokens, (batch, 1, shared, width))
     seq_lens = []
     for d in range(cfg.fusion_depth):
-        updates = [[] for _ in range(n_mod)]  # per token set
-        new_latents = []
-        for m in range(n_mod):
-            seq = nc.concat(token_sets + [latents[m]], -2)
-            seq_lens.append(seq.shape[-2])
-            out = _encoder_block(model, f"mod{m}.fus{d}.", seq, rng)
-            for j in range(n_mod):
-                updates[j].append(nc.narrow(out, -2, j * ln, (j + 1) * ln))
-            new_latents.append(nc.narrow(out, -2, n_mod * ln, out.shape[-2]))
-        merged = []
-        for j in range(n_mod):
-            total = updates[j][0]
-            for u in updates[j][1:]:
-                total = nc.add(total, u)
-            merged.append(nc.mul(total, 1.0 / n_mod))
-        token_sets = merged
-        latents = new_latents
-    return (latents[0] if n_mod == 1 else nc.concat(latents, -1)), seq_lens
+        seq = nc.concat([token_sets, latents], -2)
+        seq_lens += [seq.shape[-2]] * n_mod
+        out = _encoder_block(model, f"fus{d}.", seq, rng)
+        latents = nc.narrow(out, -2, shared, out.shape[-2])
+        if d + 1 < cfg.fusion_depth:
+            token_sets = nc.mean(nc.narrow(out, -2, 0, shared), -3)
+    return nc.merge_channels(latents), seq_lens
 
 
 def encode(model, feats_list, rng=None, collect=None) -> Tensor:
-    """Full encoder: per-modality embedding, unimodal blocks, fusion. A
-    given collect also gets the fusion attention lengths in "fusion_seq_lens"."""
+    """Full encoder: per-modality embedding, then the stacked towers'
+    unimodal blocks and fusion. A given collect also gets the fusion
+    attention lengths in "fusion_seq_lens"."""
     cfg = model.config
     if len(feats_list) != cfg.num_modalities:
         raise DataError(
             f"model expects {cfg.num_modalities} modalities, got {len(feats_list)}"
         )
-    token_sets, latents = [], []
+    embedded, bottlenecks = [], []
     for m, feats in enumerate(feats_list):
-        embedded = embed_modality(model, feats, m, rng, collect)
-        tokens, lat = unimodal_encode(model, embedded, m, rng)
-        token_sets.append(tokens)
-        latents.append(lat)
-    fused, seq_lens = fusion_encode(model, token_sets, latents, rng)
+        embedded.append(embed_modality(model, feats, m, collect))
+        # right after the embedding's: the alignment table's gradient then
+        # sums its per-modality terms in the order of the unstacked towers
+        bottlenecks.append(make_bottleneck(model, m))
+    tokens, latents = unimodal_encode(
+        model, nc.concat(embedded, -3), nc.concat(bottlenecks, -3), rng
+    )
+    fused, seq_lens = fusion_encode(model, tokens, latents, rng)
     if collect is not None:
         collect["fusion_seq_lens"] = seq_lens
     return fused

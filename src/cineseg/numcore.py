@@ -3,11 +3,16 @@
 Implements exactly the operations the fusion models and the losses
 need: 2-D/3-D matrix products, linear layers, elementwise arithmetic
 with suffix broadcasting, softmax / log-softmax, layer normalization,
-the exact erf form of GeLU, row gathering/slicing/concatenation,
-dropout, row L2-normalization and scaled dot-product attention. Every
-value is float64. A linear layer ``x @ w + b`` records one node instead
-of a matmul and a bias add, because the cost of this core is Python
-overhead per node, not FLOPs.
+the exact erf form of GeLU, row gathering/slicing/concatenation, a mean
+over one axis, dropout, row L2-normalization and scaled dot-product
+attention. Every value is float64. A linear layer ``x @ w + b`` records
+one node instead of a matmul and a bias add, because the cost of this
+core is Python overhead per node, not FLOPs.
+
+For the same reason the fusion model runs its M modality towers as one
+``[... x M x L x C]`` tensor: ``linear`` and ``layernorm`` also take
+stacks of M weights, gains and biases, one per slice of axis -3, with
+the bits of one node per slice.
 
 Attention's L x L arrays are the only large ones. A recorded call keeps
 one fresh L x L array per head, its saved softmax weights; unrecorded
@@ -140,10 +145,11 @@ _TAPE_STACK: list[Tape] = []
 
 # ops whose output can be non-finite although every input is finite; the
 # rest (neg, transpose, reshape, narrow, concat, gather_rows,
-# expand_batch, clamp_min, dropout, and log, which checks its domain)
+# expand_batch, merge_channels, clamp_min, dropout, and log, which
+# checks its domain)
 # only move, select or scale finite values
 _CHECKED = frozenset({
-    "add", "sub", "mul", "div", "matmul", "linear", "sum", "exp", "gelu",
+    "add", "sub", "mul", "div", "matmul", "linear", "sum", "mean", "exp", "gelu",
     "softmax", "log_softmax", "layernorm", "normalize_rows", "attention",
 })
 # off only inside fd_gradient's evaluations, which check the losses instead
@@ -208,11 +214,18 @@ def _check_suffix(sa: tuple, sb: tuple) -> None:
     raise ShapeError(f"shapes {sa} and {sb} neither match nor suffix-broadcast")
 
 
+@functools.lru_cache(maxsize=1024)
+def _reduce_axes(gshape: tuple, shape: tuple) -> tuple:
+    extra = len(gshape) - len(shape)
+    broadcast = (extra + i for i, n in enumerate(shape) if n == 1 < gshape[extra + i])
+    return tuple(range(extra)) + tuple(broadcast)
+
+
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    return g.reshape(shape)
+    """g summed over its extra leading axes and over the axes where shape
+    has a 1 that g broadcast, in index order."""
+    axes = _reduce_axes(g.shape, shape)
+    return (g.sum(axis=axes) if axes else g).reshape(shape)
 
 
 def _binary(a, b) -> tuple[Tensor, Tensor]:
@@ -320,31 +333,41 @@ def matmul(a, b) -> Tensor:
 
 def _linear_back(g, inputs, out, saved):
     x, w, b = inputs
+    xd, wd = x.data, w.data
     if b.requires_grad:
-        b.accumulate(_reduce_to(g, b.shape))
+        b.accumulate(_reduce_to(g, b.data.shape))
     if x.requires_grad:
-        x.accumulate(g @ w.data.T)
+        x.accumulate(g @ wd.swapaxes(-1, -2))
     if w.requires_grad:
-        if x.ndim == 2:
-            w.accumulate(x.data.T @ g)
-        else:
-            # the operands np.tensordot(x, g, axes=([0, 1], [0, 1])) builds,
-            # without its Python overhead
-            c, n = x.shape[2], g.shape[2]
-            w.accumulate(np.dot(x.data.transpose(2, 0, 1).reshape(c, -1), g.reshape(-1, n)))
+        if xd.ndim == 2:
+            w.accumulate(xd.T @ g)
+            return
+        # per slice of a stack, a shared w being a stack of one: the operands
+        # np.tensordot(x, g, axes=([0, 1], [0, 1])) builds, without its overhead
+        if wd.ndim == 2:
+            xd, g = xd[..., None, :, :], g[..., None, :, :]
+        nd, m = xd.ndim, xd.shape[-3]
+        xt = xd.transpose(nd - 3, nd - 1, *range(nd - 3), nd - 2).reshape(m, xd.shape[-1], -1)
+        gt = g.transpose(nd - 3, *range(nd - 3), nd - 2, nd - 1).reshape(m, -1, g.shape[-1])
+        w.accumulate(np.matmul(xt, gt).reshape(wd.shape))
 
 
 def linear(x, w, b) -> Tensor:
-    """x @ w + b as one node: 2-D or 3-D x, a shared 2-D w, a 1-D b.
+    """x @ w + b as one node: a [C x N] w and [N] b shared by every row of
+    a 2-D or higher x, or stacks [M x C x N] and [M x 1 x N] of one per
+    slice of x's axis -3 ([... x M x L x C]).
 
     The backward gives the bits of a matmul node followed by a bias add
-    node: the bias gradient first, then x's, then w's.
+    node, per modality for a stack: the bias gradient first, then x's,
+    then w's.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     sx, sw = x.data.shape, w.data.shape
-    if len(sx) not in (2, 3) or len(sw) != 2 or sx[-1] != sw[0]:
+    stacked = len(sw) == 3
+    if (len(sw) not in (2, 3) or len(sx) < len(sw) or sx[-1] != sw[-2]
+            or (stacked and sx[-3] != sw[0])):
         raise ShapeError(f"linear mismatch: {sx} x {sw}")
-    if b.data.shape != (sw[1],):
+    if b.data.shape != ((sw[0], 1) if stacked else ()) + sw[-1:]:
         raise ShapeError(f"linear bias shape {b.data.shape} does not match weight {sw}")
     out = x.data @ w.data
     out += b.data
@@ -370,7 +393,11 @@ def _reshape_back(g, inputs, out, saved):
 
 
 def reshape(a, shape) -> Tensor:
+    """A copy of a with a new shape; a tensor that already has the shape
+    is returned as it is, with no node."""
     a = _as_tensor(a)
+    if a.data.shape == tuple(shape):
+        return a
     return _emit("reshape", _reshape_back, (a,), a.data.reshape(shape).copy())
 
 
@@ -399,24 +426,40 @@ def narrow(a, axis: int, start: int, stop: int) -> Tensor:
 
 def _concat_back(g, parts, out, ax):
     offset = 0
+    sl = [slice(None)] * g.ndim
     for p in parts:
         size = p.shape[ax]
         if p.requires_grad:
-            sl = [slice(None)] * g.ndim
             sl[ax] = slice(offset, offset + size)
-            p.accumulate(g[tuple(sl)])
+            gp = g[tuple(sl)]
+            # a broadcast part sums its copies last to first, as one node per copy would
+            for i in [i for i, (a, b) in enumerate(zip(p.shape, gp.shape)) if a != b]:
+                gp = np.expand_dims(functools.reduce(np.add, np.moveaxis(gp, i, 0)[::-1]), i)
+            p.accumulate(gp)
         offset += size
 
 
 def concat(parts, axis: int) -> Tensor:
+    """Join equal-rank tensors along one axis; along one of the last two,
+    parts broadcast over the leading axes. A single part is returned as
+    it is, with no node."""
     parts = tuple(_as_tensor(p) for p in parts)
     if not parts:
         raise ContractError("concat of zero tensors")
-    nd = parts[0].data.ndim
+    if len(parts) == 1:
+        return parts[0]
+    arrays = [p.data for p in parts]
+    nd = arrays[0].ndim
     ax = axis if axis >= 0 else nd + axis
-    if any(p.data.ndim != nd for p in parts) or ax not in (nd - 1, nd - 2):
-        raise ShapeError("concat supports equal-rank tensors along the last two axes")
-    return _emit("concat", _concat_back, parts, np.concatenate([p.data for p in parts], axis=ax), ax)
+    try:
+        lead = arrays[0].shape[:-2]
+        if ax >= nd - 2 and any(a.shape[:-2] != lead for a in arrays):
+            lead = np.broadcast_shapes(*(a.shape[:-2] for a in arrays))
+            arrays = [np.broadcast_to(a, lead + a.shape[-2:]) for a in arrays]
+        out = np.concatenate(arrays, axis=ax)
+    except ValueError:  # ranks, axis or shapes that do not fit
+        raise ShapeError(f"cannot concat {[a.shape for a in arrays]} on axis {axis}") from None
+    return _emit("concat", _concat_back, parts, out, ax)
 
 
 def _gather_rows_back(g, inputs, out, idx):
@@ -449,6 +492,24 @@ def expand_batch(a, batch: int) -> Tensor:
     return _emit("expand_batch", _expand_batch_back, (a,), out)
 
 
+def _merge_channels_back(g, inputs, out, saved):
+    (a,) = inputs
+    *lead, m, length, c = a.shape
+    a.accumulate(g.reshape(*lead, length, m, c).swapaxes(-2, -3))
+
+
+def merge_channels(a) -> Tensor:
+    """[... x M x L x C] -> [... x L x M*C]: the M slices of axis -3 side
+    by side on the last axis, as concat along -1 joins them; a view of
+    a when M = 1."""
+    a = _as_tensor(a)
+    if a.ndim < 3:
+        raise ShapeError(f"merge_channels needs 3-D or more, got {a.shape}")
+    *lead, m, length, c = a.shape
+    out = a.data.swapaxes(-3, -2).reshape(*lead, length, m * c)
+    return _emit("merge_channels", _merge_channels_back, (a,), out)
+
+
 # ---- reductions and nonlinearities ----
 
 
@@ -460,6 +521,19 @@ def _sum_back(g, inputs, out, saved):
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     return _emit("sum", _sum_back, (a,), np.asarray(a.data.sum()))
+
+
+def _mean_back(g, inputs, out, axis):
+    (a,) = inputs
+    a.accumulate(np.broadcast_to(g * (1.0 / a.shape[axis]), a.shape))
+
+
+def mean(a, axis: int) -> Tensor:
+    """Mean over one axis, kept with size 1: the sum in index order times
+    1 / n, the bits of a chain of adds and one multiply."""
+    a = _as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=True) * (1.0 / a.data.shape[axis])
+    return _emit("mean", _mean_back, (a,), out, axis)
 
 
 def _exp_back(g, inputs, out, saved):
@@ -559,9 +633,9 @@ def _layernorm_back(g, inputs, out, saved):
     xhat, inv = saved
     width = a.shape[-1]
     if gain.requires_grad:
-        gain.accumulate((g * xhat).reshape(-1, width).sum(axis=0))
+        gain.accumulate(_reduce_to(g * xhat, gain.shape))
     if bias.requires_grad:
-        bias.accumulate(g.reshape(-1, width).sum(axis=0))
+        bias.accumulate(_reduce_to(g, bias.shape))
     if a.requires_grad:
         gg = g * gain.data
         m1 = gg.sum(axis=-1, keepdims=True) / width
@@ -570,13 +644,16 @@ def _layernorm_back(g, inputs, out, saved):
 
 
 def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis (population variance), then scale and shift."""
+    """Normalize the last axis (population variance), then scale and
+    shift by [C] gains and biases, or by [M x 1 x C] ones, one per slice
+    of a's axis -3 ([... x M x L x C])."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    width = a.data.shape[-1]
-    if gain.data.shape != (width,) or bias.data.shape != (width,):
-        raise ShapeError(
-            f"layernorm gain/bias must have shape ({width},), got {gain.shape}, {bias.shape}"
-        )
+    shape = a.data.shape
+    width = shape[-1]
+    if bias.data.shape != gain.data.shape or gain.data.shape not in (
+        (width,), shape[-3:-2] + (1, width)
+    ):
+        raise ShapeError(f"layernorm gain/bias {gain.shape}, {bias.shape} do not fit input {shape}")
     # sum / width is what np.mean computes, bit for bit, without its overhead
     mu = a.data.sum(axis=-1, keepdims=True) / width
     centered = a.data - mu
@@ -653,25 +730,25 @@ def _attention_back(g, inputs, out, saved):
 
 
 def attention(q, k, v, num_heads: int) -> Tensor:
-    """Scaled dot-product attention over [B x L x C] inputs as one node,
+    """Scaled dot-product attention over [... x L x C] inputs as one node,
     head h on columns [h * C / num_heads, (h + 1) * C / num_heads), with
     the bits of the per-head chain of narrow, transpose, matmul, scale,
     softmax and matmul nodes; the softmax runs in place on the scores."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
-        raise ShapeError(f"attention needs equal 3-D shapes, got {shape}, {k.shape}, {v.shape}")
-    if num_heads < 1 or shape[2] % num_heads:
-        raise ShapeError(f"attention width {shape[2]} does not split into {num_heads} heads")
+    if len(shape) < 3 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(f"attention needs equal 3-D+ shapes, got {shape}, {k.shape}, {v.shape}")
+    if num_heads < 1 or shape[-1] % num_heads:
+        raise ShapeError(f"attention width {shape[-1]} does not split into {num_heads} heads")
     recorded = bool(_TAPE_STACK) and (q.requires_grad or k.requires_grad or v.requires_grad)
-    head_dim = shape[2] // num_heads
+    head_dim = shape[-1] // num_heads
     scale = 1.0 / math.sqrt(head_dim)
     heads, outs = [], []
     for h in range(num_heads):
         cols = slice(h * head_dim, (h + 1) * head_dim)
         qh, kh, vh = (np.ascontiguousarray(t.data[..., cols]) for t in (q, k, v))
         kh_t = np.swapaxes(kh, -1, -2).copy()
-        ws = None if recorded else _workspace("scores", shape[:2] + shape[1:2])
+        ws = None if recorded else _workspace("scores", shape[:-1] + shape[-2:-1])
         s = np.matmul(qh, kh_t, out=ws)
         s *= scale
         # finite scaled scores give finite softmax weights

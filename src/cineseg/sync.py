@@ -139,8 +139,8 @@ def m_step_loss(terms, tau: Tensor) -> Tensor:
     """
     if not terms:
         raise ContractError("m_step_loss needs at least one movie")
-    u_all = terms[0][0] if len(terms) == 1 else nc.concat([t[0] for t in terms], -2)
-    v_all = terms[0][1] if len(terms) == 1 else nc.concat([t[1] for t in terms], -2)
+    u_all = nc.concat([t[0] for t in terms], -2)
+    v_all = nc.concat([t[1] for t in terms], -2)
     total_sh, total_syn = u_all.shape[0], v_all.shape[0]
 
     pos = np.zeros((total_sh, total_syn))

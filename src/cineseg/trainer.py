@@ -177,14 +177,16 @@ def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
     """Class-weighted boundary cross-entropy, weight_c = batch/(2*count_c),
     normalized as a weighted mean. Single-class batches fall back to the
     unweighted mean; train_scene counts them."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     batch = labels.shape[0]
     if batch == 0:
         raise DataError("weighted_scene_ce needs a non-empty batch")
     if logits.shape != (batch, 2):
         raise DataError(f"expected logits ({batch}, 2), got {logits.shape}")
-    if not np.isin(labels, (0, 1)).all():
+    # exact 0 or 1 as passed: a cast first would truncate 0.5 or 1.9
+    if not ((labels == 0) | (labels == 1)).all():
         raise DataError("scene labels must be binary")
+    labels = labels.astype(np.int64)
     counts = np.bincount(labels, minlength=2)
     if counts.min() == 0:
         weights = np.ones(batch)
@@ -380,6 +382,11 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.D
             "shot and synopsis fused widths must match for the shared sync head "
             f"({shot_cfg.fused_width} vs {synopsis_cfg.fused_width})"
         )
+    for cfg in (shot_cfg, synopsis_cfg):
+        cfg.validate()
+    head = (shot_cfg.fused_width + 1) * sync_dim + 1  # proj.w, proj.b, log_tau
+    total = shot_cfg.num_params + synopsis_cfg.num_params + head
+    af.check_param_budget(total, f"the act pipeline with its sync_dim {sync_dim} head")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     tower_seed, head_seed = seed.spawn(2)

@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import cineseg.alignfuse as af
+import cineseg.cli as cli
 import cineseg.gradcheck as gradcheck
 import cineseg.numcore as nc
 import cineseg.trainer as trainer
+from cineseg.dataio import NUM_TURNING_POINTS
 from cineseg.errors import BlobIOError, ConfigError, DataError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_cfg(**kw):
@@ -80,12 +86,12 @@ def test_config_validation():
 
 def test_init_distributions():
     model = af.FusionModel(tiny_cfg(), seed=0)
-    npt.assert_array_equal(model["mod0.embed_ln.g"].data, np.ones(8))
-    npt.assert_array_equal(model["mod0.embed_ln.b"].data, np.zeros(8))
+    npt.assert_array_equal(model["embed_ln.g"].data, np.ones((2, 1, 8)))
+    npt.assert_array_equal(model["embed_ln.b"].data, np.zeros((2, 1, 8)))
     npt.assert_array_equal(model["head.b"].data, np.zeros(2))
     assert abs(model["align_pe"].data.std() - 0.02) < 0.02
     assert np.abs(model["mod0.proj.w"].data).max() <= np.sqrt(6.0 / (3 + 8))
-    assert np.abs(model["mod0.uni0.ffn.drop.w"].data).max() <= np.sqrt(6.0 / (16 + 8))
+    assert np.abs(model["uni0.ffn.drop.w"].data).max() <= np.sqrt(6.0 / (16 + 8))
 
 
 def test_same_seed_same_params():
@@ -250,7 +256,7 @@ def test_model_gradients_match_finite_differences_smoke():
         loss = make_loss()
     nc.backward(tape, loss)
     for name in ("align_pe", "mod0.tokens", "mod1.proj.w", "head.w",
-                 "mod0.uni0.attn.q.w", "mod1.fus0.ffn.lift.w", "mod0.embed_ln.g"):
+                 "uni0.attn.q.w", "fus0.ffn.lift.w", "embed_ln.g"):
         p = model[name]
         fd = nc.fd_gradient(lambda: float(make_loss().data), p)
         err = nc.max_rel_error(p.grad, fd)
@@ -260,11 +266,11 @@ def test_model_gradients_match_finite_differences_smoke():
 def test_two_head_attention_matches_a_per_head_reference():
     cfg = tiny_cfg(num_heads=2)
     model = af.FusionModel(cfg, seed=19)
-    x = np.random.default_rng(19).normal(size=(2, 7, cfg.width))
-    got = af._attention(model, "mod0.uni0.", x).data
+    x = np.random.default_rng(19).normal(size=(2, 2, 7, cfg.width))
+    got = af._attention(model, "uni0.", x).data
 
     def project(piece):
-        prefix = f"mod0.uni0.attn.{piece}"
+        prefix = f"uni0.attn.{piece}"
         return x @ model[prefix + ".w"].data + model[prefix + ".b"].data
 
     q, k, v = project("q"), project("k"), project("v")
@@ -281,9 +287,9 @@ def test_two_head_attention_matches_a_per_head_reference():
 
 def test_single_head_encoder_block_records_one_attention_node():
     model = af.FusionModel(tiny_cfg(), seed=21)
-    x = nc.Tensor(np.random.default_rng(21).normal(size=(2, 5, 8)), requires_grad=True)
+    x = nc.Tensor(np.random.default_rng(21).normal(size=(2, 2, 5, 8)), requires_grad=True)
     with nc.Tape() as tape:
-        af._encoder_block(model, "mod0.uni0.", x, None)
+        af._encoder_block(model, "uni0.", x, None)
     names = [node.name for node in tape.nodes]
     assert names.count("attention") == 1
     assert "softmax" not in names and "narrow" not in names
@@ -356,7 +362,7 @@ def test_checkpoint_errors(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"\x00\x01binary\n" + data)
     with pytest.raises(DataError):
         af.load_checkpoint(tmp_path / "junk.ckpt")
-    (tmp_path / "old.ckpt").write_bytes(data.replace(b'"version": 2', b'"version": 1', 1))
+    (tmp_path / "old.ckpt").write_bytes(data.replace(b'"version": 3', b'"version": 2', 1))
     with pytest.raises(DataError, match="re-train"):
         af.load_checkpoint(tmp_path / "old.ckpt")
 
@@ -374,82 +380,51 @@ def test_load_params_rejects_mismatches():
 # the (name, shape) order in which the constructors create the parameters
 # of gradcheck's tiny models; a checkpoint body follows it
 SCENE_LAYOUT = [
-    ("align_pe", (2, 8)), ("mod0.proj.w", (3, 8)), ("mod0.proj.b", (8,)),
-    ("mod0.pe", (5, 8)), ("mod0.embed_ln.g", (8,)), ("mod0.embed_ln.b", (8,)),
-    ("mod0.tokens", (2, 8)), ("mod0.uni0.attn.q.w", (8, 8)), ("mod0.uni0.attn.q.b", (8,)),
-    ("mod0.uni0.attn.k.w", (8, 8)), ("mod0.uni0.attn.k.b", (8,)),
-    ("mod0.uni0.attn.v.w", (8, 8)), ("mod0.uni0.attn.v.b", (8,)), ("mod0.uni0.ln1.g", (8,)),
-    ("mod0.uni0.ln1.b", (8,)), ("mod0.uni0.ffn.lift.w", (8, 16)),
-    ("mod0.uni0.ffn.lift.b", (16,)), ("mod0.uni0.ffn.drop.w", (16, 8)),
-    ("mod0.uni0.ffn.drop.b", (8,)), ("mod0.uni0.ln2.g", (8,)), ("mod0.uni0.ln2.b", (8,)),
-    ("mod0.fus0.attn.q.w", (8, 8)), ("mod0.fus0.attn.q.b", (8,)),
-    ("mod0.fus0.attn.k.w", (8, 8)), ("mod0.fus0.attn.k.b", (8,)),
-    ("mod0.fus0.attn.v.w", (8, 8)), ("mod0.fus0.attn.v.b", (8,)), ("mod0.fus0.ln1.g", (8,)),
-    ("mod0.fus0.ln1.b", (8,)), ("mod0.fus0.ffn.lift.w", (8, 16)),
-    ("mod0.fus0.ffn.lift.b", (16,)), ("mod0.fus0.ffn.drop.w", (16, 8)),
-    ("mod0.fus0.ffn.drop.b", (8,)), ("mod0.fus0.ln2.g", (8,)), ("mod0.fus0.ln2.b", (8,)),
+    ("align_pe", (2, 8)), ("mod0.proj.w", (3, 8)), ("mod0.proj.b", (8,)), ("mod0.pe", (5, 8)),
+    ("embed_ln.g", (2, 1, 8)), ("embed_ln.b", (2, 1, 8)), ("mod0.tokens", (1, 2, 8)),
+    ("uni0.attn.q.w", (2, 8, 8)), ("uni0.attn.q.b", (2, 1, 8)), ("uni0.attn.k.w", (2, 8, 8)),
+    ("uni0.attn.k.b", (2, 1, 8)), ("uni0.attn.v.w", (2, 8, 8)), ("uni0.attn.v.b", (2, 1, 8)),
+    ("uni0.ln1.g", (2, 1, 8)), ("uni0.ln1.b", (2, 1, 8)), ("uni0.ffn.lift.w", (2, 8, 16)),
+    ("uni0.ffn.lift.b", (2, 1, 16)), ("uni0.ffn.drop.w", (2, 16, 8)),
+    ("uni0.ffn.drop.b", (2, 1, 8)), ("uni0.ln2.g", (2, 1, 8)), ("uni0.ln2.b", (2, 1, 8)),
+    ("fus0.attn.q.w", (2, 8, 8)), ("fus0.attn.q.b", (2, 1, 8)), ("fus0.attn.k.w", (2, 8, 8)),
+    ("fus0.attn.k.b", (2, 1, 8)), ("fus0.attn.v.w", (2, 8, 8)), ("fus0.attn.v.b", (2, 1, 8)),
+    ("fus0.ln1.g", (2, 1, 8)), ("fus0.ln1.b", (2, 1, 8)), ("fus0.ffn.lift.w", (2, 8, 16)),
+    ("fus0.ffn.lift.b", (2, 1, 16)), ("fus0.ffn.drop.w", (2, 16, 8)),
+    ("fus0.ffn.drop.b", (2, 1, 8)), ("fus0.ln2.g", (2, 1, 8)), ("fus0.ln2.b", (2, 1, 8)),
     ("mod1.proj.w", (2, 8)), ("mod1.proj.b", (8,)), ("mod1.pe", (5, 8)),
-    ("mod1.embed_ln.g", (8,)), ("mod1.embed_ln.b", (8,)), ("mod1.tokens", (2, 8)),
-    ("mod1.uni0.attn.q.w", (8, 8)), ("mod1.uni0.attn.q.b", (8,)),
-    ("mod1.uni0.attn.k.w", (8, 8)), ("mod1.uni0.attn.k.b", (8,)),
-    ("mod1.uni0.attn.v.w", (8, 8)), ("mod1.uni0.attn.v.b", (8,)), ("mod1.uni0.ln1.g", (8,)),
-    ("mod1.uni0.ln1.b", (8,)), ("mod1.uni0.ffn.lift.w", (8, 16)),
-    ("mod1.uni0.ffn.lift.b", (16,)), ("mod1.uni0.ffn.drop.w", (16, 8)),
-    ("mod1.uni0.ffn.drop.b", (8,)), ("mod1.uni0.ln2.g", (8,)), ("mod1.uni0.ln2.b", (8,)),
-    ("mod1.fus0.attn.q.w", (8, 8)), ("mod1.fus0.attn.q.b", (8,)),
-    ("mod1.fus0.attn.k.w", (8, 8)), ("mod1.fus0.attn.k.b", (8,)),
-    ("mod1.fus0.attn.v.w", (8, 8)), ("mod1.fus0.attn.v.b", (8,)), ("mod1.fus0.ln1.g", (8,)),
-    ("mod1.fus0.ln1.b", (8,)), ("mod1.fus0.ffn.lift.w", (8, 16)),
-    ("mod1.fus0.ffn.lift.b", (16,)), ("mod1.fus0.ffn.drop.w", (16, 8)),
-    ("mod1.fus0.ffn.drop.b", (8,)), ("mod1.fus0.ln2.g", (8,)), ("mod1.fus0.ln2.b", (8,)),
-    ("head.w", (16, 2)), ("head.b", (2,)),
+    ("mod1.tokens", (1, 2, 8)), ("head.w", (16, 2)), ("head.b", (2,)),
 ]
 ACT_LAYOUT = [
     ("shot.align_pe", (2, 8)), ("shot.mod0.proj.w", (3, 8)), ("shot.mod0.proj.b", (8,)),
-    ("shot.mod0.pe", (5, 8)), ("shot.mod0.embed_ln.g", (8,)),
-    ("shot.mod0.embed_ln.b", (8,)), ("shot.mod0.tokens", (2, 8)),
-    ("shot.mod0.uni0.attn.q.w", (8, 8)), ("shot.mod0.uni0.attn.q.b", (8,)),
-    ("shot.mod0.uni0.attn.k.w", (8, 8)), ("shot.mod0.uni0.attn.k.b", (8,)),
-    ("shot.mod0.uni0.attn.v.w", (8, 8)), ("shot.mod0.uni0.attn.v.b", (8,)),
-    ("shot.mod0.uni0.ln1.g", (8,)), ("shot.mod0.uni0.ln1.b", (8,)),
-    ("shot.mod0.uni0.ffn.lift.w", (8, 16)), ("shot.mod0.uni0.ffn.lift.b", (16,)),
-    ("shot.mod0.uni0.ffn.drop.w", (16, 8)), ("shot.mod0.uni0.ffn.drop.b", (8,)),
-    ("shot.mod0.uni0.ln2.g", (8,)), ("shot.mod0.uni0.ln2.b", (8,)),
-    ("shot.mod0.fus0.attn.q.w", (8, 8)), ("shot.mod0.fus0.attn.q.b", (8,)),
-    ("shot.mod0.fus0.attn.k.w", (8, 8)), ("shot.mod0.fus0.attn.k.b", (8,)),
-    ("shot.mod0.fus0.attn.v.w", (8, 8)), ("shot.mod0.fus0.attn.v.b", (8,)),
-    ("shot.mod0.fus0.ln1.g", (8,)), ("shot.mod0.fus0.ln1.b", (8,)),
-    ("shot.mod0.fus0.ffn.lift.w", (8, 16)), ("shot.mod0.fus0.ffn.lift.b", (16,)),
-    ("shot.mod0.fus0.ffn.drop.w", (16, 8)), ("shot.mod0.fus0.ffn.drop.b", (8,)),
-    ("shot.mod0.fus0.ln2.g", (8,)), ("shot.mod0.fus0.ln2.b", (8,)),
-    ("shot.mod1.proj.w", (2, 8)), ("shot.mod1.proj.b", (8,)), ("shot.mod1.pe", (5, 8)),
-    ("shot.mod1.embed_ln.g", (8,)), ("shot.mod1.embed_ln.b", (8,)),
-    ("shot.mod1.tokens", (2, 8)), ("shot.mod1.uni0.attn.q.w", (8, 8)),
-    ("shot.mod1.uni0.attn.q.b", (8,)), ("shot.mod1.uni0.attn.k.w", (8, 8)),
-    ("shot.mod1.uni0.attn.k.b", (8,)), ("shot.mod1.uni0.attn.v.w", (8, 8)),
-    ("shot.mod1.uni0.attn.v.b", (8,)), ("shot.mod1.uni0.ln1.g", (8,)),
-    ("shot.mod1.uni0.ln1.b", (8,)), ("shot.mod1.uni0.ffn.lift.w", (8, 16)),
-    ("shot.mod1.uni0.ffn.lift.b", (16,)), ("shot.mod1.uni0.ffn.drop.w", (16, 8)),
-    ("shot.mod1.uni0.ffn.drop.b", (8,)), ("shot.mod1.uni0.ln2.g", (8,)),
-    ("shot.mod1.uni0.ln2.b", (8,)), ("shot.mod1.fus0.attn.q.w", (8, 8)),
-    ("shot.mod1.fus0.attn.q.b", (8,)), ("shot.mod1.fus0.attn.k.w", (8, 8)),
-    ("shot.mod1.fus0.attn.k.b", (8,)), ("shot.mod1.fus0.attn.v.w", (8, 8)),
-    ("shot.mod1.fus0.attn.v.b", (8,)), ("shot.mod1.fus0.ln1.g", (8,)),
-    ("shot.mod1.fus0.ln1.b", (8,)), ("shot.mod1.fus0.ffn.lift.w", (8, 16)),
-    ("shot.mod1.fus0.ffn.lift.b", (16,)), ("shot.mod1.fus0.ffn.drop.w", (16, 8)),
-    ("shot.mod1.fus0.ffn.drop.b", (8,)), ("shot.mod1.fus0.ln2.g", (8,)),
-    ("shot.mod1.fus0.ln2.b", (8,)), ("shot.head.w", (16, 5)), ("shot.head.b", (5,)),
-    ("synopsis.align_pe", (2, 16)), ("synopsis.mod0.proj.w", (5, 16)),
+    ("shot.mod0.pe", (5, 8)), ("shot.embed_ln.g", (2, 1, 8)), ("shot.embed_ln.b", (2, 1, 8)),
+    ("shot.mod0.tokens", (1, 2, 8)), ("shot.uni0.attn.q.w", (2, 8, 8)),
+    ("shot.uni0.attn.q.b", (2, 1, 8)), ("shot.uni0.attn.k.w", (2, 8, 8)),
+    ("shot.uni0.attn.k.b", (2, 1, 8)), ("shot.uni0.attn.v.w", (2, 8, 8)),
+    ("shot.uni0.attn.v.b", (2, 1, 8)), ("shot.uni0.ln1.g", (2, 1, 8)),
+    ("shot.uni0.ln1.b", (2, 1, 8)), ("shot.uni0.ffn.lift.w", (2, 8, 16)),
+    ("shot.uni0.ffn.lift.b", (2, 1, 16)), ("shot.uni0.ffn.drop.w", (2, 16, 8)),
+    ("shot.uni0.ffn.drop.b", (2, 1, 8)), ("shot.uni0.ln2.g", (2, 1, 8)),
+    ("shot.uni0.ln2.b", (2, 1, 8)), ("shot.fus0.attn.q.w", (2, 8, 8)),
+    ("shot.fus0.attn.q.b", (2, 1, 8)), ("shot.fus0.attn.k.w", (2, 8, 8)),
+    ("shot.fus0.attn.k.b", (2, 1, 8)), ("shot.fus0.attn.v.w", (2, 8, 8)),
+    ("shot.fus0.attn.v.b", (2, 1, 8)), ("shot.fus0.ln1.g", (2, 1, 8)),
+    ("shot.fus0.ln1.b", (2, 1, 8)), ("shot.fus0.ffn.lift.w", (2, 8, 16)),
+    ("shot.fus0.ffn.lift.b", (2, 1, 16)), ("shot.fus0.ffn.drop.w", (2, 16, 8)),
+    ("shot.fus0.ffn.drop.b", (2, 1, 8)), ("shot.fus0.ln2.g", (2, 1, 8)),
+    ("shot.fus0.ln2.b", (2, 1, 8)), ("shot.mod1.proj.w", (2, 8)), ("shot.mod1.proj.b", (8,)),
+    ("shot.mod1.pe", (5, 8)), ("shot.mod1.tokens", (1, 2, 8)), ("shot.head.w", (16, 5)),
+    ("shot.head.b", (5,)), ("synopsis.align_pe", (2, 16)), ("synopsis.mod0.proj.w", (5, 16)),
     ("synopsis.mod0.proj.b", (16,)), ("synopsis.mod0.pe", (3, 16)),
-    ("synopsis.mod0.embed_ln.g", (16,)), ("synopsis.mod0.embed_ln.b", (16,)),
-    ("synopsis.mod0.tokens", (2, 16)), ("synopsis.mod0.uni0.attn.q.w", (16, 16)),
-    ("synopsis.mod0.uni0.attn.q.b", (16,)), ("synopsis.mod0.uni0.attn.k.w", (16, 16)),
-    ("synopsis.mod0.uni0.attn.k.b", (16,)), ("synopsis.mod0.uni0.attn.v.w", (16, 16)),
-    ("synopsis.mod0.uni0.attn.v.b", (16,)), ("synopsis.mod0.uni0.ln1.g", (16,)),
-    ("synopsis.mod0.uni0.ln1.b", (16,)), ("synopsis.mod0.uni0.ffn.lift.w", (16, 16)),
-    ("synopsis.mod0.uni0.ffn.lift.b", (16,)), ("synopsis.mod0.uni0.ffn.drop.w", (16, 16)),
-    ("synopsis.mod0.uni0.ffn.drop.b", (16,)), ("synopsis.mod0.uni0.ln2.g", (16,)),
-    ("synopsis.mod0.uni0.ln2.b", (16,)), ("synopsis.head.w", (16, 5)),
+    ("synopsis.embed_ln.g", (1, 1, 16)), ("synopsis.embed_ln.b", (1, 1, 16)),
+    ("synopsis.mod0.tokens", (1, 2, 16)), ("synopsis.uni0.attn.q.w", (1, 16, 16)),
+    ("synopsis.uni0.attn.q.b", (1, 1, 16)), ("synopsis.uni0.attn.k.w", (1, 16, 16)),
+    ("synopsis.uni0.attn.k.b", (1, 1, 16)), ("synopsis.uni0.attn.v.w", (1, 16, 16)),
+    ("synopsis.uni0.attn.v.b", (1, 1, 16)), ("synopsis.uni0.ln1.g", (1, 1, 16)),
+    ("synopsis.uni0.ln1.b", (1, 1, 16)), ("synopsis.uni0.ffn.lift.w", (1, 16, 16)),
+    ("synopsis.uni0.ffn.lift.b", (1, 1, 16)), ("synopsis.uni0.ffn.drop.w", (1, 16, 16)),
+    ("synopsis.uni0.ffn.drop.b", (1, 1, 16)), ("synopsis.uni0.ln2.g", (1, 1, 16)),
+    ("synopsis.uni0.ln2.b", (1, 1, 16)), ("synopsis.head.w", (16, 5)),
     ("synopsis.head.b", (5,)), ("sync.proj.w", (16, 6)), ("sync.proj.b", (6,)),
     ("sync.log_tau", ()),
 ]
@@ -464,3 +439,196 @@ def test_parameter_layout_is_pinned():
             "the parameter layout changed; checkpoints store parameters in this "
             "order, so bump alignfuse.CHECKPOINT_VERSION and update the layout here"
         )
+
+
+# ---- the stacked towers against per-modality ops ----
+
+
+def _unstacked(model) -> dict:
+    """Fresh leaf copies of the parameters under the per-modality names
+    that each tower had before the towers were stacked: mod{m}.<name> for
+    slice m of a stacked one, and [A x C] bottleneck tokens."""
+    cfg = model.config
+    params = {}
+    for name, p in model.params.items():
+        if name.endswith(".tokens"):
+            params[name] = nc.Tensor(p.data[0].copy(), requires_grad=True)
+        elif name.startswith(("mod", "align_pe", "head.")):
+            params[name] = nc.Tensor(p.data.copy(), requires_grad=True)
+        else:
+            for m in range(cfg.num_modalities):  # [1 x N] rows of a vector stack as [N]
+                part = p.data[m].reshape(-1) if name.endswith((".g", ".b")) else p.data[m]
+                params[f"mod{m}.{name}"] = nc.Tensor(part.copy(), requires_grad=True)
+    return params
+
+
+def _per_modality_encode(cfg, params, feats_list):
+    """The encoder as one op sequence per modality: each tower embeds,
+    normalizes and encodes on its own, and fusion concatenates the token
+    sets for every tower and averages their updates with adds and a mul."""
+    n, ln = cfg.num_modalities, cfg.align_len
+
+    def linear(prefix, x):
+        return nc.linear(x, params[prefix + ".w"], params[prefix + ".b"])
+
+    def block(prefix, x):
+        q, k, v = (linear(prefix + "attn." + piece, x) for piece in "qkv")
+        x = nc.add(x, nc.attention(q, k, v, cfg.num_heads))
+        x = nc.layernorm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
+        h = linear(prefix + "ffn.drop", nc.gelu(linear(prefix + "ffn.lift", x)))
+        return nc.layernorm(nc.add(x, h), params[prefix + "ln2.g"], params[prefix + "ln2.b"])
+
+    token_sets, latents = [], []
+    for m, feats in enumerate(feats_list):
+        p, length = f"mod{m}.", feats.shape[1]
+        x = nc.add(linear(p + "proj", feats), nc.narrow(params[p + "pe"], -2, 0, length))
+        x = nc.add(x, nc.gather_rows(params["align_pe"], af.align_buckets(length, ln)))
+        x = nc.layernorm(x, params[p + "embed_ln.g"], params[p + "embed_ln.b"])
+        tokens = nc.expand_batch(nc.add(params[p + "tokens"], params["align_pe"]), x.shape[0])
+        seq = nc.concat([tokens, x], -2)
+        for d in range(cfg.unimodal_depth):
+            seq = block(f"{p}uni{d}.", seq)
+        token_sets.append(nc.narrow(seq, -2, 0, ln))
+        latents.append(nc.narrow(seq, -2, ln, seq.shape[-2]))
+    for d in range(cfg.fusion_depth):
+        updates = [[] for _ in range(n)]
+        outs = [block(f"mod{m}.fus{d}.", nc.concat(token_sets + [latents[m]], -2))
+                for m in range(n)]
+        for out in outs:
+            for j in range(n):
+                updates[j].append(nc.narrow(out, -2, j * ln, (j + 1) * ln))
+        latents = [nc.narrow(out, -2, n * ln, out.shape[-2]) for out in outs]
+        token_sets = []
+        for parts in updates:
+            total = parts[0]
+            for u in parts[1:]:
+                total = nc.add(total, u)
+            token_sets.append(nc.mul(total, 1.0 / n))
+    return latents[0] if n == 1 else nc.concat(latents, -1)
+
+
+def _per_modality_logits(cfg, params, feats_list):
+    fused = _per_modality_encode(cfg, params, feats_list)
+    batch, length, width = fused.shape
+    if cfg.num_classes == 2:
+        rows = nc.reshape(nc.narrow(fused, -2, length // 2, length // 2 + 1), (batch, width))
+    else:
+        rows = nc.reshape(fused, (length, width))
+    return nc.linear(rows, params["head.w"], params["head.b"])
+
+
+@pytest.mark.parametrize("num_heads", [1, 2])
+@pytest.mark.parametrize("task", ["scene", "act"])
+@pytest.mark.parametrize("dims", [(6,), (3, 4), (3, 4, 5)], ids=["M1", "M2", "M3"])
+def test_stacked_towers_keep_the_per_modality_bits(dims, task, num_heads):
+    scene = task == "scene"
+    cfg = tiny_cfg(modality_dims=dims, num_heads=num_heads, fusion_depth=2,
+                   num_classes=2 if scene else 5)
+    model = af.FusionModel(cfg, seed=23)
+    rng = np.random.default_rng(23)
+    for p in model.params.values():  # no zero biases or unit gains to hide a slip
+        p.data += rng.normal(0.0, 0.1, size=p.shape)
+    params = _unstacked(model)
+    feats = [rng.normal(size=(3 if scene else 1, 5, d)) for d in dims]
+    weights = rng.normal(size=(3, 2) if scene else (5, 5))
+    results = []
+    stacked = (lambda: af.forward_scene(model, feats)) if scene else (
+        lambda: af.forward_act(model, [f[0] for f in feats]))
+    for forward in (stacked, lambda: _per_modality_logits(cfg, params, feats)):
+        with nc.Tape() as tape:
+            logits = forward()
+            loss = nc.sum_all(nc.mul(logits, weights))
+        nc.backward(tape, loss)
+        results.append(logits.data)
+    assert results[0].tobytes() == results[1].tobytes()
+    for name, p in model.params.items():
+        if name.startswith(("mod", "align_pe", "head.")):
+            want = params[name].grad.reshape(p.shape)
+        else:
+            want = np.stack([params[f"mod{m}.{name}"].grad for m in range(len(dims))])
+            want = want.reshape(p.shape)
+        assert p.grad.tobytes() == want.tobytes(), name
+
+
+def test_stacked_towers_record_one_block_per_depth():
+    cfg = tiny_cfg(modality_dims=(3, 4, 5), fusion_depth=2)
+    model = af.FusionModel(cfg, seed=24)
+    feats = rand_inputs(np.random.default_rng(24), cfg)
+    with nc.Tape() as tape:
+        af.forward_scene(model, feats)
+    names = [node.name for node in tape.nodes]
+    # one attention per unimodal and fusion depth, whatever M is, and no
+    # token update after the last fusion block
+    assert names.count("attention") == cfg.unimodal_depth + cfg.fusion_depth
+    assert names.count("mean") == cfg.fusion_depth - 1
+    assert "mul" not in names
+
+
+# ---- the parameter budget ----
+
+
+def _model_configs(scene_cfg=None, act_cfg=None):
+    """The scene model config and the act (shot, synopsis, sync_dim) that
+    the CLI builds from SCENE_KEYS and ACT_KEYS under the given config
+    files, with the modality dims of the shipped synth configs."""
+    def dims(name):
+        modalities = cli.resolve_config(cli.SYNTH_KEYS, CONFIGS / name, [])["modalities"]
+        return tuple(d for _, d in modalities)
+
+    scene = cli.resolve_config(cli.SCENE_KEYS, scene_cfg, [])
+    act = cli.resolve_config(cli.ACT_KEYS, act_cfg, [])
+    shot = af.ModelConfig(**cli._section(act, "shot"), num_classes=NUM_TURNING_POINTS,
+                          modality_dims=dims("synth_act.cfg"))
+    synopsis = af.ModelConfig(**cli._section(act, "synopsis"), width=shot.fused_width,
+                              num_classes=NUM_TURNING_POINTS,
+                              modality_dims=(sum(shot.modality_dims),))
+    model = af.ModelConfig(**cli._section(scene, "model"), num_classes=2,
+                           modality_dims=dims("synth_scene.cfg"))
+    return model, (shot, synopsis, act["train.sync_dim"])
+
+
+def _pipeline_size(pipeline) -> int:
+    return sum(p.data.size for p in pipeline.named_params().values())
+
+
+@pytest.mark.parametrize("source", ["desk configs", "gradcheck"])
+def test_param_count_is_what_the_constructors_allocate(source):
+    if source == "gradcheck":
+        pipeline, _ = gradcheck._tiny_act_setup(0)
+        configs = [pipeline.shot_model.config, pipeline.synopsis_model.config, tiny_cfg()]
+    else:
+        scene, act = _model_configs(CONFIGS / "scene_desk.cfg", CONFIGS / "act_desk.cfg")
+        configs = [scene, act[0], act[1]]
+    for cfg in configs:
+        model = af.FusionModel(cfg, seed=0)
+        assert cfg.num_params == sum(p.data.size for p in model.params.values())
+
+
+def test_default_settings_fit_the_budget():
+    # the paper-scale defaults, counted and not allocated
+    scene, (shot, synopsis, _) = _model_configs()
+    for cfg in (scene, shot, synopsis):
+        cfg.validate()
+    assert scene.num_params > 10**7
+
+
+def test_param_budget_is_inclusive(monkeypatch):
+    cfg = tiny_cfg()
+    monkeypatch.setattr(af, "MAX_MODEL_PARAMS", cfg.num_params)
+    af.FusionModel(cfg, seed=0)
+    monkeypatch.setattr(af, "MAX_MODEL_PARAMS", cfg.num_params - 1)
+    with pytest.raises(ConfigError, match="the model {'seq_len': 5, 'align_len': 2, 'width': 8"):
+        af.FusionModel(cfg, seed=0)
+
+
+def test_act_pipeline_budget_counts_the_sync_head(monkeypatch):
+    _, (shot, synopsis, sync_dim) = _model_configs(
+        CONFIGS / "scene_desk.cfg", CONFIGS / "act_desk.cfg"
+    )
+    total = _pipeline_size(trainer.build_act_pipeline(shot, synopsis, sync_dim, 0))
+    monkeypatch.setattr(af, "MAX_MODEL_PARAMS", total)
+    assert _pipeline_size(trainer.build_act_pipeline(shot, synopsis, sync_dim, 0)) == total
+    # each tower fits, the pipeline does not
+    monkeypatch.setattr(af, "MAX_MODEL_PARAMS", total - 1)
+    with pytest.raises(ConfigError, match=f"act pipeline with its sync_dim {sync_dim} head"):
+        trainer.build_act_pipeline(shot, synopsis, sync_dim, 0)

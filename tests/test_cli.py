@@ -485,7 +485,9 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit",
     ["drop em_xi", "set em_percentile=150", "quote em_xi=0.3", "drop sync_dim",
-     "set sync_dim=0", "quote sync_dim=6", "add 8 trailing bytes", "cut 8 bytes"],
+     "set sync_dim=0", "quote sync_dim=6", "add 8 trailing bytes", "cut 8 bytes",
+     # a sync head past alignfuse.MAX_MODEL_PARAMS, rejected before any allocation
+     "set sync_dim=1000000000000"],
 )
 def test_bad_sync_head_checkpoint_exits_3(act_run, act_data, tmp_path, capsys, edit):
     header, _, body = (act_run / "model.ckpt").read_bytes().partition(b"\n")
@@ -547,6 +549,8 @@ MALFORMED_HEADERS = {
     "unknown config key": _setting(["configs", "model", "colour"], 1),
     "modality_dims is an int": _setting(["configs", "model", "modality_dims"], 5),
     "even scene seq_len": _setting(["configs", "model", "seq_len"], 6),
+    # past alignfuse.MAX_MODEL_PARAMS, rejected before any allocation
+    "model over the parameter budget": _setting(["configs", "model", "width"], 10**12),
 }
 
 
@@ -746,6 +750,10 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["synth", "--movies", "1", "--shots", "1000000000000"],
         ["synth", "--movies", "1", "--set", "latent_dim=100000000000"],
         ["synth", "--movies", "1", "--set", "modalities=a:100000000000"],
+        # past the alignfuse.MAX_MODEL_PARAMS budget, rejected before any allocation
+        ["train-scene", "--data", "{scene}", "--set", "model.width=1000000000000"],
+        ["train-act", "--data", "{act}", "--set", "shot.ffn_width=1000000000000"],
+        ["train-act", "--data", "{act}", "--set", "train.sync_dim=1000000000000"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -1,8 +1,11 @@
 """Source hygiene: no module of the package or of the tests imports a
-name it never uses, and no package module imports SciPy when it is
-itself imported."""
+name it never uses, no package module imports SciPy when it is itself
+imported, and every function the benchmark's tracer wraps is still
+there with the arguments it reads."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -140,3 +143,54 @@ def test_checker_finds_tensor_conversions():
 )
 def test_only_numcore_turns_arrays_into_tensors(path):
     assert tensor_boundary_violations(path.read_text()) == []
+
+
+# ---- what the benchmark's traced run wraps ----
+
+
+def bench_spans() -> dict:
+    """The SPANS table of bench/spans.py, the tracer that wraps cineseg
+    functions by name: (module, function) -> span name."""
+    tree = ast.parse((TESTS.parent / "bench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py has no SPANS table")
+
+
+def cineseg_attr(module: str, path: str):
+    target = importlib.import_module(f"cineseg.{module}")
+    for name in path.split("."):
+        target = getattr(target, name, None)
+    return target
+
+
+# the leading parameters that the tracer's hooks read or pass on
+# positionally: the head span calls _linear_apply(model, prefix, x), the
+# E-step score reads movie_inputs as argument 3, the tape count and the
+# single-class count read backward's tape and the loss's labels
+BENCH_SIGNATURES = {
+    ("alignfuse", "embed_modality"): ["model", "feats", "m", "collect"],
+    ("alignfuse", "_linear_apply"): ["model", "prefix", "x"],
+    ("numcore", "backward"): ["tape", "loss"],
+    ("trainer", "weighted_scene_ce"): ["logits", "labels"],
+    ("trainer", "Optimizer.step"): ["self"],
+    ("sync", "SyncHead.features"): ["self", "fused"],
+    ("sync", "run_e_step"): ["shot_model", "synopsis_model", "head", "movie_inputs"],
+}
+
+
+def test_every_function_the_bench_wraps_exists():
+    # the tracer skips a missing name without a word, and the per-layer
+    # metric it feeds then reads 0
+    names = list(bench_spans()) + list(BENCH_SIGNATURES)
+    missing = [f"{module}.{path}" for module, path in names
+               if not callable(cineseg_attr(module, path))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("target", sorted(BENCH_SIGNATURES), ids=".".join)
+def test_bench_hooks_keep_their_arguments(target):
+    params = list(inspect.signature(cineseg_attr(*target)).parameters)
+    want = BENCH_SIGNATURES[target]
+    assert params[:len(want)] == want

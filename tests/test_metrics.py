@@ -245,10 +245,11 @@ def test_importance_is_probability_vector():
 def twin_modality_model():
     """Two modalities whose parameters, head rows included, are equal."""
     model = act_model((4, 4), seed=2)
-    for name in list(model.params):
+    for name, p in model.params.items():
         if name.startswith("mod1."):
-            twin = model.params["mod0." + name[len("mod1."):]]
-            model.params[name].data[...] = twin.data
+            p.data[...] = model.params["mod0." + name[len("mod1."):]].data
+        elif not name.startswith(("mod0.", "align_pe", "head.")):
+            p.data[1] = p.data[0]  # a stacked [M x ...] tower parameter
     head_w = model.params["head.w"].data
     head_w[6:12] = head_w[0:6]  # width 6: mod1's channel slice mirrors mod0's
     return model

@@ -424,6 +424,34 @@ def test_grad_shape_ops():
     fd_check(lambda: nc.sum_all(nc.mul(nc.expand_batch(a, 6), r_e)), {"a": a})
 
 
+def test_grad_modality_stacked_ops():
+    # the ops of the stacked towers, on [B x M x L x C] inputs
+    rng = np.random.default_rng(16)
+    x = leaf(rng, 3, 2, 4, 5)
+    w, b = leaf(rng, 2, 5, 3), leaf(rng, 2, 1, 3)
+    r = rng.uniform(-1, 1, size=(3, 2, 4, 3))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.linear(x, w, b), r)), {"x": x, "w": w, "b": b})
+    gain, bias = leaf(rng, 2, 1, 5), leaf(rng, 2, 1, 5)
+    r = rng.uniform(-1, 1, size=(3, 2, 4, 5))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.layernorm(x, gain, bias), r)),
+             {"x": x, "gain": gain, "bias": bias})
+    shared = leaf(rng, 3, 1, 6, 5)  # broadcast over the modality axis
+    r = rng.uniform(-1, 1, size=(3, 2, 10, 5))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.concat([shared, x], -2), r)), {"shared": shared, "x": x})
+    r = rng.uniform(-1, 1, size=(3, 1, 4, 5))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.mean(x, -3), r)), {"x": x})
+    r = rng.uniform(-1, 1, size=(3, 4, 10))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.merge_channels(x), r)), {"x": x})
+    npt.assert_array_equal(nc.merge_channels(x).data, np.concatenate([x.data[:, 0], x.data[:, 1]], -1))
+
+
+def test_one_part_concat_and_same_shape_reshape_record_no_node():
+    a = leaf(np.random.default_rng(17), 2, 3)
+    with nc.Tape() as tape:
+        assert nc.concat([a], -1) is a and nc.reshape(a, (2, 3)) is a
+    assert len(tape) == 0
+
+
 def test_grad_gather_rows_accumulates_repeats():
     rng = np.random.default_rng(14)
     table = leaf(rng, 6, 4)

@@ -218,6 +218,19 @@ def test_weighted_ce_guards():
         trainer.weighted_scene_ce(Tensor(np.zeros((2, 3))), [0, 1])
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [1.9, 0.0]])
+def test_weighted_ce_rejects_labels_a_cast_would_truncate(labels):
+    with pytest.raises(DataError, match="binary"):
+        trainer.weighted_scene_ce(Tensor(np.zeros((2, 2))), np.array(labels))
+
+
+def test_weighted_ce_accepts_binary_floats_and_bools():
+    logits = Tensor(np.random.default_rng(4).normal(size=(3, 2)))
+    want = trainer.weighted_scene_ce(logits, [0, 1, 1]).data
+    for labels in (np.array([0.0, 1.0, 1.0]), np.array([False, True, True])):
+        assert trainer.weighted_scene_ce(logits, labels).data == want
+
+
 def test_weighted_ce_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     logits = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
