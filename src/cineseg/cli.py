@@ -24,14 +24,8 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from . import alignfuse as af
 from . import dataio
-from . import distill
-from . import metrics as mx
-from . import sync
-from . import trainer
 from .errors import ConfigError, ContractError, DataError, NumericError
-from .gradcheck import GRADCHECK_TOLERANCE, run_gradient_checks
 
 
 # ---- config plumbing ----
@@ -84,36 +78,6 @@ SCENE_KEYS = {
 # the order of distill.DEFAULT_LOSS_WEIGHTS and TrainConfig.loss_weights
 LOSS_TERMS = ("contrastive", "synopsis", "distill")
 
-ACT_KEYS = {
-    "shot.seq_len": 3000,
-    "shot.align_len": 100,
-    "shot.width": 128,
-    "shot.ffn_width": 128,
-    "shot.unimodal_depth": 1,
-    "shot.fusion_depth": 1,
-    "shot.dropout": 0.5,
-    "shot.num_heads": 1,
-    "synopsis.seq_len": 60,
-    "synopsis.align_len": 20,
-    "synopsis.ffn_width": 128,
-    "synopsis.unimodal_depth": 1,
-    "synopsis.fusion_depth": 0,
-    "synopsis.dropout": 0.1,
-    "train.epochs": 10,
-    "train.batch_size": 4,
-    "train.optimizer": "sgd",
-    "train.lr": 1e-3,
-    "train.holdout": 2,
-    "train.em_every": 1,
-    "train.em_xi": sync.DEFAULT_BAND_XI,
-    "train.em_percentile": sync.DEFAULT_PERCENTILE,
-    "train.sync_dim": 128,
-    **{
-        f"train.alpha_{term}": weight
-        for term, weight in zip(LOSS_TERMS, distill.DEFAULT_LOSS_WEIGHTS)
-    },
-}
-
 # eval and sync take no keys; sync uses the E-step settings in the checkpoint
 NO_KEYS: dict = {}
 
@@ -121,10 +85,50 @@ IMPORTANCE_KEYS = {
     "shot": -1,  # scene task: key shot index, -1 = movie middle; act takes only -1
 }
 
-GRADCHECK_KEYS = {
-    "h": 1e-5,
-    "tolerance": GRADCHECK_TOLERANCE,
-}
+
+def __getattr__(name: str) -> dict:
+    """ACT_KEYS and GRADCHECK_KEYS, built when read from model modules' defaults."""
+    if name == "ACT_KEYS":
+        from . import distill, sync
+        return {
+            "shot.seq_len": 3000,
+            "shot.align_len": 100,
+            "shot.width": 128,
+            "shot.ffn_width": 128,
+            "shot.unimodal_depth": 1,
+            "shot.fusion_depth": 1,
+            "shot.dropout": 0.5,
+            "shot.num_heads": 1,
+            "synopsis.seq_len": 60,
+            "synopsis.align_len": 20,
+            "synopsis.ffn_width": 128,
+            "synopsis.unimodal_depth": 1,
+            "synopsis.fusion_depth": 0,
+            "synopsis.dropout": 0.1,
+            "train.epochs": 10,
+            "train.batch_size": 4,
+            "train.optimizer": "sgd",
+            "train.lr": 1e-3,
+            "train.holdout": 2,
+            "train.em_every": 1,
+            "train.em_xi": sync.DEFAULT_BAND_XI,
+            "train.em_percentile": sync.DEFAULT_PERCENTILE,
+            "train.sync_dim": 128,
+            **{
+                f"train.alpha_{term}": weight
+                for term, weight in zip(LOSS_TERMS, distill.DEFAULT_LOSS_WEIGHTS)
+            },
+        }
+    if name == "GRADCHECK_KEYS":
+        from .gradcheck import GRADCHECK_TOLERANCE
+        return {"h": 1e-5, "tolerance": GRADCHECK_TOLERANCE}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def run_gradient_checks(*args, **kwargs) -> list:
+    """gradcheck.run_gradient_checks, loaded at the first call."""
+    from .gradcheck import run_gradient_checks
+    return run_gradient_checks(*args, **kwargs)
 
 
 def read_config_file(path) -> dict:
@@ -233,15 +237,17 @@ def cmd_synth(args) -> int:
 # ---- training ----
 
 
-def _write_log(path: Path, logs) -> None:
-    _write_text(path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in logs))
-
-
-def _write_reports(path: Path, reports) -> None:
-    _write_json(path, [r.to_json() for r in reports])
+def _finish_training(out: Path, args, cfg_map: dict, reports, logs) -> int:
+    """Write a trainer's log, reports and config beside its model.ckpt."""
+    _write_text(out / "train_log.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in logs))
+    _write_json(out / "reports.json", [r.to_json() for r in reports])
+    _write_config(out, args.command, args.seed, cfg_map)
+    _print_json(reports[-1].to_json())
+    return 0
 
 
 def cmd_train_scene(args) -> int:
+    from . import alignfuse as af, trainer
     cfg_map = resolve_config(SCENE_KEYS, args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
     model_cfg = af.ModelConfig(
@@ -257,15 +263,12 @@ def cmd_train_scene(args) -> int:
         movies, model_cfg, train_cfg, out / "checkpoints"
     )
     trainer.save_checkpoint(out / "model.ckpt", model, train_cfg.epochs)
-    _write_log(out / "train_log.jsonl", logs)
-    _write_reports(out / "reports.json", reports)
-    _write_config(out, "train-scene", args.seed, cfg_map)
-    _print_json(reports[-1].to_json())
-    return 0
+    return _finish_training(out, args, cfg_map, reports, logs)
 
 
 def cmd_train_act(args) -> int:
-    cfg_map = resolve_config(ACT_KEYS, args.config, args.set)
+    from . import alignfuse as af, sync, trainer
+    cfg_map = resolve_config(__getattr__("ACT_KEYS"), args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
     dims = tuple(s.dim for s in movies[0].streams)
     shot_cfg = af.ModelConfig(
@@ -289,17 +292,14 @@ def cmd_train_act(args) -> int:
     sync_dir.mkdir(exist_ok=True)
     for movie_id, sm in syncs.items():
         _write_json(sync_dir / f"{movie_id}.json", sync.sync_to_json(sm))
-    _write_log(out / "train_log.jsonl", logs)
-    _write_reports(out / "reports.json", reports)
-    _write_config(out, "train-act", args.seed, cfg_map)
-    _print_json(reports[-1].to_json())
-    return 0
+    return _finish_training(out, args, cfg_map, reports, logs)
 
 
 # ---- sync export ----
 
 
 def cmd_sync(args) -> int:
+    from . import sync, trainer
     cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     _, pipeline, _ = trainer.load_checkpoint(args.checkpoint, "act")
     movies = dataio.load_dataset(Path(args.data))
@@ -342,6 +342,7 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_eval(args) -> int:
+    from . import trainer
     cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
@@ -377,7 +378,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg_map = resolve_config(GRADCHECK_KEYS, args.config, args.set)
+    cfg_map = resolve_config(__getattr__("GRADCHECK_KEYS"), args.config, args.set)
     results = run_gradient_checks(args.seed, cfg_map["h"], cfg_map["tolerance"])
     out = _run_dir(args)
     _write_config(out, "gradcheck", args.seed, cfg_map)
@@ -400,6 +401,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    from . import metrics as mx, trainer
     cfg_map = resolve_config(IMPORTANCE_KEYS, args.config, args.set)
     if cfg_map["shot"] < -1:
         raise ConfigError(f"shot is a shot index or -1 (movie middle), got {cfg_map['shot']}")

@@ -91,15 +91,23 @@ def f1_at(scores, labels, threshold: float = 0.5):
 
 
 def best_f1(scores, labels):
-    """Best F1 over thresholds set at each unique score. Returns
-    (f1, threshold)."""
+    """Best (f1, threshold) over thresholds at each unique score, as f1_at computes
+    F1: the first maximum in ascending order, or (0.0, inf) if none is above 0."""
     scores = np.asarray(scores, dtype=np.float64)
-    best_value, best_threshold = 0.0, float("inf")
-    for t in np.unique(scores):
-        value, _ = f1_at(scores, labels, float(t))
-        if value > best_value:
-            best_value, best_threshold = value, float(t)
-    return best_value, best_threshold
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    # a tie group's threshold predicts its scores and all above but NaN (sorted last)
+    starts = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
+    end = np.searchsorted(ranked, np.inf, side="right")
+    hits = np.append(0, np.cumsum(np.asarray(labels)[order] == 1))
+    true_pos, predicted = hits[end] - hits[starts], end - starts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision, recall = true_pos / predicted, true_pos / hits[-1]
+        value = np.where(true_pos > 0, 2 * precision * recall / (precision + recall), 0.0)
+    best = int(np.argmax(value))
+    if value[best] > 0.0:
+        return float(value[best]), float(ranked[starts[best]])
+    return 0.0, float("inf")
 
 
 # ---- turning-point agreement ----

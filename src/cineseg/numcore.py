@@ -62,7 +62,6 @@ import importlib.util
 import math
 import os
 import pickle
-import signal
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -102,7 +101,8 @@ class Tensor:
             )
         if self.grad is None:
             # one fresh array with the bits of zeros + g (-0.0 becomes +0.0)
-            self.grad = np.asarray(g + 0.0)
+            g = g + 0.0
+            self.grad = g if type(g) is np.ndarray else np.asarray(g)
         else:
             self.grad += g
 
@@ -184,20 +184,22 @@ def _emit(name: str, rule, inputs: tuple, out, saved=None) -> Tensor:
     """Wrap an op's forward output: check it, and record a node when a
     tape is active and some input requires gradients, so the rule of a
     one-input op accumulates without asking."""
-    if _check_outputs and name in _CHECKED and not np.isfinite(out).all():
+    # a finite sum has finite entries; only one that is not (or overflowed) needs the full test
+    if (_check_outputs and name in _CHECKED and not math.isfinite(np.add.reduce(out, axis=None))
+            and not np.isfinite(out).all()):
         raise NumericError(f"operation '{name}' produced non-finite values")
-    if _TAPE_STACK:
-        for t in inputs:
-            if t.requires_grad:
-                result = Tensor(out, requires_grad=True)
-                _TAPE_STACK[-1].nodes.append(_Node(name, inputs, result, rule, saved))
-                return result
     # Tensor(out) without __init__'s call overhead: ops on float64 inputs
     # give float64, and only 0-d results come back as numpy scalars
     result = Tensor.__new__(Tensor)
     result.data = out if type(out) is np.ndarray else np.asarray(out, dtype=np.float64)
     result.requires_grad = False
     result.grad = None
+    if _TAPE_STACK:
+        for t in inputs:
+            if t.requires_grad:
+                result.requires_grad = True
+                _TAPE_STACK[-1].nodes.append(_Node(name, inputs, result, rule, saved))
+                break
     return result
 
 
@@ -224,8 +226,9 @@ def _reduce_axes(gshape: tuple, shape: tuple) -> tuple:
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     """g summed over its extra leading axes and over the axes where shape
     has a 1 that g broadcast, in index order."""
-    axes = _reduce_axes(g.shape, shape)
-    return (g.sum(axis=axes) if axes else g).reshape(shape)
+    if g.shape == shape:
+        return g
+    return np.add.reduce(g, axis=_reduce_axes(g.shape, shape)).reshape(shape)
 
 
 def _binary(a, b) -> tuple[Tensor, Tensor]:
@@ -637,10 +640,13 @@ def _layernorm_back(g, inputs, out, saved):
     if bias.requires_grad:
         bias.accumulate(_reduce_to(g, bias.shape))
     if a.requires_grad:
+        # inv * (gg - m1 - xhat * m2), in place on gg and gg * xhat
         gg = g * gain.data
-        m1 = gg.sum(axis=-1, keepdims=True) / width
-        m2 = (gg * xhat).sum(axis=-1, keepdims=True) / width
-        a.accumulate(inv * (gg - m1 - xhat * m2))
+        ggx = gg * xhat
+        gg -= np.add.reduce(gg, axis=-1, keepdims=True) / width
+        gg -= np.multiply(xhat, np.add.reduce(ggx, axis=-1, keepdims=True) / width, out=ggx)
+        gg *= inv
+        a.accumulate(gg)
 
 
 def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -655,12 +661,13 @@ def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     ):
         raise ShapeError(f"layernorm gain/bias {gain.shape}, {bias.shape} do not fit input {shape}")
     # sum / width is what np.mean computes, bit for bit, without its overhead
-    mu = a.data.sum(axis=-1, keepdims=True) / width
-    centered = a.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / width
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / width
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
     return _emit("layernorm", _layernorm_back, (a, gain, bias), out, (xhat, inv))
 
 
@@ -826,6 +833,7 @@ def _fd_split(f, flat: np.flatiter, h: float) -> list:
         return columns
     finally:
         # a worker that is still running is only left when something failed
+        import signal
         for pid, reader in workers:
             reader.close()
             os.kill(pid, signal.SIGKILL)

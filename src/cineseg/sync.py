@@ -213,19 +213,19 @@ def run_e_step(
 # ---- exports ----
 
 
-def _rle_encode(row: np.ndarray) -> list[int]:
-    # run lengths of alternating values, starting with the zero run
-    runs = []
-    current, count = 0, 0
-    for value in row:
-        value = int(value)
-        if value == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = value, 1
-    runs.append(count)
-    return runs
+def _rle_encode(w: np.ndarray) -> list:
+    """Run lengths of alternating values from the zero run: a list per row."""
+    values = np.atleast_2d(np.asarray(w).astype(np.int64))  # int() of each entry
+    rows, width = values.shape
+    # a run ends before each change of value and at the end of its row
+    ends = np.ones((rows, width + 1), dtype=bool)
+    ends[:, :width] = np.diff(values, axis=1, prepend=0) != 0
+    at = np.flatnonzero(ends)
+    # ends as offsets into the rows laid end to end: a row starts where the last ended
+    runs = np.diff(at - at // (width + 1), prepend=0).tolist()
+    stops = np.cumsum(ends.sum(axis=1)).tolist()
+    out = [runs[start:stop] for start, stop in zip([0] + stops[:-1], stops)]
+    return out if np.ndim(w) > 1 else out[0]
 
 
 def _rle_decode(runs: list[int], length: int) -> np.ndarray:
@@ -248,7 +248,7 @@ def sync_to_json(sm: SyncMatrix) -> dict:
         "sentences": int(sm.w.shape[1]),
         "xi": float(sm.xi),
         "lambdas": [float(x) for x in sm.lambdas],
-        "rows": [_rle_encode(row) for row in sm.w],
+        "rows": _rle_encode(sm.w),
     }
 
 

@@ -253,6 +253,31 @@ def test_model_command_never_imports_scipy_special(scene_run, scene_data, tmp_pa
                                        "--data", str(scene_data), "--out", str(tmp_path / "eval")])
 
 
+COMMAND_MODULES_SCRIPT = """
+import json, sys
+from cineseg import cli
+
+args, unloaded = json.loads(sys.argv[1])
+assert cli.main(args) == 0
+loaded = [name for name in unloaded if name in sys.modules]
+assert not loaded, f"{args[0]} loaded {loaded}"
+"""
+
+
+def test_synth_loads_no_model_module(tmp_path):
+    args = ["synth", "--movies", "2", "--shots", "20", "--seed", "9",
+            "--out", str(tmp_path / "data")] + _sets(SCENE_SET)
+    models = ["numcore", "alignfuse", "trainer", "sync", "distill", "metrics", "gradcheck"]
+    _run_script(COMMAND_MODULES_SCRIPT, [args, [f"cineseg.{name}" for name in models]])
+
+
+def test_eval_loads_neither_gradcheck_nor_signal(scene_run, scene_data, tmp_path):
+    # signal is for the forked finite-difference workers only
+    args = ["eval", "--checkpoint", str(scene_run / "model.ckpt"), "--data", str(scene_data),
+            "--out", str(tmp_path / "eval")]
+    _run_script(COMMAND_MODULES_SCRIPT, [args, ["cineseg.gradcheck", "signal"]])
+
+
 def test_synth_invalid_config_exits_2(tmp_path, capsys):
     code = cli.main(
         ["synth", "--movies", "1", "--shots", "3", "--out", str(tmp_path)]

@@ -144,6 +144,38 @@ def test_best_f1_at_least_fixed_threshold():
         assert best >= fixed - 1e-12
 
 
+def best_f1_loop(scores, labels):
+    """best_f1 as one f1_at call per unique score, the reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    best_value, best_threshold = 0.0, float("inf")
+    for t in np.unique(scores):
+        value, _ = metrics.f1_at(scores, labels, float(t))
+        if value > best_value:
+            best_value, best_threshold = value, float(t)
+    return best_value, best_threshold
+
+
+@pytest.mark.parametrize("case", ["random", "heavy_ties", "no_positive_prediction", "nan"])
+def test_best_f1_matches_the_per_threshold_loop_bit_for_bit(case):
+    rng = np.random.default_rng(41)
+    for size in list(range(0, 12)) + [50, 400, 1600]:
+        scores = {
+            "random": rng.random(size),
+            "heavy_ties": rng.integers(0, 4, size) / 4.0,
+            "no_positive_prediction": rng.random(size),
+            "nan": np.where(rng.random(size) < 0.2, np.nan, rng.integers(0, 6, size) / 6.0),
+        }[case]
+        # no positive label leaves every threshold's F1 at zero
+        rate = 0.0 if case == "no_positive_prediction" else 0.3
+        labels = (rng.random(size) < rate).astype(int)
+        value, threshold = metrics.best_f1(scores, labels)
+        want_value, want_threshold = best_f1_loop(scores, labels)
+        assert type(value) is float and type(threshold) is float
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert np.float64(threshold).tobytes() == np.float64(want_threshold).tobytes()
+    assert metrics.best_f1([0.2, 0.4], [0, 0]) == (0.0, float("inf"))
+
+
 # ---- turning-point agreement ----
 
 

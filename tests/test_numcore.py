@@ -616,6 +616,17 @@ def test_non_finite_raises():
             nc.exp(nc.Tensor([1000.0]))
 
 
+def test_output_check_looks_past_an_overflowing_sum():
+    # every entry is finite, but their sum is not: the full test decides
+    with np.errstate(over="ignore"):
+        big = nc.add(nc.Tensor([1e308, 1e308]), nc.Tensor(0.0))
+    assert big.data.tolist() == [1e308, 1e308]
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="'sub'"):
+        nc.sub(nc.Tensor([np.inf, 1.0]), nc.Tensor(np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="'add'"):
+        nc.add(nc.Tensor([np.inf, -np.inf]), nc.Tensor(0.0))
+
+
 def test_detach_blocks_gradient():
     a = nc.Tensor([3.0], requires_grad=True)
     with nc.Tape() as tape:

@@ -380,6 +380,37 @@ def test_rle_leading_one_starts_with_empty_zero_run():
     assert sync._rle_encode(np.array([0.0, 0.0, 1.0, 1.0, 0.0])) == [2, 2, 1]
 
 
+def rle_loop(row):
+    """_rle_encode as a loop over every value, the reference."""
+    runs = []
+    current, count = 0, 0
+    for value in row:
+        value = int(value)
+        if value == current:
+            count += 1
+        else:
+            runs.append(count)
+            current, count = value, 1
+    runs.append(count)
+    return runs
+
+
+def test_rle_matches_the_loop():
+    rng = np.random.default_rng(29)
+    rows = [(rng.random(12) < p).astype(np.float64) for p in (0.1, 0.4, 0.8) for _ in range(20)]
+    rows += [np.zeros(12), np.ones(12), np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 1.0])]
+    rows += [np.array([0.0]), np.array([1.0])]
+    for row in rows:
+        assert sync._rle_encode(row) == rle_loop(row)
+    for width in (1, 12):
+        w = (rng.random((30, width)) < 0.3).astype(np.float64)
+        w[0], w[1], w[2, 0] = 0.0, 1.0, 1.0
+        runs = sync._rle_encode(w)
+        assert runs == [rle_loop(row) for row in w]
+        assert all(type(n) is int for row in runs for n in row)
+    assert sync._rle_encode(np.zeros((0, 4))) == []
+
+
 def test_rle_decode_length_guard():
     with pytest.raises(ContractError):
         sync._rle_decode([2, 2], 5)
