@@ -14,7 +14,7 @@ The towers run as one [B x M x L x C] tensor from the embedding
 layernorm to the fused output, so each depth is one encoder block for
 all M and a fusion block builds the shared token input once. Their
 parameters are stacked along a leading modality axis (embed_ln and
-every block's q, k, v, ln1, ffn and ln2; vectors as [M x 1 x N]). The
+every block's qkv, ln1, ffn and ln2; vectors as [M x 1 x N]). The
 input projections, positional tables and bottleneck tokens, whose
 shapes or gradient order are per modality, stay per modality. Each
 modality's tokens take the alignment PE right after its embedding does,
@@ -29,7 +29,8 @@ in the config.
 
 Encoder blocks follow post-norm ordering: self-attention, residual +
 layernorm, a GeLU feed-forward (width -> ffn_width -> width), residual
-+ layernorm, then dropout. Attention is single-head scaled dot product
++ layernorm, then dropout. One linear layer projects q, k and v side by
+side (width -> 3 * width). Attention is single-head scaled dot product
 by default; num_heads > 1 splits channels evenly.
 
 A checkpoint is a JSON header line (format, version, kind, configs,
@@ -37,9 +38,10 @@ extra) and then every parameter's float64 bytes in the order the model
 constructors create them. The header names no parameter, so a change of
 that order (FusionModel, sync.SyncHead, trainer.ActPipeline.named_params)
 must bump CHECKPOINT_VERSION; version 3 holds the stacked towers, each
-stacked parameter where its modality-0 slice was. The constructor draws
-its random values in the per-modality order, so a seed gives the same
-initial values as before the stacking.
+stacked parameter where its modality-0 slice was, and version 4 one qkv
+projection per block where q, k and v were. The constructor draws its
+random values in the per-modality order, and q, k and v as three draws,
+so a seed gives the same initial values as before the stacking.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
 CHECKPOINT_FORMAT = "cineseg-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # the most parameters a model or an act pipeline may have, checked from
 # the configs before any allocation: 800 MB per float64 copy, of which
 # training holds about five (values, two gradient copies, Adam moments)
@@ -94,7 +96,7 @@ class ModelConfig:
     def num_params(self) -> int:
         """How many float64 values FusionModel holds, in Python ints."""
         c, ck, a, n = self.width, self.ffn_width, self.align_len, self.num_modalities
-        block = 3 * c * c + 2 * c * ck + ck + 8 * c  # q, k, v, ffn, ln1, ln2
+        block = 3 * c * c + 2 * c * ck + ck + 8 * c  # qkv, ffn, ln1, ln2
         depth = self.unimodal_depth + self.fusion_depth
         per_modality = (self.seq_len + a + 2) * c + depth * block  # pe, tokens, embed_ln
         return (a * c + sum(d * c + c for d in self.modality_dims) + n * per_modality
@@ -197,18 +199,19 @@ class FusionModel:
     def _table(self, rng, name: str, *shape: int) -> None:
         self._put(name, None, rng.normal(0.0, 0.02, size=shape))
 
-    def _linear(self, rng, name: str, m, fan_in: int, fan_out: int) -> None:
+    def _linear(self, rng, name: str, m, fan_in: int, fan_out: int, parts: int = 1) -> None:
+        """parts fan_in x fan_out layers side by side, each its own draw."""
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        self._put(name + ".w", m, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        self._put(name + ".b", m, np.zeros(fan_out))
+        draws = [rng.uniform(-limit, limit, size=(fan_in, fan_out)) for _ in range(parts)]
+        self._put(name + ".w", m, np.concatenate(draws, axis=1))
+        self._put(name + ".b", m, np.zeros(parts * fan_out))
 
     def _layernorm(self, name: str, m, width: int) -> None:
         self._put(name + ".g", m, np.ones(width))
         self._put(name + ".b", m, np.zeros(width))
 
     def _block(self, rng, prefix: str, m, c: int, ck: int) -> None:
-        for piece in ("attn.q", "attn.k", "attn.v"):
-            self._linear(rng, prefix + piece, m, c, c)
+        self._linear(rng, prefix + "attn.qkv", m, c, c, parts=3)
         self._layernorm(prefix + "ln1", m, c)
         self._linear(rng, prefix + "ffn.lift", m, c, ck)
         self._linear(rng, prefix + "ffn.drop", m, ck, c)
@@ -222,15 +225,10 @@ def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
     return nc.linear(x, model[prefix + ".w"], model[prefix + ".b"])
 
 
-def _attention(model, prefix: str, x: Tensor) -> Tensor:
-    q, k, v = (_linear_apply(model, prefix + "attn." + p, x) for p in "qkv")
-    return nc.attention(q, k, v, model.config.num_heads)
-
-
 def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:
     """One block of every tower at once: x is [B x M x T x C]."""
     cfg = model.config
-    attn = _attention(model, prefix, x)
+    attn = nc.attention(_linear_apply(model, prefix + "attn.qkv", x), cfg.num_heads)
     x = nc.layernorm(nc.add(x, attn), model[prefix + "ln1.g"], model[prefix + "ln1.b"])
     h = nc.gelu(_linear_apply(model, prefix + "ffn.lift", x))
     h = _linear_apply(model, prefix + "ffn.drop", h)
@@ -278,12 +276,13 @@ def make_bottleneck(model, m: int) -> Tensor:
 
 def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor, rng=None):
     """Normalize the stacked embeddings [B x M x L x C] and run [tokens;
-    latents] through every modality's own encoder blocks; returns the
-    tokens [B x M x A x C] and the latents [B x M x L x C]."""
+    latents] through every modality's own encoder blocks, the [M x A x C]
+    tokens broadcast over the batch by concat; returns the tokens [B x M
+    x A x C] and the latents [B x M x L x C]."""
     cfg = model.config
     x = nc.layernorm(embedded, model["embed_ln.g"], model["embed_ln.b"])
     x = nc.dropout(x, cfg.dropout, rng)
-    seq = nc.concat([nc.expand_batch(bottlenecks, x.shape[0]), x], -2)
+    seq = nc.concat([nc.reshape(bottlenecks, (1,) + bottlenecks.shape), x], -2)
     for d in range(cfg.unimodal_depth):
         seq = _encoder_block(model, f"uni{d}.", seq, rng)
     tokens_out = nc.narrow(seq, -2, 0, cfg.align_len)

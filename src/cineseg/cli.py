@@ -347,15 +347,17 @@ def cmd_eval(args) -> int:
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
     epoch = extra.get("epoch", 0)
-    # one forward per movie feeds both the report and scores.csv
+    # one forward per movie feeds both the report and scores.csv, whose
+    # cells format Python floats: the .17g text of their float64 values
     if kind == "scene":
         scores = [trainer.scene_shot_scores(loaded, movie) for movie in movies]
         report = trainer.scene_report(scores, movies, epoch, args.seed)
         rows = [["movie_id", "shot", "score", "label"]]
         for movie, movie_scores in zip(movies, scores):
             rows += [
-                [movie.movie_id, t, _format(score), int(movie.scene_labels[t])]
-                for t, score in enumerate(movie_scores)
+                [movie.movie_id, t, _format(score), label]
+                for t, (score, label) in enumerate(
+                    zip(movie_scores.tolist(), movie.scene_labels.tolist()))
             ]
     else:
         probs = [trainer.act_shot_probs(loaded.shot_model, movie) for movie in movies]
@@ -364,7 +366,7 @@ def cmd_eval(args) -> int:
         for movie, movie_probs in zip(movies, probs):
             rows += [
                 [movie.movie_id, t] + [_format(p) for p in row]
-                for t, row in enumerate(movie_probs)
+                for t, row in enumerate(movie_probs.tolist())
             ]
     out = _run_dir(args)
     _write_csv(out / "scores.csv", rows)

@@ -75,7 +75,7 @@ def synopsis_ce_loss(sentence_logits, tp_labels) -> Tensor:
             if not 0 <= s < num_sentences:
                 raise DataError(f"gold sentence {s} out of range for {num_sentences} sentences")
             target[s, n] = 1.0 / len(gold)
-    return nc.neg(nc.sum_all(nc.mul(nc.log_softmax(sentence_logits, axis=0), target)))
+    return nc.cross_entropy(sentence_logits, target, 0)
 
 
 def total_loss(contrastive, synopsis_ce, distillation, weights=DEFAULT_LOSS_WEIGHTS) -> Tensor:

@@ -2,12 +2,13 @@
 
 Implements exactly the operations the fusion models and the losses
 need: 2-D/3-D matrix products, linear layers, elementwise arithmetic
-with suffix broadcasting, softmax / log-softmax, layer normalization,
-the exact erf form of GeLU, row gathering/slicing/concatenation, a mean
-over one axis, dropout, row L2-normalization and scaled dot-product
-attention. Every value is float64. A linear layer ``x @ w + b`` records
-one node instead of a matmul and a bias add, because the cost of this
-core is Python overhead per node, not FLOPs.
+with suffix broadcasting, softmax, cross-entropy against a target
+distribution, layer normalization, the exact erf form of GeLU, row
+gathering/slicing/concatenation, a mean over one axis, dropout, row
+L2-normalization and scaled dot-product attention. Every value is
+float64. A linear layer ``x @ w + b`` records one node instead of a
+matmul and a bias add, and a cross-entropy one instead of four, because
+the cost of this core is Python overhead per node, not FLOPs.
 
 For the same reason the fusion model runs its M modality towers as one
 ``[... x M x L x C]`` tensor: ``linear`` and ``layernorm`` also take
@@ -144,13 +145,12 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 # ops whose output can be non-finite although every input is finite; the
-# rest (neg, transpose, reshape, narrow, concat, gather_rows,
-# expand_batch, merge_channels, clamp_min, dropout, and log, which
-# checks its domain)
-# only move, select or scale finite values
+# rest (transpose, reshape, narrow, concat, gather_rows, merge_channels,
+# clamp_min, dropout, and log, which checks its domain) only move, select
+# or scale finite values
 _CHECKED = frozenset({
     "add", "sub", "mul", "div", "matmul", "linear", "sum", "mean", "exp", "gelu",
-    "softmax", "log_softmax", "layernorm", "normalize_rows", "attention",
+    "softmax", "cross_entropy", "layernorm", "normalize_rows", "attention",
 })
 # off only inside fd_gradient's evaluations, which check the losses instead
 _check_outputs = True
@@ -292,16 +292,6 @@ def div(a, b) -> Tensor:
     return _emit("div", _div_back, (a, b), a.data / b.data)
 
 
-def _neg_back(g, inputs, out, saved):
-    (a,) = inputs
-    a.accumulate(-g)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _emit("neg", _neg_back, (a,), -a.data)
-
-
 # ---- linear algebra ----
 
 
@@ -396,12 +386,13 @@ def _reshape_back(g, inputs, out, saved):
 
 
 def reshape(a, shape) -> Tensor:
-    """A copy of a with a new shape; a tensor that already has the shape
-    is returned as it is, with no node."""
+    """a with a new shape, a view of a's values wherever numpy can give
+    one; a tensor that already has the shape is returned as it is, with
+    no node."""
     a = _as_tensor(a)
     if a.data.shape == tuple(shape):
         return a
-    return _emit("reshape", _reshape_back, (a,), a.data.reshape(shape).copy())
+    return _emit("reshape", _reshape_back, (a,), a.data.reshape(shape))
 
 
 def _narrow_back(g, inputs, out, sl):
@@ -434,11 +425,7 @@ def _concat_back(g, parts, out, ax):
         size = p.shape[ax]
         if p.requires_grad:
             sl[ax] = slice(offset, offset + size)
-            gp = g[tuple(sl)]
-            # a broadcast part sums its copies last to first, as one node per copy would
-            for i in [i for i, (a, b) in enumerate(zip(p.shape, gp.shape)) if a != b]:
-                gp = np.expand_dims(functools.reduce(np.add, np.moveaxis(gp, i, 0)[::-1]), i)
-            p.accumulate(gp)
+            p.accumulate(_reduce_to(g[tuple(sl)], p.shape))
         offset += size
 
 
@@ -481,18 +468,6 @@ def gather_rows(table, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError("gather_rows index out of range")
     return _emit("gather_rows", _gather_rows_back, (table,), table.data[idx], idx)
-
-
-def _expand_batch_back(g, inputs, out, saved):
-    (a,) = inputs
-    a.accumulate(g.sum(axis=0))
-
-
-def expand_batch(a, batch: int) -> Tensor:
-    """Tile a tensor along a new leading batch axis; gradient sums back."""
-    a = _as_tensor(a)
-    out = np.broadcast_to(a.data, (batch,) + a.shape).copy()
-    return _emit("expand_batch", _expand_batch_back, (a,), out)
 
 
 def _merge_channels_back(g, inputs, out, saved):
@@ -619,16 +594,25 @@ def softmax(a, axis: int) -> Tensor:
     return _emit("softmax", _softmax_back, (a,), e / e.sum(axis=axis, keepdims=True), axis)
 
 
-def _log_softmax_back(g, inputs, out, axis):
+def _cross_entropy_back(g, inputs, out, saved):
     (a,) = inputs
-    a.accumulate(g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+    logp, target, axis = saved
+    gt = target * -g
+    a.accumulate(gt - np.exp(logp) * gt.sum(axis=axis, keepdims=True))
 
 
-def log_softmax(a, axis: int) -> Tensor:
-    a = _as_tensor(a)
+def cross_entropy(logits, target, axis: int) -> Tensor:
+    """-sum(target * log_softmax(logits, axis)) as one scalar node, with
+    the bits of the log-softmax, multiply, sum and negate chain; target
+    is a constant array of the logits' shape."""
+    a = _as_tensor(logits)
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != a.data.shape:
+        raise ShapeError(f"cross_entropy target {target.shape} does not match logits {a.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return _emit("log_softmax", _log_softmax_back, (a,), shifted - lse, axis)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = np.asarray(-(logp * target).sum())
+    return _emit("cross_entropy", _cross_entropy_back, (a,), out, (logp, target, axis))
 
 
 def _layernorm_back(g, inputs, out, saved):
@@ -717,43 +701,45 @@ def _workspace(slot: str, shape: tuple) -> np.ndarray:
 
 
 def _attention_back(g, inputs, out, saved):
+    (qkv,) = inputs
     scale, heads = saved
-    grads = [np.empty_like(out) for _ in inputs]
-    for cols, qh, kh_t, vh, w in heads:
+    grad = np.empty_like(qkv.data)
+    for (qc, kc, vc), qh, kh_t, vh, w in heads:
         # the chain's arithmetic and operand layouts; the L x L gradients
         # go to workspaces, and w is never written
-        gh = np.ascontiguousarray(g[..., cols])
-        grads[2][..., cols] = np.swapaxes(w, -1, -2) @ gh
+        gh = np.ascontiguousarray(g[..., qc])
+        grad[..., vc] = np.swapaxes(w, -1, -2) @ gh
         gw = np.matmul(gh, np.swapaxes(vh, -1, -2), out=_workspace("gw", w.shape))
         dot = np.multiply(gw, w, out=_workspace("gw_w", w.shape)).sum(axis=-1, keepdims=True)
         gw -= dot
         gw *= w
         gw *= scale
-        grads[0][..., cols] = gw @ np.swapaxes(kh_t, -1, -2)
-        grads[1][..., cols] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gw, -1, -2)
-    for t, gt in zip(inputs, grads):
-        if t.requires_grad:
-            t.accumulate(gt)
+        grad[..., qc] = gw @ np.swapaxes(kh_t, -1, -2)
+        grad[..., kc] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gw, -1, -2)
+    qkv.accumulate(grad)
 
 
-def attention(q, k, v, num_heads: int) -> Tensor:
-    """Scaled dot-product attention over [... x L x C] inputs as one node,
-    head h on columns [h * C / num_heads, (h + 1) * C / num_heads), with
-    the bits of the per-head chain of narrow, transpose, matmul, scale,
-    softmax and matmul nodes; the softmax runs in place on the scores."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    shape = q.data.shape
-    if len(shape) < 3 or k.data.shape != shape or v.data.shape != shape:
-        raise ShapeError(f"attention needs equal 3-D+ shapes, got {shape}, {k.shape}, {v.shape}")
-    if num_heads < 1 or shape[-1] % num_heads:
-        raise ShapeError(f"attention width {shape[-1]} does not split into {num_heads} heads")
-    recorded = bool(_TAPE_STACK) and (q.requires_grad or k.requires_grad or v.requires_grad)
-    head_dim = shape[-1] // num_heads
+def attention(qkv, num_heads: int) -> Tensor:
+    """Scaled dot-product attention as one node over an [... x L x 3C]
+    input that holds q, k and v side by side, C columns each; returns
+    [... x L x C]. Head h takes columns [h * C / num_heads, (h + 1) * C /
+    num_heads) of each, with the bits of the per-head chain of narrow,
+    transpose, matmul, scale, softmax and matmul nodes; the softmax runs
+    in place on the scores."""
+    qkv = _as_tensor(qkv)
+    shape = qkv.data.shape
+    if len(shape) < 3 or shape[-1] % 3:
+        raise ShapeError(f"attention needs a 3-D+ [... x L x 3C] input, got {shape}")
+    width = shape[-1] // 3
+    if num_heads < 1 or width % num_heads:
+        raise ShapeError(f"attention width {width} does not split into {num_heads} heads")
+    recorded = bool(_TAPE_STACK) and qkv.requires_grad
+    head_dim = width // num_heads
     scale = 1.0 / math.sqrt(head_dim)
     heads, outs = [], []
     for h in range(num_heads):
-        cols = slice(h * head_dim, (h + 1) * head_dim)
-        qh, kh, vh = (np.ascontiguousarray(t.data[..., cols]) for t in (q, k, v))
+        cols = tuple(slice(lo, lo + head_dim) for lo in range(h * head_dim, 3 * width, width))
+        qh, kh, vh = (np.ascontiguousarray(qkv.data[..., c]) for c in cols)
         kh_t = np.swapaxes(kh, -1, -2).copy()
         ws = None if recorded else _workspace("scores", shape[:-1] + shape[-2:-1])
         s = np.matmul(qh, kh_t, out=ws)
@@ -767,7 +753,7 @@ def attention(q, k, v, num_heads: int) -> Tensor:
         outs.append(s @ vh)
         heads.append((cols, qh, kh_t, vh, s))
     out = outs[0] if num_heads == 1 else np.concatenate(outs, axis=-1)
-    return _emit("attention", _attention_back, (q, k, v), out, (scale, heads) if recorded else None)
+    return _emit("attention", _attention_back, (qkv,), out, (scale, heads) if recorded else None)
 
 
 # ---- gradient checking ----

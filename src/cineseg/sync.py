@@ -169,10 +169,10 @@ def m_step_loss(terms, tau: Tensor) -> Tensor:
     pieces = []
     if n_row:
         weights = np.divide(pos, row_pos[:, None], out=np.zeros_like(pos), where=row_pos[:, None] > 0)
-        pieces.append(nc.neg(nc.sum_all(nc.mul(nc.log_softmax(sims, axis=1), weights / n_row))))
+        pieces.append(nc.cross_entropy(sims, weights / n_row, 1))
     if n_col:
         weights = np.divide(pos, col_pos[None, :], out=np.zeros_like(pos), where=col_pos[None, :] > 0)
-        pieces.append(nc.neg(nc.sum_all(nc.mul(nc.log_softmax(sims, axis=0), weights / n_col))))
+        pieces.append(nc.cross_entropy(sims, weights / n_col, 0))
     if not pieces:
         return Tensor(0.0)
     return pieces[0] if len(pieces) == 1 else nc.add(pieces[0], pieces[1])

@@ -194,7 +194,7 @@ def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
         weights = (batch / (2.0 * counts))[labels]
     target = np.zeros((batch, 2))
     target[np.arange(batch), labels] = weights / weights.sum()
-    return nc.neg(nc.sum_all(nc.mul(nc.log_softmax(logits, axis=-1), target)))
+    return nc.cross_entropy(logits, target, -1)
 
 
 # ---- scene windows ----
@@ -481,12 +481,6 @@ def _gold_span_shots(movie, tp: int) -> np.ndarray:
     return np.flatnonzero(np.isin(movie.sentence_of, movie.tp_labels[tp]))
 
 
-def _scene_partition(movie):
-    cuts = np.flatnonzero(movie.scene_labels) + 1
-    scene_of = np.searchsorted(cuts, np.arange(movie.num_shots), side="right")
-    return scene_of, len(cuts) + 1
-
-
 def act_shot_probs(shot_model, movie) -> np.ndarray:
     """Per turning point, the shot distribution of one movie [shots x turning points]."""
     feats, _ = movie_inputs(movie)
@@ -498,7 +492,11 @@ def act_eval(per_movie_probs, movies):
     each movie's act_shot_probs."""
     hits, total, events = 0, 0, []
     for probs, movie in zip(per_movie_probs, movies):
-        scene_of, num_scenes = _scene_partition(movie)
+        # the first shot of every scene; the last shot ends the last scene
+        # whatever its label, so no scene is empty
+        starts = np.concatenate(([0], np.flatnonzero(movie.scene_labels[:-1]) + 1))
+        # every scene's maximum per turning point [scenes x turning points]
+        scene_max = np.maximum.reduceat(probs, starts, axis=0)
         for tp in range(probs.shape[1]):
             span = _gold_span_shots(movie, tp)
             if span.size == 0:
@@ -509,11 +507,9 @@ def act_eval(per_movie_probs, movies):
             total += 1
             if predicted_shot in set(span.tolist()):
                 hits += 1
-            scene_scores = np.array(
-                [probs[scene_of == s, tp].max() for s in range(num_scenes)]
-            )
+            gold_scenes = np.searchsorted(starts, span, side="right") - 1
             events.append(
-                (int(np.argmax(scene_scores)), set(scene_of[span].tolist()), num_scenes)
+                (int(np.argmax(scene_max[:, tp])), set(gold_scenes.tolist()), len(starts))
             )
     return hits, total, events
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import cineseg.alignfuse as af
 import cineseg.cli as cli
 import cineseg.gradcheck as gradcheck
 import cineseg.numcore as nc
+import cineseg.sync as sync
 import cineseg.trainer as trainer
 from cineseg.dataio import NUM_TURNING_POINTS
 from cineseg.errors import BlobIOError, ConfigError, DataError
@@ -92,6 +94,20 @@ def test_init_distributions():
     assert abs(model["align_pe"].data.std() - 0.02) < 0.02
     assert np.abs(model["mod0.proj.w"].data).max() <= np.sqrt(6.0 / (3 + 8))
     assert np.abs(model["uni0.ffn.drop.w"].data).max() <= np.sqrt(6.0 / (16 + 8))
+
+
+def test_qkv_is_three_draws_in_the_order_of_q_k_and_v():
+    # the values a block's separate q, k and v layers drew from the same seed
+    model = af.FusionModel(tiny_cfg(), seed=0)
+    rng = np.random.default_rng(0)
+    rng.normal(size=(2, 8))  # align_pe
+    rng.uniform(size=(3, 8))  # mod0.proj.w
+    rng.normal(size=(5, 8))  # mod0.pe
+    rng.normal(size=(1, 2, 8))  # mod0.tokens
+    limit = np.sqrt(6.0 / (8 + 8))
+    want = np.concatenate([rng.uniform(-limit, limit, size=(8, 8)) for _ in "qkv"], axis=1)
+    assert model["uni0.attn.qkv.w"].data[0].tobytes() == want.tobytes()
+    npt.assert_array_equal(model["uni0.attn.qkv.b"].data, np.zeros((2, 1, 24)))
 
 
 def test_same_seed_same_params():
@@ -256,7 +272,7 @@ def test_model_gradients_match_finite_differences_smoke():
         loss = make_loss()
     nc.backward(tape, loss)
     for name in ("align_pe", "mod0.tokens", "mod1.proj.w", "head.w",
-                 "uni0.attn.q.w", "fus0.ffn.lift.w", "embed_ln.g"):
+                 "uni0.attn.qkv.w", "fus0.ffn.lift.w", "embed_ln.g"):
         p = model[name]
         fd = nc.fd_gradient(lambda: float(make_loss().data), p)
         err = nc.max_rel_error(p.grad, fd)
@@ -267,13 +283,9 @@ def test_two_head_attention_matches_a_per_head_reference():
     cfg = tiny_cfg(num_heads=2)
     model = af.FusionModel(cfg, seed=19)
     x = np.random.default_rng(19).normal(size=(2, 2, 7, cfg.width))
-    got = af._attention(model, "uni0.", x).data
-
-    def project(piece):
-        prefix = f"uni0.attn.{piece}"
-        return x @ model[prefix + ".w"].data + model[prefix + ".b"].data
-
-    q, k, v = project("q"), project("k"), project("v")
+    got = nc.attention(af._linear_apply(model, "uni0.attn.qkv", x), 2).data
+    qkv = x @ model["uni0.attn.qkv.w"].data + model["uni0.attn.qkv.b"].data
+    q, k, v = np.split(qkv, 3, axis=-1)
     half = cfg.width // 2
     heads = []
     for h in range(2):
@@ -362,7 +374,7 @@ def test_checkpoint_errors(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"\x00\x01binary\n" + data)
     with pytest.raises(DataError):
         af.load_checkpoint(tmp_path / "junk.ckpt")
-    (tmp_path / "old.ckpt").write_bytes(data.replace(b'"version": 3', b'"version": 2', 1))
+    (tmp_path / "old.ckpt").write_bytes(data.replace(b'"version": 4', b'"version": 3', 1))
     with pytest.raises(DataError, match="re-train"):
         af.load_checkpoint(tmp_path / "old.ckpt")
 
@@ -382,13 +394,11 @@ def test_load_params_rejects_mismatches():
 SCENE_LAYOUT = [
     ("align_pe", (2, 8)), ("mod0.proj.w", (3, 8)), ("mod0.proj.b", (8,)), ("mod0.pe", (5, 8)),
     ("embed_ln.g", (2, 1, 8)), ("embed_ln.b", (2, 1, 8)), ("mod0.tokens", (1, 2, 8)),
-    ("uni0.attn.q.w", (2, 8, 8)), ("uni0.attn.q.b", (2, 1, 8)), ("uni0.attn.k.w", (2, 8, 8)),
-    ("uni0.attn.k.b", (2, 1, 8)), ("uni0.attn.v.w", (2, 8, 8)), ("uni0.attn.v.b", (2, 1, 8)),
+    ("uni0.attn.qkv.w", (2, 8, 24)), ("uni0.attn.qkv.b", (2, 1, 24)),
     ("uni0.ln1.g", (2, 1, 8)), ("uni0.ln1.b", (2, 1, 8)), ("uni0.ffn.lift.w", (2, 8, 16)),
     ("uni0.ffn.lift.b", (2, 1, 16)), ("uni0.ffn.drop.w", (2, 16, 8)),
     ("uni0.ffn.drop.b", (2, 1, 8)), ("uni0.ln2.g", (2, 1, 8)), ("uni0.ln2.b", (2, 1, 8)),
-    ("fus0.attn.q.w", (2, 8, 8)), ("fus0.attn.q.b", (2, 1, 8)), ("fus0.attn.k.w", (2, 8, 8)),
-    ("fus0.attn.k.b", (2, 1, 8)), ("fus0.attn.v.w", (2, 8, 8)), ("fus0.attn.v.b", (2, 1, 8)),
+    ("fus0.attn.qkv.w", (2, 8, 24)), ("fus0.attn.qkv.b", (2, 1, 24)),
     ("fus0.ln1.g", (2, 1, 8)), ("fus0.ln1.b", (2, 1, 8)), ("fus0.ffn.lift.w", (2, 8, 16)),
     ("fus0.ffn.lift.b", (2, 1, 16)), ("fus0.ffn.drop.w", (2, 16, 8)),
     ("fus0.ffn.drop.b", (2, 1, 8)), ("fus0.ln2.g", (2, 1, 8)), ("fus0.ln2.b", (2, 1, 8)),
@@ -398,17 +408,13 @@ SCENE_LAYOUT = [
 ACT_LAYOUT = [
     ("shot.align_pe", (2, 8)), ("shot.mod0.proj.w", (3, 8)), ("shot.mod0.proj.b", (8,)),
     ("shot.mod0.pe", (5, 8)), ("shot.embed_ln.g", (2, 1, 8)), ("shot.embed_ln.b", (2, 1, 8)),
-    ("shot.mod0.tokens", (1, 2, 8)), ("shot.uni0.attn.q.w", (2, 8, 8)),
-    ("shot.uni0.attn.q.b", (2, 1, 8)), ("shot.uni0.attn.k.w", (2, 8, 8)),
-    ("shot.uni0.attn.k.b", (2, 1, 8)), ("shot.uni0.attn.v.w", (2, 8, 8)),
-    ("shot.uni0.attn.v.b", (2, 1, 8)), ("shot.uni0.ln1.g", (2, 1, 8)),
+    ("shot.mod0.tokens", (1, 2, 8)), ("shot.uni0.attn.qkv.w", (2, 8, 24)),
+    ("shot.uni0.attn.qkv.b", (2, 1, 24)), ("shot.uni0.ln1.g", (2, 1, 8)),
     ("shot.uni0.ln1.b", (2, 1, 8)), ("shot.uni0.ffn.lift.w", (2, 8, 16)),
     ("shot.uni0.ffn.lift.b", (2, 1, 16)), ("shot.uni0.ffn.drop.w", (2, 16, 8)),
     ("shot.uni0.ffn.drop.b", (2, 1, 8)), ("shot.uni0.ln2.g", (2, 1, 8)),
-    ("shot.uni0.ln2.b", (2, 1, 8)), ("shot.fus0.attn.q.w", (2, 8, 8)),
-    ("shot.fus0.attn.q.b", (2, 1, 8)), ("shot.fus0.attn.k.w", (2, 8, 8)),
-    ("shot.fus0.attn.k.b", (2, 1, 8)), ("shot.fus0.attn.v.w", (2, 8, 8)),
-    ("shot.fus0.attn.v.b", (2, 1, 8)), ("shot.fus0.ln1.g", (2, 1, 8)),
+    ("shot.uni0.ln2.b", (2, 1, 8)), ("shot.fus0.attn.qkv.w", (2, 8, 24)),
+    ("shot.fus0.attn.qkv.b", (2, 1, 24)), ("shot.fus0.ln1.g", (2, 1, 8)),
     ("shot.fus0.ln1.b", (2, 1, 8)), ("shot.fus0.ffn.lift.w", (2, 8, 16)),
     ("shot.fus0.ffn.lift.b", (2, 1, 16)), ("shot.fus0.ffn.drop.w", (2, 16, 8)),
     ("shot.fus0.ffn.drop.b", (2, 1, 8)), ("shot.fus0.ln2.g", (2, 1, 8)),
@@ -417,10 +423,8 @@ ACT_LAYOUT = [
     ("shot.head.b", (5,)), ("synopsis.align_pe", (2, 16)), ("synopsis.mod0.proj.w", (5, 16)),
     ("synopsis.mod0.proj.b", (16,)), ("synopsis.mod0.pe", (3, 16)),
     ("synopsis.embed_ln.g", (1, 1, 16)), ("synopsis.embed_ln.b", (1, 1, 16)),
-    ("synopsis.mod0.tokens", (1, 2, 16)), ("synopsis.uni0.attn.q.w", (1, 16, 16)),
-    ("synopsis.uni0.attn.q.b", (1, 1, 16)), ("synopsis.uni0.attn.k.w", (1, 16, 16)),
-    ("synopsis.uni0.attn.k.b", (1, 1, 16)), ("synopsis.uni0.attn.v.w", (1, 16, 16)),
-    ("synopsis.uni0.attn.v.b", (1, 1, 16)), ("synopsis.uni0.ln1.g", (1, 1, 16)),
+    ("synopsis.mod0.tokens", (1, 2, 16)), ("synopsis.uni0.attn.qkv.w", (1, 16, 48)),
+    ("synopsis.uni0.attn.qkv.b", (1, 1, 48)), ("synopsis.uni0.ln1.g", (1, 1, 16)),
     ("synopsis.uni0.ln1.b", (1, 1, 16)), ("synopsis.uni0.ffn.lift.w", (1, 16, 16)),
     ("synopsis.uni0.ffn.lift.b", (1, 1, 16)), ("synopsis.uni0.ffn.drop.w", (1, 16, 16)),
     ("synopsis.uni0.ffn.drop.b", (1, 1, 16)), ("synopsis.uni0.ln2.g", (1, 1, 16)),
@@ -447,13 +451,11 @@ def test_parameter_layout_is_pinned():
 def _unstacked(model) -> dict:
     """Fresh leaf copies of the parameters under the per-modality names
     that each tower had before the towers were stacked: mod{m}.<name> for
-    slice m of a stacked one, and [A x C] bottleneck tokens."""
+    slice m of a stacked one."""
     cfg = model.config
     params = {}
     for name, p in model.params.items():
-        if name.endswith(".tokens"):
-            params[name] = nc.Tensor(p.data[0].copy(), requires_grad=True)
-        elif name.startswith(("mod", "align_pe", "head.")):
+        if name.startswith(("mod", "align_pe", "head.")):
             params[name] = nc.Tensor(p.data.copy(), requires_grad=True)
         else:
             for m in range(cfg.num_modalities):  # [1 x N] rows of a vector stack as [N]
@@ -472,8 +474,7 @@ def _per_modality_encode(cfg, params, feats_list):
         return nc.linear(x, params[prefix + ".w"], params[prefix + ".b"])
 
     def block(prefix, x):
-        q, k, v = (linear(prefix + "attn." + piece, x) for piece in "qkv")
-        x = nc.add(x, nc.attention(q, k, v, cfg.num_heads))
+        x = nc.add(x, nc.attention(linear(prefix + "attn.qkv", x), cfg.num_heads))
         x = nc.layernorm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
         h = linear(prefix + "ffn.drop", nc.gelu(linear(prefix + "ffn.lift", x)))
         return nc.layernorm(nc.add(x, h), params[prefix + "ln2.g"], params[prefix + "ln2.b"])
@@ -484,16 +485,18 @@ def _per_modality_encode(cfg, params, feats_list):
         x = nc.add(linear(p + "proj", feats), nc.narrow(params[p + "pe"], -2, 0, length))
         x = nc.add(x, nc.gather_rows(params["align_pe"], af.align_buckets(length, ln)))
         x = nc.layernorm(x, params[p + "embed_ln.g"], params[p + "embed_ln.b"])
-        tokens = nc.expand_batch(nc.add(params[p + "tokens"], params["align_pe"]), x.shape[0])
-        seq = nc.concat([tokens, x], -2)
+        # [1 x A x C] tokens, broadcast over the batch by concat
+        seq = nc.concat([nc.add(params[p + "tokens"], params["align_pe"]), x], -2)
         for d in range(cfg.unimodal_depth):
             seq = block(f"{p}uni{d}.", seq)
         token_sets.append(nc.narrow(seq, -2, 0, ln))
         latents.append(nc.narrow(seq, -2, ln, seq.shape[-2]))
     for d in range(cfg.fusion_depth):
         updates = [[] for _ in range(n)]
+        # the towers run last to first, so each token set's gradient sums
+        # its per-tower terms first to last, as concat's broadcast does
         outs = [block(f"mod{m}.fus{d}.", nc.concat(token_sets + [latents[m]], -2))
-                for m in range(n)]
+                for m in reversed(range(n))][::-1]
         for out in outs:
             for j in range(n):
                 updates[j].append(nc.narrow(out, -2, j * ln, (j + 1) * ln))
@@ -564,19 +567,55 @@ def test_stacked_towers_record_one_block_per_depth():
     assert "mul" not in names
 
 
+# the node kinds of one desk scene training step
+SCENE_STEP_NODES = {
+    "linear": 9, "add": 10, "narrow": 6, "layernorm": 5, "concat": 4, "reshape": 3,
+    "gather_rows": 2, "attention": 2, "gelu": 2, "merge_channels": 1, "cross_entropy": 1,
+}
+
+
+def test_one_training_step_records_the_pinned_tape():
+    # the desk scene step, and an act step with the depth-1 towers the act
+    # benchmark trains; a node more is graph growth, to justify here
+    scene, (shot, synopsis, sync_dim) = _model_configs(
+        CONFIGS / "scene_desk.cfg", CONFIGS / "act_desk.cfg",
+        ["shot.unimodal_depth=1", "synopsis.unimodal_depth=1"],
+    )
+    rng = np.random.default_rng(25)
+    model = af.FusionModel(scene, seed=25)
+    feats = [rng.normal(size=(8, scene.seq_len, d)) for d in scene.modality_dims]
+    with nc.Tape() as tape:
+        trainer.weighted_scene_ce(af.forward_scene(model, feats), np.arange(8) % 2)
+    assert Counter(node.name for node in tape.nodes) == SCENE_STEP_NODES
+    assert len(model.params) == 33
+
+    pipeline = trainer.build_act_pipeline(shot, synopsis, sync_dim, 25)
+    shots, sentences = 30, 6
+    w = np.zeros((shots, sentences))
+    w[np.arange(shots), np.arange(shots) * sentences // shots] = 1.0
+    item = ([rng.normal(size=(shots, d)) for d in shot.modality_dims],
+            rng.normal(size=(sentences, synopsis.modality_dims[0])), w,
+            sync.band_mask(shots, sentences, 0.1), [[n] for n in range(NUM_TURNING_POINTS)])
+    with nc.Tape() as tape:
+        trainer.act_objective(pipeline, [item], (1.0, 1.0, 10.0))
+    assert len(tape) == 71
+    assert len(pipeline.named_params()) == 41
+
+
 # ---- the parameter budget ----
 
 
-def _model_configs(scene_cfg=None, act_cfg=None):
+def _model_configs(scene_cfg=None, act_cfg=None, act_sets=()):
     """The scene model config and the act (shot, synopsis, sync_dim) that
     the CLI builds from SCENE_KEYS and ACT_KEYS under the given config
-    files, with the modality dims of the shipped synth configs."""
+    files and act --set items, with the modality dims of the shipped
+    synth configs."""
     def dims(name):
         modalities = cli.resolve_config(cli.SYNTH_KEYS, CONFIGS / name, [])["modalities"]
         return tuple(d for _, d in modalities)
 
     scene = cli.resolve_config(cli.SCENE_KEYS, scene_cfg, [])
-    act = cli.resolve_config(cli.ACT_KEYS, act_cfg, [])
+    act = cli.resolve_config(cli.ACT_KEYS, act_cfg, list(act_sets))
     shot = af.ModelConfig(**cli._section(act, "shot"), num_classes=NUM_TURNING_POINTS,
                           modality_dims=dims("synth_act.cfg"))
     synopsis = af.ModelConfig(**cli._section(act, "synopsis"), width=shot.fused_width,

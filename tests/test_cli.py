@@ -595,6 +595,32 @@ def test_malformed_checkpoint_header_exits_3(scene_run, scene_data, tmp_path, ca
     assert not out.exists()
 
 
+def test_version_3_checkpoint_exits_3_asking_to_retrain(scene_run, scene_data, tmp_path, capsys):
+    # version 3 kept q, k and v apart in as many bytes as version 4 takes,
+    # so only the header's version tells the two layouts apart
+    header, _, blobs = (scene_run / "model.ckpt").read_bytes().partition(b"\n")
+    old = tmp_path / "v3.ckpt"
+    old.write_bytes(json.dumps({**json.loads(header), "version": 3}).encode() + b"\n" + blobs)
+    out = tmp_path / "out"
+    code = cli.main(
+        ["eval", "--checkpoint", str(old), "--data", str(scene_data), "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("data error")
+    assert "version 3" in err and "re-train" in err
+    assert not out.exists()
+
+
+def test_score_cells_of_python_floats_keep_the_float64_text():
+    # eval formats scores.csv from .tolist() floats, not numpy scalars
+    rng = np.random.default_rng(0)
+    scales = 10.0 ** rng.integers(-300, 300, size=(200, 5))
+    values = np.concatenate([rng.uniform(-1, 1, size=(200, 5)) * scales,
+                             [[-0.0, 5e-324, 1.0, 0.1, -1e-320]]])
+    old = [[cli._format(p) for p in row] for row in values]
+    assert [[cli._format(p) for p in row] for row in values.tolist()] == old
+
+
 def test_nonfinite_blob_exits_4(scene_data, scene_run, tmp_path, capsys):
     import shutil
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports SciPy when it is itself
-imported, and every function the benchmark's tracer wraps is still
-there with the arguments it reads."""
+imported, every public numcore function has a caller in another package
+module, and every function the benchmark's tracer wraps is still there
+with the arguments it reads."""
 
 import ast
 import importlib
@@ -143,6 +144,54 @@ def test_checker_finds_tensor_conversions():
 )
 def test_only_numcore_turns_arrays_into_tensors(path):
     assert tensor_boundary_violations(path.read_text()) == []
+
+
+# ---- every numcore op has a caller ----
+
+
+def public_functions(source: str) -> list[str]:
+    """The module-level functions of a module whose names lack a leading
+    underscore."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def numcore_names_read(source: str) -> set[str]:
+    """The numcore names a package module reads: attributes of its alias
+    of numcore, and names it imports from numcore."""
+    tree = ast.parse(source)
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "numcore":
+                names.update(alias.name for alias in node.names)
+            elif node.module is None:
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "numcore")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_checker_finds_numcore_names():
+    source = (
+        "from . import numcore as nc, dataio\n"
+        "from .numcore import Tensor\n"
+        "def f(x):\n    return nc.gelu(nc.add(x, dataio.NUM_TURNING_POINTS))\n"
+    )
+    assert numcore_names_read(source) == {"Tensor", "gelu", "add"}
+    assert public_functions("def a():\n    pass\ndef _b():\n    pass\nclass C:\n"
+                            "    def d(self):\n        pass\n") == ["a"]
+
+
+def test_every_numcore_function_has_a_caller():
+    # an op that no command uses is code to delete, not to keep working
+    read = set().union(*(numcore_names_read(path.read_text())
+                         for path in PACKAGE.glob("*.py") if path.name != "numcore.py"))
+    functions = public_functions((PACKAGE / "numcore.py").read_text())
+    assert [name for name in functions if name not in read] == []
 
 
 # ---- what the benchmark's traced run wraps ----

@@ -149,7 +149,6 @@ def test_grad_elementwise_and_broadcast():
     fd_check(lambda: nc.sum_all(nc.mul(nc.mul(a, b), r1)), {"a": a, "b": b})
     fd_check(lambda: nc.sum_all(nc.mul(nc.add(a, row), r1)), {"a": a, "row": row})
     fd_check(lambda: nc.sum_all(nc.mul(nc.mul(a, scalar), r1)), {"a": a, "s": scalar})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.neg(a), r1)), {"a": a})
 
 
 def test_grad_div():
@@ -260,41 +259,43 @@ def test_linear_shape_errors():
 # ---- fused attention ----
 
 
-def _attention_chain(q, k, v, num_heads):
+def _attention_chain(qkv, num_heads):
     """The per-head narrow / transpose / matmul / mul / softmax / matmul
     chain that attention replaced, as a reference."""
-    head_dim = q.shape[-1] // num_heads
+    width = qkv.shape[-1] // 3
+    head_dim = width // num_heads
     scale = 1.0 / math.sqrt(head_dim)
     outs = []
     for h in range(num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = (nc.narrow(t, -1, lo, hi) for t in (q, k, v))
+        qh, kh, vh = (nc.narrow(qkv, -1, lo, lo + head_dim)
+                      for lo in range(h * head_dim, 3 * width, width))
         scores = nc.mul(nc.matmul(qh, nc.transpose(kh)), scale)
         outs.append(nc.matmul(nc.softmax(scores, axis=-1), vh))
     return outs[0] if num_heads == 1 else nc.concat(outs, -1)
 
 
 def _attention_case(rng, batch=2, length=7, width=6):
-    q, k, v = (leaf(rng, batch, length, width) for _ in range(3))
-    return q, k, v, rng.uniform(-1, 1, size=(batch, length, width))
+    """q, k and v side by side, and a weight per output entry."""
+    qkv = leaf(rng, batch, length, 3 * width)
+    return qkv, rng.uniform(-1, 1, size=(batch, length, width))
 
 
-def _attention_loss(q, k, v, r, num_heads):
-    return nc.sum_all(nc.mul(nc.attention(q, k, v, num_heads), r))
+def _attention_loss(qkv, r, num_heads):
+    return nc.sum_all(nc.mul(nc.attention(qkv, num_heads), r))
 
 
 @pytest.mark.parametrize("num_heads", [1, 2])
 def test_attention_is_bit_identical_to_the_chain(num_heads):
     rng = np.random.default_rng(40)
-    q, k, v, r = _attention_case(rng)
+    qkv, r = _attention_case(rng)
     results = []
     for op in (nc.attention, _attention_chain):
-        nc.zero_grads((q, k, v))
+        nc.zero_grads((qkv,))
         with nc.Tape() as tape:
-            out = op(q, k, v, num_heads)
+            out = op(qkv, num_heads)
             loss = nc.sum_all(nc.mul(out, r))
         nc.backward(tape, loss)
-        results.append((out.data, q.grad, k.grad, v.grad))
+        results.append((out.data, qkv.grad))
     for fused, chain in zip(*results):
         # the layout too: BLAS may round differently over other strides
         assert (fused.tobytes(), fused.strides) == (chain.tobytes(), chain.strides)
@@ -303,23 +304,22 @@ def test_attention_is_bit_identical_to_the_chain(num_heads):
 @pytest.mark.parametrize("num_heads", [1, 2])
 def test_grad_attention_matches_finite_differences(num_heads):
     rng = np.random.default_rng(41)
-    q, k, v, r = _attention_case(rng, batch=2, length=4, width=4)
-    fd_check(lambda: _attention_loss(q, k, v, r, num_heads), {"q": q, "k": k, "v": v})
+    qkv, r = _attention_case(rng, batch=2, length=4, width=4)
+    fd_check(lambda: _attention_loss(qkv, r, num_heads), {"qkv": qkv})
 
 
 def test_attention_backward_twice_doubles_the_gradients():
     rng = np.random.default_rng(42)
-    q, k, v, r = _attention_case(rng)
+    qkv, r = _attention_case(rng)
     with nc.Tape() as tape:
-        loss = _attention_loss(q, k, v, r, 2)
+        loss = _attention_loss(qkv, r, 2)
     nc.backward(tape, loss)
-    first = [t.grad.copy() for t in (q, k, v)]
+    first = qkv.grad.copy()
     # an unrecorded call of another shape in between reuses the workspaces
-    nc.attention(*(rng.normal(size=(1, 9, 6)) for _ in range(3)), 2)
-    nc.zero_grads(node.output for node in tape.nodes)  # keep the inputs' grads
+    nc.attention(rng.normal(size=(1, 9, 18)), 2)
+    nc.zero_grads(node.output for node in tape.nodes)  # keep the input's grad
     nc.backward(tape, loss)
-    for t, g in zip((q, k, v), first):
-        assert np.array_equal(t.grad, 2.0 * g)
+    assert np.array_equal(qkv.grad, 2.0 * first)
 
 
 def _shares_a_workspace(a):
@@ -328,14 +328,14 @@ def _shares_a_workspace(a):
 
 def test_attention_results_never_alias_a_workspace():
     rng = np.random.default_rng(43)
-    q, k, v, _ = _attention_case(rng)
-    first = nc.attention(q.data, k.data, v.data, 1).data
+    qkv, _ = _attention_case(rng)
+    first = nc.attention(qkv.data, 1).data
     kept = first.copy()
-    second = nc.attention(k.data, v.data, q.data, 1).data
+    second = nc.attention(qkv.data[..., ::-1], 1).data
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
     with nc.Tape() as tape:
-        recorded = nc.attention(q, k, v, 2)
+        recorded = nc.attention(qkv, 2)
     (node,) = tape.nodes
     _, heads = node.saved
     assert nc._WORKSPACES  # the unrecorded calls used them
@@ -345,32 +345,36 @@ def test_attention_results_never_alias_a_workspace():
 
 def test_attention_non_finite_scores_raise():
     rng = np.random.default_rng(44)
-    q, k, v, r = _attention_case(rng)
-    huge = nc.Tensor(np.full(q.shape, 1e200), requires_grad=True)
+    qkv, r = _attention_case(rng)
+    width = r.shape[-1]
+    # huge q and k, finite v
+    huge = nc.Tensor(np.where(np.arange(3 * width) < 2 * width, 1e200, qkv.data),
+                     requires_grad=True)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="'attention'"):
-            nc.attention(huge.data, huge.data, v.data, 2)
+            nc.attention(huge.data, 2)
         with nc.Tape():
             with pytest.raises(NumericError, match="'attention'"):
-                nc.attention(huge, huge, v, 2)
-        nan_v = np.where(np.arange(q.shape[-1]) == 0, np.nan, v.data)
+                nc.attention(huge, 2)
+        nan_v = np.where(np.arange(3 * width) == 2 * width, np.nan, qkv.data)
         with pytest.raises(NumericError, match="'attention'"):
-            nc.attention(q.data, k.data, nan_v, 1)
+            nc.attention(nan_v, 1)
         # inside finite differences only the returned loss is checked
         with pytest.raises(NumericError, match="finite-difference loss"):
-            nc.fd_gradient(lambda: float(_attention_loss(huge, huge, v, r, 2).data), v.data[0, 0])
+            nc.fd_gradient(lambda: float(_attention_loss(huge, r, 2).data),
+                           huge.data[0, 0, 2 * width:])
 
 
 def test_attention_shape_errors():
     x = np.zeros((2, 3, 6))
     with pytest.raises(ShapeError):
-        nc.attention(x[0], x[0], x[0], 1)
+        nc.attention(x[0], 1)  # not 3-D
     with pytest.raises(ShapeError):
-        nc.attention(x, x, x, 4)
+        nc.attention(x[..., :5], 1)  # not 3C columns
     with pytest.raises(ShapeError):
-        nc.attention(x, x, x, 0)
+        nc.attention(x, 4)
     with pytest.raises(ShapeError):
-        nc.attention(x, x[:, :2], x, 1)
+        nc.attention(x, 0)
 
 
 def test_attention_allocates_less_than_one_score_matrix():
@@ -379,19 +383,19 @@ def test_attention_allocates_less_than_one_score_matrix():
     length = 312
     limit = length * length * 8
     rng = np.random.default_rng(45)
-    q, k, v, r = _attention_case(rng, batch=1, length=length, width=8)
+    qkv, r = _attention_case(rng, batch=1, length=length, width=8)
 
     def recorded():
         with nc.Tape() as tape:
-            loss = _attention_loss(q, k, v, r, 1)
+            loss = _attention_loss(qkv, r, 1)
         return tape, loss
 
     nc.backward(*recorded())
-    nc.attention(q.data, k.data, v.data, 1)  # warm-up: the workspaces grow
+    nc.attention(qkv.data, 1)  # warm-up: the workspaces grow
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        nc.attention(q.data, k.data, v.data, 1)
+        nc.attention(qkv.data, 1)
         unrecorded_peak = tracemalloc.get_traced_memory()[1]
         tape, loss = recorded()
         tracemalloc.reset_peak()
@@ -420,8 +424,19 @@ def test_grad_shape_ops():
     r_c = rng.uniform(-1, 1, size=(3, 6, 5))
     fd_check(lambda: nc.sum_all(nc.mul(nc.concat([a, b], -2), r_c)), {"a": a, "b": b})
 
-    r_e = rng.uniform(-1, 1, size=(6, 3, 4, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.expand_batch(a, 6), r_e)), {"a": a})
+    tokens = leaf(rng, 1, 3, 2, 5)  # broadcast over a batch of 6
+    x = leaf(rng, 6, 3, 4, 5)
+    r_b = rng.uniform(-1, 1, size=(6, 3, 6, 5))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.concat([tokens, x], -2), r_b)),
+             {"tokens": tokens, "x": x})
+
+
+def test_reshape_is_a_view():
+    rng = np.random.default_rng(18)
+    a = leaf(rng, 3, 4, 5)
+    assert np.shares_memory(nc.reshape(a, (12, 5)).data, a.data)
+    r = rng.uniform(-1, 1, size=(2, 30))
+    fd_check(lambda: nc.sum_all(nc.mul(nc.reshape(a, (2, 30)), r)), {"a": a})
 
 
 def test_grad_modality_stacked_ops():
@@ -471,13 +486,33 @@ def test_grad_nonlinearities():
     fd_check(lambda: nc.sum_all(nc.mul(nc.clamp_min(a, 0.25), r)), {"a": a})
 
 
-def test_grad_softmax_and_log_softmax():
+def test_grad_softmax_and_cross_entropy():
     rng = np.random.default_rng(16)
     a = leaf(rng, 5, 7)
     r = rng.uniform(-1, 1, size=(5, 7))
     for axis in (0, 1):
+        target = r * r / (r * r).sum(axis=axis, keepdims=True)
         fd_check(lambda: nc.sum_all(nc.mul(nc.softmax(a, axis), r)), {"a": a})
-        fd_check(lambda: nc.sum_all(nc.mul(nc.log_softmax(a, axis), r)), {"a": a})
+        fd_check(lambda: nc.cross_entropy(a, target, axis), {"a": a})
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_cross_entropy_is_minus_the_target_weighted_log_softmax(axis):
+    rng = np.random.default_rng(19)
+    a = leaf(rng, 4, 6)
+    target = rng.uniform(0, 1, size=(4, 6))
+    target[1] = 0.0  # rows or columns that no query uses
+    with nc.Tape() as tape:
+        loss = nc.cross_entropy(a, target, axis)
+    assert [node.name for node in tape.nodes] == ["cross_entropy"]
+    nc.backward(tape, loss)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    assert float(loss.data) == -(logp * target).sum()
+    npt.assert_allclose(a.grad, np.exp(logp) * target.sum(axis=axis, keepdims=True) - target,
+                        rtol=1e-12, atol=1e-15)
+    with pytest.raises(ShapeError):
+        nc.cross_entropy(a, target[:, :5], axis)
 
 
 def test_grad_layernorm():

@@ -654,6 +654,34 @@ def test_scene_checkpoint_round_trip(tmp_path):
         trainer.load_checkpoint(path, "act")
 
 
+def _act_events_by_loop(probs, movie):
+    """act_eval's events from one max per scene and turning point, as a
+    reference; the last shot ends the last scene."""
+    cuts = np.flatnonzero(movie.scene_labels[:-1]) + 1
+    scene_of = np.searchsorted(cuts, np.arange(movie.num_shots), side="right")
+    num_scenes = len(cuts) + 1
+    events = []
+    for tp in range(probs.shape[1]):
+        scores = np.array([probs[scene_of == s, tp].max() for s in range(num_scenes)])
+        gold = trainer._gold_span_shots(movie, tp)
+        events.append((int(np.argmax(scores)), set(scene_of[gold].tolist()), num_scenes))
+    return events
+
+
+def test_act_eval_takes_a_labeled_last_shot_as_the_end_of_the_last_scene():
+    movie = make_dataset(act_synth(), movies=1, seed=15)[0]
+    movie.scene_labels[-1] = 1  # accepted by MovieSample.validate
+    rng = np.random.default_rng(15)
+    for labels in (movie.scene_labels.copy(), rng.integers(0, 2, size=movie.num_shots)):
+        movie.scene_labels[:] = labels
+        movie.scene_labels[-1] = 1
+        probs = rng.integers(0, 4, size=(movie.num_shots, 5)) / 4.0  # many ties
+        _, total, events = trainer.act_eval([probs], [movie])
+        assert total == 5
+        assert events == _act_events_by_loop(probs, movie)
+        assert events[0][2] == int(movie.scene_labels[:-1].sum()) + 1
+
+
 def test_act_eval_structure():
     movies = make_dataset(act_synth(), movies=2, seed=14)
     shot, _ = act_model_cfgs()
