@@ -1,13 +1,13 @@
 """Transfer of synopsis turning-point supervision onto shot predictions.
 
-Shot-sentence attention (row softmax of scaled cosine similarities,
-sharing the contrastive temperature) carries the synopsis model's
-per-sentence turning-point logits onto shots. Both the carried target
-distribution and the shot model's own prediction are normalized over
-the shot axis per turning point, and the distillation loss is the sum
-over turning points of KL(shot distribution || transferred target).
-By default the targets are detached so distillation gradients reach
-the shot model only.
+Shot-sentence attention (row softmax of cosine similarities scaled by
+the contrastive temperature, as in the contrastive loss) carries the
+synopsis model's per-sentence turning-point logits onto shots. Both the
+carried target distribution and the shot model's own prediction are
+normalized over the shot axis per turning point, and the distillation
+loss is the sum over turning points of KL(shot distribution ||
+transferred target), one ``nc.kl_div`` node. By default the targets are
+detached so distillation gradients reach the shot model only.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ DEFAULT_LOSS_WEIGHTS = (1.0, 1.0, 10.0)  # contrastive, synopsis CE, distillatio
 
 def attention_weights(u, v, tau) -> Tensor:
     """Shot-over-sentence attention: row softmax of (u @ v.T) / tau."""
-    sims = nc.div(nc.matmul(u, nc.transpose(v)), tau)
-    return nc.softmax(sims, axis=1)
+    return nc.softmax(nc.scaled_scores(u, v, tau), axis=1)
 
 
 def transfer_targets(attn: Tensor, q) -> Tensor:
@@ -47,15 +46,10 @@ def shot_distribution(logits) -> Tensor:
 def kd_loss(shot_probs, target_probs) -> Tensor:
     """Sum over turning points of KL(shot column || target column).
 
-    Expects column-stochastic matrices [num_shots x num_tp]; entries are
-    floored at 1e-12 before the logs.
+    Expects column-stochastic matrices [num_shots x num_tp] of one shape;
+    entries are floored at 1e-12 before the logs.
     """
-    o, p = shot_probs, target_probs
-    if o.shape != p.shape:
-        raise DataError(f"distributions differ in shape: {o.shape} vs {p.shape}")
-    log_o = nc.log(nc.clamp_min(o, PROB_FLOOR))
-    log_p = nc.log(nc.clamp_min(p, PROB_FLOOR))
-    return nc.sum_all(nc.mul(o, nc.sub(log_o, log_p)))
+    return nc.kl_div(shot_probs, target_probs, PROB_FLOOR)
 
 
 def synopsis_ce_loss(sentence_logits, tp_labels) -> Tensor:

@@ -1,14 +1,15 @@
 """Dense float64 tensors with a dynamic reverse-mode tape.
 
 Implements exactly the operations the fusion models and the losses
-need: 2-D/3-D matrix products, linear layers, elementwise arithmetic
-with suffix broadcasting, softmax, cross-entropy against a target
-distribution, layer normalization, the exact erf form of GeLU, row
-gathering/slicing/concatenation, a mean over one axis, dropout, row
-L2-normalization and scaled dot-product attention. Every value is
-float64. A linear layer ``x @ w + b`` records one node instead of a
-matmul and a bias add, and a cross-entropy one instead of four, because
-the cost of this core is Python overhead per node, not FLOPs.
+need: 2-D/3-D matrix products, linear layers, elementwise addition and
+multiplication with suffix broadcasting, exp, softmax, layer
+normalization, the exact erf form of GeLU, row gathering, slicing and
+concatenation, a mean over one axis, dropout, row L2-normalization,
+scaled dot-product attention and temperature-scaled similarities.
+Every value is float64. Each loss (a cross-entropy or a KL divergence)
+and each linear layer ``x @ w + b`` records one node, not a chain of
+them, because the cost of this core is Python overhead per node, not
+FLOPs.
 
 For the same reason the fusion model runs its M modality towers as one
 ``[... x M x L x C]`` tensor: ``linear`` and ``layernorm`` also take
@@ -145,12 +146,11 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 # ops whose output can be non-finite although every input is finite; the
-# rest (transpose, reshape, narrow, concat, gather_rows, merge_channels,
-# clamp_min, dropout, and log, which checks its domain) only move, select
-# or scale finite values
+# rest (reshape, narrow, concat, gather_rows, merge_channels, dropout) only
+# move, select or scale finite values
 _CHECKED = frozenset({
-    "add", "sub", "mul", "div", "matmul", "linear", "sum", "mean", "exp", "gelu",
-    "softmax", "cross_entropy", "layernorm", "normalize_rows", "attention",
+    "add", "mul", "matmul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
+    "cross_entropy", "kl_div", "layernorm", "normalize_rows", "attention",
 })
 # off only inside fd_gradient's evaluations, which check the losses instead
 _check_outputs = True
@@ -253,19 +253,6 @@ def add(a, b) -> Tensor:
     return _emit("add", _add_back, (a, b), a.data + b.data)
 
 
-def _sub_back(g, inputs, out, saved):
-    a, b = inputs
-    if a.requires_grad:
-        a.accumulate(_reduce_to(g, a.shape))
-    if b.requires_grad:
-        b.accumulate(_reduce_to(-g, b.shape))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _binary(a, b)
-    return _emit("sub", _sub_back, (a, b), a.data - b.data)
-
-
 def _mul_back(g, inputs, out, saved):
     a, b = inputs
     if a.requires_grad:
@@ -277,19 +264,6 @@ def _mul_back(g, inputs, out, saved):
 def mul(a, b) -> Tensor:
     a, b = _binary(a, b)
     return _emit("mul", _mul_back, (a, b), a.data * b.data)
-
-
-def _div_back(g, inputs, out, saved):
-    a, b = inputs
-    if a.requires_grad:
-        a.accumulate(_reduce_to(g / b.data, a.shape))
-    if b.requires_grad:
-        b.accumulate(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
-
-
-def div(a, b) -> Tensor:
-    a, b = _binary(a, b)
-    return _emit("div", _div_back, (a, b), a.data / b.data)
 
 
 # ---- linear algebra ----
@@ -367,17 +341,33 @@ def linear(x, w, b) -> Tensor:
     return _emit("linear", _linear_back, (x, w, b), out)
 
 
-def _transpose_back(g, inputs, out, saved):
-    (a,) = inputs
-    a.accumulate(np.swapaxes(g, -1, -2))
+def _scaled_scores_back(g, inputs, out, saved):
+    u, v, tau = inputs
+    vt, scores = saved
+    if tau.requires_grad:
+        tau.accumulate(_reduce_to(-g * scores / (tau.data * tau.data), ()))
+    g = g / tau.data
+    if u.requires_grad:
+        u.accumulate(g @ vt.T)
+    if v.requires_grad:
+        v.accumulate((u.data.T @ g).T)
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes."""
-    a = _as_tensor(a)
-    if a.ndim not in (2, 3):
-        raise ShapeError(f"transpose needs a 2-D or 3-D tensor, got {a.shape}")
-    return _emit("transpose", _transpose_back, (a,), np.swapaxes(a.data, -1, -2).copy())
+def scaled_scores(u, v, tau, offset=None) -> Tensor:
+    """(u @ v.T) / tau + offset as one node, for [N x P] u, [K x P] v, a
+    scalar tau and an optional constant [N x K] offset, with the bits of
+    the transpose, matmul, divide and add chain."""
+    u, v, tau = _as_tensor(u), _as_tensor(v), _as_tensor(tau)
+    if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1] or tau.ndim:
+        raise ShapeError(f"scaled_scores mismatch: {u.shape} x {v.shape} / {tau.shape}")
+    vt = v.data.T.copy()
+    scores = u.data @ vt
+    out = scores / tau.data
+    if offset is not None:
+        if np.shape(offset) != out.shape:
+            raise ShapeError(f"scaled_scores offset {np.shape(offset)} does not match {out.shape}")
+        out += offset
+    return _emit("scaled_scores", _scaled_scores_back, (u, v, tau), out, (vt, scores))
 
 
 def _reshape_back(g, inputs, out, saved):
@@ -444,6 +434,8 @@ def concat(parts, axis: int) -> Tensor:
     try:
         lead = arrays[0].shape[:-2]
         if ax >= nd - 2 and any(a.shape[:-2] != lead for a in arrays):
+            if any(a.ndim != nd for a in arrays):
+                raise ValueError  # caught below
             lead = np.broadcast_shapes(*(a.shape[:-2] for a in arrays))
             arrays = [np.broadcast_to(a, lead + a.shape[-2:]) for a in arrays]
         out = np.concatenate(arrays, axis=ax)
@@ -491,16 +483,6 @@ def merge_channels(a) -> Tensor:
 # ---- reductions and nonlinearities ----
 
 
-def _sum_back(g, inputs, out, saved):
-    (a,) = inputs
-    a.accumulate(np.broadcast_to(g, a.shape).copy())
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    return _emit("sum", _sum_back, (a,), np.asarray(a.data.sum()))
-
-
 def _mean_back(g, inputs, out, axis):
     (a,) = inputs
     a.accumulate(np.broadcast_to(g * (1.0 / a.shape[axis]), a.shape))
@@ -522,29 +504,6 @@ def _exp_back(g, inputs, out, saved):
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     return _emit("exp", _exp_back, (a,), np.exp(a.data))
-
-
-def _log_back(g, inputs, out, saved):
-    (a,) = inputs
-    a.accumulate(g / a.data)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if (a.data <= 0.0).any():
-        raise NumericError("log of a non-positive value")
-    return _emit("log", _log_back, (a,), np.log(a.data))
-
-
-def _clamp_min_back(g, inputs, out, floor):
-    (a,) = inputs
-    a.accumulate(g * (a.data > floor))
-
-
-def clamp_min(a, floor: float) -> Tensor:
-    """Elementwise max(a, floor); zero gradient where the floor is active."""
-    a = _as_tensor(a)
-    return _emit("clamp_min", _clamp_min_back, (a,), np.maximum(a.data, floor), floor)
 
 
 def _gelu_back(g, inputs, out, cdf):
@@ -613,6 +572,32 @@ def cross_entropy(logits, target, axis: int) -> Tensor:
     logp = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = np.asarray(-(logp * target).sum())
     return _emit("cross_entropy", _cross_entropy_back, (a,), out, (logp, target, axis))
+
+
+def _kl_div_back(g, inputs, out, saved):
+    o, p = inputs
+    floor, floored_o, floored_p, diff = saved
+    if o.requires_grad:
+        o.accumulate(g * diff)
+    g = g * o.data
+    if p.requires_grad:
+        p.accumulate(-g / floored_p * (p.data > floor))
+    if o.requires_grad:
+        o.accumulate(g / floored_o * (o.data > floor))
+
+
+def kl_div(o, p, floor: float) -> Tensor:
+    """sum(o * (log max(o, floor) - log max(p, floor))), KL(o || p) with
+    both distributions floored before the logs, as one scalar node with
+    the bits of the clamp, log, subtract, multiply and sum chain; no
+    gradient flows through a floored entry's log."""
+    o, p = _as_tensor(o), _as_tensor(p)
+    if o.shape != p.shape:
+        raise ShapeError(f"kl_div of distributions of shapes {o.shape} and {p.shape}")
+    floored_o, floored_p = np.maximum(o.data, floor), np.maximum(p.data, floor)
+    diff = np.log(floored_o) - np.log(floored_p)
+    out = np.asarray((o.data * diff).sum())
+    return _emit("kl_div", _kl_div_back, (o, p), out, (floor, floored_o, floored_p, diff))
 
 
 def _layernorm_back(g, inputs, out, saved):

@@ -158,21 +158,15 @@ def m_step_loss(terms, tau: Tensor) -> Tensor:
     if ((pos > 0) & ~cand).any():
         raise ContractError("every positive must be a candidate key")
 
-    mask_add = np.where(cand, 0.0, _MASK_OFF)
-    sims = nc.add(nc.div(nc.matmul(u_all, nc.transpose(v_all)), tau), mask_add)
-
-    row_pos = pos.sum(axis=1)
-    col_pos = pos.sum(axis=0)
-    n_row = int((row_pos > 0).sum())
-    n_col = int((col_pos > 0).sum())
+    sims = nc.scaled_scores(u_all, v_all, tau, np.where(cand, 0.0, _MASK_OFF))
 
     pieces = []
-    if n_row:
-        weights = np.divide(pos, row_pos[:, None], out=np.zeros_like(pos), where=row_pos[:, None] > 0)
-        pieces.append(nc.cross_entropy(sims, weights / n_row, 1))
-    if n_col:
-        weights = np.divide(pos, col_pos[None, :], out=np.zeros_like(pos), where=col_pos[None, :] > 0)
-        pieces.append(nc.cross_entropy(sims, weights / n_col, 0))
+    for axis in (1, 0):  # shot queries over sentence keys, then the reverse
+        positives = pos.sum(axis=axis, keepdims=True)
+        queries = int((positives > 0).sum())
+        if queries:
+            weights = np.divide(pos, positives, out=np.zeros_like(pos), where=positives > 0)
+            pieces.append(nc.cross_entropy(sims, weights / queries, axis))
     if not pieces:
         return Tensor(0.0)
     return pieces[0] if len(pieces) == 1 else nc.add(pieces[0], pieces[1])

@@ -542,6 +542,7 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
     trains the shot model only.
     """
     head = pipeline.sync_head
+    tau = head.tau()
     terms, ce_parts, kd_parts = [], [], []
     max_col_dev = 0.0
     for feats, synopsis, w, band, tp_labels in items:
@@ -554,9 +555,9 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
         terms.append((u, v, w, band))
         ce_parts.append(distill.synopsis_ce_loss(q, tp_labels))
         if joint:
-            attn = distill.attention_weights(u, v, head.tau())
+            attn = distill.attention_weights(u, v, tau)
         else:
-            attn = distill.attention_weights(u.detach(), v.detach(), head.tau().detach())
+            attn = distill.attention_weights(u.detach(), v.detach(), tau.detach())
             q = q.detach()
         targets = distill.transfer_targets(attn, q)
         max_col_dev = max(
@@ -565,7 +566,7 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
         kd_parts.append(
             distill.kd_loss(distill.shot_distribution(shot_logits), targets)
         )
-    l_c = sync.m_step_loss(terms, head.tau())
+    l_c = sync.m_step_loss(terms, tau)
     l_ce = _mean(ce_parts)
     l_kd = _mean(kd_parts)
     total = distill.total_loss(l_c, l_ce, l_kd, loss_weights)

@@ -13,6 +13,7 @@ import cineseg.sync as sync
 import cineseg.trainer as trainer
 from cineseg.dataio import NUM_TURNING_POINTS
 from cineseg.errors import BlobIOError, ConfigError, DataError
+from helpers import weighted_sum
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -199,7 +200,7 @@ def test_alignment_table_is_shared():
     rng = np.random.default_rng(9)
     with nc.Tape() as tape:
         logits = af.forward_scene(model, rand_inputs(rng, model.config))
-        loss = nc.sum_all(logits)
+        loss = weighted_sum(logits)
     nc.backward(tape, loss)
     # one table feeds both modality embeddings and both token sets
     assert model["align_pe"].grad is not None
@@ -252,7 +253,7 @@ def test_gradients_flow_to_every_group():
     r = rng.normal(size=(2, 2))
     with nc.Tape() as tape:
         logits = af.forward_scene(model, rand_inputs(rng, cfg))
-        loss = nc.sum_all(nc.mul(logits, r))
+        loss = weighted_sum(logits, r)
     nc.backward(tape, loss)
     for name, p in model.params.items():
         assert p.grad is not None, f"no gradient reached {name}"
@@ -266,7 +267,7 @@ def test_model_gradients_match_finite_differences_smoke():
     r = rng.normal(size=(2, 2))
 
     def make_loss():
-        return nc.sum_all(nc.mul(af.forward_scene(model, feats), r))
+        return weighted_sum(af.forward_scene(model, feats), r)
 
     with nc.Tape() as tape:
         loss = make_loss()
@@ -315,7 +316,7 @@ def test_two_head_gradients_match_finite_differences():
     r = rng.normal(size=(2, 2))
 
     def make_loss():
-        return nc.sum_all(nc.mul(af.forward_scene(model, feats), r))
+        return weighted_sum(af.forward_scene(model, feats), r)
 
     with nc.Tape() as tape:
         loss = make_loss()
@@ -540,7 +541,7 @@ def test_stacked_towers_keep_the_per_modality_bits(dims, task, num_heads):
     for forward in (stacked, lambda: _per_modality_logits(cfg, params, feats)):
         with nc.Tape() as tape:
             logits = forward()
-            loss = nc.sum_all(nc.mul(logits, weights))
+            loss = weighted_sum(logits, weights)
         nc.backward(tape, loss)
         results.append(logits.data)
     assert results[0].tobytes() == results[1].tobytes()
@@ -572,6 +573,13 @@ SCENE_STEP_NODES = {
     "linear": 9, "add": 10, "narrow": 6, "layernorm": 5, "concat": 4, "reshape": 3,
     "gather_rows": 2, "attention": 2, "gelu": 2, "merge_channels": 1, "cross_entropy": 1,
 }
+# and of one act step on one movie: two towers, the sync head, and one
+# node per loss, with the distillation targets detached
+ACT_STEP_NODES = {
+    "add": 13, "linear": 12, "narrow": 6, "layernorm": 6, "reshape": 4, "cross_entropy": 3,
+    "mul": 3, "gather_rows": 2, "concat": 2, "attention": 2, "gelu": 2, "merge_channels": 2,
+    "normalize_rows": 2, "exp": 1, "softmax": 1, "kl_div": 1, "scaled_scores": 1,
+}
 
 
 def test_one_training_step_records_the_pinned_tape():
@@ -598,7 +606,7 @@ def test_one_training_step_records_the_pinned_tape():
             sync.band_mask(shots, sentences, 0.1), [[n] for n in range(NUM_TURNING_POINTS)])
     with nc.Tape() as tape:
         trainer.act_objective(pipeline, [item], (1.0, 1.0, 10.0))
-    assert len(tape) == 71
+    assert Counter(node.name for node in tape.nodes) == ACT_STEP_NODES
     assert len(pipeline.named_params()) == 41
 
 

@@ -8,6 +8,7 @@ from cineseg import distill
 from cineseg import numcore as nc
 from cineseg.errors import DataError, NumericError
 from cineseg.numcore import Tensor
+from helpers import weighted_sum
 
 
 def random_unit_rows(rng, n, d):
@@ -71,7 +72,7 @@ def test_attention_accepts_learnable_tau_tensor():
     u = Tensor(random_unit_rows(rng, 3, 4), requires_grad=True)
     with nc.Tape() as tape:
         attn = distill.attention_weights(u, random_unit_rows(rng, 2, 4), nc.exp(log_tau))
-        loss = nc.sum_all(nc.mul(attn, attn))
+        loss = weighted_sum(nc.mul(attn, attn))
     nc.backward(tape, loss)
     assert log_tau.grad is not None and np.isfinite(log_tau.grad).all()
 
@@ -269,9 +270,9 @@ def test_total_loss_gradient_is_weighted_sum():
     x = Tensor(rng.standard_normal(4), requires_grad=True)
 
     def run():
-        l_c = nc.sum_all(nc.mul(x, x))
-        l_ce = nc.sum_all(x)
-        l_kd = nc.sum_all(nc.exp(x))
+        l_c = weighted_sum(nc.mul(x, x))
+        l_ce = weighted_sum(x)
+        l_kd = weighted_sum(nc.exp(x))
         return distill.total_loss(l_c, l_ce, l_kd)
 
     with nc.Tape() as tape:

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports SciPy when it is itself
 imported, every public numcore function has a caller in another package
-module, and every function the benchmark's tracer wraps is still there
+module, every name on numcore's output-check list is a node some op
+records, and every function the benchmark's tracer wraps is still there
 with the arguments it reads."""
 
 import ast
@@ -192,6 +193,25 @@ def test_every_numcore_function_has_a_caller():
                          for path in PACKAGE.glob("*.py") if path.name != "numcore.py"))
     functions = public_functions((PACKAGE / "numcore.py").read_text())
     assert [name for name in functions if name not in read] == []
+
+
+def emitted_names(source: str) -> set[str]:
+    """The node names of a module's _emit("<name>", ...) calls."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_emit" and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def test_checker_finds_emitted_names():
+    source = ('def f(a):\n    return _emit("add", rule, (a,), a)\n'
+              'def g(a, name):\n    return _emit(name, rule, (a,), a)\n')
+    assert emitted_names(source) == {"add"}
+
+
+def test_every_checked_name_is_an_emitted_node():
+    # an output check on a name that no op emits checks nothing
+    emitted = emitted_names((PACKAGE / "numcore.py").read_text())
+    assert sorted(cineseg_attr("numcore", "_CHECKED") - emitted) == []
 
 
 # ---- what the benchmark's traced run wraps ----

@@ -9,6 +9,7 @@ import pytest
 
 import cineseg.numcore as nc
 from cineseg.errors import ContractError, NumericError, ShapeError
+from helpers import weighted_sum
 
 
 def matmul_oracle(a, b):
@@ -144,21 +145,10 @@ def test_grad_elementwise_and_broadcast():
     scalar = nc.Tensor(np.asarray(1.7), requires_grad=True)
     r1 = rng.uniform(-1, 1, size=(4, 5))
 
-    fd_check(lambda: nc.sum_all(nc.mul(nc.add(a, b), r1)), {"a": a, "b": b})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.sub(a, b), r1)), {"a": a, "b": b})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.mul(a, b), r1)), {"a": a, "b": b})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.add(a, row), r1)), {"a": a, "row": row})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.mul(a, scalar), r1)), {"a": a, "s": scalar})
-
-
-def test_grad_div():
-    rng = np.random.default_rng(11)
-    a = leaf(rng, 3, 4)
-    b = nc.Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
-    s = nc.Tensor(np.asarray(0.8), requires_grad=True)
-    r = rng.uniform(-1, 1, size=(3, 4))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.div(a, b), r)), {"a": a, "b": b})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.div(a, s), r)), {"a": a, "s": s})
+    fd_check(lambda: weighted_sum(nc.add(a, b), r1), {"a": a, "b": b})
+    fd_check(lambda: weighted_sum(nc.mul(a, b), r1), {"a": a, "b": b})
+    fd_check(lambda: weighted_sum(nc.add(a, row), r1), {"a": a, "row": row})
+    fd_check(lambda: weighted_sum(nc.mul(a, scalar), r1), {"a": a, "s": scalar})
 
 
 def test_grad_matmul_all_ranks():
@@ -166,17 +156,17 @@ def test_grad_matmul_all_ranks():
     a = leaf(rng, 4, 6)
     b = leaf(rng, 6, 3)
     r = rng.uniform(-1, 1, size=(4, 3))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.matmul(a, b), r)), {"a": a, "b": b})
+    fd_check(lambda: weighted_sum(nc.matmul(a, b), r), {"a": a, "b": b})
 
     a3 = leaf(rng, 2, 3, 4)
     b3 = leaf(rng, 2, 4, 5)
     r3 = rng.uniform(-1, 1, size=(2, 3, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.matmul(a3, b3), r3)), {"a": a3, "b": b3})
+    fd_check(lambda: weighted_sum(nc.matmul(a3, b3), r3), {"a": a3, "b": b3})
 
     w = leaf(rng, 4, 5)
     bias = leaf(rng, 5)
     fd_check(
-        lambda: nc.sum_all(nc.mul(nc.linear(a3, w, bias), r3)),
+        lambda: weighted_sum(nc.linear(a3, w, bias), r3),
         {"a": a3, "w": w, "bias": bias},
     )
 
@@ -212,7 +202,7 @@ def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
         nc.zero_grads((x, w, b))
         with nc.Tape() as tape:
             out = make()
-            loss = nc.sum_all(nc.mul(out, r))
+            loss = weighted_sum(out, r)
         nc.backward(tape, loss)
         results.append((out.data, x.grad, w.grad, b.grad))
     for fused, composite in zip(*results):
@@ -230,7 +220,7 @@ def test_linear_3d_weight_gradient_is_tensordots(x_shape, n):
     b = nc.Tensor(rng.normal(size=n))
     g = rng.normal(size=x_shape[:-1] + (n,))
     with nc.Tape() as tape:
-        loss = nc.sum_all(nc.mul(nc.linear(x, w, b), g))
+        loss = weighted_sum(nc.linear(x, w, b), g)
     nc.backward(tape, loss)
     expected = np.tensordot(x.data, g, axes=([0, 1], [0, 1]))
     assert w.grad.tobytes() == expected.tobytes()
@@ -241,7 +231,7 @@ def test_grad_linear_matches_finite_differences():
     # the 3-D case is in test_grad_matmul_all_ranks
     rng = np.random.default_rng(15)
     x, w, b, r = _linear_case(rng, (4, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.linear(x, w, b), r)), {"x": x, "w": w, "b": b})
+    fd_check(lambda: weighted_sum(nc.linear(x, w, b), r), {"x": x, "w": w, "b": b})
 
 
 def test_linear_shape_errors():
@@ -254,6 +244,75 @@ def test_linear_shape_errors():
         nc.linear(nc.Tensor(np.zeros(3)), nc.Tensor(np.zeros((3, 5))), nc.Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
         nc.linear(x, nc.Tensor(np.zeros((2, 3, 5))), nc.Tensor(np.zeros(5)))
+
+
+# ---- nodes of the chains that fused ops replaced, as references ----
+
+
+def _transpose_back(g, inputs, out, saved):
+    inputs[0].accumulate(np.swapaxes(g, -1, -2))
+
+
+def _transpose(a):
+    return nc._emit("transpose", _transpose_back, (a,), np.swapaxes(a.data, -1, -2).copy())
+
+
+def _div_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(nc._reduce_to(g / b.data, a.shape))
+    if b.requires_grad:
+        b.accumulate(nc._reduce_to(-g * a.data / (b.data * b.data), b.shape))
+
+
+def _div(a, b):
+    a, b = nc._as_tensor(a), nc._as_tensor(b)
+    return nc._emit("div", _div_back, (a, b), a.data / b.data)
+
+
+def _sub_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(nc._reduce_to(g, a.shape))
+    if b.requires_grad:
+        b.accumulate(nc._reduce_to(-g, b.shape))
+
+
+def _clamp_min_back(g, inputs, out, floor):
+    inputs[0].accumulate(g * (inputs[0].data > floor))
+
+
+def _log_back(g, inputs, out, saved):
+    inputs[0].accumulate(g / inputs[0].data)
+
+
+def _sum_back(g, inputs, out, saved):
+    inputs[0].accumulate(np.broadcast_to(g, inputs[0].shape).copy())
+
+
+def _floored_log(a, floor):
+    a = nc._as_tensor(a)
+    floored = nc._emit("clamp_min", _clamp_min_back, (a,), np.maximum(a.data, floor), floor)
+    return nc._emit("log", _log_back, (floored,), np.log(floored.data))
+
+
+def _kl_chain(o, p, floor):
+    """The clamp_min / log / sub / mul / sum chain that kl_div replaced."""
+    log_o, log_p = _floored_log(o, floor), _floored_log(p, floor)
+    diff = nc._emit("sub", _sub_back, (log_o, log_p), log_o.data - log_p.data)
+    terms = nc.mul(o, diff)
+    return nc._emit("sum", _sum_back, (terms,), np.asarray(terms.data.sum()))
+
+
+def _scores_chain(u, v, tau, offset=None):
+    """The transpose / matmul / div / add chain that scaled_scores replaced."""
+    scores = _div(nc.matmul(u, _transpose(v)), tau)
+    return scores if offset is None else nc.add(scores, offset)
+
+
+def _same_bits(a, b):
+    # the layout too: BLAS may round differently over other strides
+    return (a.tobytes(), a.strides) == (b.tobytes(), b.strides)
 
 
 # ---- fused attention ----
@@ -269,7 +328,7 @@ def _attention_chain(qkv, num_heads):
     for h in range(num_heads):
         qh, kh, vh = (nc.narrow(qkv, -1, lo, lo + head_dim)
                       for lo in range(h * head_dim, 3 * width, width))
-        scores = nc.mul(nc.matmul(qh, nc.transpose(kh)), scale)
+        scores = nc.mul(nc.matmul(qh, _transpose(kh)), scale)
         outs.append(nc.matmul(nc.softmax(scores, axis=-1), vh))
     return outs[0] if num_heads == 1 else nc.concat(outs, -1)
 
@@ -281,7 +340,7 @@ def _attention_case(rng, batch=2, length=7, width=6):
 
 
 def _attention_loss(qkv, r, num_heads):
-    return nc.sum_all(nc.mul(nc.attention(qkv, num_heads), r))
+    return weighted_sum(nc.attention(qkv, num_heads), r)
 
 
 @pytest.mark.parametrize("num_heads", [1, 2])
@@ -293,12 +352,11 @@ def test_attention_is_bit_identical_to_the_chain(num_heads):
         nc.zero_grads((qkv,))
         with nc.Tape() as tape:
             out = op(qkv, num_heads)
-            loss = nc.sum_all(nc.mul(out, r))
+            loss = weighted_sum(out, r)
         nc.backward(tape, loss)
         results.append((out.data, qkv.grad))
     for fused, chain in zip(*results):
-        # the layout too: BLAS may round differently over other strides
-        assert (fused.tobytes(), fused.strides) == (chain.tobytes(), chain.strides)
+        assert _same_bits(fused, chain)
 
 
 @pytest.mark.parametrize("num_heads", [1, 2])
@@ -408,26 +466,92 @@ def test_attention_allocates_less_than_one_score_matrix():
     assert backward_peak < limit
 
 
+# ---- the act losses' fused ops ----
+
+
+@pytest.mark.parametrize("taped_target", [False, True], ids=["constant target", "taped target"])
+def test_kl_div_is_bit_identical_to_the_chain(taped_target):
+    rng = np.random.default_rng(46)
+    o = nc.Tensor(rng.uniform(0.0, 1.0, size=(6, 5)), requires_grad=True)
+    p = nc.Tensor(rng.uniform(0.0, 1.0, size=(6, 5)), requires_grad=taped_target)
+    # zeros, entries below the floor and at it, in one or both
+    o.data[0, :3] = [0.0, 1e-13, 1e-12]
+    p.data[1, 2:] = [0.0, 1e-14, 1e-12]
+    o.data[2, 0] = p.data[2, 0] = 1e-15
+    results = []
+    for op in (nc.kl_div, _kl_chain):
+        nc.zero_grads((o, p))
+        with nc.Tape() as tape:
+            out = op(o, p, 1e-12)
+            loss = nc.mul(out, 0.7)
+        nc.backward(tape, loss)
+        results.append([out.data, o.grad] + ([p.grad] if taped_target else []))
+    for fused, chain in zip(*results):
+        assert _same_bits(fused, chain)
+
+
+def test_grad_kl_div_matches_finite_differences():
+    rng = np.random.default_rng(47)
+    o = nc.Tensor(rng.uniform(0.1, 1.0, size=(5, 4)), requires_grad=True)
+    p = nc.Tensor(rng.uniform(0.1, 1.0, size=(5, 4)), requires_grad=True)
+    # below the floor by more than the finite-difference step
+    o.data[0, 0] = p.data[1, 1] = p.data[2, 3] = 0.01
+    fd_check(lambda: nc.kl_div(o, p, 0.05), {"o": o, "p": p})
+    with nc.Tape() as tape:
+        nc.kl_div(o, p, 0.05)
+    assert [node.name for node in tape.nodes] == ["kl_div"]
+
+
+@pytest.mark.parametrize("with_offset", [False, True], ids=["no offset", "offset"])
+@pytest.mark.parametrize("learned", [False, True], ids=["float tau", "Tensor tau"])
+def test_scaled_scores_is_bit_identical_to_the_chain(learned, with_offset):
+    rng = np.random.default_rng(48)
+    # at these shapes BLAS rounds u @ v.T differently from u @ v.T.copy()
+    u, v = leaf(rng, 16, 20), leaf(rng, 28, 20)
+    log_tau = nc.Tensor(np.log(0.07), requires_grad=True)
+    offset = np.where(rng.random((16, 28)) < 0.3, -1e9, 0.0) if with_offset else None
+    r = rng.uniform(-1, 1, size=(16, 28))
+    results = []
+    for op in (nc.scaled_scores, _scores_chain):
+        nc.zero_grads((u, v, log_tau))
+        with nc.Tape() as tape:
+            out = op(u, v, nc.exp(log_tau) if learned else 0.07, offset)
+            loss = weighted_sum(out, r)
+        nc.backward(tape, loss)
+        results.append([out.data, u.grad, v.grad] + ([log_tau.grad] if learned else []))
+    for fused, chain in zip(*results):
+        assert _same_bits(fused, chain)
+
+
+@pytest.mark.parametrize("with_offset", [False, True], ids=["no offset", "offset"])
+def test_grad_scaled_scores_matches_finite_differences(with_offset):
+    rng = np.random.default_rng(49)
+    u, v = leaf(rng, 4, 3), leaf(rng, 5, 3)
+    log_tau = nc.Tensor(np.log(0.5), requires_grad=True)
+    offset = rng.uniform(-1, 1, size=(4, 5)) if with_offset else None
+    r = rng.uniform(-1, 1, size=(4, 5))
+    fd_check(lambda: weighted_sum(nc.scaled_scores(u, v, nc.exp(log_tau), offset), r),
+             {"u": u, "v": v, "log_tau": log_tau})
+    fd_check(lambda: weighted_sum(nc.scaled_scores(u, v, 0.5, offset), r), {"u": u, "v": v})
+
+
 def test_grad_shape_ops():
     rng = np.random.default_rng(13)
     a = leaf(rng, 3, 4, 5)
-    r_t = rng.uniform(-1, 1, size=(3, 5, 4))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.transpose(a), r_t)), {"a": a})
-
     r_r = rng.uniform(-1, 1, size=(12, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.reshape(a, (12, 5)), r_r)), {"a": a})
+    fd_check(lambda: weighted_sum(nc.reshape(a, (12, 5)), r_r), {"a": a})
 
     r_n = rng.uniform(-1, 1, size=(3, 2, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.narrow(a, -2, 1, 3), r_n)), {"a": a})
+    fd_check(lambda: weighted_sum(nc.narrow(a, -2, 1, 3), r_n), {"a": a})
 
     b = leaf(rng, 3, 2, 5)
     r_c = rng.uniform(-1, 1, size=(3, 6, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.concat([a, b], -2), r_c)), {"a": a, "b": b})
+    fd_check(lambda: weighted_sum(nc.concat([a, b], -2), r_c), {"a": a, "b": b})
 
     tokens = leaf(rng, 1, 3, 2, 5)  # broadcast over a batch of 6
     x = leaf(rng, 6, 3, 4, 5)
     r_b = rng.uniform(-1, 1, size=(6, 3, 6, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.concat([tokens, x], -2), r_b)),
+    fd_check(lambda: weighted_sum(nc.concat([tokens, x], -2), r_b),
              {"tokens": tokens, "x": x})
 
 
@@ -436,7 +560,7 @@ def test_reshape_is_a_view():
     a = leaf(rng, 3, 4, 5)
     assert np.shares_memory(nc.reshape(a, (12, 5)).data, a.data)
     r = rng.uniform(-1, 1, size=(2, 30))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.reshape(a, (2, 30)), r)), {"a": a})
+    fd_check(lambda: weighted_sum(nc.reshape(a, (2, 30)), r), {"a": a})
 
 
 def test_grad_modality_stacked_ops():
@@ -445,18 +569,18 @@ def test_grad_modality_stacked_ops():
     x = leaf(rng, 3, 2, 4, 5)
     w, b = leaf(rng, 2, 5, 3), leaf(rng, 2, 1, 3)
     r = rng.uniform(-1, 1, size=(3, 2, 4, 3))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.linear(x, w, b), r)), {"x": x, "w": w, "b": b})
+    fd_check(lambda: weighted_sum(nc.linear(x, w, b), r), {"x": x, "w": w, "b": b})
     gain, bias = leaf(rng, 2, 1, 5), leaf(rng, 2, 1, 5)
     r = rng.uniform(-1, 1, size=(3, 2, 4, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.layernorm(x, gain, bias), r)),
+    fd_check(lambda: weighted_sum(nc.layernorm(x, gain, bias), r),
              {"x": x, "gain": gain, "bias": bias})
     shared = leaf(rng, 3, 1, 6, 5)  # broadcast over the modality axis
     r = rng.uniform(-1, 1, size=(3, 2, 10, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.concat([shared, x], -2), r)), {"shared": shared, "x": x})
+    fd_check(lambda: weighted_sum(nc.concat([shared, x], -2), r), {"shared": shared, "x": x})
     r = rng.uniform(-1, 1, size=(3, 1, 4, 5))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.mean(x, -3), r)), {"x": x})
+    fd_check(lambda: weighted_sum(nc.mean(x, -3), r), {"x": x})
     r = rng.uniform(-1, 1, size=(3, 4, 10))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.merge_channels(x), r)), {"x": x})
+    fd_check(lambda: weighted_sum(nc.merge_channels(x), r), {"x": x})
     npt.assert_array_equal(nc.merge_channels(x).data, np.concatenate([x.data[:, 0], x.data[:, 1]], -1))
 
 
@@ -472,18 +596,15 @@ def test_grad_gather_rows_accumulates_repeats():
     table = leaf(rng, 6, 4)
     idx = np.array([0, 2, 2, 5, 0, 0])
     r = rng.uniform(-1, 1, size=(6, 4))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.gather_rows(table, idx), r)), {"table": table})
+    fd_check(lambda: weighted_sum(nc.gather_rows(table, idx), r), {"table": table})
 
 
 def test_grad_nonlinearities():
     rng = np.random.default_rng(15)
     a = leaf(rng, 4, 6)
-    pos = nc.Tensor(rng.uniform(0.2, 2.0, size=(4, 6)), requires_grad=True)
     r = rng.uniform(-1, 1, size=(4, 6))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.gelu(a), r)), {"a": a})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.exp(a), r)), {"a": a})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.log(pos), r)), {"pos": pos})
-    fd_check(lambda: nc.sum_all(nc.mul(nc.clamp_min(a, 0.25), r)), {"a": a})
+    fd_check(lambda: weighted_sum(nc.gelu(a), r), {"a": a})
+    fd_check(lambda: weighted_sum(nc.exp(a), r), {"a": a})
 
 
 def test_grad_softmax_and_cross_entropy():
@@ -492,7 +613,7 @@ def test_grad_softmax_and_cross_entropy():
     r = rng.uniform(-1, 1, size=(5, 7))
     for axis in (0, 1):
         target = r * r / (r * r).sum(axis=axis, keepdims=True)
-        fd_check(lambda: nc.sum_all(nc.mul(nc.softmax(a, axis), r)), {"a": a})
+        fd_check(lambda: weighted_sum(nc.softmax(a, axis), r), {"a": a})
         fd_check(lambda: nc.cross_entropy(a, target, axis), {"a": a})
 
 
@@ -522,7 +643,7 @@ def test_grad_layernorm():
     bias = leaf(rng, 6)
     r = rng.uniform(-1, 1, size=(3, 4, 6))
     fd_check(
-        lambda: nc.sum_all(nc.mul(nc.layernorm(a, gain, bias), r)),
+        lambda: weighted_sum(nc.layernorm(a, gain, bias), r),
         {"a": a, "gain": gain, "bias": bias},
     )
 
@@ -531,7 +652,7 @@ def test_grad_normalize_rows():
     rng = np.random.default_rng(18)
     a = leaf(rng, 5, 4)
     r = rng.uniform(-1, 1, size=(5, 4))
-    fd_check(lambda: nc.sum_all(nc.mul(nc.normalize_rows(a), r)), {"a": a})
+    fd_check(lambda: weighted_sum(nc.normalize_rows(a), r), {"a": a})
 
 
 def test_grad_dropout_fixed_mask():
@@ -542,7 +663,7 @@ def test_grad_dropout_fixed_mask():
     def make_loss():
         # regenerate the identical mask on every evaluation
         mask_rng = np.random.default_rng(99)
-        return nc.sum_all(nc.mul(nc.dropout(a, 0.4, mask_rng), r))
+        return weighted_sum(nc.dropout(a, 0.4, mask_rng), r)
 
     fd_check(make_loss, {"a": a})
 
@@ -573,7 +694,7 @@ def test_tape_topological_order_and_single_visit():
     with nc.Tape() as tape:
         c = nc.matmul(a, b)
         d = nc.add(c, b)
-        loss = nc.sum_all(nc.mul(c, d))
+        loss = weighted_sum(nc.mul(c, d))
     produced = {}
     for pos, node in enumerate(tape.nodes):
         for inp in node.inputs:
@@ -594,11 +715,11 @@ def test_tape_topological_order_and_single_visit():
 def test_backward_accumulates_across_calls():
     a = nc.Tensor([1.0, 2.0], requires_grad=True)
     with nc.Tape() as tape:
-        loss = nc.sum_all(nc.mul(a, a))
+        loss = weighted_sum(nc.mul(a, a))
     nc.backward(tape, loss)
     first = a.grad.copy()
     with nc.Tape() as tape2:
-        loss2 = nc.sum_all(nc.mul(a, a))
+        loss2 = weighted_sum(nc.mul(a, a))
     nc.backward(tape2, loss2)
     npt.assert_allclose(a.grad, 2 * first, atol=1e-15)
 
@@ -606,7 +727,7 @@ def test_backward_accumulates_across_calls():
 def test_backward_twice_over_one_tape_doubles_the_gradients():
     a = nc.Tensor([3.0], requires_grad=True)
     with nc.Tape() as tape:
-        loss = nc.sum_all(nc.mul(nc.mul(a, 2.0), 1.0))
+        loss = weighted_sum(nc.mul(a, 2.0), 1.0)
     nc.backward(tape, loss)
     assert a.grad.tolist() == [2.0]
     nc.backward(tape, loss)  # no reset in between
@@ -639,14 +760,25 @@ def test_shape_errors_name_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
     with pytest.raises(ShapeError):
         nc.add(a, b)
+    # parts of different rank, along an axis where parts broadcast
+    with pytest.raises(ShapeError) as exc:
+        nc.concat([np.ones((2, 3)), np.zeros((2, 2, 3))], -2)
+    assert "(2, 3)" in str(exc.value) and "(2, 2, 3)" in str(exc.value)
+    u, v = np.zeros((3, 2)), np.zeros((4, 2))
+    bad = [(nc.scaled_scores, u, v.T, 1.0), (nc.scaled_scores, u[None], v, 1.0),
+           (nc.scaled_scores, u, v, np.ones(4)), (nc.scaled_scores, u, v, 1.0, np.zeros((3, 1))),
+           (nc.kl_div, u, v, 1e-12)]
+    for op, *args in bad:
+        with pytest.raises(ShapeError):
+            op(*args)
 
 
 def test_non_finite_raises():
     with np.errstate(divide="ignore", over="ignore"):
-        with pytest.raises(NumericError):
-            nc.div(nc.Tensor([1.0]), nc.Tensor([0.0]))
-        with pytest.raises(NumericError):
-            nc.log(nc.Tensor([-1.0]))
+        with pytest.raises(NumericError, match="'scaled_scores'"):
+            nc.scaled_scores(nc.Tensor([[1.0]]), nc.Tensor([[1.0]]), 0.0)
+        with pytest.raises(NumericError, match="'kl_div'"):
+            nc.kl_div(np.full((2, 1), 1e308), np.full((2, 1), 0.5), 1e-12)
         with pytest.raises(NumericError):
             nc.exp(nc.Tensor([1000.0]))
 
@@ -656,8 +788,12 @@ def test_output_check_looks_past_an_overflowing_sum():
     with np.errstate(over="ignore"):
         big = nc.add(nc.Tensor([1e308, 1e308]), nc.Tensor(0.0))
     assert big.data.tolist() == [1e308, 1e308]
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="'sub'"):
-        nc.sub(nc.Tensor([np.inf, 1.0]), nc.Tensor(np.inf))
+    with np.errstate(over="ignore"):
+        big = nc.scaled_scores(np.full((2, 1), 1e308), np.ones((1, 1)), 1.0)
+    assert big.data.tolist() == [[1e308], [1e308]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="'scaled_scores'"):
+            nc.scaled_scores(np.array([[0.0], [1.0]]), np.ones((1, 1)), 0.0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="'add'"):
         nc.add(nc.Tensor([np.inf, -np.inf]), nc.Tensor(0.0))
 
@@ -665,7 +801,7 @@ def test_output_check_looks_past_an_overflowing_sum():
 def test_detach_blocks_gradient():
     a = nc.Tensor([3.0], requires_grad=True)
     with nc.Tape() as tape:
-        loss = nc.sum_all(nc.mul(a.detach(), a))
+        loss = weighted_sum(nc.mul(a.detach(), a))
     nc.backward(tape, loss)
     npt.assert_allclose(a.grad, [3.0])
 
@@ -711,7 +847,7 @@ def _fd_case():
 
     def losses():
         y = nc.gelu(nc.matmul(x, w))
-        return [float(nc.sum_all(y).data), float(nc.sum_all(nc.mul(y, y)).data)]
+        return [float(weighted_sum(y).data), float(weighted_sum(nc.mul(y, y)).data)]
 
     return x, losses
 
@@ -735,7 +871,7 @@ def test_fd_gradient_perturbs_a_non_contiguous_parameter(monkeypatch, time_limit
     _cpus(monkeypatch, 2)
     x = nc.Tensor(np.arange(1.0, 7.0).reshape(2, 3).T, requires_grad=True)
     assert not x.data.flags.c_contiguous
-    fd = nc.fd_gradient(lambda: float(nc.sum_all(nc.mul(x, x)).data), x)
+    fd = nc.fd_gradient(lambda: float(weighted_sum(nc.mul(x, x)).data), x)
     npt.assert_allclose(fd, 2.0 * x.data, rtol=1e-8)
 
 
@@ -747,7 +883,7 @@ def test_fd_gradient_starts_no_more_workers_than_cpus_or_elements(monkeypatch, t
     assert len(forks) == 2  # the third chunk runs in process
     forks.clear()
     pair = nc.Tensor([0.5, -0.5], requires_grad=True)
-    nc.fd_gradient(lambda: float(nc.sum_all(nc.gelu(pair)).data), pair)
+    nc.fd_gradient(lambda: float(weighted_sum(nc.gelu(pair)).data), pair)
     assert len(forks) == 1  # two elements, two chunks
 
 
@@ -757,8 +893,14 @@ def test_fd_gradient_worker_errors_reach_the_parent(monkeypatch, time_limit):
     # takes the log of a non-positive value
     x = nc.Tensor([1.0, 2.0, 3.0, 1e-6], requires_grad=True)
     before = x.data.copy()
+
+    def log_loss():
+        if (x.data <= 0.0).any():
+            raise NumericError("log of a non-positive value")
+        return float(np.log(x.data).sum())
+
     with pytest.raises(NumericError, match="non-positive"):
-        nc.fd_gradient(lambda: float(nc.sum_all(nc.log(x)).data), x)
+        nc.fd_gradient(log_loss, x)
     assert x.data.tobytes() == before.tobytes()
     # a non-finite loss is caught in the worker that evaluated it
     y = nc.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
@@ -774,7 +916,7 @@ def test_fd_gradient_checks_losses_not_ops(monkeypatch):
     # exp overflows inside the loss, which the loss check catches
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="finite-difference loss"):
-            nc.fd_gradient(lambda: float(nc.sum_all(nc.exp(nc.add(y, y))).data), y)
+            nc.fd_gradient(lambda: float(weighted_sum(nc.exp(nc.add(y, y))).data), y)
         # outside fd_gradient the op itself still raises
         with pytest.raises(NumericError, match="operation 'exp'"):
             nc.exp(nc.add(y, y))
