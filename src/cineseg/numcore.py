@@ -17,10 +17,13 @@ stacks of M weights, gains and biases, one per slice of axis -3, with
 the bits of one node per slice.
 
 Attention's L x L arrays are the only large ones. A recorded call keeps
-one fresh L x L array per head, its saved softmax weights; unrecorded
-calls and every backward use workspaces instead: one grow-only float64
-buffer per slot, private to this module, never returned nor saved on a
-node (forked ``fd_gradient`` workers get their own copies).
+one fresh L x L array per head, its unnormalized softmax weights, plus
+the head's scaled q and softmax row sums; the backward reads k and v
+from the input. Unrecorded calls and every backward use workspaces
+instead: one grow-only float64 buffer per slot (``scores`` for an
+unrecorded forward's weights, ``gs`` for the backward's score
+gradients), private to this module, never returned nor saved on a node
+(forked ``fd_gradient`` workers get their own copies).
 
 Each op is its numpy forward plus a module-level backward rule
 ``rule(g, inputs, out, saved)``; ``_emit`` does the rest. It checks the
@@ -675,6 +678,9 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
 
 # attention's workspaces, one per slot; see the module docstring
 _WORKSPACES: dict[str, np.ndarray] = {}
+# bound on |scaled score| within which attention's exp skips the row-max
+# shift: exp(+-300) is a normal float64, and L of them sum far below overflow
+_UNSHIFTED_MAX = 300.0
 
 
 def _workspace(slot: str, shape: tuple) -> np.ndarray:
@@ -689,18 +695,18 @@ def _attention_back(g, inputs, out, saved):
     (qkv,) = inputs
     scale, heads = saved
     grad = np.empty_like(qkv.data)
-    for (qc, kc, vc), qh, kh_t, vh, w in heads:
-        # the chain's arithmetic and operand layouts; the L x L gradients
-        # go to workspaces, and w is never written
-        gh = np.ascontiguousarray(g[..., qc])
-        grad[..., vc] = np.swapaxes(w, -1, -2) @ gh
-        gw = np.matmul(gh, np.swapaxes(vh, -1, -2), out=_workspace("gw", w.shape))
-        dot = np.multiply(gw, w, out=_workspace("gw_w", w.shape)).sum(axis=-1, keepdims=True)
-        gw -= dot
-        gw *= w
-        gw *= scale
-        grad[..., qc] = gw @ np.swapaxes(kh_t, -1, -2)
-        grad[..., kc] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gw, -1, -2)
+    for (qc, kc, vc), qs, e, z in heads:
+        # the weights e / z are never formed: 1 / z and the scale go on the
+        # [L x d] operands, and softmax's row dot products sum_j g_ij w_ij
+        # are rowsum(g o out)
+        kh, vh = qkv.data[..., kc], qkv.data[..., vc]
+        gz = g[..., qc] / z
+        np.matmul(np.swapaxes(e, -1, -2), gz, out=grad[..., vc])
+        gs = np.matmul(gz, np.swapaxes(vh, -1, -2), out=_workspace("gs", e.shape))
+        gs -= np.add.reduce(gz * out[..., qc], axis=-1, keepdims=True)
+        gs *= e
+        np.multiply(gs @ kh, scale, out=grad[..., qc])
+        np.matmul(np.swapaxes(gs, -1, -2), qs, out=grad[..., kc])
     qkv.accumulate(grad)
 
 
@@ -708,9 +714,16 @@ def attention(qkv, num_heads: int) -> Tensor:
     """Scaled dot-product attention as one node over an [... x L x 3C]
     input that holds q, k and v side by side, C columns each; returns
     [... x L x C]. Head h takes columns [h * C / num_heads, (h + 1) * C /
-    num_heads) of each, with the bits of the per-head chain of narrow,
-    transpose, matmul, scale, softmax and matmul nodes; the softmax runs
-    in place on the scores."""
+    num_heads) of each; the result equals the per-head chain of narrow,
+    transpose, matmul, scale, softmax and matmul nodes up to rounding.
+
+    q is scaled by 1 / sqrt(d) before the product, and the output rows,
+    not the weights, are divided by the softmax row sums. By
+    Cauchy-Schwarz no scaled score exceeds max |q_i| max |k_j| / sqrt(d)
+    in size; while that bound is at most _UNSHIFTED_MAX, exp can neither
+    overflow nor underflow, so the scores go to exp as they are. Past the
+    bound (or when it is not finite) they are checked for non-finite
+    values and shifted by their row max first."""
     qkv = _as_tensor(qkv)
     shape = qkv.data.shape
     if len(shape) < 3 or shape[-1] % 3:
@@ -721,22 +734,31 @@ def attention(qkv, num_heads: int) -> Tensor:
     recorded = bool(_TAPE_STACK) and qkv.requires_grad
     head_dim = width // num_heads
     scale = 1.0 / math.sqrt(head_dim)
+    # the bound squared, from every head's squared q and k row norms;
+    # einsum gives an overflowing norm as inf without a warning, and inf
+    # or NaN fails the gate
+    qk = qkv.data[..., :2 * width].reshape(shape[:-1] + (2 * num_heads, head_dim))
+    norms = np.einsum("...i,...i->...", qk, qk)
+    bound_sq = float(norms[..., :num_heads].max()) * float(norms[..., num_heads:].max()) / head_dim
     heads, outs = [], []
     for h in range(num_heads):
-        cols = tuple(slice(lo, lo + head_dim) for lo in range(h * head_dim, 3 * width, width))
-        qh, kh, vh = (np.ascontiguousarray(qkv.data[..., c]) for c in cols)
-        kh_t = np.swapaxes(kh, -1, -2).copy()
+        cols = qc, kc, vc = tuple(
+            slice(lo, lo + head_dim) for lo in range(h * head_dim, 3 * width, width))
+        qs = np.multiply(qkv.data[..., qc], scale)
         ws = None if recorded else _workspace("scores", shape[:-1] + shape[-2:-1])
-        s = np.matmul(qh, kh_t, out=ws)
-        s *= scale
-        # finite scaled scores give finite softmax weights
-        if _check_outputs and not np.isfinite(s).all():
-            raise NumericError("operation 'attention' produced non-finite scores")
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        outs.append(s @ vh)
-        heads.append((cols, qh, kh_t, vh, s))
+        e = np.matmul(qs, np.swapaxes(qkv.data[..., kc], -1, -2), out=ws)
+        if not bound_sq <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
+            # within the bound the scores are finite; past it, finite
+            # shifted scores give finite softmax weights
+            if _check_outputs and not np.isfinite(e).all():
+                raise NumericError("operation 'attention' produced non-finite scores")
+            e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        z = np.add.reduce(e, axis=-1, keepdims=True)
+        o = e @ qkv.data[..., vc]
+        o /= z
+        outs.append(o)
+        heads.append((cols, qs, e, z))
     out = outs[0] if num_heads == 1 else np.concatenate(outs, axis=-1)
     return _emit("attention", _attention_back, (qkv,), out, (scale, heads) if recorded else None)
 

@@ -46,12 +46,9 @@ class SyncMatrix:
 
 
 def compute_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Shot-by-sentence similarities u @ v.T (cosines for unit-norm rows)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
-        raise ShapeError(f"incompatible feature shapes {u.shape} and {v.shape}")
-    return u @ v.T
+    """Shot-by-sentence similarities u @ v.T (cosines for unit-norm rows),
+    the product the M-step and distillation take; dividing by 1.0 is exact."""
+    return nc.scaled_scores(u, v, 1.0).data
 
 
 def check_e_step_config(xi: float, percentile: float) -> None:

@@ -333,9 +333,11 @@ def _attention_chain(qkv, num_heads):
     return outs[0] if num_heads == 1 else nc.concat(outs, -1)
 
 
-def _attention_case(rng, batch=2, length=7, width=6):
-    """q, k and v side by side, and a weight per output entry."""
+def _attention_case(rng, batch=2, length=7, width=6, qk_scale=1.0):
+    """q, k and v side by side, q and k scaled by qk_scale, and a weight
+    per output entry."""
     qkv = leaf(rng, batch, length, 3 * width)
+    qkv.data[..., :2 * width] *= qk_scale
     return qkv, rng.uniform(-1, 1, size=(batch, length, width))
 
 
@@ -343,10 +345,29 @@ def _attention_loss(qkv, r, num_heads):
     return weighted_sum(nc.attention(qkv, num_heads), r)
 
 
-@pytest.mark.parametrize("num_heads", [1, 2])
-def test_attention_is_bit_identical_to_the_chain(num_heads):
+# (num_heads, qk_scale): q and k at 1x keep every scaled score within
+# attention's unshifted gate; at 20x the scores reach about 1e3, where an
+# unshifted exp overflows
+_ATTENTION_CASES = pytest.mark.parametrize(
+    "num_heads, qk_scale", [(1, 1.0), (2, 1.0), (1, 20.0), (2, 20.0)],
+    ids=["1", "2", "1-shifted", "2-shifted"])
+
+
+@pytest.mark.filterwarnings("error")
+@_ATTENTION_CASES
+def test_attention_matches_the_chain(num_heads, qk_scale):
     rng = np.random.default_rng(40)
-    qkv, r = _attention_case(rng)
+    qkv, r = _attention_case(rng, qk_scale=qk_scale)
+    head_dim = r.shape[-1] // num_heads
+    q, k, _ = np.moveaxis(qkv.data.reshape(qkv.shape[:-1] + (3, num_heads, head_dim)), -3, 0)
+    scale = 1.0 / math.sqrt(head_dim)
+    # attention's Cauchy-Schwarz bound, over all heads
+    bound = np.linalg.norm(q, axis=-1).max() * np.linalg.norm(k, axis=-1).max() * scale
+    scores = np.einsum("...ihd,...jhd->...hij", q, k) * scale
+    if qk_scale == 1.0:
+        assert bound <= nc._UNSHIFTED_MAX
+    else:
+        assert bound > nc._UNSHIFTED_MAX and np.abs(scores).max() > 710  # exp overflows
     results = []
     for op in (nc.attention, _attention_chain):
         nc.zero_grads((qkv,))
@@ -355,14 +376,17 @@ def test_attention_is_bit_identical_to_the_chain(num_heads):
             loss = weighted_sum(out, r)
         nc.backward(tape, loss)
         results.append((out.data, qkv.grad))
+    # the same values up to rounding: q is scaled before the product, the
+    # row max shift runs only past the bound, and the row sums divide the
+    # output, not the weights
     for fused, chain in zip(*results):
-        assert _same_bits(fused, chain)
+        assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
 
 
-@pytest.mark.parametrize("num_heads", [1, 2])
-def test_grad_attention_matches_finite_differences(num_heads):
+@_ATTENTION_CASES
+def test_grad_attention_matches_finite_differences(num_heads, qk_scale):
     rng = np.random.default_rng(41)
-    qkv, r = _attention_case(rng, batch=2, length=4, width=4)
+    qkv, r = _attention_case(rng, batch=2, length=4, width=4, qk_scale=qk_scale)
     fd_check(lambda: _attention_loss(qkv, r, num_heads), {"qkv": qkv})
 
 
@@ -397,8 +421,23 @@ def test_attention_results_never_alias_a_workspace():
     (node,) = tape.nodes
     _, heads = node.saved
     assert nc._WORKSPACES  # the unrecorded calls used them
-    for a in [first, second, recorded.data] + [x for head in heads for x in head[1:]]:
+    saved = [a for _, qs, e, z in heads for a in (qs, e, z)]
+    for a in [first, second, recorded.data] + saved:
         assert not _shares_a_workspace(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_attention_overflowing_norm_takes_the_shifted_arm_quietly():
+    rng = np.random.default_rng(49)
+    qkv, _ = _attention_case(rng)
+    width = qkv.shape[-1] // 3
+    # |q|^2 overflows and |k|^2 is subnormal, but every score is about 1
+    qkv.data[..., :width] *= 1e160
+    qkv.data[..., width:2 * width] *= 1e-160
+    for num_heads in (1, 2):
+        fused = nc.attention(qkv.data, num_heads).data
+        chain = _attention_chain(qkv, num_heads).data
+        assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
 
 
 def test_attention_non_finite_scores_raise():
@@ -441,7 +480,7 @@ def test_attention_allocates_less_than_one_score_matrix():
     length = 312
     limit = length * length * 8
     rng = np.random.default_rng(45)
-    qkv, r = _attention_case(rng, batch=1, length=length, width=8)
+    qkv, r = _attention_case(rng, batch=1, length=length, width=16)
 
     def recorded():
         with nc.Tape() as tape:
@@ -464,6 +503,26 @@ def test_attention_allocates_less_than_one_score_matrix():
         tracemalloc.stop()
     assert unrecorded_peak < limit
     assert backward_peak < limit
+
+
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_recorded_attention_keeps_one_score_matrix_per_head(num_heads):
+    length = 312
+    limit = length * length * 8
+    rng = np.random.default_rng(45)
+    qkv, _ = _attention_case(rng, batch=1, length=length, width=16)
+    nc.attention(qkv.data, num_heads)  # warm-up: the workspaces grow
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with nc.Tape() as tape:
+            nc.attention(qkv, num_heads)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # the unnormalized weights of each head; the rest saved is [L x d]
+    assert held // limit == num_heads
+    assert len(tape) == 1
 
 
 # ---- the act losses' fused ops ----
