@@ -31,15 +31,6 @@ from .errors import ConfigError, ContractError, DataError, NumericError
 # ---- config plumbing ----
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _parse_modalities(text: str) -> tuple:
     """'visual:16,audio:12' -> (("visual", 16), ("audio", 12))."""
     out = []
@@ -52,7 +43,7 @@ def _parse_modalities(text: str) -> tuple:
 
 
 # the parser of a config value, by the type of its key's default
-_PARSERS = {bool: _parse_bool, tuple: _parse_modalities, int: int, float: float, str: str}
+_PARSERS = {tuple: _parse_modalities, int: int, float: float, str: str}
 
 SYNTH_KEYS = {
     "movies": 4,
@@ -255,7 +246,7 @@ def cmd_train_scene(args) -> int:
         num_classes=2,
         modality_dims=tuple(s.dim for s in movies[0].streams),
     )
-    train_cfg = trainer.TrainConfig(task="scene", seed=args.seed, **_section(cfg_map, "train"))
+    train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
     # the trainer makes the run tree on its first checkpoint, after it
     # has checked its inputs, so a rejected run leaves no directory
     out = _out_path(args)
@@ -280,9 +271,7 @@ def cmd_train_act(args) -> int:
     )
     train_fields = _section(cfg_map, "train")
     loss_weights = tuple(train_fields.pop(f"alpha_{term}") for term in LOSS_TERMS)
-    train_cfg = trainer.TrainConfig(
-        task="act", seed=args.seed, loss_weights=loss_weights, **train_fields
-    )
+    train_cfg = trainer.TrainConfig(seed=args.seed, loss_weights=loss_weights, **train_fields)
     out = _out_path(args)
     pipeline, syncs, reports, logs = trainer.train_act(
         movies, shot_cfg, synopsis_cfg, train_cfg, out / "checkpoints"

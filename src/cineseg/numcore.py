@@ -23,16 +23,17 @@ from the input. Unrecorded calls and every backward use workspaces
 instead: one grow-only float64 buffer per slot (``scores`` for an
 unrecorded forward's weights, ``gs`` for the backward's score
 gradients), private to this module, never returned nor saved on a node
-(forked ``fd_gradient`` workers get their own copies).
+(each ``fd_gradient`` worker, forked from the caller, has its own).
 
 Each op is its numpy forward plus a module-level backward rule
 ``rule(g, inputs, out, saved)``; ``_emit`` does the rest. It checks the
 output of every op that can turn finite inputs into non-finite values,
 and appends a node to the innermost active ``Tape`` only when at least
 one input requires gradients. Without a tape an op builds no node and
-no closure. The one exception to the output check is the evaluations
-inside ``fd_gradient``: NaN and inf propagate through every op, so
-there only the losses that come back are checked.
+no closure. The one exception to the output check is a finite-difference
+job: ``fd_gradient`` sets it as a module global, and the pool workers it
+forks inherit it and run every evaluation. There NaN and inf propagate
+through every op, and only the losses that come back are checked.
 
 The tape is a flat list in execution order, which is already a
 topological order, so ``backward`` is one reverse sweep that applies
@@ -66,7 +67,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import pickle
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -155,8 +155,9 @@ _CHECKED = frozenset({
     "add", "mul", "matmul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
     "cross_entropy", "kl_div", "layernorm", "normalize_rows", "attention",
 })
-# off only inside fd_gradient's evaluations, which check the losses instead
-_check_outputs = True
+# fd_gradient's job (f, flat, h) while it runs, inherited by its forked
+# workers; ops skip their output checks while it is set
+_fd_job = None
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -188,7 +189,7 @@ def _emit(name: str, rule, inputs: tuple, out, saved=None) -> Tensor:
     tape is active and some input requires gradients, so the rule of a
     one-input op accumulates without asking."""
     # a finite sum has finite entries; only one that is not (or overflowed) needs the full test
-    if (_check_outputs and name in _CHECKED and not math.isfinite(np.add.reduce(out, axis=None))
+    if (_fd_job is None and name in _CHECKED and not math.isfinite(np.add.reduce(out, axis=None))
             and not np.isfinite(out).all()):
         raise NumericError(f"operation '{name}' produced non-finite values")
     # Tensor(out) without __init__'s call overhead: ops on float64 inputs
@@ -750,7 +751,7 @@ def attention(qkv, num_heads: int) -> Tensor:
         if not bound_sq <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
             # within the bound the scores are finite; past it, finite
             # shifted scores give finite softmax weights
-            if _check_outputs and not np.isfinite(e).all():
+            if _fd_job is None and not np.isfinite(e).all():
                 raise NumericError("operation 'attention' produced non-finite scores")
             e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
@@ -766,9 +767,10 @@ def attention(qkv, num_heads: int) -> Tensor:
 # ---- gradient checking ----
 
 
-def _fd_columns(f, flat: np.flatiter, indices, h: float) -> list:
-    """One central difference per index; each loss is checked for
-    non-finite values in place of the per-op output checks."""
+def _fd_columns(indices) -> list:
+    """One central difference of the job's f per index; each loss is
+    checked for non-finite values in place of the per-op output checks."""
+    f, flat, h = _fd_job
     columns = []
     for i in indices:
         kept = flat[i]
@@ -785,80 +787,44 @@ def _fd_columns(f, flat: np.flatiter, indices, h: float) -> list:
     return columns
 
 
-def _fd_worker(f, flat, indices, h, write_fd: int) -> None:
-    """Body of a forked worker: send its columns, or the exception that
-    stopped it, to the parent, and exit without unwinding the parent's
-    stack."""
-    try:
-        try:
-            payload = (True, np.stack(_fd_columns(f, flat, indices, h)))
-        except BaseException as exc:  # the parent re-raises it
-            payload = (False, exc)
-        with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(payload, fh)
-    finally:
-        os._exit(0)
-
-
-def _fd_split(f, flat: np.flatiter, h: float) -> list:
-    """The columns of every index, in index order; see fd_gradient."""
-    processes = max(1, min(len(os.sched_getaffinity(0)), len(flat)))
-    first, *rest = np.array_split(np.arange(len(flat)), processes)
-    workers = []  # (pid, read end of its pipe)
-    try:
-        for indices in rest:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _fd_worker(f, flat, indices, h, write_fd)
-            os.close(write_fd)
-            workers.append((pid, os.fdopen(read_fd, "rb")))
-        columns = _fd_columns(f, flat, first, h)
-        for pid, reader in workers:
-            try:
-                ok, result = pickle.loads(reader.read())
-            except Exception:
-                raise ContractError(f"finite-difference worker {pid} ended without a result") from None
-            if not ok:
-                raise result
-            columns.extend(result)
-        return columns
-    finally:
-        # a worker that is still running is only left when something failed
-        import signal
-        for pid, reader in workers:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def fd_gradient(f: Callable[[], float | Sequence[float]], param, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of f() w.r.t. param, element by element.
 
-    param is a Tensor or a float64 array, mutated in place and restored.
-    f returns one loss, or several losses from one forward; the result
-    has param's shape, behind one leading axis per loss in the latter
-    case. f must re-evaluate the losses from the current parameter
-    values on every call.
+    param is a Tensor or a float64 array. f returns one loss, or several
+    losses from one forward; the result has param's shape, behind one
+    leading axis per loss in the latter case. f must re-evaluate the
+    losses from the current parameter values on every call.
 
-    The elements are split into contiguous chunks over at most one
-    process per usable CPU: the first chunk runs in this process, each
-    other one in a forked worker, so f's side effects there never come
-    back. The columns are joined in element order, the same bits as one
-    serial loop. Ops skip their output checks during the evaluations; a
-    non-finite loss raises NumericError instead, as does any NumericError
-    that a worker raises.
+    The elements are split into min(usable CPUs, elements) contiguous
+    chunks, and a process pool forked from this process runs each chunk
+    in a worker, which perturbs its own copy of param: param here is
+    never written, and f's side effects never come back. The columns are
+    joined in element order, the same bits as one serial loop on any
+    number of CPUs. Ops skip their output checks during the evaluations;
+    a non-finite loss raises NumericError instead. An exception that a
+    worker raises is raised here, and a worker that ends without a
+    result raises ContractError.
     """
-    global _check_outputs
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    global _fd_job
     data = param.data if isinstance(param, Tensor) else param
     # writes through .flat reach the values whatever their memory layout
     flat = data.flat
-    previous, _check_outputs = _check_outputs, False
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(flat)))
+    chunks = np.array_split(np.arange(len(flat)), workers)
+    previous, _fd_job = _fd_job, (f, flat, h)
     try:
-        columns = _fd_split(f, flat, h)
+        # fork, not spawn: f is usually a closure, which pickle cannot send,
+        # so the workers inherit the job; the pool forks every worker
+        # before it starts its own thread
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            columns = [column for part in pool.map(_fd_columns, chunks) for column in part]
+    except BrokenProcessPool:
+        raise ContractError("a finite-difference worker ended without a result") from None
     finally:
-        _check_outputs = previous
+        _fd_job = previous
     grad = np.stack(columns, axis=-1)
     return grad.reshape(grad.shape[:-1] + data.shape)
 

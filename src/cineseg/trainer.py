@@ -143,7 +143,6 @@ class Optimizer:
 
 @dataclass
 class TrainConfig:
-    task: str = "scene"
     epochs: int = 20
     batch_size: int = 1024
     optimizer: str = "adam"
@@ -157,8 +156,6 @@ class TrainConfig:
     sync_dim: int = 128
 
     def validate(self) -> None:
-        if self.task not in ("scene", "act"):
-            raise ConfigError(f"unknown training task {self.task!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -268,8 +265,6 @@ def _split(movies, holdout: int):
 def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_dir=None):
     """Returns (model, per-epoch reports incl. the pre-training one, logs)."""
     cfg.validate()
-    if cfg.task != "scene":
-        raise ConfigError("train_scene needs a scene TrainConfig")
     train_movies, eval_movies = _split(movies, cfg.holdout)
     shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -577,8 +572,6 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     """Returns (pipeline, {movie_id: final SyncMatrix} of the training
     movies, reports, logs)."""
     cfg.validate()
-    if cfg.task != "act":
-        raise ConfigError("train_act needs an act TrainConfig")
     # the towers take whole movies, so a movie longer than a tower fails here
     # instead of in the first E-step
     for movie in movies:

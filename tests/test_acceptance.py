@@ -49,7 +49,7 @@ def _act_model_cfgs(align_pe: bool):
 
 def _act_train_cfg(seed: int):
     return trainer.TrainConfig(
-        task="act", epochs=10, batch_size=1, optimizer="adam", lr=1e-2,
+        epochs=10, batch_size=1, optimizer="adam", lr=1e-2,
         seed=seed, holdout=2, sync_dim=16, em_every=1, em_xi=0.1,
         em_percentile=90.0, loss_weights=(1.0, 1.0, 10.0),
     )
@@ -132,7 +132,7 @@ def test_a3_scene_learnability():
         num_heads=1,
     )
     train_cfg = trainer.TrainConfig(
-        task="scene", epochs=10, batch_size=8, optimizer="adam", lr=3e-3,
+        epochs=10, batch_size=8, optimizer="adam", lr=3e-3,
         seed=2, holdout=2,
     )
     _, reports, _ = trainer.train_scene(movies, model_cfg, train_cfg)

@@ -66,12 +66,6 @@ def test_resolve_config_rejects_bad_value():
         cli.resolve_config(cli.SYNTH_KEYS, None, ["shots=many"])
 
 
-def test_parse_bool_strict():
-    assert cli._parse_bool("True") and not cli._parse_bool("0")
-    with pytest.raises(ConfigError):
-        cli._parse_bool("maybe")
-
-
 def test_parse_modalities():
     assert cli._parse_modalities("visual:16, audio:12") == (
         ("visual", 16),
@@ -272,10 +266,11 @@ def test_synth_loads_no_model_module(tmp_path):
 
 
 def test_eval_loads_neither_gradcheck_nor_signal(scene_run, scene_data, tmp_path):
-    # signal is for the forked finite-difference workers only
+    # the process pool is for the finite-difference workers only
     args = ["eval", "--checkpoint", str(scene_run / "model.ckpt"), "--data", str(scene_data),
             "--out", str(tmp_path / "eval")]
-    _run_script(COMMAND_MODULES_SCRIPT, [args, ["cineseg.gradcheck", "signal"]])
+    unloaded = ["cineseg.gradcheck", "signal", "multiprocessing", "concurrent.futures"]
+    _run_script(COMMAND_MODULES_SCRIPT, [args, unloaded])
 
 
 def test_synth_invalid_config_exits_2(tmp_path, capsys):

@@ -911,19 +911,34 @@ def _fd_case():
     return x, losses
 
 
-def test_fd_gradient_split_over_workers_is_the_in_process_loop(monkeypatch, time_limit):
+def _serial_fd(losses, x, h=1e-5):
+    """Central differences by one loop in this process, as a reference."""
+    flat, columns = x.data.reshape(-1), []
+    for i in range(flat.size):
+        kept = flat[i]
+        flat[i] = kept + h
+        hi = np.asarray(losses())
+        flat[i] = kept - h
+        lo = np.asarray(losses())
+        flat[i] = kept
+        columns.append((hi - lo) / (2.0 * h))
+    grad = np.stack(columns, axis=-1)
+    return grad.reshape(grad.shape[:-1] + x.shape)
+
+
+def test_fd_gradient_is_the_serial_loop_on_any_cpu_count(monkeypatch, time_limit):
     x, losses = _fd_case()
     before = x.data.copy()
+    serial = _serial_fd(losses, x)
     forks = _counting_forks(monkeypatch)
-    _cpus(monkeypatch, 1)
-    serial = nc.fd_gradient(losses, x)
-    assert forks == []  # one CPU: the loop runs in process
-    _cpus(monkeypatch, 2)
-    split = nc.fd_gradient(losses, x)
-    assert len(forks) == 1
-    assert split.shape == serial.shape == (2, 3, 4)
-    assert split.tobytes() == serial.tobytes()
-    assert x.data.tobytes() == before.tobytes()
+    for cpus in (1, 2, 3):
+        forks.clear()
+        _cpus(monkeypatch, cpus)
+        split = nc.fd_gradient(losses, x)
+        assert len(forks) == cpus  # every chunk runs in a worker, 12 elements
+        assert split.shape == serial.shape == (2, 3, 4)
+        assert split.tobytes() == serial.tobytes()
+        assert x.data.tobytes() == before.tobytes()
 
 
 def test_fd_gradient_perturbs_a_non_contiguous_parameter(monkeypatch, time_limit):
@@ -939,11 +954,12 @@ def test_fd_gradient_starts_no_more_workers_than_cpus_or_elements(monkeypatch, t
     forks = _counting_forks(monkeypatch)
     _cpus(monkeypatch, 3)
     nc.fd_gradient(losses, x)
-    assert len(forks) == 2  # the third chunk runs in process
-    forks.clear()
-    pair = nc.Tensor([0.5, -0.5], requires_grad=True)
-    nc.fd_gradient(lambda: float(weighted_sum(nc.gelu(pair)).data), pair)
-    assert len(forks) == 1  # two elements, two chunks
+    assert len(forks) == 3
+    for size in (2, 1):
+        forks.clear()
+        y = nc.Tensor([0.5, -0.5][:size], requires_grad=True)
+        nc.fd_gradient(lambda: float(weighted_sum(nc.gelu(y)).data), y)
+        assert len(forks) == size  # one chunk, and one worker, per element
 
 
 def test_fd_gradient_worker_errors_reach_the_parent(monkeypatch, time_limit):
@@ -965,6 +981,23 @@ def test_fd_gradient_worker_errors_reach_the_parent(monkeypatch, time_limit):
     y = nc.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
     with pytest.raises(NumericError, match="element 3"):
         nc.fd_gradient(lambda: np.inf if y.data[3] > 4.0 else float(y.data.sum()), y)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_fd_gradient_worker_without_a_result_is_a_contract_error(monkeypatch, time_limit):
+    _cpus(monkeypatch, 2)
+    x = nc.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+    parent = os.getpid()
+
+    def dying_loss():
+        # the worker of the second chunk exits before it sends a result
+        if os.getpid() != parent and x.data[3] > 4.0:
+            os._exit(3)
+        return float(x.data.sum())
+
+    with pytest.raises(ContractError, match="without a result"):
+        nc.fd_gradient(dying_loss, x)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 

@@ -334,7 +334,7 @@ def scene_model_cfg():
 
 
 def scene_train_cfg(**overrides):
-    base = dict(task="scene", epochs=2, batch_size=32, optimizer="adam",
+    base = dict(epochs=2, batch_size=32, optimizer="adam",
                 lr=1e-3, seed=11, holdout=2)
     base.update(overrides)
     return trainer.TrainConfig(**base)
@@ -485,7 +485,7 @@ def act_model_cfgs():
 
 
 def act_train_cfg(**overrides):
-    base = dict(task="act", epochs=2, batch_size=2, optimizer="sgd",
+    base = dict(epochs=2, batch_size=2, optimizer="sgd",
                 lr=1e-3, seed=21, holdout=2, sync_dim=8,
                 em_percentile=90.0)
     base.update(overrides)
