@@ -339,8 +339,17 @@ def encode(model, feats_list, rng=None, collect=None) -> Tensor:
     return fused
 
 
+def scene_head_rows(fused) -> Tensor:
+    """The rows of a fused output [... x L x C] that the scene head reads,
+    one per sequence, as an [N x C] matrix: the key (middle) row, L // 2."""
+    key = fused.shape[-2] // 2
+    row = nc.narrow(fused, -2, key, key + 1)
+    return nc.reshape(row, (math.prod(fused.shape[:-2]), fused.shape[-1]))
+
+
 def forward_scene(model, windows, rng=None) -> Tensor:
-    """Boundary logits [B x 2] for the middle (key) shot of each window."""
+    """Boundary logits [B x 2] for the middle (key) shot of each window:
+    the head applied to scene_head_rows of the fused windows."""
     cfg = model.config
     if cfg.num_classes != 2:
         raise ContractError("scene forward needs a 2-class head")
@@ -349,10 +358,7 @@ def forward_scene(model, windows, rng=None) -> Tensor:
             raise DataError(
                 f"scene windows must be [batch x {cfg.seq_len} x dim], got {w.shape}"
             )
-    fused = encode(model, windows, rng)
-    key = cfg.seq_len // 2
-    row = nc.reshape(nc.narrow(fused, -2, key, key + 1), (fused.shape[0], cfg.fused_width))
-    return _linear_apply(model, "head", row)
+    return _linear_apply(model, "head", scene_head_rows(encode(model, windows, rng)))
 
 
 def encode_sequence(model, feats_list, rng=None) -> Tensor:

@@ -101,7 +101,6 @@ def __getattr__(name: str) -> dict:
             "train.optimizer": "sgd",
             "train.lr": 1e-3,
             "train.holdout": 2,
-            "train.em_every": 1,
             "train.em_xi": sync.DEFAULT_BAND_XI,
             "train.em_percentile": sync.DEFAULT_PERCENTILE,
             "train.sync_dim": 128,

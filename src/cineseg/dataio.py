@@ -411,11 +411,24 @@ def load_movie(manifest_path: Path) -> MovieSample:
             f"re-synthesize datasets written by older versions"
         )
     try:
-        modalities = [(entry["name"], int(entry["dim"])) for entry in manifest["modalities"]]
-        movie_id, num_shots = manifest["movie_id"], int(manifest["num_shots"])
+        modalities = [(entry["name"], entry["dim"]) for entry in manifest["modalities"]]
+        movie_id, num_shots = manifest["movie_id"], manifest["num_shots"]
+        tp_labels = [list(gold) for gold in manifest["tp_labels"]]
+        # JSON integers only: an int64 cast would silently truncate 0.6 to 0,
+        # and type() also turns away true and false, which Python counts as ints
+        for key, values in (
+            ("num_shots", [num_shots]), ("modalities[].dim", [dim for _, dim in modalities]),
+            ("scene_labels", manifest["scene_labels"]), ("sentence_of", manifest["sentence_of"]),
+            ("tp_labels", [i for gold in tp_labels for i in gold]),
+        ):
+            bad = [v for v in values if type(v) is not int]
+            if bad:
+                raise DataError(f"manifest {manifest_path}: {key} holds {bad[0]!r}, "
+                                f"not an integer")
         scene_labels = np.asarray(manifest["scene_labels"], dtype=np.int64)
         sentence_of = np.asarray(manifest["sentence_of"], dtype=np.int64)
-        tp_labels = [[int(i) for i in gold] for gold in manifest["tp_labels"]]
+    except DataError:
+        raise  # a DataError is a ValueError, and this one names its key
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"manifest {manifest_path} is malformed: {exc!r}") from exc
     # train-act and sync name their per-movie files by movie_id

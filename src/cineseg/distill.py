@@ -35,7 +35,7 @@ def transfer_targets(attn: Tensor, q) -> Tensor:
     sum to one. Adding a constant to a column of q leaves the result
     unchanged because attention rows sum to one.
     """
-    return nc.softmax(nc.matmul(attn, q), axis=0)
+    return nc.softmax(nc.linear(attn, q, np.zeros(q.shape[1])), axis=0)
 
 
 def shot_distribution(logits) -> Tensor:

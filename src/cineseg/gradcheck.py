@@ -68,7 +68,6 @@ def _tiny_act_setup(seed: int):
     w = np.zeros((5, 3))
     for i in range(5):
         w[i, (i * 3) // 5] = 1.0
-    assert (w[band].sum() == 5) and not w[~band].any()
     tp_labels = [[0], [0], [1], [2], [2]]
     return pipeline, (shots, synopsis, w, band, tp_labels)
 

@@ -162,22 +162,22 @@ def _normalize_importance(raw: np.ndarray):
 def gradcam_importance(model, feats_list, task: str):
     """Per-modality Grad-CAM importance for one input sequence.
 
-    The selected output y* is the max-class logit at the key (middle)
-    position for the scene task, and the sum over turning points of the
-    max-shot logit for the act task. The head is linear, so the gradient
-    of y* with respect to a selected row's activation a is the head
-    column head.w[:, n], and modality m's raw score is
-    sum_c head.w[c, n] * a[c] over its channel slice, summed over the
-    selected (row, class) pairs. Scores are rectified and normalized to
-    sum to one. Returns (weights [M], uniform_fallback).
+    The selected output y* is the max-class logit of the row the scene
+    head reads (af.scene_head_rows) for the scene task, and the sum over
+    turning points of the max-shot logit for the act task. The head is
+    linear, so the gradient of y* with respect to a selected row's
+    activation a is the head column head.w[:, n], and modality m's raw
+    score is sum_c head.w[c, n] * a[c] over its channel slice, summed
+    over the selected (row, class) pairs. Scores are rectified and
+    normalized to sum to one. Returns (weights [M], uniform_fallback).
     """
     cfg = model.config
     rows = af.encode_sequence(model, feats_list)
-    logits = af.apply_head(model, rows).data
     if task == "scene":
-        key = logits.shape[0] // 2
-        selections = [(key, int(np.argmax(logits[key])))]
+        rows = af.scene_head_rows(rows)
+        selections = [(0, int(np.argmax(af.apply_head(model, rows).data[0])))]
     elif task == "act":
+        logits = af.apply_head(model, rows).data
         selections = [(int(np.argmax(logits[:, n])), n) for n in range(cfg.num_classes)]
     else:
         raise ContractError(f"unknown importance task {task!r}")

@@ -1,11 +1,12 @@
 """Dense float64 tensors with a dynamic reverse-mode tape.
 
 Implements exactly the operations the fusion models and the losses
-need: 2-D/3-D matrix products, linear layers, elementwise addition and
-multiplication with suffix broadcasting, exp, softmax, layer
-normalization, the exact erf form of GeLU, row gathering, slicing and
-concatenation, a mean over one axis, dropout, row L2-normalization,
-scaled dot-product attention and temperature-scaled similarities.
+need: linear layers ``x @ w + b`` (a plain product takes a zero
+bias), elementwise addition and multiplication with suffix
+broadcasting, exp, softmax, layer normalization, the exact erf form
+of GeLU, row gathering, slicing and concatenation, a mean over one
+axis, dropout, row L2-normalization, scaled dot-product attention and
+temperature-scaled similarities.
 Every value is float64. Each loss (a cross-entropy or a KL divergence)
 and each linear layer ``x @ w + b`` records one node, not a chain of
 them, because the cost of this core is Python overhead per node, not
@@ -152,7 +153,7 @@ _TAPE_STACK: list[Tape] = []
 # rest (reshape, narrow, concat, gather_rows, merge_channels, dropout) only
 # move, select or scale finite values
 _CHECKED = frozenset({
-    "add", "mul", "matmul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
+    "add", "mul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
     "cross_entropy", "kl_div", "layernorm", "normalize_rows", "attention",
 })
 # fd_gradient's job (f, flat, h) while it runs, inherited by its forked
@@ -271,35 +272,6 @@ def mul(a, b) -> Tensor:
 
 
 # ---- linear algebra ----
-
-
-def _matmul_back(g, inputs, out, saved):
-    a, b = inputs
-    if a.ndim == 2:
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-    else:
-        if a.requires_grad:
-            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D x 2-D or batched 3-D x 3-D."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) == 2 and len(sb) == 2:
-        if sa[1] != sb[0]:
-            raise ShapeError(f"matmul mismatch: {sa} x {sb}")
-    elif len(sa) == 3 and len(sb) == 3:
-        if sa[0] != sb[0] or sa[2] != sb[1]:
-            raise ShapeError(f"matmul mismatch: {sa} x {sb}")
-    else:
-        raise ShapeError(f"unsupported matmul ranks: {sa} x {sb}")
-    return _emit("matmul", _matmul_back, (a, b), a.data @ b.data)
 
 
 def _linear_back(g, inputs, out, saved):

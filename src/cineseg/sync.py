@@ -205,8 +205,9 @@ def run_e_step(
 
 
 def _rle_encode(w: np.ndarray) -> list:
-    """Run lengths of alternating values from the zero run: a list per row."""
-    values = np.atleast_2d(np.asarray(w).astype(np.int64))  # int() of each entry
+    """Run lengths of alternating values from the zero run: a list per
+    row of the matrix w."""
+    values = np.asarray(w).astype(np.int64)  # int() of each entry
     rows, width = values.shape
     # a run ends before each change of value and at the end of its row
     ends = np.ones((rows, width + 1), dtype=bool)
@@ -215,8 +216,7 @@ def _rle_encode(w: np.ndarray) -> list:
     # ends as offsets into the rows laid end to end: a row starts where the last ended
     runs = np.diff(at - at // (width + 1), prepend=0).tolist()
     stops = np.cumsum(ends.sum(axis=1)).tolist()
-    out = [runs[start:stop] for start, stop in zip([0] + stops[:-1], stops)]
-    return out if np.ndim(w) > 1 else out[0]
+    return [runs[start:stop] for start, stop in zip([0] + stops[:-1], stops)]
 
 
 def _rle_decode(runs: list[int], length: int) -> np.ndarray:

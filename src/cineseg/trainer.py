@@ -150,7 +150,6 @@ class TrainConfig:
     seed: int = 0
     holdout: int = 2
     loss_weights: tuple = distill.DEFAULT_LOSS_WEIGHTS
-    em_every: int = 1
     em_xi: float = sync.DEFAULT_BAND_XI
     em_percentile: float = sync.DEFAULT_PERCENTILE
     sync_dim: int = 128
@@ -162,8 +161,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.holdout < 1:
             raise ConfigError("holdout must leave at least one evaluation movie")
-        if self.em_every < 1:
-            raise ConfigError("em_every must be at least 1")
         if len(self.loss_weights) != 3:
             raise ConfigError("loss_weights needs exactly three entries")
         if not all(np.isfinite(w) and w >= 0 for w in self.loss_weights):
@@ -569,8 +566,10 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
 
 
 def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=None):
-    """Returns (pipeline, {movie_id: final SyncMatrix} of the training
-    movies, reports, logs)."""
+    """EM training: an E-step over the training movies at the start of
+    every epoch, then the epoch's gradient steps on those assignments.
+    Returns (pipeline, final, reports, logs), final being {movie_id:
+    SyncMatrix} of the training movies from one more E-step."""
     cfg.validate()
     # the towers take whole movies, so a movie longer than a tower fails here
     # instead of in the first E-step
@@ -601,7 +600,6 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
         sync.band_mask(m.num_shots, synopsis.shape[0], pipeline.em_xi)
         for m, (_, synopsis) in zip(train_movies, inputs)
     ]
-    syncs = None
 
     def report(epoch):
         probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
@@ -611,8 +609,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     logs = []
     step = skipped_total = skipped_steps = 0
     for epoch in range(1, cfg.epochs + 1):
-        if syncs is None or (epoch - 1) % cfg.em_every == 0:
-            syncs = pipeline.e_step(inputs)
+        syncs = pipeline.e_step(inputs)
         order = shuffle_rng.permutation(len(train_movies))
         for start in range(0, len(order), cfg.batch_size):
             items = [

@@ -50,7 +50,7 @@ def _act_model_cfgs(align_pe: bool):
 def _act_train_cfg(seed: int):
     return trainer.TrainConfig(
         epochs=10, batch_size=1, optimizer="adam", lr=1e-2,
-        seed=seed, holdout=2, sync_dim=16, em_every=1, em_xi=0.1,
+        seed=seed, holdout=2, sync_dim=16, em_xi=0.1,
         em_percentile=90.0, loss_weights=(1.0, 1.0, 10.0),
     )
 

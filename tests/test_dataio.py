@@ -375,3 +375,29 @@ def test_load_movie_rejects_malformed_manifest(tmp_path, edit, fault):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(DataError, match=re.escape(fault)):
         dataio.load_movie(manifest_path)
+
+
+def _set_first(key, value):
+    return lambda m: m[key].__setitem__(0, value)
+
+
+@pytest.mark.parametrize(
+    "edit, key, value",
+    [
+        (lambda m: m.update(num_shots=40.9), "num_shots", 40.9),
+        (lambda m: m["modalities"][0].update(dim=6.5), "modalities[].dim", 6.5),
+        (_set_first("scene_labels", 0.6), "scene_labels", 0.6),
+        (_set_first("scene_labels", True), "scene_labels", True),
+        (_set_first("sentence_of", 1.5), "sentence_of", 1.5),
+        (lambda m: m["tp_labels"][0].__setitem__(0, 0.7), "tp_labels", 0.7),
+    ],
+    ids=["num_shots", "dim", "scene_labels", "scene_labels-bool", "sentence_of", "tp_labels"],
+)
+def test_load_movie_rejects_a_value_that_is_not_an_integer(tmp_path, edit, key, value):
+    # an int64 cast would load 0.6 as 0, and true as 1
+    manifest_path, manifest = _saved_manifest(tmp_path)
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError) as exc:
+        dataio.load_movie(manifest_path)
+    assert str(exc.value) == f"manifest {manifest_path}: {key} holds {value!r}, not an integer"

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports SciPy when it is itself
-imported, every public numcore function has a caller in another package
-module, every name on numcore's output-check list is a node some op
-records, and every function the benchmark's tracer wraps is still there
-with the arguments it reads."""
+imported or holds an assert statement, every public numcore function
+has a caller in another package module, every name on numcore's
+output-check list is a node some op records, and every function the
+benchmark's tracer wraps is still there with the arguments it reads."""
 
 import ast
 import importlib
@@ -78,6 +78,25 @@ def test_no_module_level_scipy_import(path):
     # SciPy's import costs more than a synth run; gelu imports it on first use
     scipy = [m for m in module_level_imports(path.read_text()) if m.split(".")[0] == "scipy"]
     assert scipy == []
+
+
+def assert_statements(source: str) -> list[str]:
+    """The lines of a module's assert statements, which python -O strips."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_checker_finds_assert_statements():
+    source = ("assert ready\n"
+              "def f(x):\n    assert x > 0, 'positive'\n    return x\n"
+              "asserted = check(x)\n")
+    assert assert_statements(source) == ["line 1", "line 3"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # a check the package relies on must hold under python -O too: raise
+    assert assert_statements(path.read_text()) == []
 
 
 def tensor_boundary_violations(source: str) -> list[str]:

@@ -306,20 +306,48 @@ def test_importance_follows_head_weights():
     assert weights == pytest.approx([0.25, 0.75], abs=1e-9)
 
 
-def test_importance_scene_task_runs():
-    model = af.FusionModel(
+def scene_model(seed):
+    return af.FusionModel(
         af.ModelConfig(
             seq_len=5, align_len=2, width=6, ffn_width=8,
             unimodal_depth=1, fusion_depth=1, dropout=0.0,
             num_classes=2, modality_dims=(3, 4),
         ),
-        seed=4,
+        seed=seed,
     )
+
+
+def test_importance_scene_task_runs():
+    model = scene_model(4)
     rng = np.random.default_rng(4)
     weights, _ = metrics.gradcam_importance(
         model, [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))], "scene"
     )
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scene_importance_reads_the_row_the_scene_head_reads(monkeypatch):
+    model = scene_model(6)
+    rng = np.random.default_rng(6)
+    feats = [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))]
+    head_inputs = []
+    linear_apply = af._linear_apply
+
+    def spy(model, prefix, x):
+        if prefix == "head":
+            head_inputs.append(x.data.copy())
+        return linear_apply(model, prefix, x)
+
+    monkeypatch.setattr(af, "_linear_apply", spy)
+    logits = af.forward_scene(model, [f[None] for f in feats]).data
+    weights, _ = metrics.gradcam_importance(model, feats, "scene")
+    scene_row, gradcam_row = head_inputs
+    assert scene_row.shape == (1, 12)
+    assert gradcam_row.tobytes() == scene_row.tobytes()
+    # the weights are that row's per-modality share of the max-class logit
+    contribution = model.params["head.w"].data[:, np.argmax(logits[0])] * scene_row[0]
+    raw = [contribution[c].sum() for c in metrics.modality_slices(model.config)]
+    assert weights.tolist() == metrics._normalize_importance(raw)[0].tolist()
 
 
 def test_importance_does_not_disturb_training_grads():

@@ -94,12 +94,17 @@ def test_erf_falls_back_to_the_scipy_special_import(monkeypatch, module):
         nc._erf.cache_clear()
 
 
+def _product(a, b):
+    """a @ b by the one product op, linear with a zero bias."""
+    return nc.linear(a, b, np.zeros(b.shape[-1]))
+
+
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(1)
     for _ in range(5):
         a = rng.uniform(-2, 2, size=(4, 6))
         b = rng.uniform(-2, 2, size=(6, 3))
-        got = nc.matmul(nc.Tensor(a), nc.Tensor(b)).data
+        got = _product(a, b).data
         npt.assert_allclose(got, matmul_oracle(a, b), rtol=1e-13, atol=1e-13)
 
 
@@ -109,21 +114,19 @@ def test_matmul_associativity():
         a = nc.Tensor(rng.uniform(-1, 1, size=(5, 4)))
         b = nc.Tensor(rng.uniform(-1, 1, size=(4, 6)))
         c = nc.Tensor(rng.uniform(-1, 1, size=(6, 3)))
-        left = nc.matmul(nc.matmul(a, b), c).data
-        right = nc.matmul(a, nc.matmul(b, c)).data
+        left = _product(_product(a, b), c).data
+        right = _product(a, _product(b, c)).data
         npt.assert_allclose(left, right, rtol=0, atol=1e-9)
 
 
 def test_batched_matmul_matches_per_item():
+    # a batch of inputs through one shared weight
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(4, 3, 5))
-    b = rng.uniform(-1, 1, size=(4, 5, 2))
     w = rng.uniform(-1, 1, size=(5, 2))
     bias = rng.uniform(-1, 1, size=2)
-    batched = nc.matmul(nc.Tensor(a), nc.Tensor(b)).data
     shared = nc.linear(nc.Tensor(a), nc.Tensor(w), nc.Tensor(bias)).data
     for i in range(4):
-        npt.assert_allclose(batched[i], a[i] @ b[i], atol=1e-13)
         npt.assert_allclose(shared[i], a[i] @ w + bias, atol=1e-13)
 
 
@@ -156,13 +159,10 @@ def test_grad_matmul_all_ranks():
     a = leaf(rng, 4, 6)
     b = leaf(rng, 6, 3)
     r = rng.uniform(-1, 1, size=(4, 3))
-    fd_check(lambda: weighted_sum(nc.matmul(a, b), r), {"a": a, "b": b})
+    fd_check(lambda: weighted_sum(_product(a, b), r), {"a": a, "b": b})
 
     a3 = leaf(rng, 2, 3, 4)
-    b3 = leaf(rng, 2, 4, 5)
     r3 = rng.uniform(-1, 1, size=(2, 3, 5))
-    fd_check(lambda: weighted_sum(nc.matmul(a3, b3), r3), {"a": a3, "b": b3})
-
     w = leaf(rng, 4, 5)
     bias = leaf(rng, 5)
     fd_check(
@@ -177,6 +177,22 @@ def _linear_case(rng, x_shape):
     b = leaf(rng, 3)
     r = rng.uniform(-1, 1, size=x_shape[:-1] + (3,))
     return x, w, b, r
+
+
+def _matmul_back(g, inputs, out, saved):
+    a, b = inputs
+    if a.requires_grad:
+        a.accumulate(g @ np.swapaxes(b.data, -1, -2))
+    if b.requires_grad:
+        b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+
+def _matmul(a, b):
+    """The matrix product node, as a reference for linear and in the
+    chains that attention and scaled_scores replaced: 2-D x 2-D or
+    batched."""
+    a, b = nc._as_tensor(a), nc._as_tensor(b)
+    return nc._emit("matmul", _matmul_back, (a, b), a.data @ b.data)
 
 
 def _shared_matmul_back(g, inputs, out, saved):
@@ -196,7 +212,7 @@ def _shared_matmul(a, w):
 def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
     rng = np.random.default_rng(14)
     x, w, b, r = _linear_case(rng, x_shape)
-    matmul = nc.matmul if len(x_shape) == 2 else _shared_matmul
+    matmul = _matmul if len(x_shape) == 2 else _shared_matmul
     results = []
     for make in (lambda: nc.linear(x, w, b), lambda: nc.add(matmul(x, w), b)):
         nc.zero_grads((x, w, b))
@@ -207,6 +223,23 @@ def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
         results.append((out.data, x.grad, w.grad, b.grad))
     for fused, composite in zip(*results):
         assert np.array_equal(fused, composite)
+
+
+def test_zero_bias_linear_is_bit_identical_to_matmul():
+    # distill.transfer_targets takes its product this way
+    rng = np.random.default_rng(17)
+    a, b = leaf(rng, 6, 4), leaf(rng, 4, 5)
+    r = rng.uniform(-1, 1, size=(6, 5))
+    results = []
+    for make in (lambda: _product(a, b), lambda: _matmul(a, b)):
+        nc.zero_grads((a, b))
+        with nc.Tape() as tape:
+            out = make()
+            loss = weighted_sum(out, r)
+        nc.backward(tape, loss)
+        results.append((out.data, a.grad, b.grad))
+    for fused, reference in zip(*results):
+        assert fused.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -306,7 +339,7 @@ def _kl_chain(o, p, floor):
 
 def _scores_chain(u, v, tau, offset=None):
     """The transpose / matmul / div / add chain that scaled_scores replaced."""
-    scores = _div(nc.matmul(u, _transpose(v)), tau)
+    scores = _div(_matmul(u, _transpose(v)), tau)
     return scores if offset is None else nc.add(scores, offset)
 
 
@@ -328,8 +361,8 @@ def _attention_chain(qkv, num_heads):
     for h in range(num_heads):
         qh, kh, vh = (nc.narrow(qkv, -1, lo, lo + head_dim)
                       for lo in range(h * head_dim, 3 * width, width))
-        scores = nc.mul(nc.matmul(qh, _transpose(kh)), scale)
-        outs.append(nc.matmul(nc.softmax(scores, axis=-1), vh))
+        scores = nc.mul(_matmul(qh, _transpose(kh)), scale)
+        outs.append(_matmul(nc.softmax(scores, axis=-1), vh))
     return outs[0] if num_heads == 1 else nc.concat(outs, -1)
 
 
@@ -751,7 +784,7 @@ def test_tape_topological_order_and_single_visit():
     a = leaf(rng, 3, 3)
     b = leaf(rng, 3, 3)
     with nc.Tape() as tape:
-        c = nc.matmul(a, b)
+        c = _product(a, b)
         d = nc.add(c, b)
         loss = weighted_sum(nc.mul(c, d))
     produced = {}
@@ -815,7 +848,7 @@ def test_shape_errors_name_both_shapes():
     a = nc.Tensor(np.zeros((2, 3)))
     b = nc.Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError) as exc:
-        nc.matmul(a, b)
+        _product(a, b)
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
     with pytest.raises(ShapeError):
         nc.add(a, b)
@@ -905,7 +938,7 @@ def _fd_case():
     w = leaf(rng, 4, 2)
 
     def losses():
-        y = nc.gelu(nc.matmul(x, w))
+        y = nc.gelu(_product(x, w))
         return [float(weighted_sum(y).data), float(weighted_sum(nc.mul(y, y)).data)]
 
     return x, losses

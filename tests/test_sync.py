@@ -370,14 +370,14 @@ def test_rle_round_trip():
     rng = np.random.default_rng(23)
     for _ in range(25):
         row = (rng.random(int(rng.integers(1, 30))) < 0.4).astype(np.float64)
-        runs = sync._rle_encode(row)
+        (runs,) = sync._rle_encode(row[None])
         assert sum(runs) == len(row)
         assert np.array_equal(sync._rle_decode(runs, len(row)), row)
 
 
 def test_rle_leading_one_starts_with_empty_zero_run():
-    assert sync._rle_encode(np.array([1.0, 1.0])) == [0, 2]
-    assert sync._rle_encode(np.array([0.0, 0.0, 1.0, 1.0, 0.0])) == [2, 2, 1]
+    assert sync._rle_encode(np.array([[1.0, 1.0]])) == [[0, 2]]
+    assert sync._rle_encode(np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])) == [[2, 2, 1]]
 
 
 def rle_loop(row):
@@ -401,7 +401,7 @@ def test_rle_matches_the_loop():
     rows += [np.zeros(12), np.ones(12), np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 1.0])]
     rows += [np.array([0.0]), np.array([1.0])]
     for row in rows:
-        assert sync._rle_encode(row) == rle_loop(row)
+        assert sync._rle_encode(row[None]) == [rle_loop(row)]
     for width in (1, 12):
         w = (rng.random((30, width)) < 0.3).astype(np.float64)
         w[0], w[1], w[2, 0] = 0.0, 1.0, 1.0

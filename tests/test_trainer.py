@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cineseg import alignfuse as af
+from cineseg import gradcheck
 from cineseg import numcore as nc
 from cineseg import sync
 from cineseg import trainer
@@ -578,6 +579,26 @@ def test_train_act_logs_the_first_step_grad_norm_and_tau():
     # the temperature the first step's loss used: the initial one
     assert logs[0]["tau"] == float(np.exp(params["sync.log_tau"].data))
     assert all(rec["tau"] > 0.0 for rec in logs)
+
+
+def test_train_act_runs_the_e_step_before_every_epoch_and_once_after(monkeypatch):
+    movies = make_dataset(act_synth(), movies=5, seed=8)
+    shot, synopsis = act_model_cfgs()
+    events = []
+    e_step, m_step = sync.run_e_step, trainer.Optimizer.step
+    monkeypatch.setattr(sync, "run_e_step", lambda *a: (events.append("E"), e_step(*a))[1])
+    monkeypatch.setattr(trainer.Optimizer, "step",
+                        lambda self: (events.append("M"), m_step(self))[1])
+    trainer.train_act(movies, shot, synopsis, act_train_cfg(epochs=3))
+    # 3 training movies in batches of 2: two steps an epoch
+    assert "".join(events) == "EMM" * 3 + "E"
+
+
+def test_gradcheck_act_assignment_is_in_band_with_no_skipped_query():
+    _, (_, _, w, band, _) = gradcheck._tiny_act_setup(0)
+    assert w[band].sum() == 5 and not w[~band].any()
+    assert w.sum(axis=1).tolist() == [1.0] * 5
+    assert sync.skipped_queries([w]) == 0
 
 
 def test_train_act_deterministic():
