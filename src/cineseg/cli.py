@@ -126,15 +126,19 @@ def read_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
-    entries = {}
+    entries, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-        entries[key.strip()] = value.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{ln}: '{key}' is already set on line {lines[key]}")
+        lines[key] = ln
+        entries[key] = value.strip()
     return entries
 
 

@@ -151,7 +151,7 @@ def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADC
     pipeline, item = _tiny_act_setup(seed)
 
     def act_losses():
-        total, (l_c, _, _), _ = trainer.act_objective(
+        total, (l_c, _, _), _, _ = trainer.act_objective(
             pipeline, [item], distill.DEFAULT_LOSS_WEIGHTS, joint=True
         )
         return l_c, total

@@ -45,12 +45,6 @@ class SyncMatrix:
     lambdas: np.ndarray  # per-sentence thresholds
 
 
-def compute_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Shot-by-sentence similarities u @ v.T (cosines for unit-norm rows),
-    the product the M-step and distillation take; dividing by 1.0 is exact."""
-    return nc.scaled_scores(u, v, 1.0).data
-
-
 def check_e_step_config(xi: float, percentile: float) -> None:
     """ConfigError unless the band is non-empty (0 < xi < inf) and the
     threshold percentile lies in [0, 100]."""
@@ -177,13 +171,6 @@ def skipped_queries(assignments) -> int:
     )
 
 
-def sync_features(shot_model, synopsis_model, head: SyncHead, shot_feats, synopsis_feats):
-    """Evaluation-mode unit-norm sync features (u, v) for one movie."""
-    u = head.features(af.encode_sequence(shot_model, shot_feats))
-    v = head.features(af.encode_sequence(synopsis_model, [synopsis_feats]))
-    return u.data, v.data
-
-
 def run_e_step(
     shot_model,
     synopsis_model,
@@ -192,11 +179,15 @@ def run_e_step(
     xi: float = DEFAULT_BAND_XI,
     percentile: float = DEFAULT_PERCENTILE,
 ):
-    """E-step over every movie with the current parameters (no gradients)."""
+    """E-step over every movie with the current parameters (no gradients):
+    the evaluation-mode unit-norm sync features of its shots and sentences,
+    then their cosines through the product the M-step and distillation
+    take (dividing by 1.0 is exact)."""
     syncs = []
     for shot_feats, synopsis_feats in movie_inputs:
-        u, v = sync_features(shot_model, synopsis_model, head, shot_feats, synopsis_feats)
-        values = compute_similarity(u, v)
+        u = head.features(af.encode_sequence(shot_model, shot_feats))
+        v = head.features(af.encode_sequence(synopsis_model, [synopsis_feats]))
+        values = nc.scaled_scores(u, v, 1.0).data
         syncs.append(e_step(values, lambda_per_sentence(values, percentile), xi))
     return syncs
 

@@ -1,6 +1,11 @@
-"""Optimizers and the two training loops: scene boundary windows with
+"""Optimizers and the two trainers: scene boundary windows with
 class-weighted cross-entropy, and the joint act pipeline that alternates
 the synchronization E-step with gradient steps on the combined objective.
+
+Both trainers run one gradient loop, _fit, and differ only in how they
+make an epoch's batches (the act ones after that epoch's E-step) and in
+their objective: one batch's loss and the fields it adds to its step's
+log record.
 
 window_index owns the scene window geometry: the shot indices of the
 window around each key shot, mirror-padded at movie edges. Evaluation
@@ -18,7 +23,7 @@ Tensor's data is a view of its slice), so an Adam step is a few
 whole-vector operations instead of a Python loop over the tensors.
 Each step's log record counts what would otherwise be a per-step
 warning (single-class scene batches, skipped contrastive queries); a
-run warns once with the totals.
+run warns once with the totals it reads from the logs.
 """
 
 from __future__ import annotations
@@ -226,6 +231,9 @@ def scene_shot_scores(model, movie) -> np.ndarray:
 
 def scene_report(per_movie_scores, eval_movies, epoch: int, seed: int) -> mx.MetricsReport:
     """Boundary metrics from each movie's scene_shot_scores."""
+    bare = [movie.movie_id for movie in eval_movies if not movie.scene_labels.any()]
+    if bare:
+        raise DataError(f"movie {bare[0]} has no scene boundary, so its AP is undefined")
     per_movie_ap = [
         mx.average_precision(scores, movie.scene_labels)
         for scores, movie in zip(per_movie_scores, eval_movies)
@@ -251,21 +259,47 @@ def scene_report(per_movie_scores, eval_movies, epoch: int, seed: int) -> mx.Met
     )
 
 
-def _split(movies, holdout: int):
-    if len(movies) <= holdout:
+def _start(movies, cfg: TrainConfig):
+    """The prelude both trainers share: the config check first, then the
+    train/eval split, then the shuffle and dropout streams and the model
+    seed, three children of the run seed."""
+    cfg.validate()
+    if len(movies) <= cfg.holdout:
         raise ConfigError(
-            f"{len(movies)} movies cannot spare {holdout} for evaluation"
+            f"{len(movies)} movies cannot spare {cfg.holdout} for evaluation"
         )
-    return movies[:-holdout], movies[-holdout:]
+    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    return (movies[:-cfg.holdout], movies[-cfg.holdout:], np.random.default_rng(shuffle_seed),
+            np.random.default_rng(dropout_seed), model_seed)
+
+
+def _fit(cfg, trained, optimizer, batches, objective, report, checkpoint_dir, after_step=None):
+    """The gradient loop of both trainers; returns (reports, logs).
+
+    Each epoch steps once per batch of batches(): objective(batch) runs
+    on the tape and returns the loss and its log fields, to which the
+    step adds the common ones. Reports start with report(0), before any
+    step, and each epoch ends with its report and checkpoint."""
+    reports, logs = [report(0)], []
+    for epoch in range(1, cfg.epochs + 1):
+        for batch in batches():
+            optimizer.zero_grad()
+            with nc.Tape() as tape:
+                loss, record = objective(batch)
+            nc.backward(tape, loss)
+            grad_norm = optimizer.step()
+            if after_step is not None:
+                after_step()
+            logs.append({"step": len(logs) + 1, "epoch": epoch, "lr": cfg.lr,
+                         "seed": cfg.seed, **record, "grad_norm": grad_norm})
+        reports.append(report(epoch))
+        _save_epoch(checkpoint_dir, epoch, trained)
+    return reports, logs
 
 
 def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_dir=None):
     """Returns (model, per-epoch reports incl. the pre-training one, logs)."""
-    cfg.validate()
-    train_movies, eval_movies = _split(movies, cfg.holdout)
-    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    dropout_rng = np.random.default_rng(dropout_seed)
+    train_movies, eval_movies, shuffle_rng, dropout_rng, model_seed = _start(movies, cfg)
     model = af.FusionModel(model_cfg, model_seed)
     optimizer = Optimizer(model.params, cfg.optimizer, cfg.lr)
     half = model_cfg.seq_len // 2
@@ -286,44 +320,28 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
     if not len(index):
         raise DataError("no training windows fit inside the training movies")
 
+    def batches():
+        order = shuffle_rng.permutation(len(index))
+        for start in range(0, len(order), cfg.batch_size):
+            yield index[order[start:start + cfg.batch_size]]
+
+    def objective(chosen):
+        batch_labels = labels[chosen[:, half]]
+        logits = af.forward_scene(model, [s[chosen] for s in streams], dropout_rng)
+        loss = weighted_scene_ce(logits, batch_labels)
+        return loss, {"losses": {"scene_ce": float(loss.data)},
+                      "single_class_batch": bool(batch_labels.min() == batch_labels.max())}
+
     def report(epoch):
         scores = [scene_shot_scores(model, movie) for movie in eval_movies]
         return scene_report(scores, eval_movies, epoch, cfg.seed)
 
-    reports = [report(0)]
-    logs = []
-    step = single_class = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(index))
-        for start in range(0, len(order), cfg.batch_size):
-            chosen = index[order[start:start + cfg.batch_size]]
-            batch_labels = labels[chosen[:, half]]
-            optimizer.zero_grad()
-            with nc.Tape() as tape:
-                logits = af.forward_scene(model, [s[chosen] for s in streams], dropout_rng)
-                loss = weighted_scene_ce(logits, batch_labels)
-            step += 1
-            one_class = bool(batch_labels.min() == batch_labels.max())
-            single_class += one_class
-            nc.backward(tape, loss)
-            grad_norm = optimizer.step()
-            logs.append(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "losses": {"scene_ce": float(loss.data)},
-                    "lr": cfg.lr,
-                    "seed": cfg.seed,
-                    "single_class_batch": one_class,
-                    "grad_norm": grad_norm,
-                }
-            )
-        reports.append(report(epoch))
-        _save_epoch(checkpoint_dir, epoch, model)
+    reports, logs = _fit(cfg, model, optimizer, batches, objective, report, checkpoint_dir)
+    single_class = sum(rec["single_class_batch"] for rec in logs)
     if single_class:
         log.warning(
             "%d of %d training batches held one class only and used "
-            "unweighted cross-entropy", single_class, step,
+            "unweighted cross-entropy", single_class, len(logs),
         )
     return model, reports, logs
 
@@ -526,12 +544,13 @@ def _mean(parts):
 
 
 def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = False, rng=None):
-    """(total, (contrastive, synopsis_ce, distillation), max_col_dev) of
-    one batch; items holds one (shot feats, synopsis, w, band, tp_labels)
-    tuple per movie, w its E-step assignment and band its in-band mask.
-    max_col_dev is the largest |column sum - 1| of the transferred
-    targets. Unless joint, the targets are detached, so distillation
-    trains the shot model only.
+    """(total, (contrastive, synopsis_ce, distillation), max_col_dev, tau)
+    of one batch; items holds one (shot feats, synopsis, w, band,
+    tp_labels) tuple per movie, w its E-step assignment and band its
+    in-band mask. max_col_dev is the largest |column sum - 1| of the
+    transferred targets, tau the temperature tensor the loss used. Unless
+    joint, the targets are detached, so distillation trains the shot
+    model only.
     """
     head = pipeline.sync_head
     tau = head.tau()
@@ -562,7 +581,7 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
     l_ce = _mean(ce_parts)
     l_kd = _mean(kd_parts)
     total = distill.total_loss(l_c, l_ce, l_kd, loss_weights)
-    return total, (l_c, l_ce, l_kd), max_col_dev
+    return total, (l_c, l_ce, l_kd), max_col_dev, tau
 
 
 def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=None):
@@ -570,7 +589,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     every epoch, then the epoch's gradient steps on those assignments.
     Returns (pipeline, final, reports, logs), final being {movie_id:
     SyncMatrix} of the training movies from one more E-step."""
-    cfg.validate()
+    train_movies, eval_movies, shuffle_rng, dropout_rng, model_seed = _start(movies, cfg)
     # the towers take whole movies, so a movie longer than a tower fails here
     # instead of in the first E-step
     for movie in movies:
@@ -585,14 +604,9 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
                 f"movie {movie.movie_id} has {synopsis.shape[0]} synopsis sentences, "
                 f"more than synopsis.seq_len = {synopsis_cfg.seq_len}"
             )
-    train_movies, eval_movies = _split(movies, cfg.holdout)
-    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    dropout_rng = np.random.default_rng(dropout_seed)
     pipeline = build_act_pipeline(
         shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed, cfg.em_xi, cfg.em_percentile
     )
-    head = pipeline.sync_head
     optimizer = Optimizer(pipeline.named_params(), cfg.optimizer, cfg.lr)
 
     inputs = [movie_inputs(m) for m in train_movies]
@@ -601,58 +615,42 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
         for m, (_, synopsis) in zip(train_movies, inputs)
     ]
 
+    def batches():
+        syncs = pipeline.e_step(inputs)
+        order = shuffle_rng.permutation(len(train_movies))
+        for start in range(0, len(order), cfg.batch_size):
+            yield [
+                (*inputs[mi], syncs[mi].w, bands[mi], train_movies[mi].tp_labels)
+                for mi in order[start:start + cfg.batch_size]
+            ]
+
+    def objective(items):
+        total, (l_c, l_ce, l_kd), step_dev, tau = act_objective(
+            pipeline, items, cfg.loss_weights, rng=dropout_rng
+        )
+        return total, {
+            "losses": {
+                "contrastive": float(l_c.data),
+                "synopsis_ce": float(l_ce.data),
+                "distillation": float(l_kd.data),
+                "total": float(total.data),
+            },
+            "max_p_col_dev": step_dev,
+            "skipped_queries": sync.skipped_queries([item[2] for item in items]),
+            "tau": float(tau.data),
+        }
+
     def report(epoch):
         probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
         return act_report(probs, eval_movies, epoch, cfg.seed)
 
-    reports = [report(0)]
-    logs = []
-    step = skipped_total = skipped_steps = 0
-    for epoch in range(1, cfg.epochs + 1):
-        syncs = pipeline.e_step(inputs)
-        order = shuffle_rng.permutation(len(train_movies))
-        for start in range(0, len(order), cfg.batch_size):
-            items = [
-                (*inputs[mi], syncs[mi].w, bands[mi], train_movies[mi].tp_labels)
-                for mi in order[start:start + cfg.batch_size]
-            ]
-            optimizer.zero_grad()
-            with nc.Tape() as tape:
-                total, (l_c, l_ce, l_kd), step_dev = act_objective(
-                    pipeline, items, cfg.loss_weights, rng=dropout_rng
-                )
-            skipped = sync.skipped_queries([item[2] for item in items])
-            step += 1
-            skipped_total += skipped
-            skipped_steps += skipped > 0
-            tau = float(head.tau().data)  # the temperature this step's loss used
-            nc.backward(tape, total)
-            grad_norm = optimizer.step()
-            head.clamp_tau()
-            logs.append(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "losses": {
-                        "contrastive": float(l_c.data),
-                        "synopsis_ce": float(l_ce.data),
-                        "distillation": float(l_kd.data),
-                        "total": float(total.data),
-                    },
-                    "lr": cfg.lr,
-                    "seed": cfg.seed,
-                    "max_p_col_dev": step_dev,
-                    "skipped_queries": skipped,
-                    "grad_norm": grad_norm,
-                    "tau": tau,
-                }
-            )
-        reports.append(report(epoch))
-        _save_epoch(checkpoint_dir, epoch, pipeline)
-    if skipped_total:
+    reports, logs = _fit(cfg, pipeline, optimizer, batches, objective, report,
+                         checkpoint_dir, pipeline.sync_head.clamp_tau)
+    skipped = [rec["skipped_queries"] for rec in logs]
+    if sum(skipped):
         log.warning(
             "contrastive loss: skipped %d queries with no positive key "
-            "in %d of %d steps", skipped_total, skipped_steps, step,
+            "in %d of %d steps", sum(skipped), sum(n > 0 for n in skipped), len(logs),
         )
     final = {movie.movie_id: sm for movie, sm in zip(train_movies, pipeline.e_step(inputs))}
     return pipeline, final, reports, logs

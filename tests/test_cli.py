@@ -828,3 +828,36 @@ def test_non_utf8_config_file_exits_2_before_any_work(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and str(cfg) in err
     assert not out.exists()
+
+
+def test_a_key_set_twice_in_a_config_file_exits_2_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("shots = 20\n# a later value\nshots = 30\n")
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg), "--movies", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: 'shots' is already set on line 1" in err
+    assert not out.exists()
+    # --set still overrides a key the file sets once
+    cfg.write_text("shots = 20\n")
+    assert cli.resolve_config(cli.SYNTH_KEYS, cfg, ["shots=30"])["shots"] == 30
+
+
+def test_scene_run_with_an_eval_movie_without_boundary_exits_3_naming_it(
+    scene_run, tmp_path, capsys
+):
+    # one scene per movie: no shot ends a scene before the last
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--movies", "3", "--shots", "30", "--seed", "5", "--out", str(data)]
+                    + _sets(SCENE_SET[2:] + ["scenes=1", "sentences=1"])) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv, movie in (
+        (["train-scene", "--data", str(data)] + _sets(SCENE_MODEL_SET + ["train.holdout=1"]),
+         "movie_0002"),
+        (["eval", "--checkpoint", str(scene_run / "model.ckpt"), "--data", str(data)],
+         "movie_0000"),
+    ):
+        assert cli.main(argv + ["--out", str(out)]) == 3, argv[0]
+        assert f"movie {movie} has no scene boundary" in capsys.readouterr().err, argv[0]
+        assert not out.exists(), argv[0]

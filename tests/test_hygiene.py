@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports SciPy when it is itself
-imported or holds an assert statement, every public numcore function
-has a caller in another package module, every name on numcore's
-output-check list is a node some op records, and every function the
-benchmark's tracer wraps is still there with the arguments it reads."""
+imported or holds an assert statement, only the gradient loop and the
+gradient check open a tape, every public numcore function has a caller
+in another package module, every name on numcore's output-check list is
+a node some op records, and every function the benchmark's tracer wraps
+is still there with the arguments it reads."""
 
 import ast
 import importlib
@@ -97,6 +98,52 @@ def test_checker_finds_assert_statements():
 def test_no_assert_statements(path):
     # a check the package relies on must hold under python -O too: raise
     assert assert_statements(path.read_text()) == []
+
+
+def taping_functions(source: str, module: str) -> list[str]:
+    """The functions of a module, as module.name (module.outer.inner when
+    nested), whose own body holds a `with nc.Tape()` block."""
+    found = []
+
+    def is_tape(item):
+        call = item.context_expr
+        return isinstance(call, ast.Call) and (
+            isinstance(call.func, ast.Attribute) and call.func.attr == "Tape"
+            or isinstance(call.func, ast.Name) and call.func.id == "Tape"
+        )
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.With) and any(is_tape(i) for i in child.items):
+                if name not in found:
+                    found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_checker_finds_taping_functions():
+    source = (
+        "from . import numcore as nc\nfrom .numcore import Tape\n"
+        "def fit(step):\n    for s in step:\n        with nc.Tape() as tape:\n"
+        "            pass\n        with nc.Tape():\n            pass\n"
+        "def outer():\n    def inner():\n        with Tape() as t, open(p):\n"
+        "            pass\n    return inner\n"
+        "class Loop:\n    def run(self):\n        with open(p):\n            pass\n"
+        "with nc.Tape():\n    pass\n"
+    )
+    assert taping_functions(source, "m") == ["m.fit", "m.outer.inner", "m"]
+
+
+def test_only_the_gradient_loop_and_the_gradient_check_tape():
+    # one step protocol: a second hand-written training loop would tape too
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in taping_functions(path.read_text(), path.stem)]
+    assert found == ["gradcheck._check_losses", "trainer._fit"]
 
 
 def tensor_boundary_violations(source: str) -> list[str]:

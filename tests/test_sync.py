@@ -124,11 +124,6 @@ def test_e_step_threshold_shape_mismatch():
         sync.e_step(np.zeros((3, 2)), np.zeros(3))
 
 
-def test_compute_similarity_shape_mismatch():
-    with pytest.raises(ShapeError):
-        sync.compute_similarity(np.zeros((3, 4)), np.zeros((2, 5)))
-
-
 # ---- contrastive M-step loss ----
 
 

@@ -356,6 +356,15 @@ def test_train_scene_shapes_and_logs():
     assert all(rec["seed"] == 11 for rec in logs)
 
 
+LOG_KEYS = {"step", "epoch", "losses", "lr", "seed", "grad_norm"}
+
+
+def test_train_scene_log_records_hold_exactly_their_keys():
+    movies = make_dataset(scene_synth(), movies=4, seed=1)
+    _, _, logs = trainer.train_scene(movies, scene_model_cfg(), scene_train_cfg(epochs=1))
+    assert [set(rec) for rec in logs] == [LOG_KEYS | {"single_class_batch"}] * len(logs)
+
+
 def test_train_scene_deterministic():
     movies = make_dataset(scene_synth(), movies=4, seed=2)
     runs = [
@@ -433,6 +442,15 @@ def test_train_scene_needs_spare_movies():
     movies = make_dataset(scene_synth(), movies=2, seed=5)
     with pytest.raises(ConfigError):
         trainer.train_scene(movies, scene_model_cfg(), scene_train_cfg())
+
+
+def test_scene_report_names_the_first_movie_without_a_boundary():
+    movies = make_dataset(scene_synth(), movies=3, seed=6)
+    scores = [np.linspace(0.0, 1.0, movie.num_shots) for movie in movies]
+    for movie in movies[1:]:
+        movie.scene_labels[:] = 0
+    with pytest.raises(DataError, match="^movie movie_0001 has no scene boundary"):
+        trainer.scene_report(scores, movies, 0, 0)
 
 
 def test_scene_scores_cover_every_shot():
@@ -556,7 +574,7 @@ def test_train_act_logged_losses_match_act_objective():
     shot, synopsis = act_model_cfgs()
     cfg = act_train_cfg(epochs=1)
     _, _, _, logs = trainer.train_act(movies, shot, synopsis, cfg)
-    _, items, (total, (l_c, l_ce, l_kd), col_dev) = _first_act_step(movies, shot, synopsis, cfg)
+    _, items, (total, (l_c, l_ce, l_kd), col_dev, _) = _first_act_step(movies, shot, synopsis, cfg)
     assert logs[0]["losses"] == {
         "contrastive": float(l_c.data),
         "synopsis_ce": float(l_ce.data),
@@ -572,13 +590,43 @@ def test_train_act_logs_the_first_step_grad_norm_and_tau():
     shot, synopsis = act_model_cfgs()
     cfg = act_train_cfg(epochs=1)
     _, _, _, logs = trainer.train_act(movies, shot, synopsis, cfg)
-    pipeline, _, _ = _first_act_step(movies, shot, synopsis, cfg)
+    pipeline, _, (*_, tau) = _first_act_step(movies, shot, synopsis, cfg)
     params = pipeline.named_params()
     assert logs[0]["grad_norm"] > 0.0
     assert logs[0]["grad_norm"] == pytest.approx(_global_grad_norm(params), rel=1e-12)
     # the temperature the first step's loss used: the initial one
-    assert logs[0]["tau"] == float(np.exp(params["sync.log_tau"].data))
+    assert logs[0]["tau"] == float(tau.data) == float(np.exp(params["sync.log_tau"].data))
     assert all(rec["tau"] > 0.0 for rec in logs)
+
+
+def test_train_act_log_records_hold_exactly_their_keys():
+    movies = make_dataset(act_synth(), movies=5, seed=8)
+    shot, synopsis = act_model_cfgs()
+    _, _, _, logs = trainer.train_act(movies, shot, synopsis, act_train_cfg(epochs=1))
+    want = LOG_KEYS | {"max_p_col_dev", "skipped_queries", "tau"}
+    assert [set(rec) for rec in logs] == [want] * len(logs)
+
+
+def test_train_act_warns_once_with_the_skipped_query_totals_of_its_logs(caplog, monkeypatch):
+    movies = make_dataset(act_synth(), movies=5, seed=8)
+    shot, synopsis = act_model_cfgs()
+    # every step of this run skips queries: count every other step's only,
+    # so the steps that skip some are fewer than the steps
+    counts, count = [], sync.skipped_queries
+
+    def every_other(assignments):
+        counts.append(count(assignments) if len(counts) % 2 else 0)
+        return counts[-1]
+
+    monkeypatch.setattr(sync, "skipped_queries", every_other)
+    with caplog.at_level(logging.WARNING, logger="cineseg.trainer"):
+        _, _, _, logs = trainer.train_act(movies, shot, synopsis, act_train_cfg(epochs=3))
+    skipped = [rec["skipped_queries"] for rec in logs]
+    assert skipped == counts and 0 < sum(n > 0 for n in skipped) < len(logs)
+    assert [rec.message for rec in caplog.records] == [
+        f"contrastive loss: skipped {sum(skipped)} queries with no positive key "
+        f"in {sum(n > 0 for n in skipped)} of {len(logs)} steps"
+    ]
 
 
 def test_train_act_runs_the_e_step_before_every_epoch_and_once_after(monkeypatch):
