@@ -377,11 +377,11 @@ def apply_head(model, rows) -> Tensor:
     return _linear_apply(model, "head", rows)
 
 
-def forward_act(model, feats_list, rng=None) -> Tensor:
-    """Per-shot turning-point logits [L_in x NUM_TURNING_POINTS] for one movie."""
+def forward_act(model, feats_list) -> Tensor:
+    """Per-shot turning-point logits [L_in x NUM_TURNING_POINTS] for one movie, no dropout."""
     if model.config.num_classes != NUM_TURNING_POINTS:
         raise ContractError(f"act forward needs a {NUM_TURNING_POINTS}-class head")
-    return apply_head(model, encode_sequence(model, feats_list, rng))
+    return apply_head(model, encode_sequence(model, feats_list))
 
 
 # ---- checkpoints ----

@@ -247,7 +247,7 @@ def cmd_train_scene(args) -> int:
     model_cfg = af.ModelConfig(
         **_section(cfg_map, "model"),
         num_classes=2,
-        modality_dims=tuple(s.dim for s in movies[0].streams),
+        modality_dims=tuple(dim for _, dim in movies[0].layout),
     )
     train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
     # the trainer makes the run tree on its first checkpoint, after it
@@ -264,7 +264,7 @@ def cmd_train_act(args) -> int:
     from . import alignfuse as af, sync, trainer
     cfg_map = resolve_config(__getattr__("ACT_KEYS"), args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
-    dims = tuple(s.dim for s in movies[0].streams)
+    dims = tuple(dim for _, dim in movies[0].layout)
     shot_cfg = af.ModelConfig(
         **_section(cfg_map, "shot"), num_classes=dataio.NUM_TURNING_POINTS, modality_dims=dims
     )
@@ -295,6 +295,7 @@ def cmd_sync(args) -> int:
     cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     _, pipeline, _ = trainer.load_checkpoint(args.checkpoint, "act")
     movies = dataio.load_dataset(Path(args.data))
+    trainer.check_tower_lengths(movies, pipeline.shot_model.config, pipeline.synopsis_model.config)
     syncs = pipeline.e_step([trainer.movie_inputs(m) for m in movies])
     out = _run_dir(args)
     summary = []
@@ -352,6 +353,7 @@ def cmd_eval(args) -> int:
                     zip(movie_scores.tolist(), movie.scene_labels.tolist()))
             ]
     else:
+        trainer.check_tower_lengths(movies, loaded.shot_model.config)
         probs = [trainer.act_shot_probs(loaded.shot_model, movie) for movie in movies]
         report = trainer.act_report(probs, movies, epoch, args.seed)
         rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(dataio.NUM_TURNING_POINTS)]]
@@ -403,6 +405,8 @@ def cmd_importance(args) -> int:
     if kind == "act" and cfg_map["shot"] != -1:
         raise ConfigError(f"shot applies to scene checkpoints only, got shot={cfg_map['shot']}")
     movies = dataio.load_dataset(Path(args.data))
+    if kind == "act":
+        trainer.check_tower_lengths(movies, loaded.shot_model.config)
     payload = []
     for movie in movies:
         record = {"movie_id": movie.movie_id, "task": kind}
@@ -413,13 +417,11 @@ def cmd_importance(args) -> int:
                     f"shot {t} outside movie {movie.movie_id} ({movie.num_shots} shots)"
                 )
             idx = trainer.window_index([t], loaded.config.seq_len // 2, movie.num_shots)[0]
-            feats = [s.samples[idx] for s in movie.streams]
-            weights, fallback = mx.gradcam_importance(loaded, feats, "scene")
+            weights, fallback = mx.gradcam_importance(loaded, [x[idx] for x in movie.streams])
             record["shot"] = t
         else:
-            feats, _ = trainer.movie_inputs(movie)
-            weights, fallback = mx.gradcam_importance(loaded.shot_model, feats, "act")
-        record["weights"] = {s.name: float(w) for s, w in zip(movie.streams, weights)}
+            weights, fallback = mx.gradcam_importance(loaded.shot_model, movie.streams)
+        record["weights"] = {name: float(w) for name, w in zip(movie.modalities, weights)}
         record["uniform_fallback"] = fallback
         payload.append(record)
     out = _run_dir(args)

@@ -1,9 +1,11 @@
 """Movie samples, synthetic data, and disk I/O.
 
-A movie is num_shots shots, one feature stream per modality (one row
-per shot), a synopsis of sentence feature rows, and its planted ground
-truth: the shot that ends each scene, the gold sentence of each shot,
-and the gold sentences of each turning point.
+A movie is num_shots shots, one feature stream per modality, a
+synopsis of sentence feature rows, and its planted ground truth: the
+shot that ends each scene, the gold sentence of each shot, and the gold
+sentences of each turning point. MovieSample.modalities names the
+modalities in model order, and MovieSample.streams holds their float64
+[num_shots x dim] matrices in that order; a dim is its matrix's width.
 
 Synthetic movies plant all ground truth the trainers and metrics need:
 a hidden per-scene latent drives every modality through a fixed linear
@@ -64,36 +66,26 @@ def check_modalities(modalities, error: type[Exception]) -> None:
 
 
 @dataclass
-class ModalityStream:
-    """One modality's features, one row per shot."""
-
-    name: str
-    samples: np.ndarray  # [num_shots x dim]
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2:
-            raise DataError(f"stream '{self.name}' samples must be 2-D, got {self.samples.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass
 class MovieSample:
     """A movie's streams, synopsis and planted ground truth."""
 
     movie_id: str
     num_shots: int
-    streams: list[ModalityStream]
+    modalities: tuple  # modality names, in model order
+    streams: list  # per modality, a float64 [num_shots x dim] matrix
     synopsis_features: np.ndarray  # [num_sentences x sum(dims)]
     scene_labels: np.ndarray  # [num_shots] in {0,1}, 1 = scene ends here
     sentence_of: np.ndarray  # [num_shots], each shot's gold sentence index
     tp_labels: list[list[int]]  # per turning point, gold sentence indices
 
     def __post_init__(self):
+        self.streams = [np.asarray(x, dtype=np.float64) for x in self.streams]
         self.validate()
+
+    @property
+    def layout(self) -> list:
+        """(name, dim) per modality, in model order."""
+        return [(name, x.shape[1]) for name, x in zip(self.modalities, self.streams)]
 
     @property
     def gold_sync(self) -> np.ndarray:
@@ -106,14 +98,16 @@ class MovieSample:
         n, where = self.num_shots, f"movie '{self.movie_id}'"
         if n < 1:
             raise DataError(f"{where} has no shots")
-        check_modalities([(s.name, s.dim) for s in self.streams], DataError)
-        for s in self.streams:
-            if s.samples.shape[0] != n:
-                raise DataError(
-                    f"{where}: stream '{s.name}' has {s.samples.shape[0]} rows for {n} shots"
-                )
+        if len(self.modalities) != len(self.streams):
+            raise DataError(f"{where} has {len(self.modalities)} names for {len(self.streams)} streams")
+        for name, x in zip(self.modalities, self.streams):
+            if x.ndim != 2:
+                raise DataError(f"{where}: stream '{name}' must be 2-D, got {x.shape}")
+            if x.shape[0] != n:
+                raise DataError(f"{where}: stream '{name}' has {x.shape[0]} rows for {n} shots")
+        check_modalities(self.layout, DataError)
         n_sent = self.synopsis_features.shape[0]
-        if n_sent < 1 or self.synopsis_features.shape[1:] != (sum(s.dim for s in self.streams),):
+        if n_sent < 1 or self.synopsis_features.shape[1:] != (sum(d for _, d in self.layout),):
             raise DataError(f"{where}: synopsis rows must be as wide as the modalities together")
         for key, bound in (("scene_labels", 2), ("sentence_of", n_sent)):
             labels = getattr(self, key)
@@ -245,7 +239,7 @@ def synth_movie(
             raw = raw / rms
         clean_parts.append(raw.copy())
         feats = raw + cfg.noise * rng.normal(size=raw.shape)
-        streams.append(ModalityStream(name, feats))
+        streams.append(feats)
 
     scene_labels = np.zeros(num_shots, dtype=np.int64)
     for c in cuts:
@@ -282,7 +276,7 @@ def synth_movie(
             hi = min(num_shots, t + cfg.tp_motif_halfwidth + 1)
             bump = cfg.tp_motif_scale * tp_motifs[k]
             for m in range(len(cfg.modalities)):
-                streams[m].samples[lo:hi] += bump[offsets[m]:offsets[m + 1]]
+                streams[m][lo:hi] += bump[offsets[m]:offsets[m + 1]]
             # the synopsis is the span mean of the bumped features, and the
             # mean is linear, so shift each overlapped sentence row directly
             for s in range(cfg.sentences):
@@ -291,9 +285,9 @@ def synth_movie(
                     span_size = int(np.count_nonzero(sentence_of == s))
                     synopsis[s] += bump * (inside / span_size)
 
-    return MovieSample(
-        movie_id, num_shots, streams, synopsis, scene_labels, sentence_of, tp_labels
-    )
+    names = tuple(name for name, _ in cfg.modalities)
+    return MovieSample(movie_id, num_shots, names, streams, synopsis, scene_labels, sentence_of,
+                       tp_labels)
 
 
 def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
@@ -376,13 +370,13 @@ def save_movie(sample: MovieSample, out_dir: Path) -> Path:
     sample.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stream in sample.streams:
-        write_blob(out_dir / f"{stream.name}.f64", stream.samples)
+    for name, x in zip(sample.modalities, sample.streams):
+        write_blob(out_dir / f"{name}.f64", x)
     write_blob(out_dir / "synopsis.f64", sample.synopsis_features)
     manifest = {
         "movie_id": sample.movie_id,
         "num_shots": sample.num_shots,
-        "modalities": [{"name": s.name, "dim": s.dim} for s in sample.streams],
+        "modalities": [{"name": name, "dim": dim} for name, dim in sample.layout],
         "scene_labels": sample.scene_labels.tolist(),
         "sentence_of": sample.sentence_of.tolist(),
         "tp_labels": sample.tp_labels,
@@ -436,12 +430,11 @@ def load_movie(manifest_path: Path) -> MovieSample:
         raise DataError(f"manifest {manifest_path} has movie_id {movie_id!r}, not its directory's")
     # the names become blob paths, so check them before reading any blob
     check_modalities(modalities, DataError)
-    streams = [
-        ModalityStream(name, read_blob(manifest_path.parent / f"{name}.f64", dim))
-        for name, dim in modalities
-    ]
-    synopsis = read_blob(manifest_path.parent / "synopsis.f64", sum(s.dim for s in streams))
-    return MovieSample(movie_id, num_shots, streams, synopsis, scene_labels, sentence_of, tp_labels)
+    names = tuple(name for name, _ in modalities)
+    streams = [read_blob(manifest_path.parent / f"{name}.f64", dim) for name, dim in modalities]
+    synopsis = read_blob(manifest_path.parent / "synopsis.f64", sum(dim for _, dim in modalities))
+    return MovieSample(movie_id, num_shots, names, streams, synopsis, scene_labels, sentence_of,
+                       tp_labels)
 
 
 def save_dataset(samples: list[MovieSample], out_dir: Path) -> list[Path]:
@@ -453,12 +446,11 @@ def load_dataset(root: Path) -> list[MovieSample]:
     if not manifests:
         raise BlobIOError(f"no movie manifests under {root}")
     movies = [load_movie(p) for p in manifests]
-    want = [(s.name, s.dim) for s in movies[0].streams]
+    want = movies[0].layout
     for movie in movies[1:]:
-        have = [(s.name, s.dim) for s in movie.streams]
-        if have != want:
+        if movie.layout != want:
             raise DataError(
-                f"movie {movie.movie_id} has modalities {have}, but "
+                f"movie {movie.movie_id} has modalities {movie.layout}, but "
                 f"{movies[0].movie_id} has {want}"
             )
     return movies

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alignfuse as af
-from .errors import ContractError, DataError
+from .errors import DataError
 
 METRICS_SCHEMA = "cineseg-metrics"
 METRICS_VERSION = 1
@@ -74,7 +74,7 @@ def average_precision(scores, labels) -> float:
     return float((hits[at] / (at + 1)).mean())
 
 
-def f1_at(scores, labels, threshold: float = 0.5):
+def f1_at(scores, labels, threshold: float):
     """F1 with predictions = (score >= threshold). Returns (f1, degenerate)
     where degenerate flags the no-predicted-positives fallback to 0."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -159,28 +159,26 @@ def _normalize_importance(raw: np.ndarray):
     return raw / total, False
 
 
-def gradcam_importance(model, feats_list, task: str):
+def gradcam_importance(model, feats_list):
     """Per-modality Grad-CAM importance for one input sequence.
 
     The selected output y* is the max-class logit of the row the scene
-    head reads (af.scene_head_rows) for the scene task, and the sum over
-    turning points of the max-shot logit for the act task. The head is
-    linear, so the gradient of y* with respect to a selected row's
-    activation a is the head column head.w[:, n], and modality m's raw
+    head reads (af.scene_head_rows) for a scene model (two classes), and
+    the sum over turning points of the max-shot logit for an act model.
+    The head is linear, so the gradient of y* with respect to a selected
+    row's activation a is the head column head.w[:, n], and modality m's raw
     score is sum_c head.w[c, n] * a[c] over its channel slice, summed
     over the selected (row, class) pairs. Scores are rectified and
     normalized to sum to one. Returns (weights [M], uniform_fallback).
     """
     cfg = model.config
     rows = af.encode_sequence(model, feats_list)
-    if task == "scene":
+    if cfg.num_classes == 2:
         rows = af.scene_head_rows(rows)
         selections = [(0, int(np.argmax(af.apply_head(model, rows).data[0])))]
-    elif task == "act":
+    else:
         logits = af.apply_head(model, rows).data
         selections = [(int(np.argmax(logits[:, n])), n) for n in range(cfg.num_classes)]
-    else:
-        raise ContractError(f"unknown importance task {task!r}")
 
     head_w = model.params["head.w"].data
     raw = np.zeros(cfg.num_modalities)

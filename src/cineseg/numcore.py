@@ -52,10 +52,12 @@ arrays straight in and create Tensors only for parameters.
 GeLU's erf is SciPy's own ufunc, loaded at the first ``gelu`` call
 from the one extension module that defines it,
 ``scipy/special/_special_ufuncs``, found beside SciPy's package without
-running SciPy's ``__init__``. The ``scipy.special`` package is not
-imported: its array-API backends cost about 0.3 s and 16 MB per
-process, and the ufunc is the very object ``scipy.special.erf`` names,
-so every bit is the same. A SciPy whose layout lacks that file, or
+running SciPy's ``__init__`` (or SciPy's own module, once imported).
+The ``scipy.special`` package is not imported: its array-API backends
+cost about 0.3 s and 16 MB per process, and the ufunc is the very
+object ``scipy.special.erf`` names, so every bit is the same. The load
+leaves no ``sys.modules`` entry, so a later ``import scipy.special``
+binds the module as usual. A SciPy whose layout lacks that file, or
 defines erf elsewhere, is served by ``from scipy.special import erf``
 at the full import's cost. A process that runs no model loads no SciPy
 at all.
@@ -68,6 +70,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -156,6 +159,9 @@ _CHECKED = frozenset({
     "add", "mul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
     "cross_entropy", "kl_div", "layernorm", "normalize_rows", "attention",
 })
+LAYERNORM_EPS = 1e-5  # added to layernorm's variances
+NORMALIZE_EPS = 1e-12  # added to normalize_rows' squared norms
+REL_ERROR_FLOOR = 1e-6  # max_rel_error's least denominator
 # fd_gradient's job (f, flat, h) while it runs, inherited by its forked
 # workers; ops skip their output checks while it is set
 _fd_job = None
@@ -496,15 +502,22 @@ _ERF_MODULE = "_special_ufuncs"
 def _erf():
     """SciPy's erf ufunc, without importing scipy.special; see the module
     docstring."""
-    special = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "special")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(special, _ERF_MODULE + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(f"scipy.special.{_ERF_MODULE}", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            if hasattr(module, "erf"):
-                return module.erf
+    name = f"scipy.special.{_ERF_MODULE}"
+    module = sys.modules.get(name)  # SciPy's own, when scipy.special came first
+    if module is None:
+        special = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "special")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(special, _ERF_MODULE + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                # a single-phase extension registers itself; without that entry a
+                # later `import scipy.special` loads it again and binds its attribute
+                sys.modules.pop(name, None)
+                break
+    if hasattr(module, "erf"):
+        return module.erf
     from scipy.special import erf  # another SciPy layout: the full import
     return erf
 
@@ -594,7 +607,7 @@ def _layernorm_back(g, inputs, out, saved):
         a.accumulate(gg)
 
 
-def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+def layernorm(a, gain, bias) -> Tensor:
     """Normalize the last axis (population variance), then scale and
     shift by [C] gains and biases, or by [M x 1 x C] ones, one per slice
     of a's axis -3 ([... x M x L x C])."""
@@ -608,7 +621,7 @@ def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     # sum / width is what np.mean computes, bit for bit, without its overhead
     xhat = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / width
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / width
-    var += eps
+    var += LAYERNORM_EPS
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
     out = xhat * gain.data
@@ -622,12 +635,12 @@ def _normalize_rows_back(g, inputs, out, norm):
     a.accumulate((g - out * dot) / norm)
 
 
-def normalize_rows(a, eps: float = 1e-12) -> Tensor:
+def normalize_rows(a) -> Tensor:
     """Scale each row of a 2-D matrix to unit L2 norm."""
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"normalize_rows needs a 2-D tensor, got {a.shape}")
-    norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True) + eps)
+    norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True) + NORMALIZE_EPS)
     return _emit("normalize_rows", _normalize_rows_back, (a,), a.data / norm, norm)
 
 
@@ -801,9 +814,9 @@ def fd_gradient(f: Callable[[], float | Sequence[float]], param, h: float = 1e-5
     return grad.reshape(grad.shape[:-1] + data.shape)
 
 
-def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    """Max elementwise |a - b| / max(|a|, |b|, floor)."""
+def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Max elementwise |a - b| / max(|a|, |b|, REL_ERROR_FLOOR)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERROR_FLOOR)
     return float((np.abs(a - b) / denom).max()) if a.size else 0.0

@@ -98,15 +98,9 @@ class SyncHead:
             "sync.proj.b": Tensor(np.zeros(proj_dim), requires_grad=True),
             "sync.log_tau": Tensor(np.log(TAU_INIT), requires_grad=True),
         }
-        self.proj_dim = proj_dim
-        self.fused_width = fused_width
 
     def features(self, fused: Tensor) -> Tensor:
         """Project fused rows into the sync space and L2-normalize them."""
-        if fused.shape[-1] != self.fused_width:
-            raise ShapeError(
-                f"sync head expects width {self.fused_width}, got {fused.shape[-1]}"
-            )
         x = nc.linear(fused, self.params["sync.proj.w"], self.params["sync.proj.b"])
         return nc.normalize_rows(x)
 

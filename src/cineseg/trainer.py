@@ -46,6 +46,7 @@ from .numcore import Tensor
 log = logging.getLogger(__name__)
 
 MIRROR_EVAL_FLAG = "mirror-padded-eval"
+SCENE_THRESHOLD = 0.5  # the boundary probability at which a shot ends a scene
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -223,7 +224,7 @@ def scene_shot_scores(model, movie) -> np.ndarray:
     scores = np.empty(n)
     for start in range(0, n, 256):
         idx = window_index(np.arange(start, min(start + 256, n)), half, n)
-        logits = af.forward_scene(model, [s.samples[idx] for s in movie.streams])
+        logits = af.forward_scene(model, [x[idx] for x in movie.streams])
         probs = nc.softmax(logits, axis=-1)
         scores[start:start + len(idx)] = probs.data[:, 1]
     return scores
@@ -241,7 +242,7 @@ def scene_report(per_movie_scores, eval_movies, epoch: int, seed: int) -> mx.Met
     scores = np.concatenate(per_movie_scores)
     labels = np.concatenate([movie.scene_labels for movie in eval_movies])
     flags = [MIRROR_EVAL_FLAG]
-    f1, degenerate = mx.f1_at(scores, labels)
+    f1, degenerate = mx.f1_at(scores, labels, SCENE_THRESHOLD)
     if degenerate:
         flags.append("f1-no-predicted-positives")
     best, best_threshold = mx.best_f1(scores, labels)
@@ -255,7 +256,7 @@ def scene_report(per_movie_scores, eval_movies, epoch: int, seed: int) -> mx.Met
         "positive_rate": float(np.mean(labels)),
     }
     return mx.MetricsReport(
-        task="scene", values=values, flags=flags, threshold=0.5, seed=seed
+        task="scene", values=values, flags=flags, threshold=SCENE_THRESHOLD, seed=seed
     )
 
 
@@ -306,10 +307,7 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
     # the training movies' shots stacked once; a batch gathers its windows
     # through one [num_windows x window] index in (movie, key shot) order,
     # and only windows that stay inside their movie train
-    streams = [
-        np.concatenate([s.samples for s in group])
-        for group in zip(*(m.streams for m in train_movies))
-    ]
+    streams = [np.concatenate(group) for group in zip(*(m.streams for m in train_movies))]
     labels = np.concatenate([m.scene_labels for m in train_movies])
     index, offset = [], 0
     for movie in train_movies:
@@ -435,7 +433,7 @@ def save_checkpoint(path, trained, epoch: int | None = None) -> None:
     if isinstance(trained, ActPipeline):
         extra["em_xi"] = trained.em_xi
         extra["em_percentile"] = trained.em_percentile
-        extra["sync_dim"] = trained.sync_head.proj_dim
+        extra["sync_dim"] = trained.sync_head.params["sync.proj.w"].shape[1]
         configs = {
             "shot": trained.shot_model.config,
             "synopsis": trained.synopsis_model.config,
@@ -482,9 +480,22 @@ def load_checkpoint(path, expected: str | None = None):
     return kind, trained, extra
 
 
+def check_tower_lengths(movies, shot_cfg, synopsis_cfg=None) -> None:
+    """A DataError naming the first movie longer than a tower, whose forward
+    takes whole movies; the synopsis tower is checked only given its config."""
+    for movie in movies:
+        if movie.num_shots > shot_cfg.seq_len:
+            raise DataError(f"movie {movie.movie_id} has {movie.num_shots} shots, more than "
+                            f"shot.seq_len = {shot_cfg.seq_len}")
+        sentences = movie.synopsis_features.shape[0]
+        if synopsis_cfg is not None and sentences > synopsis_cfg.seq_len:
+            raise DataError(f"movie {movie.movie_id} has {sentences} synopsis sentences, "
+                            f"more than synopsis.seq_len = {synopsis_cfg.seq_len}")
+
+
 def movie_inputs(movie):
     """(per-modality shot matrices, synopsis matrix) for the act pipeline."""
-    return [s.samples for s in movie.streams], movie.synopsis_features
+    return movie.streams, movie.synopsis_features
 
 
 def _gold_span_shots(movie, tp: int) -> np.ndarray:
@@ -493,8 +504,7 @@ def _gold_span_shots(movie, tp: int) -> np.ndarray:
 
 def act_shot_probs(shot_model, movie) -> np.ndarray:
     """Per turning point, the shot distribution of one movie [shots x turning points]."""
-    feats, _ = movie_inputs(movie)
-    return distill.shot_distribution(af.forward_act(shot_model, feats)).data
+    return distill.shot_distribution(af.forward_act(shot_model, movie.streams)).data
 
 
 def act_eval(per_movie_probs, movies):
@@ -590,20 +600,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     Returns (pipeline, final, reports, logs), final being {movie_id:
     SyncMatrix} of the training movies from one more E-step."""
     train_movies, eval_movies, shuffle_rng, dropout_rng, model_seed = _start(movies, cfg)
-    # the towers take whole movies, so a movie longer than a tower fails here
-    # instead of in the first E-step
-    for movie in movies:
-        _, synopsis = movie_inputs(movie)
-        if movie.num_shots > shot_cfg.seq_len:
-            raise DataError(
-                f"movie {movie.movie_id} has {movie.num_shots} shots, more than "
-                f"shot.seq_len = {shot_cfg.seq_len}"
-            )
-        if synopsis.shape[0] > synopsis_cfg.seq_len:
-            raise DataError(
-                f"movie {movie.movie_id} has {synopsis.shape[0]} synopsis sentences, "
-                f"more than synopsis.seq_len = {synopsis_cfg.seq_len}"
-            )
+    check_tower_lengths(movies, shot_cfg, synopsis_cfg)
     pipeline = build_act_pipeline(
         shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed, cfg.em_xi, cfg.em_percentile
     )

@@ -729,6 +729,56 @@ def test_act_movie_longer_than_tower_exits_3(act_data, tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def long_act_data(tmp_path_factory):
+    """Movies one shot longer than act_run's shot tower (24), and movies
+    with one sentence more than its synopsis tower (4)."""
+    root = tmp_path_factory.mktemp("long_act_data")
+    for name, args in (("shots", ["--shots", "25"]),
+                       ("sentences", ["--shots", "24", "--set", "scenes=5", "--set", "sentences=5"])):
+        argv = ["synth", "--movies", "3", "--seed", "6", "--out", str(root / name)]
+        assert cli.main(argv + _sets(ACT_SET) + args) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["train-act", "sync", "eval", "importance"])
+def test_every_act_command_names_the_movie_longer_than_the_shot_tower(
+    act_run, long_act_data, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    argv = [command, "--data", str(long_act_data / "shots"), "--out", str(out)]
+    if command == "train-act":
+        argv += _sets(ACT_MODEL_SET)
+    else:
+        argv += ["--checkpoint", str(act_run / "model.ckpt")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        "data error: movie movie_0000 has 25 shots, more than shot.seq_len = 24\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    ("train-act", 3), ("sync", 3), ("eval", 0), ("importance", 0),
+])
+def test_only_the_synopsis_tower_commands_check_the_synopsis_length(
+    act_run, long_act_data, tmp_path, capsys, command, code
+):
+    # eval and importance run the shot tower alone
+    out = tmp_path / "out"
+    argv = [command, "--data", str(long_act_data / "sentences"), "--out", str(out)]
+    if command == "train-act":
+        argv += _sets(ACT_MODEL_SET)
+    else:
+        argv += ["--checkpoint", str(act_run / "model.ckpt")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("data error: movie movie_0000 has 5 synopsis sentences, "
+                       "more than synopsis.seq_len = 4\n")
+    assert out.exists() == (code == 0)
+
+
 def test_rejected_train_scene_leaves_no_run_tree(
     scene_data, scene_run, act_data, tmp_path, capsys
 ):

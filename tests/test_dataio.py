@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -23,6 +24,36 @@ def small_cfg(**kw):
     return dataio.SynthConfig(**base)
 
 
+# ---- the movie sample ----
+
+
+def _two_stream_movie():
+    return dataio.synth_movie(small_cfg(), np.random.default_rng(7), "m0")
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda m: dict(modalities=m.modalities + ("extra",)),
+     "movie 'm0' has 3 names for 2 streams"),
+    (lambda m: dict(streams=[m.streams[0][:, 0], m.streams[1]]),
+     "movie 'm0': stream 'visual' must be 2-D, got (40,)"),
+    (lambda m: dict(streams=[m.streams[0][1:], m.streams[1]]),
+     "movie 'm0': stream 'visual' has 39 rows for 40 shots"),
+], ids=["more-names-than-streams", "1-D-stream", "short-stream"])
+def test_movie_sample_rejects_streams_that_do_not_fit_its_names(edit, fault):
+    movie = _two_stream_movie()
+    with pytest.raises(DataError, match=re.escape(fault)):
+        dataclasses.replace(movie, **edit(movie))
+
+
+def test_movie_sample_casts_integer_streams_to_float64():
+    movie = _two_stream_movie()
+    ints = np.arange(40 * 6).reshape(40, 6)
+    cast = dataclasses.replace(movie, streams=[ints, movie.streams[1]])
+    assert cast.streams[0].dtype == np.float64
+    assert np.array_equal(cast.streams[0], ints)
+    assert cast.layout == [("visual", 6), ("audio", 4)]
+
+
 # ---- synthetic movies ----
 
 
@@ -32,7 +63,7 @@ def test_synth_plants_expected_structure():
     assert movie.num_shots == 40
     assert movie.scene_labels.sum() == cfg.scenes - 1
     assert movie.scene_labels[-1] == 0
-    assert [s.dim for s in movie.streams] == [6, 4]
+    assert movie.layout == [("visual", 6), ("audio", 4)]
     assert movie.synopsis_features.shape == (4, 10)
     # every shot maps to exactly one sentence and spans are contiguous
     assert (movie.gold_sync.sum(axis=1) == 1).all()
@@ -54,7 +85,7 @@ def test_synth_turning_points_near_theory_positions():
 def test_synth_noiseless_synopsis_is_span_mean():
     cfg = small_cfg(modalities=(("only", 6),), noise=0.0)
     movie = dataio.synth_movie(cfg, np.random.default_rng(11), "m0")
-    feats = movie.streams[0].samples
+    feats = movie.streams[0]
     owner = movie.gold_sync.argmax(axis=1)
     for s in range(4):
         npt.assert_allclose(
@@ -68,7 +99,7 @@ def test_synth_deterministic_under_seed():
     for ma, mb in zip(a, b):
         assert ma.movie_id == mb.movie_id
         for sa, sb in zip(ma.streams, mb.streams):
-            assert sa.samples.tobytes() == sb.samples.tobytes()
+            assert sa.tobytes() == sb.tobytes()
         assert ma.synopsis_features.tobytes() == mb.synopsis_features.tobytes()
         assert ma.tp_labels == mb.tp_labels
 
@@ -98,7 +129,7 @@ def test_synth_rejects_bad_configs():
 
 def test_synth_bounds_are_inclusive():
     movie, = dataio.make_dataset(small_cfg(noise=1e3, tp_jitter=1.0, cut_jitter=1.0), 1, seed=0)
-    assert all(np.isfinite(s.samples).all() for s in movie.streams)
+    assert all(np.isfinite(x).all() for x in movie.streams)
 
 
 def test_synth_value_budget_is_inclusive(monkeypatch):
@@ -127,8 +158,8 @@ def test_synth_over_the_value_budget_names_its_settings(overrides, named):
 
 
 def _stream_diff(on, off):
-    a = np.concatenate([s.samples for s in on.streams], axis=1)
-    b = np.concatenate([s.samples for s in off.streams], axis=1)
+    a = np.concatenate(on.streams, axis=1)
+    b = np.concatenate(off.streams, axis=1)
     return a - b
 
 
@@ -194,9 +225,9 @@ def test_round_trip_is_bit_identical(tmp_path):
     back = dataio.load_movie(manifest)
     assert back.movie_id == movie.movie_id
     assert back.num_shots == movie.num_shots
+    assert back.modalities == movie.modalities
     for sa, sb in zip(movie.streams, back.streams):
-        assert sa.name == sb.name
-        assert sa.samples.tobytes() == sb.samples.tobytes()
+        assert sa.tobytes() == sb.tobytes()
     assert back.synopsis_features.tobytes() == movie.synopsis_features.tobytes()
     npt.assert_array_equal(back.sentence_of, movie.sentence_of)
     assert back.gold_sync.tobytes() == movie.gold_sync.tobytes()

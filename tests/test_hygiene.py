@@ -280,6 +280,58 @@ def test_every_checked_name_is_an_emitted_node():
     assert sorted(cineseg_attr("numcore", "_CHECKED") - emitted) == []
 
 
+# ---- every default is one some caller overrides ----
+
+
+def unset_defaults(modules: dict, sources: list) -> list[str]:
+    """module.function(parameter) for each defaulted parameter of a
+    module-level function in modules ({name: source}) that no call in
+    sources passes, by keyword or by position. A call matches a function
+    by its bare name (f(...), or x.f(...)), and a call that unpacks *args
+    or **kwargs passes everything."""
+    passed = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed.setdefault(name, set()).add("*")
+            passed.setdefault(name, set()).update(
+                [k.arg for k in node.keywords] + list(range(len(node.args))))
+    found = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args.posonlyargs + node.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(args)][len(args) - len(node.args.defaults):]
+            defaulted += [(None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if d is not None]
+            calls = passed.get(node.name, set())
+            found += [f"{module}.{node.name}({arg})" for i, arg in defaulted
+                      if "*" not in calls and arg not in calls and i not in calls]
+    return found
+
+
+def test_checker_finds_unset_defaults():
+    module = ("def f(a, b=1, c=2, *, d=3, e):\n    pass\n"
+              "def g(x=0):\n    pass\n"
+              "def h(y=0):\n    pass\n"
+              "class K:\n    def f(self, z=0):\n        pass\n")
+    calls = "f(1, 2, e=5)\nm.f(0, d=4, e=5)\nm.h(*rest)\n"
+    assert unset_defaults({"m": module}, [module, calls]) == ["m.f(c)", "m.g(x)"]
+
+
+def test_every_default_is_overridden_by_some_caller():
+    # a default that every caller keeps is a constant
+    sources = [path.read_text() for folder in (PACKAGE, TESTS, TESTS.parent / "bench")
+               for path in sorted(folder.rglob("*.py"))]
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unset_defaults(modules, sources) == []
+
+
 # ---- what the benchmark's traced run wraps ----
 
 

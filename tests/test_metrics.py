@@ -104,30 +104,30 @@ def test_ap_shape_guard():
 
 
 def test_f1_perfect_predictions():
-    value, degenerate = metrics.f1_at([0.9, 0.8, 0.1], [1, 1, 0])
+    value, degenerate = metrics.f1_at([0.9, 0.8, 0.1], [1, 1, 0], 0.5)
     assert value == 1.0 and not degenerate
 
 
 def test_f1_all_predicted_positive():
-    value, degenerate = metrics.f1_at([0.9, 0.8, 0.7, 0.6], [1, 0, 0, 0])
+    value, degenerate = metrics.f1_at([0.9, 0.8, 0.7, 0.6], [1, 0, 0, 0], 0.5)
     assert value == pytest.approx(0.4, abs=1e-12)
     assert not degenerate
 
 
 def test_f1_no_predictions_above_threshold():
-    value, degenerate = metrics.f1_at([0.1, 0.2], [1, 0])
+    value, degenerate = metrics.f1_at([0.1, 0.2], [1, 0], 0.5)
     assert value == 0.0 and degenerate
 
 
 def test_f1_no_true_positives_is_zero_not_degenerate():
-    value, degenerate = metrics.f1_at([0.9, 0.1], [0, 1])
+    value, degenerate = metrics.f1_at([0.9, 0.1], [0, 1], 0.5)
     assert value == 0.0 and not degenerate
 
 
 def test_best_f1_finds_separating_threshold():
     scores = [0.8, 0.7, 0.3, 0.2]
     labels = [1, 1, 0, 0]
-    fixed, _ = metrics.f1_at(scores, labels)
+    fixed, _ = metrics.f1_at(scores, labels, 0.5)
     best, threshold = metrics.best_f1(scores, labels)
     assert best == 1.0
     assert threshold == pytest.approx(0.7)
@@ -139,7 +139,7 @@ def test_best_f1_at_least_fixed_threshold():
     for _ in range(10):
         scores = rng.random(30)
         labels = (rng.random(30) < 0.3).astype(int)
-        fixed, _ = metrics.f1_at(scores, labels)
+        fixed, _ = metrics.f1_at(scores, labels, 0.5)
         best, _ = metrics.best_f1(scores, labels)
         assert best >= fixed - 1e-12
 
@@ -258,7 +258,7 @@ def act_model(dims, seed=0, width=6):
 def test_importance_single_modality_is_one():
     model = act_model((4,))
     feats = [np.random.default_rng(0).standard_normal((9, 4))]
-    weights, fallback = metrics.gradcam_importance(model, feats, "act")
+    weights, fallback = metrics.gradcam_importance(model, feats)
     assert weights.shape == (1,)
     assert weights[0] == pytest.approx(1.0)
     assert not fallback
@@ -268,7 +268,7 @@ def test_importance_is_probability_vector():
     model = act_model((4, 3, 5), seed=1)
     rng = np.random.default_rng(1)
     feats = [rng.standard_normal((9, d)) for d in (4, 3, 5)]
-    weights, _ = metrics.gradcam_importance(model, feats, "act")
+    weights, _ = metrics.gradcam_importance(model, feats)
     assert weights.shape == (3,)
     assert (weights >= 0).all()
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -290,7 +290,7 @@ def twin_modality_model():
 def test_importance_tied_duplicate_modalities_split_evenly():
     model = twin_modality_model()
     feats = np.random.default_rng(3).standard_normal((9, 4))
-    weights, fallback = metrics.gradcam_importance(model, [feats, feats.copy()], "act")
+    weights, fallback = metrics.gradcam_importance(model, [feats, feats.copy()])
     assert not fallback
     assert weights == pytest.approx([0.5, 0.5], abs=1e-9)
 
@@ -301,7 +301,7 @@ def test_importance_follows_head_weights():
     model = twin_modality_model()
     model.params["head.w"].data[6:12] *= 3.0
     feats = np.random.default_rng(3).standard_normal((9, 4))
-    weights, fallback = metrics.gradcam_importance(model, [feats, feats.copy()], "act")
+    weights, fallback = metrics.gradcam_importance(model, [feats, feats.copy()])
     assert not fallback
     assert weights == pytest.approx([0.25, 0.75], abs=1e-9)
 
@@ -321,7 +321,7 @@ def test_importance_scene_task_runs():
     model = scene_model(4)
     rng = np.random.default_rng(4)
     weights, _ = metrics.gradcam_importance(
-        model, [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))], "scene"
+        model, [rng.standard_normal((5, 3)), rng.standard_normal((5, 4))]
     )
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -340,7 +340,7 @@ def test_scene_importance_reads_the_row_the_scene_head_reads(monkeypatch):
 
     monkeypatch.setattr(af, "_linear_apply", spy)
     logits = af.forward_scene(model, [f[None] for f in feats]).data
-    weights, _ = metrics.gradcam_importance(model, feats, "scene")
+    weights, _ = metrics.gradcam_importance(model, feats)
     scene_row, gradcam_row = head_inputs
     assert scene_row.shape == (1, 12)
     assert gradcam_row.tobytes() == scene_row.tobytes()
@@ -355,7 +355,7 @@ def test_importance_does_not_disturb_training_grads():
     marker = np.full_like(model.params["head.w"].data, 3.5)
     model.params["head.w"].grad = marker.copy()
     feats = [np.random.default_rng(5).standard_normal((9, 4))]
-    metrics.gradcam_importance(model, feats, "act")
+    metrics.gradcam_importance(model, feats)
     assert np.array_equal(model.params["head.w"].grad, marker)
     assert model.params["mod0.proj.w"].grad is None
 

@@ -1,6 +1,8 @@
 import math
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -77,6 +79,30 @@ def test_erf_is_scipys_own_ufunc():
     import scipy.special
 
     assert nc._erf() is scipy.special.erf
+
+
+ERF_IMPORT_ORDER_SCRIPT = """
+import sys
+import numpy as np
+import cineseg.numcore as nc
+if sys.argv[1] == "scipy-first":
+    import scipy.special
+    own = sys.modules["scipy.special._special_ufuncs"]
+nc.gelu(np.ones(3))
+import scipy.special
+assert nc._erf() is scipy.special.erf
+assert scipy.special._special_ufuncs is sys.modules["scipy.special._special_ufuncs"]
+if sys.argv[1] == "scipy-first":
+    assert scipy.special._special_ufuncs is own, "gelu replaced SciPy's own module"
+"""
+
+
+@pytest.mark.parametrize("order", ["gelu-first", "scipy-first"])
+def test_erf_leaves_scipy_special_whole_in_either_import_order(order):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nc.__file__)))
+    done = subprocess.run([sys.executable, "-c", ERF_IMPORT_ORDER_SCRIPT, order],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("module", ["_no_such_module", "_gufuncs"], ids=["missing file", "no erf in it"])

@@ -3,6 +3,7 @@ frozen contrastive-loss values, and the E-step on noiseless data."""
 
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -259,8 +260,9 @@ def test_sync_head_features_are_unit_norm():
 
 
 def test_sync_head_width_guard():
+    # the projection's own shape check, a DataError on the CLI (exit 3)
     head = sync.SyncHead(6, 4, seed=0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=re.escape("linear mismatch: (5, 7) x (6, 4)")):
         head.features(Tensor(np.zeros((5, 7))))
 
 
@@ -309,9 +311,7 @@ def em_fixture(seed=0, noise=0.0):
         seed=seed + 2,
     )
     head = sync.SyncHead(16, 8, seed=seed + 3)
-    inputs = [
-        ([stream.samples for stream in m.streams], m.synopsis_features) for m in movies
-    ]
+    inputs = [(m.streams, m.synopsis_features) for m in movies]
     return movies, inputs, shot_model, synopsis_model, head
 
 
@@ -349,7 +349,7 @@ def test_run_e_step_noiseless_assignments_land_in_gold_spans():
         seed=5,
     )
     head = sync.SyncHead(16, 8, seed=7)
-    inputs = [([m.streams[0].samples], m.synopsis_features) for m in movies]
+    inputs = [([m.streams[0]], m.synopsis_features) for m in movies]
     syncs = sync.run_e_step(model, model, head, inputs, percentile=90.0)
     for movie, sm in zip(movies, syncs):
         for j in range(sm.w.shape[1]):

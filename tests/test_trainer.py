@@ -9,6 +9,7 @@ import pytest
 
 from cineseg import alignfuse as af
 from cineseg import gradcheck
+from cineseg import metrics as mx
 from cineseg import numcore as nc
 from cineseg import sync
 from cineseg import trainer
@@ -288,7 +289,7 @@ def test_training_windows_skip_movie_edges(monkeypatch):
         movies, scene_model_cfg(), scene_train_cfg(epochs=1, batch_size=5)
     )
     expected = {
-        (mi, t): movie.streams[0].samples[t - 2:t + 3]
+        (mi, t): movie.streams[0][t - 2:t + 3]
         for mi, movie in enumerate(train_movies)
         for t in range(2, 10)
     }
@@ -380,11 +381,11 @@ def test_train_scene_deterministic():
 def test_train_scene_does_not_mutate_dataset():
     movies = make_dataset(scene_synth(), movies=4, seed=3)
     before = copy.deepcopy(
-        [(m.streams[0].samples.copy(), m.scene_labels.copy()) for m in movies]
+        [(m.streams[0].copy(), m.scene_labels.copy()) for m in movies]
     )
     trainer.train_scene(movies, scene_model_cfg(), scene_train_cfg(epochs=1))
     for movie, (samples, labels) in zip(movies, before):
-        assert np.array_equal(movie.streams[0].samples, samples)
+        assert np.array_equal(movie.streams[0], samples)
         assert np.array_equal(movie.scene_labels, labels)
 
 
@@ -407,7 +408,7 @@ def _first_scene_step(movies, model_cfg, cfg):
     order = np.random.default_rng(shuffle_seed).permutation(len(pairs))
     chosen = [pairs[i] for i in order[:cfg.batch_size]]
     feats = [
-        np.stack([movie.streams[m].samples[np.arange(t - half, t + half + 1)]
+        np.stack([movie.streams[m][np.arange(t - half, t + half + 1)]
                   for movie, t in chosen])
         for m in range(len(model_cfg.modality_dims))
     ]
@@ -451,6 +452,16 @@ def test_scene_report_names_the_first_movie_without_a_boundary():
         movie.scene_labels[:] = 0
     with pytest.raises(DataError, match="^movie movie_0001 has no scene boundary"):
         trainer.scene_report(scores, movies, 0, 0)
+
+
+def test_scene_report_scores_f1_at_the_threshold_it_reports(monkeypatch):
+    movies = make_dataset(scene_synth(), movies=2, seed=6)
+    scores = [np.linspace(0.0, 1.0, movie.num_shots) for movie in movies]
+    labels = np.concatenate([movie.scene_labels for movie in movies])
+    monkeypatch.setattr(trainer, "SCENE_THRESHOLD", 0.2)
+    report = trainer.scene_report(scores, movies, 0, 0)
+    assert report.threshold == 0.2
+    assert report.values["f1_at_threshold"] == mx.f1_at(np.concatenate(scores), labels, 0.2)[0]
 
 
 def test_scene_scores_cover_every_shot():
