@@ -30,8 +30,7 @@ in the config.
 Encoder blocks follow post-norm ordering: self-attention, residual +
 layernorm, a GeLU feed-forward (width -> ffn_width -> width), residual
 + layernorm, then dropout. One linear layer projects q, k and v side by
-side (width -> 3 * width). Attention is single-head scaled dot product
-by default; num_heads > 1 splits channels evenly.
+side (width -> 3 * width) for single-head scaled dot-product attention.
 
 A checkpoint is a JSON header line (format, version, kind, configs,
 extra) and then every parameter's float64 bytes in the order the model
@@ -39,9 +38,10 @@ constructors create them. The header names no parameter, so a change of
 that order (FusionModel, sync.SyncHead, trainer.ActPipeline.named_params)
 must bump CHECKPOINT_VERSION; version 3 holds the stacked towers, each
 stacked parameter where its modality-0 slice was, and version 4 one qkv
-projection per block where q, k and v were. The constructor draws its
-random values in the per-modality order, and q, k and v as three draws,
-so a seed gives the same initial values as before the stacking.
+projection per block where q, k and v were; version 5 drops the head
+count from the model config. The constructor draws its random values in
+the per-modality order, and q, k and v as three draws, so a seed gives
+the same initial values as before the stacking.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
 CHECKPOINT_FORMAT = "cineseg-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # the most parameters a model or an act pipeline may have, checked from
 # the configs before any allocation: 800 MB per float64 copy, of which
 # training holds about five (values, two gradient copies, Adam moments)
@@ -80,7 +80,6 @@ class ModelConfig:
     dropout: float
     num_classes: int  # 2 = scene boundary, NUM_TURNING_POINTS = acts
     modality_dims: tuple
-    num_heads: int = 1
     align_pe_embed: bool = True  # add alignment PE to embeddings
     align_pe_tokens: bool = True  # add alignment PE to bottleneck tokens
 
@@ -117,8 +116,6 @@ class ModelConfig:
             raise ConfigError("scene windows need an odd length so the key shot is central")
         if not self.modality_dims or any(d < 1 for d in self.modality_dims):
             raise ConfigError("modality_dims must be a non-empty tuple of positive ints")
-        if self.num_heads < 1 or self.width % self.num_heads:
-            raise ConfigError("num_heads must be positive and divide width")
         check_param_budget(self.num_params, f"the model {self.to_dict()}")
 
     def to_dict(self) -> dict:
@@ -228,7 +225,7 @@ def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
 def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:
     """One block of every tower at once: x is [B x M x T x C]."""
     cfg = model.config
-    attn = nc.attention(_linear_apply(model, prefix + "attn.qkv", x), cfg.num_heads)
+    attn = nc.attention(_linear_apply(model, prefix + "attn.qkv", x))
     x = nc.layernorm(nc.add(x, attn), model[prefix + "ln1.g"], model[prefix + "ln1.b"])
     h = nc.gelu(_linear_apply(model, prefix + "ffn.lift", x))
     h = _linear_apply(model, prefix + "ffn.drop", h)

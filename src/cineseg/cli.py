@@ -58,7 +58,6 @@ SCENE_KEYS = {
     "model.unimodal_depth": 2,
     "model.fusion_depth": 1,
     "model.dropout": 0.1,
-    "model.num_heads": 1,
     "train.epochs": 20,
     "train.batch_size": 1024,
     "train.optimizer": "adam",
@@ -89,7 +88,6 @@ def __getattr__(name: str) -> dict:
             "shot.unimodal_depth": 1,
             "shot.fusion_depth": 1,
             "shot.dropout": 0.5,
-            "shot.num_heads": 1,
             "synopsis.seq_len": 60,
             "synopsis.align_len": 20,
             "synopsis.ffn_width": 128,
@@ -407,6 +405,8 @@ def cmd_importance(args) -> int:
     movies = dataio.load_dataset(Path(args.data))
     if kind == "act":
         trainer.check_tower_lengths(movies, loaded.shot_model.config)
+    else:
+        trainer.check_scene_lengths(movies, loaded.config)
     payload = []
     for movie in movies:
         record = {"movie_id": movie.movie_id, "task": kind}

@@ -366,8 +366,7 @@ def read_blob(path: Path, dim: int) -> np.ndarray:
 
 
 def save_movie(sample: MovieSample, out_dir: Path) -> Path:
-    """Write manifest.json plus blobs; returns the manifest path."""
-    sample.validate()
+    """Write a validated sample's manifest.json and blobs; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, x in zip(sample.modalities, sample.streams):

@@ -18,8 +18,8 @@ stacks of M weights, gains and biases, one per slice of axis -3, with
 the bits of one node per slice.
 
 Attention's L x L arrays are the only large ones. A recorded call keeps
-one fresh L x L array per head, its unnormalized softmax weights, plus
-the head's scaled q and softmax row sums; the backward reads k and v
+one fresh L x L array, its unnormalized softmax weights, plus its
+scaled q and softmax row sums; the backward reads k and v
 from the input. Unrecorded calls and every backward use workspaces
 instead: one grow-only float64 buffer per slot (``scores`` for an
 unrecorded forward's weights, ``gs`` for the backward's score
@@ -679,33 +679,33 @@ def _workspace(slot: str, shape: tuple) -> np.ndarray:
 
 def _attention_back(g, inputs, out, saved):
     (qkv,) = inputs
-    scale, heads = saved
+    scale, qs, e, z = saved
+    width = out.shape[-1]
+    qc, kc, vc = (slice(lo, lo + width) for lo in range(0, 3 * width, width))
+    # the weights e / z are never formed: 1 / z and the scale go on the
+    # [L x C] operands, and softmax's row dot products sum_j g_ij w_ij are
+    # rowsum(g o out)
     grad = np.empty_like(qkv.data)
-    for (qc, kc, vc), qs, e, z in heads:
-        # the weights e / z are never formed: 1 / z and the scale go on the
-        # [L x d] operands, and softmax's row dot products sum_j g_ij w_ij
-        # are rowsum(g o out)
-        kh, vh = qkv.data[..., kc], qkv.data[..., vc]
-        gz = g[..., qc] / z
-        np.matmul(np.swapaxes(e, -1, -2), gz, out=grad[..., vc])
-        gs = np.matmul(gz, np.swapaxes(vh, -1, -2), out=_workspace("gs", e.shape))
-        gs -= np.add.reduce(gz * out[..., qc], axis=-1, keepdims=True)
-        gs *= e
-        np.multiply(gs @ kh, scale, out=grad[..., qc])
-        np.matmul(np.swapaxes(gs, -1, -2), qs, out=grad[..., kc])
+    gz = g / z
+    np.matmul(np.swapaxes(e, -1, -2), gz, out=grad[..., vc])
+    gs = np.matmul(gz, np.swapaxes(qkv.data[..., vc], -1, -2), out=_workspace("gs", e.shape))
+    gs -= np.add.reduce(gz * out, axis=-1, keepdims=True)
+    gs *= e
+    np.multiply(gs @ qkv.data[..., kc], scale, out=grad[..., qc])
+    np.matmul(np.swapaxes(gs, -1, -2), qs, out=grad[..., kc])
     qkv.accumulate(grad)
 
 
-def attention(qkv, num_heads: int) -> Tensor:
-    """Scaled dot-product attention as one node over an [... x L x 3C]
-    input that holds q, k and v side by side, C columns each; returns
-    [... x L x C]. Head h takes columns [h * C / num_heads, (h + 1) * C /
-    num_heads) of each; the result equals the per-head chain of narrow,
-    transpose, matmul, scale, softmax and matmul nodes up to rounding.
+def attention(qkv) -> Tensor:
+    """Single-head scaled dot-product attention as one node over an
+    [... x L x 3C] input that holds q, k and v side by side in columns
+    [0, C), [C, 2C) and [2C, 3C); returns [... x L x C]. The result
+    equals the chain of narrow, transpose, matmul, scale, softmax and
+    matmul nodes up to rounding.
 
-    q is scaled by 1 / sqrt(d) before the product, and the output rows,
+    q is scaled by 1 / sqrt(C) before the product, and the output rows,
     not the weights, are divided by the softmax row sums. By
-    Cauchy-Schwarz no scaled score exceeds max |q_i| max |k_j| / sqrt(d)
+    Cauchy-Schwarz no scaled score exceeds max |q_i| max |k_j| / sqrt(C)
     in size; while that bound is at most _UNSHIFTED_MAX, exp can neither
     overflow nor underflow, so the scores go to exp as they are. Past the
     bound (or when it is not finite) they are checked for non-finite
@@ -715,38 +715,28 @@ def attention(qkv, num_heads: int) -> Tensor:
     if len(shape) < 3 or shape[-1] % 3:
         raise ShapeError(f"attention needs a 3-D+ [... x L x 3C] input, got {shape}")
     width = shape[-1] // 3
-    if num_heads < 1 or width % num_heads:
-        raise ShapeError(f"attention width {width} does not split into {num_heads} heads")
     recorded = bool(_TAPE_STACK) and qkv.requires_grad
-    head_dim = width // num_heads
-    scale = 1.0 / math.sqrt(head_dim)
-    # the bound squared, from every head's squared q and k row norms;
-    # einsum gives an overflowing norm as inf without a warning, and inf
-    # or NaN fails the gate
-    qk = qkv.data[..., :2 * width].reshape(shape[:-1] + (2 * num_heads, head_dim))
+    scale = 1.0 / math.sqrt(width)
+    # the bound squared, from the squared q and k row norms; einsum gives an
+    # overflowing norm as inf without a warning, and inf or NaN fails the gate
+    qk = qkv.data[..., :2 * width].reshape(shape[:-1] + (2, width))
     norms = np.einsum("...i,...i->...", qk, qk)
-    bound_sq = float(norms[..., :num_heads].max()) * float(norms[..., num_heads:].max()) / head_dim
-    heads, outs = [], []
-    for h in range(num_heads):
-        cols = qc, kc, vc = tuple(
-            slice(lo, lo + head_dim) for lo in range(h * head_dim, 3 * width, width))
-        qs = np.multiply(qkv.data[..., qc], scale)
-        ws = None if recorded else _workspace("scores", shape[:-1] + shape[-2:-1])
-        e = np.matmul(qs, np.swapaxes(qkv.data[..., kc], -1, -2), out=ws)
-        if not bound_sq <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
-            # within the bound the scores are finite; past it, finite
-            # shifted scores give finite softmax weights
-            if _fd_job is None and not np.isfinite(e).all():
-                raise NumericError("operation 'attention' produced non-finite scores")
-            e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        z = np.add.reduce(e, axis=-1, keepdims=True)
-        o = e @ qkv.data[..., vc]
-        o /= z
-        outs.append(o)
-        heads.append((cols, qs, e, z))
-    out = outs[0] if num_heads == 1 else np.concatenate(outs, axis=-1)
-    return _emit("attention", _attention_back, (qkv,), out, (scale, heads) if recorded else None)
+    bound_sq = float(norms[..., 0].max()) * float(norms[..., 1].max()) / width
+    qs = np.multiply(qkv.data[..., :width], scale)
+    ws = None if recorded else _workspace("scores", shape[:-1] + shape[-2:-1])
+    e = np.matmul(qs, np.swapaxes(qkv.data[..., width:2 * width], -1, -2), out=ws)
+    if not bound_sq <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
+        # within the bound the scores are finite; past it, finite shifted
+        # scores give finite softmax weights
+        if _fd_job is None and not np.isfinite(e).all():
+            raise NumericError("operation 'attention' produced non-finite scores")
+        e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    z = np.add.reduce(e, axis=-1, keepdims=True)
+    out = e @ qkv.data[..., 2 * width:]
+    out /= z
+    saved = (scale, qs, e, z) if recorded else None
+    return _emit("attention", _attention_back, (qkv,), out, saved)
 
 
 # ---- gradient checking ----

@@ -212,15 +212,20 @@ def window_index(keys, half: int, num_shots: int) -> np.ndarray:
     return np.where(idx >= num_shots, period - idx, idx)
 
 
+def check_scene_lengths(movies, model_cfg) -> None:
+    """A DataError naming the first movie with no more shots than half a
+    scene window, whose windows mirror padding cannot fill."""
+    for movie in movies:
+        if movie.num_shots <= model_cfg.seq_len // 2:
+            raise DataError(f"movie {movie.movie_id} has {movie.num_shots} shots, "
+                            f"too short for a {model_cfg.seq_len}-shot window")
+
+
 def scene_shot_scores(model, movie) -> np.ndarray:
     """Boundary probability for every shot, with mirror-padded edge windows."""
-    window = model.config.seq_len
-    half = window // 2
+    check_scene_lengths([movie], model.config)
+    half = model.config.seq_len // 2
     n = movie.num_shots
-    if n <= half:
-        raise DataError(
-            f"movie {movie.movie_id} has {n} shots, too short for a {window}-shot window"
-        )
     scores = np.empty(n)
     for start in range(0, n, 256):
         idx = window_index(np.arange(start, min(start + 256, n)), half, n)

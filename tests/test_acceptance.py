@@ -41,7 +41,7 @@ def _act_dataset(seed: int):
 
 def _act_model_cfgs(align_pe: bool):
     kw = dict(width=16, ffn_width=32, unimodal_depth=0, fusion_depth=0,
-              dropout=0.0, num_classes=5, modality_dims=(16,), num_heads=1,
+              dropout=0.0, num_classes=5, modality_dims=(16,),
               align_pe_embed=align_pe, align_pe_tokens=align_pe)
     return (af.ModelConfig(seq_len=300, align_len=12, **kw),
             af.ModelConfig(seq_len=12, align_len=12, **kw))
@@ -129,7 +129,6 @@ def test_a3_scene_learnability():
     model_cfg = af.ModelConfig(
         seq_len=3, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
         fusion_depth=1, dropout=0.0, num_classes=2, modality_dims=(16, 12),
-        num_heads=1,
     )
     train_cfg = trainer.TrainConfig(
         epochs=10, batch_size=8, optimizer="adam", lr=3e-3,
@@ -176,7 +175,6 @@ def test_a6_fusion_sequence_structure():
     cfg = af.ModelConfig(
         seq_len=17, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
         fusion_depth=1, dropout=0.0, num_classes=2, modality_dims=(4, 5, 6),
-        num_heads=1,
     )
     model = af.FusionModel(cfg, np.random.SeedSequence(0))
     rng = np.random.default_rng(1)
@@ -198,7 +196,6 @@ def test_a7_alignment_pe_ablation():
     cfg = af.ModelConfig(
         seq_len=17, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
         fusion_depth=1, dropout=0.0, num_classes=2, modality_dims=(4, 5, 6),
-        num_heads=1,
     )
     model = af.FusionModel(cfg, np.random.SeedSequence(3))
     rng = np.random.default_rng(4)

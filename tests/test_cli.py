@@ -338,6 +338,26 @@ def test_importance_scene(scene_run, scene_data, tmp_path):
         assert record["shot"] == 15
 
 
+@pytest.mark.parametrize("command", ["eval", "importance"])
+def test_scene_commands_name_the_movie_too_short_for_the_window(
+    scene_run, tmp_path, capsys, command
+):
+    # scene_run's windows hold 5 shots; mirror padding cannot fill them
+    # from a 2-shot movie
+    data = tmp_path / "short"
+    argv = ["synth", "--movies", "2", "--shots", "2", "--seed", "5", "--out", str(data)]
+    assert cli.main(argv + _sets(SCENE_SET + ["scenes=1", "sentences=1"])) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = cli.main([command, "--checkpoint", str(scene_run / "model.ckpt"),
+                     "--data", str(data), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "data error: movie movie_0000 has 2 shots, too short for a 5-shot window\n"
+    )
+    assert not out.exists()
+
+
 # ---- train-act ----
 
 
@@ -590,19 +610,22 @@ def test_malformed_checkpoint_header_exits_3(scene_run, scene_data, tmp_path, ca
     assert not out.exists()
 
 
-def test_version_3_checkpoint_exits_3_asking_to_retrain(scene_run, scene_data, tmp_path, capsys):
-    # version 3 kept q, k and v apart in as many bytes as version 4 takes,
-    # so only the header's version tells the two layouts apart
+def test_version_4_checkpoint_exits_3_asking_to_retrain(scene_run, scene_data, tmp_path, capsys):
+    # version 4 wrote the same parameter bytes under a model config that
+    # also held the head count, so it fails on its version, not on a key
     header, _, blobs = (scene_run / "model.ckpt").read_bytes().partition(b"\n")
-    old = tmp_path / "v3.ckpt"
-    old.write_bytes(json.dumps({**json.loads(header), "version": 3}).encode() + b"\n" + blobs)
+    header = json.loads(header)
+    header["version"] = 4
+    header["configs"]["model"]["num_heads"] = 1
+    old = tmp_path / "v4.ckpt"
+    old.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blobs)
     out = tmp_path / "out"
     code = cli.main(
         ["eval", "--checkpoint", str(old), "--data", str(scene_data), "--out", str(out)]
     )
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("data error")
-    assert "version 3" in err and "re-train" in err
+    assert "version 4" in err and "re-train" in err and "unknown" not in err
     assert not out.exists()
 
 

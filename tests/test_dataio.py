@@ -235,6 +235,16 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert back.tp_labels == movie.tp_labels
 
 
+def test_synth_and_save_validate_each_movie_once(tmp_path, monkeypatch):
+    calls = []
+    validate = dataio.MovieSample.validate
+    monkeypatch.setattr(dataio.MovieSample, "validate",
+                        lambda self: calls.append(self.movie_id) or validate(self))
+    movies = dataio.make_dataset(small_cfg(), movies=3, seed=2)
+    dataio.save_dataset(movies, tmp_path)
+    assert sorted(calls) == sorted(m.movie_id for m in movies)
+
+
 def test_manifest_schema_keys(tmp_path):
     movie = dataio.synth_movie(small_cfg(), np.random.default_rng(2), "m0")
     manifest = json.loads(dataio.save_movie(movie, tmp_path / "m0").read_text())

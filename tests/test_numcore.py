@@ -377,52 +377,47 @@ def _same_bits(a, b):
 # ---- fused attention ----
 
 
-def _attention_chain(qkv, num_heads):
-    """The per-head narrow / transpose / matmul / mul / softmax / matmul
-    chain that attention replaced, as a reference."""
+def _attention_chain(qkv):
+    """The narrow / transpose / matmul / mul / softmax / matmul chain
+    that attention replaced, as a reference."""
     width = qkv.shape[-1] // 3
-    head_dim = width // num_heads
-    scale = 1.0 / math.sqrt(head_dim)
-    outs = []
-    for h in range(num_heads):
-        qh, kh, vh = (nc.narrow(qkv, -1, lo, lo + head_dim)
-                      for lo in range(h * head_dim, 3 * width, width))
-        scores = nc.mul(_matmul(qh, _transpose(kh)), scale)
-        outs.append(_matmul(nc.softmax(scores, axis=-1), vh))
-    return outs[0] if num_heads == 1 else nc.concat(outs, -1)
+    q, k, v = (nc.narrow(qkv, -1, lo, lo + width) for lo in range(0, 3 * width, width))
+    scores = nc.mul(_matmul(q, _transpose(k)), 1.0 / math.sqrt(width))
+    return _matmul(nc.softmax(scores, axis=-1), v)
 
 
-def _attention_case(rng, batch=2, length=7, width=6, qk_scale=1.0):
-    """q, k and v side by side, q and k scaled by qk_scale, and a weight
-    per output entry."""
-    qkv = leaf(rng, batch, length, 3 * width)
+def _attention_case(rng, lead=(2,), length=7, width=6, qk_scale=1.0):
+    """q, k and v side by side behind the leading axes lead, q and k
+    scaled by qk_scale, and a weight per output entry."""
+    qkv = leaf(rng, *lead, length, 3 * width)
     qkv.data[..., :2 * width] *= qk_scale
-    return qkv, rng.uniform(-1, 1, size=(batch, length, width))
+    return qkv, rng.uniform(-1, 1, size=(*lead, length, width))
 
 
-def _attention_loss(qkv, r, num_heads):
-    return weighted_sum(nc.attention(qkv, num_heads), r)
+def _attention_loss(qkv, r):
+    return weighted_sum(nc.attention(qkv), r)
 
 
-# (num_heads, qk_scale): q and k at 1x keep every scaled score within
-# attention's unshifted gate; at 20x the scores reach about 1e3, where an
-# unshifted exp overflows
+# (lead, qk_scale): one leading axis, as a [B x L x 3C] input, or two, as
+# the towers' [B x M x L x 3C] stack; q and k at 1x keep every scaled
+# score within attention's unshifted gate; at 20x the scores reach about
+# 1e3, where an unshifted exp overflows
 _ATTENTION_CASES = pytest.mark.parametrize(
-    "num_heads, qk_scale", [(1, 1.0), (2, 1.0), (1, 20.0), (2, 20.0)],
+    "lead, qk_scale", [((2,), 1.0), ((2, 2), 1.0), ((2,), 20.0), ((2, 2), 20.0)],
     ids=["1", "2", "1-shifted", "2-shifted"])
 
 
 @pytest.mark.filterwarnings("error")
 @_ATTENTION_CASES
-def test_attention_matches_the_chain(num_heads, qk_scale):
+def test_attention_matches_the_chain(lead, qk_scale):
     rng = np.random.default_rng(40)
-    qkv, r = _attention_case(rng, qk_scale=qk_scale)
-    head_dim = r.shape[-1] // num_heads
-    q, k, _ = np.moveaxis(qkv.data.reshape(qkv.shape[:-1] + (3, num_heads, head_dim)), -3, 0)
-    scale = 1.0 / math.sqrt(head_dim)
-    # attention's Cauchy-Schwarz bound, over all heads
+    qkv, r = _attention_case(rng, lead=lead, qk_scale=qk_scale)
+    width = r.shape[-1]
+    q, k = qkv.data[..., :width], qkv.data[..., width:2 * width]
+    scale = 1.0 / math.sqrt(width)
+    # attention's Cauchy-Schwarz bound
     bound = np.linalg.norm(q, axis=-1).max() * np.linalg.norm(k, axis=-1).max() * scale
-    scores = np.einsum("...ihd,...jhd->...hij", q, k) * scale
+    scores = q @ np.swapaxes(k, -1, -2) * scale
     if qk_scale == 1.0:
         assert bound <= nc._UNSHIFTED_MAX
     else:
@@ -431,7 +426,7 @@ def test_attention_matches_the_chain(num_heads, qk_scale):
     for op in (nc.attention, _attention_chain):
         nc.zero_grads((qkv,))
         with nc.Tape() as tape:
-            out = op(qkv, num_heads)
+            out = op(qkv)
             loss = weighted_sum(out, r)
         nc.backward(tape, loss)
         results.append((out.data, qkv.grad))
@@ -443,21 +438,21 @@ def test_attention_matches_the_chain(num_heads, qk_scale):
 
 
 @_ATTENTION_CASES
-def test_grad_attention_matches_finite_differences(num_heads, qk_scale):
+def test_grad_attention_matches_finite_differences(lead, qk_scale):
     rng = np.random.default_rng(41)
-    qkv, r = _attention_case(rng, batch=2, length=4, width=4, qk_scale=qk_scale)
-    fd_check(lambda: _attention_loss(qkv, r, num_heads), {"qkv": qkv})
+    qkv, r = _attention_case(rng, lead=lead, length=4, width=4, qk_scale=qk_scale)
+    fd_check(lambda: _attention_loss(qkv, r), {"qkv": qkv})
 
 
 def test_attention_backward_twice_doubles_the_gradients():
     rng = np.random.default_rng(42)
     qkv, r = _attention_case(rng)
     with nc.Tape() as tape:
-        loss = _attention_loss(qkv, r, 2)
+        loss = _attention_loss(qkv, r)
     nc.backward(tape, loss)
     first = qkv.grad.copy()
     # an unrecorded call of another shape in between reuses the workspaces
-    nc.attention(rng.normal(size=(1, 9, 18)), 2)
+    nc.attention(rng.normal(size=(1, 9, 18)))
     nc.zero_grads(node.output for node in tape.nodes)  # keep the input's grad
     nc.backward(tape, loss)
     assert np.array_equal(qkv.grad, 2.0 * first)
@@ -470,17 +465,16 @@ def _shares_a_workspace(a):
 def test_attention_results_never_alias_a_workspace():
     rng = np.random.default_rng(43)
     qkv, _ = _attention_case(rng)
-    first = nc.attention(qkv.data, 1).data
+    first = nc.attention(qkv.data).data
     kept = first.copy()
-    second = nc.attention(qkv.data[..., ::-1], 1).data
+    second = nc.attention(qkv.data[..., ::-1]).data
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
     with nc.Tape() as tape:
-        recorded = nc.attention(qkv, 2)
+        recorded = nc.attention(qkv)
     (node,) = tape.nodes
-    _, heads = node.saved
+    _, *saved = node.saved
     assert nc._WORKSPACES  # the unrecorded calls used them
-    saved = [a for _, qs, e, z in heads for a in (qs, e, z)]
     for a in [first, second, recorded.data] + saved:
         assert not _shares_a_workspace(a)
 
@@ -493,10 +487,9 @@ def test_attention_overflowing_norm_takes_the_shifted_arm_quietly():
     # |q|^2 overflows and |k|^2 is subnormal, but every score is about 1
     qkv.data[..., :width] *= 1e160
     qkv.data[..., width:2 * width] *= 1e-160
-    for num_heads in (1, 2):
-        fused = nc.attention(qkv.data, num_heads).data
-        chain = _attention_chain(qkv, num_heads).data
-        assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
+    fused = nc.attention(qkv.data).data
+    chain = _attention_chain(qkv).data
+    assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
 
 
 def test_attention_non_finite_scores_raise():
@@ -508,29 +501,25 @@ def test_attention_non_finite_scores_raise():
                      requires_grad=True)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="'attention'"):
-            nc.attention(huge.data, 2)
+            nc.attention(huge.data)
         with nc.Tape():
             with pytest.raises(NumericError, match="'attention'"):
-                nc.attention(huge, 2)
+                nc.attention(huge)
         nan_v = np.where(np.arange(3 * width) == 2 * width, np.nan, qkv.data)
         with pytest.raises(NumericError, match="'attention'"):
-            nc.attention(nan_v, 1)
+            nc.attention(nan_v)
         # inside finite differences only the returned loss is checked
         with pytest.raises(NumericError, match="finite-difference loss"):
-            nc.fd_gradient(lambda: float(_attention_loss(huge, r, 2).data),
+            nc.fd_gradient(lambda: float(_attention_loss(huge, r).data),
                            huge.data[0, 0, 2 * width:])
 
 
 def test_attention_shape_errors():
     x = np.zeros((2, 3, 6))
     with pytest.raises(ShapeError):
-        nc.attention(x[0], 1)  # not 3-D
+        nc.attention(x[0])  # not 3-D
     with pytest.raises(ShapeError):
-        nc.attention(x[..., :5], 1)  # not 3C columns
-    with pytest.raises(ShapeError):
-        nc.attention(x, 4)
-    with pytest.raises(ShapeError):
-        nc.attention(x, 0)
+        nc.attention(x[..., :5])  # not 3C columns
 
 
 def test_attention_allocates_less_than_one_score_matrix():
@@ -539,19 +528,19 @@ def test_attention_allocates_less_than_one_score_matrix():
     length = 312
     limit = length * length * 8
     rng = np.random.default_rng(45)
-    qkv, r = _attention_case(rng, batch=1, length=length, width=16)
+    qkv, r = _attention_case(rng, lead=(1,), length=length, width=16)
 
     def recorded():
         with nc.Tape() as tape:
-            loss = _attention_loss(qkv, r, 1)
+            loss = _attention_loss(qkv, r)
         return tape, loss
 
     nc.backward(*recorded())
-    nc.attention(qkv.data, 1)  # warm-up: the workspaces grow
+    nc.attention(qkv.data)  # warm-up: the workspaces grow
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        nc.attention(qkv.data, 1)
+        nc.attention(qkv.data)
         unrecorded_peak = tracemalloc.get_traced_memory()[1]
         tape, loss = recorded()
         tracemalloc.reset_peak()
@@ -564,23 +553,23 @@ def test_attention_allocates_less_than_one_score_matrix():
     assert backward_peak < limit
 
 
-@pytest.mark.parametrize("num_heads", [1, 2])
-def test_recorded_attention_keeps_one_score_matrix_per_head(num_heads):
+@pytest.mark.parametrize("batch", [1, 2])
+def test_recorded_attention_keeps_one_score_matrix_per_sequence(batch):
     length = 312
     limit = length * length * 8
     rng = np.random.default_rng(45)
-    qkv, _ = _attention_case(rng, batch=1, length=length, width=16)
-    nc.attention(qkv.data, num_heads)  # warm-up: the workspaces grow
+    qkv, _ = _attention_case(rng, lead=(batch,), length=length, width=16)
+    nc.attention(qkv.data)  # warm-up: the workspaces grow
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         with nc.Tape() as tape:
-            nc.attention(qkv, num_heads)
+            nc.attention(qkv)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    # the unnormalized weights of each head; the rest saved is [L x d]
-    assert held // limit == num_heads
+    # the unnormalized weights of each sequence; the rest saved is [L x C]
+    assert held // limit == batch
     assert len(tape) == 1
 
 
