@@ -29,8 +29,8 @@ in the config.
 
 Encoder blocks follow post-norm ordering: self-attention, residual +
 layernorm, a GeLU feed-forward (width -> ffn_width -> width), residual
-+ layernorm, then dropout. One linear layer projects q, k and v side by
-side (width -> 3 * width) for single-head scaled dot-product attention.
++ layernorm. One linear layer projects q, k and v side by side (width ->
+3 * width) for single-head scaled dot-product attention.
 
 A checkpoint is a JSON header line (format, version, kind, configs,
 extra) and then every parameter's float64 bytes in the order the model
@@ -39,9 +39,10 @@ that order (FusionModel, sync.SyncHead, trainer.ActPipeline.named_params)
 must bump CHECKPOINT_VERSION; version 3 holds the stacked towers, each
 stacked parameter where its modality-0 slice was, and version 4 one qkv
 projection per block where q, k and v were; version 5 drops the head
-count from the model config. The constructor draws its random values in
-the per-modality order, and q, k and v as three draws, so a seed gives
-the same initial values as before the stacking.
+count from the model config, and version 6 its dropout rate. The
+constructor draws its random values in the per-modality order, and q, k
+and v as three draws, so a seed gives the same initial values as before
+the stacking.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ from .errors import BlobIOError, ConfigError, ContractError, DataError
 from .numcore import Tensor
 
 CHECKPOINT_FORMAT = "cineseg-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # the most parameters a model or an act pipeline may have, checked from
 # the configs before any allocation: 800 MB per float64 copy, of which
 # training holds about five (values, two gradient copies, Adam moments)
 MAX_MODEL_PARAMS = 10**8
 # the JSON types a checkpoint may give each ModelConfig field, by its
 # annotation (modality_dims is a list of ints)
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_JSON_TYPES = {"int": (int,), "bool": (bool,)}
 
 
 @dataclass
@@ -77,7 +78,6 @@ class ModelConfig:
     ffn_width: int
     unimodal_depth: int
     fusion_depth: int
-    dropout: float
     num_classes: int  # 2 = scene boundary, NUM_TURNING_POINTS = acts
     modality_dims: tuple
     align_pe_embed: bool = True  # add alignment PE to embeddings
@@ -108,8 +108,6 @@ class ModelConfig:
             raise ConfigError(f"align_len must lie in [1, seq_len], got {self.align_len}")
         if self.unimodal_depth < 0 or self.fusion_depth < 0:
             raise ConfigError("encoder depths must be non-negative")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.num_classes not in (2, NUM_TURNING_POINTS):
             raise ConfigError(f"num_classes must be 2 or {NUM_TURNING_POINTS}, got {self.num_classes}")
         if self.num_classes == 2 and self.seq_len % 2 == 0:
@@ -222,15 +220,13 @@ def _linear_apply(model, prefix: str, x: Tensor) -> Tensor:
     return nc.linear(x, model[prefix + ".w"], model[prefix + ".b"])
 
 
-def _encoder_block(model, prefix: str, x: Tensor, rng) -> Tensor:
+def _encoder_block(model, prefix: str, x: Tensor) -> Tensor:
     """One block of every tower at once: x is [B x M x T x C]."""
-    cfg = model.config
     attn = nc.attention(_linear_apply(model, prefix + "attn.qkv", x))
     x = nc.layernorm(nc.add(x, attn), model[prefix + "ln1.g"], model[prefix + "ln1.b"])
     h = nc.gelu(_linear_apply(model, prefix + "ffn.lift", x))
     h = _linear_apply(model, prefix + "ffn.drop", h)
-    x = nc.layernorm(nc.add(x, h), model[prefix + "ln2.g"], model[prefix + "ln2.b"])
-    return nc.dropout(x, cfg.dropout, rng)
+    return nc.layernorm(nc.add(x, h), model[prefix + "ln2.g"], model[prefix + "ln2.b"])
 
 
 def embed_modality(model, feats, m: int, collect=None) -> Tensor:
@@ -271,23 +267,22 @@ def make_bottleneck(model, m: int) -> Tensor:
     return tokens
 
 
-def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor, rng=None):
+def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor):
     """Normalize the stacked embeddings [B x M x L x C] and run [tokens;
     latents] through every modality's own encoder blocks, the [M x A x C]
     tokens broadcast over the batch by concat; returns the tokens [B x M
     x A x C] and the latents [B x M x L x C]."""
     cfg = model.config
     x = nc.layernorm(embedded, model["embed_ln.g"], model["embed_ln.b"])
-    x = nc.dropout(x, cfg.dropout, rng)
     seq = nc.concat([nc.reshape(bottlenecks, (1,) + bottlenecks.shape), x], -2)
     for d in range(cfg.unimodal_depth):
-        seq = _encoder_block(model, f"uni{d}.", seq, rng)
+        seq = _encoder_block(model, f"uni{d}.", seq)
     tokens_out = nc.narrow(seq, -2, 0, cfg.align_len)
     latents = nc.narrow(seq, -2, cfg.align_len, seq.shape[-2])
     return tokens_out, latents
 
 
-def fusion_encode(model, tokens: Tensor, latents: Tensor, rng=None):
+def fusion_encode(model, tokens: Tensor, latents: Tensor):
     """Cross-modal stage; returns the fused representation [B x L_in x M*C]
     and the length of every sequence a fusion block attended over.
 
@@ -305,14 +300,14 @@ def fusion_encode(model, tokens: Tensor, latents: Tensor, rng=None):
     for d in range(cfg.fusion_depth):
         seq = nc.concat([token_sets, latents], -2)
         seq_lens += [seq.shape[-2]] * n_mod
-        out = _encoder_block(model, f"fus{d}.", seq, rng)
+        out = _encoder_block(model, f"fus{d}.", seq)
         latents = nc.narrow(out, -2, shared, out.shape[-2])
         if d + 1 < cfg.fusion_depth:
             token_sets = nc.mean(nc.narrow(out, -2, 0, shared), -3)
     return nc.merge_channels(latents), seq_lens
 
 
-def encode(model, feats_list, rng=None, collect=None) -> Tensor:
+def encode(model, feats_list, collect=None) -> Tensor:
     """Full encoder: per-modality embedding, then the stacked towers'
     unimodal blocks and fusion. A given collect also gets the fusion
     attention lengths in "fusion_seq_lens"."""
@@ -327,10 +322,8 @@ def encode(model, feats_list, rng=None, collect=None) -> Tensor:
         # right after the embedding's: the alignment table's gradient then
         # sums its per-modality terms in the order of the unstacked towers
         bottlenecks.append(make_bottleneck(model, m))
-    tokens, latents = unimodal_encode(
-        model, nc.concat(embedded, -3), nc.concat(bottlenecks, -3), rng
-    )
-    fused, seq_lens = fusion_encode(model, tokens, latents, rng)
+    tokens, latents = unimodal_encode(model, nc.concat(embedded, -3), nc.concat(bottlenecks, -3))
+    fused, seq_lens = fusion_encode(model, tokens, latents)
     if collect is not None:
         collect["fusion_seq_lens"] = seq_lens
     return fused
@@ -344,7 +337,7 @@ def scene_head_rows(fused) -> Tensor:
     return nc.reshape(row, (math.prod(fused.shape[:-2]), fused.shape[-1]))
 
 
-def forward_scene(model, windows, rng=None) -> Tensor:
+def forward_scene(model, windows) -> Tensor:
     """Boundary logits [B x 2] for the middle (key) shot of each window:
     the head applied to scene_head_rows of the fused windows."""
     cfg = model.config
@@ -355,17 +348,17 @@ def forward_scene(model, windows, rng=None) -> Tensor:
             raise DataError(
                 f"scene windows must be [batch x {cfg.seq_len} x dim], got {w.shape}"
             )
-    return _linear_apply(model, "head", scene_head_rows(encode(model, windows, rng)))
+    return _linear_apply(model, "head", scene_head_rows(encode(model, windows)))
 
 
-def encode_sequence(model, feats_list, rng=None) -> Tensor:
+def encode_sequence(model, feats_list) -> Tensor:
     """Fused per-position features [L_in x fused_width] for one sequence."""
     feats3 = []
     for f in feats_list:
         if f.ndim != 2:
             raise ContractError(f"sequence forward expects 2-D features, got {f.shape}")
         feats3.append(nc.reshape(f, (1,) + f.shape))
-    fused = encode(model, feats3, rng)
+    fused = encode(model, feats3)
     return nc.reshape(fused, (fused.shape[1], model.config.fused_width))
 
 
@@ -375,7 +368,7 @@ def apply_head(model, rows) -> Tensor:
 
 
 def forward_act(model, feats_list) -> Tensor:
-    """Per-shot turning-point logits [L_in x NUM_TURNING_POINTS] for one movie, no dropout."""
+    """Per-shot turning-point logits [L_in x NUM_TURNING_POINTS] for one movie."""
     if model.config.num_classes != NUM_TURNING_POINTS:
         raise ContractError(f"act forward needs a {NUM_TURNING_POINTS}-class head")
     return apply_head(model, encode_sequence(model, feats_list))

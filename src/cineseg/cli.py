@@ -43,7 +43,7 @@ def _parse_modalities(text: str) -> tuple:
 
 
 # the parser of a config value, by the type of its key's default
-_PARSERS = {tuple: _parse_modalities, int: int, float: float, str: str}
+_PARSERS = {tuple: _parse_modalities, int: int, float: float}
 
 SYNTH_KEYS = {
     "movies": 4,
@@ -57,10 +57,8 @@ SCENE_KEYS = {
     "model.ffn_width": 3072,
     "model.unimodal_depth": 2,
     "model.fusion_depth": 1,
-    "model.dropout": 0.1,
     "train.epochs": 20,
     "train.batch_size": 1024,
-    "train.optimizer": "adam",
     "train.lr": 1e-4,
     "train.holdout": 2,
 }
@@ -87,16 +85,13 @@ def __getattr__(name: str) -> dict:
             "shot.ffn_width": 128,
             "shot.unimodal_depth": 1,
             "shot.fusion_depth": 1,
-            "shot.dropout": 0.5,
             "synopsis.seq_len": 60,
             "synopsis.align_len": 20,
             "synopsis.ffn_width": 128,
             "synopsis.unimodal_depth": 1,
             "synopsis.fusion_depth": 0,
-            "synopsis.dropout": 0.1,
             "train.epochs": 10,
             "train.batch_size": 4,
-            "train.optimizer": "sgd",
             "train.lr": 1e-3,
             "train.holdout": 2,
             "train.em_xi": sync.DEFAULT_BAND_XI,

@@ -392,7 +392,9 @@ def load_movie(manifest_path: Path) -> MovieSample:
     if not manifest_path.exists():
         raise BlobIOError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     keys = set(manifest) if isinstance(manifest, dict) else set()

@@ -29,7 +29,7 @@ GRADCHECK_TOLERANCE = 1e-4
 def _tiny_scene_setup(seed: int):
     cfg = af.ModelConfig(
         seq_len=5, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        unimodal_depth=1, fusion_depth=1,
         num_classes=2, modality_dims=(3, 2),
     )
     root = np.random.SeedSequence(seed)
@@ -48,12 +48,12 @@ def _tiny_scene_setup(seed: int):
 def _tiny_act_setup(seed: int):
     shot_cfg = af.ModelConfig(
         seq_len=5, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        unimodal_depth=1, fusion_depth=1,
         num_classes=NUM_TURNING_POINTS, modality_dims=(3, 2),
     )
     synopsis_cfg = af.ModelConfig(
         seq_len=3, align_len=2, width=16, ffn_width=16,
-        unimodal_depth=1, fusion_depth=0, dropout=0.0,
+        unimodal_depth=1, fusion_depth=0,
         num_classes=NUM_TURNING_POINTS, modality_dims=(5,),
     )
     root = np.random.SeedSequence(seed)

@@ -5,7 +5,7 @@ need: linear layers ``x @ w + b`` (a plain product takes a zero
 bias), elementwise addition and multiplication with suffix
 broadcasting, exp, softmax, layer normalization, the exact erf form
 of GeLU, row gathering, slicing and concatenation, a mean over one
-axis, dropout, row L2-normalization, scaled dot-product attention and
+axis, row L2-normalization, scaled dot-product attention and
 temperature-scaled similarities.
 Every value is float64. Each loss (a cross-entropy or a KL divergence)
 and each linear layer ``x @ w + b`` records one node, not a chain of
@@ -153,8 +153,8 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 # ops whose output can be non-finite although every input is finite; the
-# rest (reshape, narrow, concat, gather_rows, merge_channels, dropout) only
-# move, select or scale finite values
+# rest (reshape, narrow, concat, gather_rows, merge_channels) only move
+# or select finite values
 _CHECKED = frozenset({
     "add", "mul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
     "cross_entropy", "kl_div", "layernorm", "normalize_rows", "attention",
@@ -642,22 +642,6 @@ def normalize_rows(a) -> Tensor:
         raise ShapeError(f"normalize_rows needs a 2-D tensor, got {a.shape}")
     norm = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True) + NORMALIZE_EPS)
     return _emit("normalize_rows", _normalize_rows_back, (a,), a.data / norm, norm)
-
-
-def _dropout_back(g, inputs, out, keep):
-    (a,) = inputs
-    a.accumulate(g * keep)
-
-
-def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted-scale Bernoulli dropout; identity when rng is None or p == 0."""
-    a = _as_tensor(a)
-    if rng is None or p == 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _emit("dropout", _dropout_back, (a,), a.data * keep, keep)
 
 
 # ---- attention ----

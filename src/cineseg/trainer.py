@@ -1,4 +1,4 @@
-"""Optimizers and the two trainers: scene boundary windows with
+"""The optimizer and the two trainers: scene boundary windows with
 class-weighted cross-entropy, and the joint act pipeline that alternates
 the synchronization E-step with gradient steps on the combined objective.
 
@@ -76,7 +76,7 @@ def flatten_params(params: dict) -> tuple[np.ndarray, list[slice]]:
 
 
 class Optimizer:
-    """SGD or bias-corrected Adam over a named parameter dict.
+    """Bias-corrected Adam over a named parameter dict.
 
     The optimizer owns one contiguous float64 vector holding every
     parameter (flatten_params). A step gathers the gradients into a
@@ -85,20 +85,16 @@ class Optimizer:
     moments; the update is masked over its slice.
     """
 
-    def __init__(self, params: dict, kind: str = "adam", lr: float = 1e-4):
-        if kind not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer kind {kind!r}")
+    def __init__(self, params: dict, lr: float = 1e-4):
         if not (np.isfinite(lr) and lr > 0):
             raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         self.params = dict(params)
-        self.kind = kind
         self.lr = float(lr)
         self.step_count = 0
         self.flat, self._slices = flatten_params(self.params)
         self._grad = np.zeros_like(self.flat)
-        if kind == "adam":
-            self._m = np.zeros_like(self.flat)
-            self._v = np.zeros_like(self.flat)
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
         nc.zero_grads(self.params.values())
@@ -130,18 +126,14 @@ class Optimizer:
         the gathered gradient vector."""
         self.step_count += 1
         live = self._gather_grads()
-        g = self._grad
-        if self.kind == "sgd":
-            update = self.lr * g
-        else:
-            m, v = self._m, self._v
-            np.multiply(m, ADAM_BETA1, out=m, where=live)
-            np.add(m, (1.0 - ADAM_BETA1) * g, out=m, where=live)
-            np.multiply(v, ADAM_BETA2, out=v, where=live)
-            np.add(v, (1.0 - ADAM_BETA2) * g * g, out=v, where=live)
-            m_hat = m / (1.0 - ADAM_BETA1 ** self.step_count)
-            v_hat = v / (1.0 - ADAM_BETA2 ** self.step_count)
-            update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g, m, v = self._grad, self._m, self._v
+        np.multiply(m, ADAM_BETA1, out=m, where=live)
+        np.add(m, (1.0 - ADAM_BETA1) * g, out=m, where=live)
+        np.multiply(v, ADAM_BETA2, out=v, where=live)
+        np.add(v, (1.0 - ADAM_BETA2) * g * g, out=v, where=live)
+        m_hat = m / (1.0 - ADAM_BETA1 ** self.step_count)
+        v_hat = v / (1.0 - ADAM_BETA2 ** self.step_count)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         np.subtract(self.flat, update, out=self.flat, where=live)
         # numpy's pairwise sum, not BLAS: the same bits on every run
         return float(np.sqrt((g * g).sum()))
@@ -151,7 +143,6 @@ class Optimizer:
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 1024
-    optimizer: str = "adam"
     lr: float = 1e-4
     seed: int = 0
     holdout: int = 2
@@ -267,16 +258,18 @@ def scene_report(per_movie_scores, eval_movies, epoch: int, seed: int) -> mx.Met
 
 def _start(movies, cfg: TrainConfig):
     """The prelude both trainers share: the config check first, then the
-    train/eval split, then the shuffle and dropout streams and the model
-    seed, three children of the run seed."""
+    train/eval split, then the shuffle stream and the model seed,
+    children 0 and 2 of the run seed."""
     cfg.validate()
     if len(movies) <= cfg.holdout:
         raise ConfigError(
             f"{len(movies)} movies cannot spare {cfg.holdout} for evaluation"
         )
-    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    # child 1 fed the dropout stream of earlier versions; the model seed
+    # stays child 2, so a seed still builds the same model
+    shuffle_seed, _, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     return (movies[:-cfg.holdout], movies[-cfg.holdout:], np.random.default_rng(shuffle_seed),
-            np.random.default_rng(dropout_seed), model_seed)
+            model_seed)
 
 
 def _fit(cfg, trained, optimizer, batches, objective, report, checkpoint_dir, after_step=None):
@@ -305,9 +298,9 @@ def _fit(cfg, trained, optimizer, batches, objective, report, checkpoint_dir, af
 
 def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_dir=None):
     """Returns (model, per-epoch reports incl. the pre-training one, logs)."""
-    train_movies, eval_movies, shuffle_rng, dropout_rng, model_seed = _start(movies, cfg)
+    train_movies, eval_movies, shuffle_rng, model_seed = _start(movies, cfg)
     model = af.FusionModel(model_cfg, model_seed)
-    optimizer = Optimizer(model.params, cfg.optimizer, cfg.lr)
+    optimizer = Optimizer(model.params, cfg.lr)
     half = model_cfg.seq_len // 2
     # the training movies' shots stacked once; a batch gathers its windows
     # through one [num_windows x window] index in (movie, key shot) order,
@@ -330,7 +323,7 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
 
     def objective(chosen):
         batch_labels = labels[chosen[:, half]]
-        logits = af.forward_scene(model, [s[chosen] for s in streams], dropout_rng)
+        logits = af.forward_scene(model, [s[chosen] for s in streams])
         loss = weighted_scene_ce(logits, batch_labels)
         return loss, {"losses": {"scene_ce": float(loss.data)},
                       "single_class_batch": bool(batch_labels.min() == batch_labels.max())}
@@ -558,7 +551,7 @@ def _mean(parts):
     return nc.mul(total, 1.0 / len(parts)) if len(parts) > 1 else total
 
 
-def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = False, rng=None):
+def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = False):
     """(total, (contrastive, synopsis_ce, distillation), max_col_dev, tau)
     of one batch; items holds one (shot feats, synopsis, w, band,
     tp_labels) tuple per movie, w its E-step assignment and band its
@@ -572,8 +565,8 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
     terms, ce_parts, kd_parts = [], [], []
     max_col_dev = 0.0
     for feats, synopsis, w, band, tp_labels in items:
-        rows = af.encode_sequence(pipeline.shot_model, feats, rng)
-        syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis], rng)
+        rows = af.encode_sequence(pipeline.shot_model, feats)
+        syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis])
         u = head.features(rows)
         v = head.features(syn_rows)
         shot_logits = af.apply_head(pipeline.shot_model, rows)
@@ -604,12 +597,12 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
     every epoch, then the epoch's gradient steps on those assignments.
     Returns (pipeline, final, reports, logs), final being {movie_id:
     SyncMatrix} of the training movies from one more E-step."""
-    train_movies, eval_movies, shuffle_rng, dropout_rng, model_seed = _start(movies, cfg)
+    train_movies, eval_movies, shuffle_rng, model_seed = _start(movies, cfg)
     check_tower_lengths(movies, shot_cfg, synopsis_cfg)
     pipeline = build_act_pipeline(
         shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed, cfg.em_xi, cfg.em_percentile
     )
-    optimizer = Optimizer(pipeline.named_params(), cfg.optimizer, cfg.lr)
+    optimizer = Optimizer(pipeline.named_params(), cfg.lr)
 
     inputs = [movie_inputs(m) for m in train_movies]
     bands = [
@@ -627,9 +620,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             ]
 
     def objective(items):
-        total, (l_c, l_ce, l_kd), step_dev, tau = act_objective(
-            pipeline, items, cfg.loss_weights, rng=dropout_rng
-        )
+        total, (l_c, l_ce, l_kd), step_dev, tau = act_objective(pipeline, items, cfg.loss_weights)
         return total, {
             "losses": {
                 "contrastive": float(l_c.data),

@@ -41,7 +41,7 @@ def _act_dataset(seed: int):
 
 def _act_model_cfgs(align_pe: bool):
     kw = dict(width=16, ffn_width=32, unimodal_depth=0, fusion_depth=0,
-              dropout=0.0, num_classes=5, modality_dims=(16,),
+              num_classes=5, modality_dims=(16,),
               align_pe_embed=align_pe, align_pe_tokens=align_pe)
     return (af.ModelConfig(seq_len=300, align_len=12, **kw),
             af.ModelConfig(seq_len=12, align_len=12, **kw))
@@ -49,7 +49,7 @@ def _act_model_cfgs(align_pe: bool):
 
 def _act_train_cfg(seed: int):
     return trainer.TrainConfig(
-        epochs=10, batch_size=1, optimizer="adam", lr=1e-2,
+        epochs=10, batch_size=1, lr=1e-2,
         seed=seed, holdout=2, sync_dim=16, em_xi=0.1,
         em_percentile=90.0, loss_weights=(1.0, 1.0, 10.0),
     )
@@ -128,10 +128,10 @@ def test_a3_scene_learnability():
     movies = dataio.make_dataset(data_cfg, 8, seed=2)
     model_cfg = af.ModelConfig(
         seq_len=3, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
-        fusion_depth=1, dropout=0.0, num_classes=2, modality_dims=(16, 12),
+        fusion_depth=1, num_classes=2, modality_dims=(16, 12),
     )
     train_cfg = trainer.TrainConfig(
-        epochs=10, batch_size=8, optimizer="adam", lr=3e-3,
+        epochs=10, batch_size=8, lr=3e-3,
         seed=2, holdout=2,
     )
     _, reports, _ = trainer.train_scene(movies, model_cfg, train_cfg)
@@ -174,7 +174,7 @@ def test_a5_alignment_bucket_layout():
 def test_a6_fusion_sequence_structure():
     cfg = af.ModelConfig(
         seq_len=17, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
-        fusion_depth=1, dropout=0.0, num_classes=2, modality_dims=(4, 5, 6),
+        fusion_depth=1, num_classes=2, modality_dims=(4, 5, 6),
     )
     model = af.FusionModel(cfg, np.random.SeedSequence(0))
     rng = np.random.default_rng(1)
@@ -195,7 +195,7 @@ def test_a7_alignment_pe_ablation():
     t0 = time.perf_counter()
     cfg = af.ModelConfig(
         seq_len=17, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
-        fusion_depth=1, dropout=0.0, num_classes=2, modality_dims=(4, 5, 6),
+        fusion_depth=1, num_classes=2, modality_dims=(4, 5, 6),
     )
     model = af.FusionModel(cfg, np.random.SeedSequence(3))
     rng = np.random.default_rng(4)

@@ -26,7 +26,6 @@ def tiny_cfg(**kw):
         ffn_width=16,
         unimodal_depth=1,
         fusion_depth=1,
-        dropout=0.0,
         num_classes=2,
         modality_dims=(3, 4),
     )
@@ -76,8 +75,6 @@ def test_config_validation():
         tiny_cfg(num_classes=3).validate()
     with pytest.raises(ConfigError):
         tiny_cfg(align_len=6).validate()  # more buckets than positions
-    with pytest.raises(ConfigError):
-        tiny_cfg(dropout=1.0).validate()
     with pytest.raises(ConfigError):
         tiny_cfg(modality_dims=()).validate()
     with pytest.raises(ConfigError, match="odd length"):
@@ -129,9 +126,7 @@ def test_scene_forward_shapes():
 
 def test_fusion_sequence_length_and_fused_width():
     rng = np.random.default_rng(2)
-    cfg = tiny_cfg(
-        seq_len=17, align_len=2, modality_dims=(3, 4, 5), num_classes=5, dropout=0.0
-    )
+    cfg = tiny_cfg(seq_len=17, align_len=2, modality_dims=(3, 4, 5), num_classes=5)
     model = af.FusionModel(cfg, seed=2)
     collect = {}
     feats = [rng.normal(size=(1, 17, d)) for d in cfg.modality_dims]
@@ -219,18 +214,6 @@ def test_permutation_equivariance_without_positions():
     npt.assert_allclose(permuted, base[perm], atol=1e-10)
 
 
-def test_dropout_train_vs_eval():
-    rng = np.random.default_rng(11)
-    cfg = tiny_cfg(dropout=0.5)
-    model = af.FusionModel(cfg, seed=11)
-    feats = rand_inputs(rng, cfg)
-    eval_a = af.forward_scene(model, feats).data
-    eval_b = af.forward_scene(model, feats).data
-    npt.assert_array_equal(eval_a, eval_b)
-    train = af.forward_scene(model, feats, rng=np.random.default_rng(0)).data
-    assert np.abs(train - eval_a).max() > 1e-8
-
-
 def test_scene_window_length_enforced():
     rng = np.random.default_rng(12)
     cfg = tiny_cfg()
@@ -282,7 +265,7 @@ def test_single_head_encoder_block_records_one_attention_node():
     model = af.FusionModel(tiny_cfg(), seed=21)
     x = nc.Tensor(np.random.default_rng(21).normal(size=(2, 2, 5, 8)), requires_grad=True)
     with nc.Tape() as tape:
-        af._encoder_block(model, "uni0.", x, None)
+        af._encoder_block(model, "uni0.", x)
     names = [node.name for node in tape.nodes]
     assert names.count("attention") == 1
     assert "softmax" not in names and "narrow" not in names
@@ -334,7 +317,9 @@ def test_checkpoint_errors(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"\x00\x01binary\n" + data)
     with pytest.raises(DataError):
         af.load_checkpoint(tmp_path / "junk.ckpt")
-    (tmp_path / "old.ckpt").write_bytes(data.replace(b'"version": 5', b'"version": 4', 1))
+    version = f'"version": {af.CHECKPOINT_VERSION}'.encode()
+    stale = f'"version": {af.CHECKPOINT_VERSION - 1}'.encode()
+    (tmp_path / "old.ckpt").write_bytes(data.replace(version, stale, 1))
     with pytest.raises(DataError, match="re-train"):
         af.load_checkpoint(tmp_path / "old.ckpt")
 

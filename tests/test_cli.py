@@ -111,15 +111,13 @@ ACT_SET = [
 SCENE_MODEL_SET = [
     "model.seq_len=5", "model.align_len=2", "model.width=8",
     "model.ffn_width=16", "model.unimodal_depth=1", "model.fusion_depth=1",
-    "model.dropout=0.0", "train.epochs=1", "train.batch_size=32",
-    "train.holdout=2",
+    "train.epochs=1", "train.batch_size=32", "train.holdout=2",
 ]
 ACT_MODEL_SET = [
     "shot.seq_len=24", "shot.align_len=3", "shot.width=8",
     "shot.ffn_width=16", "shot.unimodal_depth=1", "shot.fusion_depth=0",
-    "shot.dropout=0.0", "synopsis.seq_len=4", "synopsis.align_len=2",
-    "synopsis.ffn_width=16", "synopsis.unimodal_depth=1",
-    "synopsis.fusion_depth=0", "synopsis.dropout=0.0", "train.epochs=1",
+    "synopsis.seq_len=4", "synopsis.align_len=2", "synopsis.ffn_width=16",
+    "synopsis.unimodal_depth=1", "synopsis.fusion_depth=0", "train.epochs=1",
     "train.batch_size=2", "train.holdout=2", "train.sync_dim=6",
     "train.em_percentile=90",
 ]
@@ -610,14 +608,22 @@ def test_malformed_checkpoint_header_exits_3(scene_run, scene_data, tmp_path, ca
     assert not out.exists()
 
 
-def test_version_4_checkpoint_exits_3_asking_to_retrain(scene_run, scene_data, tmp_path, capsys):
-    # version 4 wrote the same parameter bytes under a model config that
-    # also held the head count, so it fails on its version, not on a key
+@pytest.mark.parametrize(
+    "version, removed",
+    [(4, {"num_heads": 1, "dropout": 0.0}), (5, {"dropout": 0.0})],
+    ids=["4-num_heads", "5-dropout"],
+)
+def test_old_checkpoint_version_exits_3_asking_to_retrain(
+    scene_run, scene_data, tmp_path, capsys, version, removed
+):
+    # versions 4 and 5 wrote the same parameter bytes under a model config
+    # that also held the keys removed since, so each fails on its version,
+    # not on a key
     header, _, blobs = (scene_run / "model.ckpt").read_bytes().partition(b"\n")
     header = json.loads(header)
-    header["version"] = 4
-    header["configs"]["model"]["num_heads"] = 1
-    old = tmp_path / "v4.ckpt"
+    header["version"] = version
+    header["configs"]["model"].update(removed)
+    old = tmp_path / "old.ckpt"
     old.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blobs)
     out = tmp_path / "out"
     code = cli.main(
@@ -625,7 +631,7 @@ def test_version_4_checkpoint_exits_3_asking_to_retrain(scene_run, scene_data, t
     )
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("data error")
-    assert "version 4" in err and "re-train" in err and "unknown" not in err
+    assert f"version {version}" in err and "re-train" in err and "unknown" not in err
     assert not out.exists()
 
 
@@ -873,6 +879,9 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["train-scene", "--data", "{scene}", "--set", "model.width=1000000000000"],
         ["train-act", "--data", "{act}", "--set", "shot.ffn_width=1000000000000"],
         ["train-act", "--data", "{act}", "--set", "train.sync_dim=1000000000000"],
+        # the removed dropout and optimizer settings
+        ["train-scene", "--data", "{scene}", "--set", "model.dropout=0.1"],
+        ["train-act", "--data", "{act}", "--set", "train.optimizer=sgd"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -418,6 +418,13 @@ def test_load_movie_rejects_malformed_manifest(tmp_path, edit, fault):
         dataio.load_movie(manifest_path)
 
 
+def test_load_movie_rejects_a_manifest_that_is_not_utf8(tmp_path):
+    manifest_path, manifest = _saved_manifest(tmp_path)
+    manifest_path.write_bytes(b"\xff\xfe" + json.dumps(manifest).encode("utf-16-le"))
+    with pytest.raises(DataError, match=f"manifest {re.escape(str(manifest_path))} is not UTF-8"):
+        dataio.load_movie(manifest_path)
+
+
 def _set_first(key, value):
     return lambda m: m[key].__setitem__(0, value)
 

@@ -248,7 +248,7 @@ def act_model(dims, seed=0, width=6):
     return af.FusionModel(
         af.ModelConfig(
             seq_len=9, align_len=3, width=width, ffn_width=8,
-            unimodal_depth=1, fusion_depth=1, dropout=0.0,
+            unimodal_depth=1, fusion_depth=1,
             num_classes=5, modality_dims=dims,
         ),
         seed=seed,
@@ -310,7 +310,7 @@ def scene_model(seed):
     return af.FusionModel(
         af.ModelConfig(
             seq_len=5, align_len=2, width=6, ffn_width=8,
-            unimodal_depth=1, fusion_depth=1, dropout=0.0,
+            unimodal_depth=1, fusion_depth=1,
             num_classes=2, modality_dims=(3, 4),
         ),
         seed=seed,

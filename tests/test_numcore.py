@@ -762,35 +762,6 @@ def test_grad_normalize_rows():
     fd_check(lambda: weighted_sum(nc.normalize_rows(a), r), {"a": a})
 
 
-def test_grad_dropout_fixed_mask():
-    rng = np.random.default_rng(19)
-    a = leaf(rng, 6, 6)
-    r = rng.uniform(-1, 1, size=(6, 6))
-
-    def make_loss():
-        # regenerate the identical mask on every evaluation
-        mask_rng = np.random.default_rng(99)
-        return weighted_sum(nc.dropout(a, 0.4, mask_rng), r)
-
-    fd_check(make_loss, {"a": a})
-
-
-def test_dropout_eval_is_identity():
-    x = nc.Tensor(np.arange(6.0).reshape(2, 3))
-    assert nc.dropout(x, 0.5, None) is x
-    rng = np.random.default_rng(0)
-    assert nc.dropout(x, 0.0, rng) is x
-
-
-def test_dropout_inverted_scaling_mean():
-    rng = np.random.default_rng(20)
-    x = nc.Tensor(np.ones((200, 200)))
-    out = nc.dropout(x, 0.3, rng).data
-    kept = out != 0.0
-    npt.assert_allclose(out[kept], 1.0 / 0.7, rtol=1e-12)
-    assert abs(out.mean() - 1.0) < 0.02
-
-
 # ---- tape mechanics ----
 
 

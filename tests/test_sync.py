@@ -297,7 +297,7 @@ def em_fixture(seed=0, noise=0.0):
     shot_model = af.FusionModel(
         af.ModelConfig(
             seq_len=48, align_len=4, width=8, ffn_width=16,
-            unimodal_depth=1, fusion_depth=1, dropout=0.0,
+            unimodal_depth=1, fusion_depth=1,
             num_classes=5, modality_dims=(10, 6),
         ),
         seed=seed + 1,
@@ -305,7 +305,7 @@ def em_fixture(seed=0, noise=0.0):
     synopsis_model = af.FusionModel(
         af.ModelConfig(
             seq_len=8, align_len=3, width=16, ffn_width=16,
-            unimodal_depth=1, fusion_depth=0, dropout=0.0,
+            unimodal_depth=1, fusion_depth=0,
             num_classes=5, modality_dims=(16,),
         ),
         seed=seed + 2,
@@ -343,7 +343,7 @@ def test_run_e_step_noiseless_assignments_land_in_gold_spans():
     model = af.FusionModel(
         af.ModelConfig(
             seq_len=48, align_len=4, width=16, ffn_width=32,
-            unimodal_depth=1, fusion_depth=0, dropout=0.0,
+            unimodal_depth=1, fusion_depth=0,
             num_classes=5, modality_dims=(16,),
         ),
         seed=5,

@@ -1,4 +1,4 @@
-"""Trainer tests: optimizer update rules, the class-weighted boundary
+"""Trainer tests: the Adam update rule, the class-weighted boundary
 loss, window plumbing, and both training loops end to end at desk scale."""
 
 import copy
@@ -21,32 +21,24 @@ from cineseg.numcore import Tensor
 # ---- optimizer ----
 
 
-def test_sgd_step_hand_case():
-    p = Tensor(np.array(1.0), requires_grad=True)
-    p.grad = np.array(1.0)
-    trainer.Optimizer({"p": p}, kind="sgd", lr=0.1).step()
-    assert float(p.data) == pytest.approx(0.9, abs=1e-15)
-
-
 def test_adam_first_step_magnitude_is_lr():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.5, -3.0])
-    trainer.Optimizer({"p": p}, kind="adam", lr=0.01).step()
+    trainer.Optimizer({"p": p}, lr=0.01).step()
     # bias-corrected first step moves by lr in the gradient sign direction
     assert p.data == pytest.approx([1.0 - 0.01, -2.0 + 0.01], abs=1e-6)
 
 
 def test_zero_gradient_is_noop():
-    for kind in ("sgd", "adam"):
-        p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        p.grad = np.zeros(2)
-        trainer.Optimizer({"p": p}, kind=kind, lr=0.5).step()
-        assert np.array_equal(p.data, [3.0, 4.0])
+    p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    p.grad = np.zeros(2)
+    trainer.Optimizer({"p": p}, lr=0.5).step()
+    assert np.array_equal(p.data, [3.0, 4.0])
 
 
 def test_missing_gradient_is_skipped():
     p = Tensor(np.array(2.0), requires_grad=True)
-    opt = trainer.Optimizer({"p": p}, kind="adam", lr=0.1)
+    opt = trainer.Optimizer({"p": p}, lr=0.1)
     opt.step()
     assert float(p.data) == 2.0
 
@@ -54,7 +46,7 @@ def test_missing_gradient_is_skipped():
 def test_nonfinite_gradient_names_parameter():
     p = Tensor(np.array(1.0), requires_grad=True)
     p.grad = np.array(np.nan)
-    opt = trainer.Optimizer({"encoder.w": p}, kind="sgd", lr=0.1)
+    opt = trainer.Optimizer({"encoder.w": p}, lr=0.1)
     with pytest.raises(NumericError, match="encoder.w"):
         opt.step()
 
@@ -62,14 +54,12 @@ def test_nonfinite_gradient_names_parameter():
 def test_optimizer_config_guards():
     p = Tensor(np.array(1.0), requires_grad=True)
     with pytest.raises(ConfigError):
-        trainer.Optimizer({"p": p}, kind="rmsprop", lr=0.1)
-    with pytest.raises(ConfigError):
-        trainer.Optimizer({"p": p}, kind="sgd", lr=0.0)
+        trainer.Optimizer({"p": p}, lr=0.0)
 
 
 def test_adam_descends_a_quadratic():
     p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
-    opt = trainer.Optimizer({"p": p}, kind="adam", lr=0.2)
+    opt = trainer.Optimizer({"p": p}, lr=0.2)
     for _ in range(100):
         opt.zero_grad()
         p.grad = 2.0 * p.data
@@ -80,7 +70,7 @@ def test_adam_descends_a_quadratic():
 def test_zero_grad_clears():
     p = Tensor(np.array(1.0), requires_grad=True)
     p.grad = np.array(2.0)
-    opt = trainer.Optimizer({"p": p}, kind="sgd", lr=0.1)
+    opt = trainer.Optimizer({"p": p}, lr=0.1)
     opt.zero_grad()
     assert p.grad is None
 
@@ -92,7 +82,7 @@ def test_optimizer_parameters_are_views_of_one_vector():
         "b": Tensor(np.array([-1.0, -2.0]), requires_grad=True),
     }
     values = {name: p.data.copy() for name, p in params.items()}
-    opt = trainer.Optimizer(params, kind="adam", lr=0.1)
+    opt = trainer.Optimizer(params, lr=0.1)
     assert opt.flat.size == 9
     for name, p in params.items():
         assert p is opt.params[name]
@@ -134,7 +124,7 @@ def test_flat_adam_matches_per_tensor_reference_with_missing_grads():
             grads["w"] = None
         grads_per_step.append(grads)
     params = {n: Tensor(v.copy(), requires_grad=True) for n, v in values.items()}
-    opt = trainer.Optimizer(params, kind="adam", lr=0.05)
+    opt = trainer.Optimizer(params, lr=0.05)
     for grads in grads_per_step:
         opt.zero_grad()
         for name, g in grads.items():
@@ -149,7 +139,7 @@ def test_flat_adam_matches_per_tensor_reference_with_missing_grads():
 def test_optimizer_rejects_a_tensor_listed_twice():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(ContractError, match="'a' and 'b'"):
-        trainer.Optimizer({"a": p, "b": p}, kind="adam", lr=0.1)
+        trainer.Optimizer({"a": p, "b": p}, lr=0.1)
 
 
 # ---- weighted scene cross-entropy ----
@@ -279,10 +269,10 @@ def test_training_windows_skip_movie_edges(monkeypatch):
     seen = []
     forward = af.forward_scene
 
-    def spy(model, windows, rng=None):
-        if rng is not None:  # training batches; evaluation passes no rng
+    def spy(model, windows):
+        if nc._TAPE_STACK:  # training batches; evaluation runs untaped
             seen.append(windows[0].copy())
-        return forward(model, windows, rng)
+        return forward(model, windows)
 
     monkeypatch.setattr(af, "forward_scene", spy)
     trainer.train_scene(
@@ -306,7 +296,7 @@ def test_training_windows_need_odd_length():
     movies = make_dataset(scene_synth(), movies=4, seed=0)
     cfg = af.ModelConfig(
         seq_len=4, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        unimodal_depth=1, fusion_depth=1,
         num_classes=2, modality_dims=(6, 4),
     )
     with pytest.raises(ConfigError):
@@ -330,14 +320,13 @@ def scene_synth(shots=30, noise=0.1):
 def scene_model_cfg():
     return af.ModelConfig(
         seq_len=5, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1, dropout=0.0,
+        unimodal_depth=1, fusion_depth=1,
         num_classes=2, modality_dims=(6, 4),
     )
 
 
 def scene_train_cfg(**overrides):
-    base = dict(epochs=2, batch_size=32, optimizer="adam",
-                lr=1e-3, seed=11, holdout=2)
+    base = dict(epochs=2, batch_size=32, lr=1e-3, seed=11, holdout=2)
     base.update(overrides)
     return trainer.TrainConfig(**base)
 
@@ -397,7 +386,7 @@ def _global_grad_norm(params):
 def _first_scene_step(movies, model_cfg, cfg):
     """The first training step by hand: fresh model, first batch; returns
     the model, with gradients, and the taped loss."""
-    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    shuffle_seed, _, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     model = af.FusionModel(model_cfg, model_seed)
     half = model_cfg.seq_len // 2
     pairs = [
@@ -477,7 +466,7 @@ def test_scene_scores_reject_too_short_movie():
     movies = make_dataset(scene_synth(shots=12), movies=1, seed=7)
     cfg = af.ModelConfig(
         seq_len=25, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=0, fusion_depth=0, dropout=0.0,
+        unimodal_depth=0, fusion_depth=0,
         num_classes=2, modality_dims=(6, 4),
     )
     model = af.FusionModel(cfg, seed=0)
@@ -503,20 +492,19 @@ def act_synth(noise=0.0):
 def act_model_cfgs():
     shot = af.ModelConfig(
         seq_len=40, align_len=4, width=12, ffn_width=16,
-        unimodal_depth=1, fusion_depth=0, dropout=0.0,
+        unimodal_depth=1, fusion_depth=0,
         num_classes=5, modality_dims=(12,),
     )
     synopsis = af.ModelConfig(
         seq_len=8, align_len=3, width=12, ffn_width=16,
-        unimodal_depth=1, fusion_depth=0, dropout=0.0,
+        unimodal_depth=1, fusion_depth=0,
         num_classes=5, modality_dims=(12,),
     )
     return shot, synopsis
 
 
 def act_train_cfg(**overrides):
-    base = dict(epochs=2, batch_size=2, optimizer="sgd",
-                lr=1e-3, seed=21, holdout=2, sync_dim=8,
+    base = dict(epochs=2, batch_size=2, lr=1e-3, seed=21, holdout=2, sync_dim=8,
                 em_percentile=90.0)
     base.update(overrides)
     return trainer.TrainConfig(**base)
@@ -526,7 +514,7 @@ def test_build_act_pipeline_width_guard():
     shot, synopsis = act_model_cfgs()
     bad = af.ModelConfig(
         seq_len=8, align_len=3, width=10, ffn_width=16,
-        unimodal_depth=1, fusion_depth=0, dropout=0.0,
+        unimodal_depth=1, fusion_depth=0,
         num_classes=5, modality_dims=(10,),
     )
     with pytest.raises(ConfigError):
@@ -558,7 +546,7 @@ def _first_act_step(movies, shot, synopsis, cfg, joint=False):
     """The first training step by hand: fresh pipeline, first E-step,
     first batch; returns the pipeline, with gradients, the batch and
     act_objective's result."""
-    shuffle_seed, dropout_seed, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    shuffle_seed, _, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     pipeline = trainer.build_act_pipeline(shot, synopsis, cfg.sync_dim, model_seed)
     train_movies = movies[:-cfg.holdout]
     inputs = [trainer.movie_inputs(m) for m in train_movies]
@@ -573,9 +561,7 @@ def _first_act_step(movies, shot, synopsis, cfg, joint=False):
         band = sync.band_mask(*w.shape, cfg.em_xi)
         items.append((*inputs[mi], w, band, train_movies[mi].tp_labels))
     with nc.Tape() as tape:
-        result = trainer.act_objective(
-            pipeline, items, cfg.loss_weights, joint, np.random.default_rng(dropout_seed)
-        )
+        result = trainer.act_objective(pipeline, items, cfg.loss_weights, joint)
     nc.backward(tape, result[0])
     return pipeline, items, result
 
