@@ -372,11 +372,11 @@ def cmd_gradcheck(args) -> int:
     out = _run_dir(args)
     _write_config(out, "gradcheck", args.seed, cfg_map)
     _write_json(out / "gradcheck.json", results)
-    header = f"{'check':<20} {'params':>6} {'max_rel_error':>14} {'worst':<24} status"
-    print(header)
+    print(f"{'check':<20} {'params':>6} {'compared':>8} {'max_rel_error':>14} "
+          f"{'worst':<24} status")
     for r in results:
         print(
-            f"{r['check']:<20} {r['parameters']:>6} {r['max_rel_error']:>14.3e} "
+            f"{r['check']:<20} {r['parameters']:>6} {r['compared']:>8} {r['max_rel_error']:>14.3e} "
             f"{r['worst_parameter']:<24} {'pass' if r['passed'] else 'FAIL'}"
         )
     if all(r["passed"] for r in results):

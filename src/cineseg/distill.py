@@ -6,8 +6,8 @@ synopsis model's per-sentence turning-point logits onto shots. Both the
 carried target distribution and the shot model's own prediction are
 normalized over the shot axis per turning point, and the distillation
 loss is the sum over turning points of KL(shot distribution ||
-transferred target), one ``nc.kl_div`` node. By default the targets are
-detached so distillation gradients reach the shot model only.
+transferred target), one ``nc.kl_div`` node. The targets are constants
+of the loss, so distillation gradients reach the shot model only.
 """
 
 from __future__ import annotations

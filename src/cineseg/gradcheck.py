@@ -7,8 +7,9 @@ under a rounding-noise gate are left out of the comparison.
 
 The scene check differentiates trainer.weighted_scene_ce on the scene
 forward; the contrastive and combined checks differentiate
-trainer.act_objective, the function train_act steps on, with joint=True
-because finite differences cannot see a detach.
+trainer.act_objective as train_act steps on it: every evaluation holds
+the distillation targets at their values at the unperturbed parameters.
+Each row counts the entries it compared; a check that compared none fails.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ def _noise_gate(loss_scale: float, h: float) -> float:
     return 64.0 * np.finfo(np.float64).eps * max(1.0, abs(loss_scale)) / h
 
 
-def _gated_rel_error(auto: np.ndarray, fd: np.ndarray, gate: float) -> float:
+def _gated_rel_error(auto: np.ndarray, fd: np.ndarray, gate: float) -> tuple[float, int]:
+    """(max relative error, entries compared) over the gated entries."""
     live = (np.abs(auto) >= gate) | (np.abs(fd) >= gate)
     if not live.any():
-        return 0.0
-    return nc.max_rel_error(auto[live], fd[live])
+        return 0.0, 0
+    return nc.max_rel_error(auto[live], fd[live]), int(live.sum())
 
 
 def _autodiff_grads(params: dict, loss) -> tuple[dict, float]:
@@ -98,16 +100,18 @@ def _autodiff_grads(params: dict, loss) -> tuple[dict, float]:
 
 
 def _summarize(name: str, params: dict, errors: dict, tolerance: float) -> dict:
-    worst_err, worst_param = 0.0, ""
-    for pname, err in errors.items():
+    worst_err, worst_param, compared = 0.0, "", 0
+    for pname, (err, live) in errors.items():
+        compared += live
         if err > worst_err:
             worst_err, worst_param = err, pname
     return {
         "check": name,
         "parameters": len(params),
+        "compared": compared,
         "max_rel_error": worst_err,
         "worst_parameter": worst_param,
-        "passed": worst_err < tolerance,
+        "passed": compared > 0 and worst_err < tolerance,
     }
 
 
@@ -140,20 +144,21 @@ def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADC
     on the tiny two-modality config; one result dict per loss."""
     if not (np.isfinite(h) and h > 0):
         raise ConfigError(f"finite-difference step h must be positive and finite, got {h}")
-    if not tolerance > 0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
     params, loss_fn = _tiny_scene_setup(seed)
     results = _check_losses(
         ("scene_weighted_ce",), params, lambda: (loss_fn(),), h, tolerance
     )
 
-    # the combined loss reuses the contrastive term
+    # the combined loss reuses the contrastive term and, as a training step
+    # does, the distillation targets of the unperturbed parameters
     pipeline, item = _tiny_act_setup(seed)
+    weights = distill.DEFAULT_LOSS_WEIGHTS
+    _, _, targets, _ = trainer.act_objective(pipeline, [item], weights)
 
     def act_losses():
-        total, (l_c, _, _), _, _ = trainer.act_objective(
-            pipeline, [item], distill.DEFAULT_LOSS_WEIGHTS, joint=True
-        )
+        total, (l_c, _, _), _, _ = trainer.act_objective(pipeline, [item], weights, targets)
         return l_c, total
 
     results += _check_losses(

@@ -99,10 +99,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def detach(self) -> "Tensor":
-        """Same values, detached from gradient tracking."""
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise ContractError(

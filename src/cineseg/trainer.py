@@ -1,5 +1,5 @@
 """The optimizer and the two trainers: scene boundary windows with
-class-weighted cross-entropy, and the joint act pipeline that alternates
+class-weighted cross-entropy, and the act pipeline that alternates
 the synchronization E-step with gradient steps on the combined objective.
 
 Both trainers run one gradient loop, _fit, and differ only in how they
@@ -551,19 +551,18 @@ def _mean(parts):
     return nc.mul(total, 1.0 / len(parts)) if len(parts) > 1 else total
 
 
-def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = False):
-    """(total, (contrastive, synopsis_ce, distillation), max_col_dev, tau)
+def act_objective(pipeline: ActPipeline, items, loss_weights, targets=None):
+    """(total, (contrastive, synopsis_ce, distillation), targets, tau)
     of one batch; items holds one (shot feats, synopsis, w, band,
     tp_labels) tuple per movie, w its E-step assignment and band its
-    in-band mask. max_col_dev is the largest |column sum - 1| of the
-    transferred targets, tau the temperature tensor the loss used. Unless
-    joint, the targets are detached, so distillation trains the shot
-    model only.
+    in-band mask, and tau is the temperature tensor the loss used.
+    targets (one array per movie, computed from this call's values when
+    not given, and returned) are constants of the distillation loss, so
+    it trains the shot model only.
     """
     head = pipeline.sync_head
     tau = head.tau()
-    terms, ce_parts, kd_parts = [], [], []
-    max_col_dev = 0.0
+    terms, ce_parts, kd_parts, used = [], [], [], []
     for feats, synopsis, w, band, tp_labels in items:
         rows = af.encode_sequence(pipeline.shot_model, feats)
         syn_rows = af.encode_sequence(pipeline.synopsis_model, [synopsis])
@@ -573,23 +572,19 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, joint: bool = Fals
         q = af.apply_head(pipeline.synopsis_model, syn_rows)
         terms.append((u, v, w, band))
         ce_parts.append(distill.synopsis_ce_loss(q, tp_labels))
-        if joint:
-            attn = distill.attention_weights(u, v, tau)
+        if targets is None:
+            attn = distill.attention_weights(u.data, v.data, tau.data)
+            used.append(distill.transfer_targets(attn, q.data).data)
         else:
-            attn = distill.attention_weights(u.detach(), v.detach(), tau.detach())
-            q = q.detach()
-        targets = distill.transfer_targets(attn, q)
-        max_col_dev = max(
-            max_col_dev, float(np.abs(targets.data.sum(axis=0) - 1.0).max())
-        )
+            used.append(targets[len(used)])
         kd_parts.append(
-            distill.kd_loss(distill.shot_distribution(shot_logits), targets)
+            distill.kd_loss(distill.shot_distribution(shot_logits), used[-1])
         )
     l_c = sync.m_step_loss(terms, tau)
     l_ce = _mean(ce_parts)
     l_kd = _mean(kd_parts)
     total = distill.total_loss(l_c, l_ce, l_kd, loss_weights)
-    return total, (l_c, l_ce, l_kd), max_col_dev, tau
+    return total, (l_c, l_ce, l_kd), used, tau
 
 
 def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=None):
@@ -620,7 +615,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             ]
 
     def objective(items):
-        total, (l_c, l_ce, l_kd), step_dev, tau = act_objective(pipeline, items, cfg.loss_weights)
+        total, (l_c, l_ce, l_kd), targets, tau = act_objective(pipeline, items, cfg.loss_weights)
         return total, {
             "losses": {
                 "contrastive": float(l_c.data),
@@ -628,7 +623,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
                 "distillation": float(l_kd.data),
                 "total": float(total.data),
             },
-            "max_p_col_dev": step_dev,
+            "max_p_col_dev": max(float(np.abs(t.sum(axis=0) - 1.0).max()) for t in targets),
             "skipped_queries": sync.skipped_queries([item[2] for item in items]),
             "tau": float(tau.data),
         }

@@ -518,7 +518,7 @@ SCENE_STEP_NODES = {
     "gather_rows": 2, "attention": 2, "gelu": 2, "merge_channels": 1, "cross_entropy": 1,
 }
 # and of one act step on one movie: two towers, the sync head, and one
-# node per loss, with the distillation targets detached
+# node per loss; the distillation targets, constants of the loss, record none
 ACT_STEP_NODES = {
     "add": 13, "linear": 12, "narrow": 6, "layernorm": 6, "reshape": 4, "cross_entropy": 3,
     "mul": 3, "gather_rows": 2, "concat": 2, "attention": 2, "gelu": 2, "merge_channels": 2,

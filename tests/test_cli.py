@@ -17,6 +17,7 @@ from cineseg import alignfuse as af
 from cineseg import cli
 from cineseg import dataio
 from cineseg import gradcheck
+from cineseg import numcore as nc
 from cineseg import sync
 from cineseg import trainer
 from cineseg.errors import ConfigError
@@ -669,9 +670,9 @@ def test_nonfinite_blob_exits_4(scene_data, scene_run, tmp_path, capsys):
 
 def test_gradcheck_reporting(tmp_path, capsys, monkeypatch):
     canned = [
-        {"check": "scene_weighted_ce", "parameters": 3,
+        {"check": "scene_weighted_ce", "parameters": 3, "compared": 12,
          "max_rel_error": 1e-7, "worst_parameter": "head.w", "passed": True},
-        {"check": "combined", "parameters": 5,
+        {"check": "combined", "parameters": 5, "compared": 20,
          "max_rel_error": 2e-8, "worst_parameter": "head.b", "passed": True},
     ]
     monkeypatch.setattr(cli, "run_gradient_checks", lambda *a, **k: canned)
@@ -684,7 +685,7 @@ def test_gradcheck_reporting(tmp_path, capsys, monkeypatch):
 
 def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
     canned = [
-        {"check": "combined", "parameters": 5,
+        {"check": "combined", "parameters": 5, "compared": 20,
          "max_rel_error": 0.5, "worst_parameter": "head.b", "passed": False},
     ]
     monkeypatch.setattr(cli, "run_gradient_checks", lambda *a, **k: canned)
@@ -693,15 +694,34 @@ def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_that_compares_no_entry_exits_4(tmp_path, capsys, monkeypatch):
+    # at h=1e-300 the noise gate hides every entry, so the check compares
+    # nothing; the real checker runs on a one-parameter loss to stay quick
+    w = nc.Tensor([0.5, -1.0], requires_grad=True)
+
+    def losses():
+        return (nc.cross_entropy(w, np.array([1.0, 0.0]), 0),)
+
+    def checks(seed, h, tolerance):
+        return gradcheck._check_losses(("ce",), {"w": w}, losses, h, tolerance)
+
+    monkeypatch.setattr(cli, "run_gradient_checks", checks)
+    for h, code, compared in (("1e-5", 0, 2), ("1e-300", 4, 0)):
+        out = tmp_path / h
+        assert cli.main(["gradcheck", "--set", f"h={h}", "--out", str(out)]) == code
+        [row] = json.loads((out / "gradcheck.json").read_text())
+        assert (row["compared"], row["passed"]) == (compared, code == 0)
+    assert "gradient check FAILED" in capsys.readouterr().out
+
+
 def test_gradcheck_helpers_gate_structural_zeros():
     gate = gradcheck._noise_gate(30.0, 1e-5)
     assert 1e-9 < gate < 1e-6
     noise = np.array([0.0, gate / 10])
-    assert gradcheck._gated_rel_error(np.zeros(2), noise, gate) == 0.0
+    assert gradcheck._gated_rel_error(np.zeros(2), noise, gate) == (0.0, 0)
     real = np.array([1.0, 2.0])
-    assert gradcheck._gated_rel_error(real, real * 1.001, gate) == pytest.approx(
-        1e-3, rel=0.1
-    )
+    err, compared = gradcheck._gated_rel_error(real, real * 1.001, gate)
+    assert err == pytest.approx(1e-3, rel=0.1) and compared == 2
 
 
 def test_mismatched_modalities_exit_3(scene_data, tmp_path, capsys):
@@ -851,6 +871,7 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["gradcheck", "--set", "h=0"],
         ["gradcheck", "--set", "h=nan"],
         ["gradcheck", "--set", "tolerance=0"],
+        ["gradcheck", "--set", "tolerance=inf"],
         ["synth", "--movies", "-1"],
         ["synth", "--movies", "0"],
         ["synth", "--movies", "1", "--seed", "-1"],

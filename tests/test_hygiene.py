@@ -2,7 +2,8 @@
 name it never uses, no package module imports SciPy when it is itself
 imported or holds an assert statement, only the gradient loop and the
 gradient check open a tape, every public numcore function has a caller
-in another package module, every name on numcore's output-check list is
+in another package module and every public Tensor method or property a
+reader outside the class, every name on numcore's output-check list is
 a node some op records, and every function the benchmark's tracer wraps
 is still there with the arguments it reads."""
 
@@ -216,11 +217,24 @@ def test_only_numcore_turns_arrays_into_tensors(path):
 # ---- every numcore op has a caller ----
 
 
-def public_functions(source: str) -> list[str]:
-    """The module-level functions of a module whose names lack a leading
-    underscore."""
-    return [node.name for node in ast.parse(source).body
+def public_functions(source: str, cls: str | None = None) -> list[str]:
+    """The module-level functions of a module, or the methods and
+    properties of its class cls, whose names lack a leading underscore."""
+    body = ast.parse(source).body
+    if cls is not None:
+        body = next(node.body for node in body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+    return [node.name for node in body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def attributes_read(source: str, skip_class: str | None = None) -> set[str]:
+    """The attribute names a module reads (x.name), outside the body of
+    its class skip_class."""
+    tree = ast.parse(source)
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.ClassDef) and node.name == skip_class)]
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def numcore_names_read(source: str) -> set[str]:
@@ -251,6 +265,12 @@ def test_checker_finds_numcore_names():
     assert numcore_names_read(source) == {"Tensor", "gelu", "add"}
     assert public_functions("def a():\n    pass\ndef _b():\n    pass\nclass C:\n"
                             "    def d(self):\n        pass\n") == ["a"]
+    klass = ("class T:\n    def __init__(self):\n        self.data = 0\n"
+             "    @property\n    def size(self):\n        return self.data.size\n"
+             "    def grow(self):\n        pass\n"
+             "def f(t):\n    return t.data.shape\n")
+    assert public_functions(klass, "T") == ["size", "grow"]
+    assert attributes_read(klass, "T") == {"data", "shape"}
 
 
 def test_every_numcore_function_has_a_caller():
@@ -259,6 +279,15 @@ def test_every_numcore_function_has_a_caller():
                          for path in PACKAGE.glob("*.py") if path.name != "numcore.py"))
     functions = public_functions((PACKAGE / "numcore.py").read_text())
     assert [name for name in functions if name not in read] == []
+
+
+def test_every_tensor_method_has_a_caller():
+    # a method or property no package module reads, the class's own body
+    # aside, is code to delete too; names are matched on any object
+    read = set().union(*(attributes_read(path.read_text(), "Tensor")
+                         for path in PACKAGE.glob("*.py")))
+    members = public_functions((PACKAGE / "numcore.py").read_text(), "Tensor")
+    assert members and [name for name in members if name not in read] == []
 
 
 def emitted_names(source: str) -> set[str]:
