@@ -5,10 +5,11 @@ Configuration is a flat key=value file (# comments allowed) plus
 repeatable --set key=value overrides; every key must be in the active
 command's registry, which maps it to its default, and a value parses as
 its default's type. Dedicated flags (--movies, --shots, --seed) win
-over both. Each run writes all outputs under one directory: --out names
-it exactly, otherwise a timestamped default under runs/ is created. No
-output file embeds a timestamp or an absolute path, so a re-run with
-the same seed and inputs is byte-identical.
+over both. Each run writes all outputs under one directory, which must
+be absent or empty: --out names it exactly, otherwise a timestamped
+default under runs/ is created. No output file embeds a timestamp or an
+absolute path, so a re-run with the same seed and inputs is
+byte-identical.
 
 Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 I/O.
 """
@@ -60,11 +61,7 @@ SCENE_KEYS = {
     "train.epochs": 20,
     "train.batch_size": 1024,
     "train.lr": 1e-4,
-    "train.holdout": 2,
 }
-
-# the order of distill.DEFAULT_LOSS_WEIGHTS and TrainConfig.loss_weights
-LOSS_TERMS = ("contrastive", "synopsis", "distill")
 
 # eval and sync take no keys; sync uses the E-step settings in the checkpoint
 NO_KEYS: dict = {}
@@ -77,7 +74,7 @@ IMPORTANCE_KEYS = {
 def __getattr__(name: str) -> dict:
     """ACT_KEYS and GRADCHECK_KEYS, built when read from model modules' defaults."""
     if name == "ACT_KEYS":
-        from . import distill, sync
+        from . import sync
         return {
             "shot.seq_len": 3000,
             "shot.align_len": 100,
@@ -89,18 +86,12 @@ def __getattr__(name: str) -> dict:
             "synopsis.align_len": 20,
             "synopsis.ffn_width": 128,
             "synopsis.unimodal_depth": 1,
-            "synopsis.fusion_depth": 0,
             "train.epochs": 10,
             "train.batch_size": 4,
             "train.lr": 1e-3,
-            "train.holdout": 2,
             "train.em_xi": sync.DEFAULT_BAND_XI,
             "train.em_percentile": sync.DEFAULT_PERCENTILE,
             "train.sync_dim": 128,
-            **{
-                f"train.alpha_{term}": weight
-                for term, weight in zip(LOSS_TERMS, distill.DEFAULT_LOSS_WEIGHTS)
-            },
         }
     if name == "GRADCHECK_KEYS":
         from .gradcheck import GRADCHECK_TOLERANCE
@@ -116,7 +107,7 @@ def run_gradient_checks(*args, **kwargs) -> list:
 
 def read_config_file(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     entries, lines = {}, {}
@@ -164,12 +155,8 @@ def _section(cfg_map: dict, prefix: str) -> dict:
     return {k[start:]: v for k, v in cfg_map.items() if k.startswith(prefix + ".")}
 
 
-def _out_path(args) -> Path:
-    return Path(args.out or f"runs/{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
-
-
 def _run_dir(args) -> Path:
-    path = _out_path(args)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -245,7 +232,7 @@ def cmd_train_scene(args) -> int:
     train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
     # the trainer makes the run tree on its first checkpoint, after it
     # has checked its inputs, so a rejected run leaves no directory
-    out = _out_path(args)
+    out = Path(args.out)
     model, reports, logs = trainer.train_scene(
         movies, model_cfg, train_cfg, out / "checkpoints"
     )
@@ -262,13 +249,11 @@ def cmd_train_act(args) -> int:
         **_section(cfg_map, "shot"), num_classes=dataio.NUM_TURNING_POINTS, modality_dims=dims
     )
     synopsis_cfg = af.ModelConfig(
-        **_section(cfg_map, "synopsis"), width=shot_cfg.fused_width,
+        **_section(cfg_map, "synopsis"), fusion_depth=0, width=shot_cfg.fused_width,
         num_classes=dataio.NUM_TURNING_POINTS, modality_dims=(sum(dims),),
     )
-    train_fields = _section(cfg_map, "train")
-    loss_weights = tuple(train_fields.pop(f"alpha_{term}") for term in LOSS_TERMS)
-    train_cfg = trainer.TrainConfig(seed=args.seed, loss_weights=loss_weights, **train_fields)
-    out = _out_path(args)
+    train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
+    out = Path(args.out)
     pipeline, syncs, reports, logs = trainer.train_act(
         movies, shot_cfg, synopsis_cfg, train_cfg, out / "checkpoints"
     )
@@ -432,7 +417,7 @@ def cmd_importance(args) -> int:
 def _add_common(sub, with_data=False, with_checkpoint=False):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    sub.add_argument("--out", help="output directory (default: runs/<command>-<time>)")
+    sub.add_argument("--out", help="new or empty output directory (default: runs/<command>-<time>)")
     sub.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="override one config key (repeatable)",
@@ -492,6 +477,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        args.out = args.out or f"runs/{args.command}-{time.strftime('%Y%m%d-%H%M%S')}"
+        out = Path(args.out)
+        if out.exists() and (not out.is_dir() or any(out.iterdir())):
+            raise ConfigError(f"--out {out} exists and is not an empty directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

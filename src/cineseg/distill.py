@@ -19,7 +19,7 @@ from .errors import DataError, NumericError
 from .numcore import Tensor
 
 PROB_FLOOR = 1e-12
-DEFAULT_LOSS_WEIGHTS = (1.0, 1.0, 10.0)  # contrastive, synopsis CE, distillation
+LOSS_WEIGHTS = (1.0, 1.0, 10.0)  # contrastive, synopsis CE, distillation
 
 
 def attention_weights(u, v, tau) -> Tensor:
@@ -72,17 +72,17 @@ def synopsis_ce_loss(sentence_logits, tp_labels) -> Tensor:
     return nc.cross_entropy(sentence_logits, target, 0)
 
 
-def total_loss(contrastive, synopsis_ce, distillation, weights=DEFAULT_LOSS_WEIGHTS) -> Tensor:
-    """Weighted sum of the three objectives; rejects non-finite components."""
+def total_loss(contrastive, synopsis_ce, distillation) -> Tensor:
+    """Sum of the three objectives weighted by LOSS_WEIGHTS; rejects non-finite parts."""
     parts = {
         "contrastive": contrastive,
         "synopsis_ce": synopsis_ce,
         "distillation": distillation,
     }
     terms = []
-    for (name, value), weight in zip(parts.items(), weights):
+    for (name, value), weight in zip(parts.items(), LOSS_WEIGHTS):
         # the values of a Tensor or of an array, without building a Tensor
         if not np.isfinite(getattr(value, "data", value)).all():
             raise NumericError(f"{name} component of the total loss is not finite")
-        terms.append(nc.mul(value, float(weight)))
+        terms.append(nc.mul(value, weight))
     return nc.add(nc.add(terms[0], terms[1]), terms[2])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import alignfuse as af
-from . import distill
 from . import numcore as nc
 from . import sync
 from . import trainer
@@ -154,11 +153,10 @@ def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADC
     # the combined loss reuses the contrastive term and, as a training step
     # does, the distillation targets of the unperturbed parameters
     pipeline, item = _tiny_act_setup(seed)
-    weights = distill.DEFAULT_LOSS_WEIGHTS
-    _, _, targets, _ = trainer.act_objective(pipeline, [item], weights)
+    _, _, targets, _ = trainer.act_objective(pipeline, [item])
 
     def act_losses():
-        total, (l_c, _, _), _, _ = trainer.act_objective(pipeline, [item], weights, targets)
+        total, (l_c, _, _), _, _ = trainer.act_objective(pipeline, [item], targets)
         return l_c, total
 
     results += _check_losses(

@@ -50,6 +50,7 @@ SCENE_THRESHOLD = 0.5  # the boundary probability at which a shot ends a scene
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+HOLDOUT = 2  # the last movies of a dataset, held out for evaluation
 
 
 def flatten_params(params: dict) -> tuple[np.ndarray, list[slice]]:
@@ -145,8 +146,6 @@ class TrainConfig:
     batch_size: int = 1024
     lr: float = 1e-4
     seed: int = 0
-    holdout: int = 2
-    loss_weights: tuple = distill.DEFAULT_LOSS_WEIGHTS
     em_xi: float = sync.DEFAULT_BAND_XI
     em_percentile: float = sync.DEFAULT_PERCENTILE
     sync_dim: int = 128
@@ -156,12 +155,6 @@ class TrainConfig:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.holdout < 1:
-            raise ConfigError("holdout must leave at least one evaluation movie")
-        if len(self.loss_weights) != 3:
-            raise ConfigError("loss_weights needs exactly three entries")
-        if not all(np.isfinite(w) and w >= 0 for w in self.loss_weights):
-            raise ConfigError(f"loss weights must be finite and >= 0, got {self.loss_weights}")
 
 
 def weighted_scene_ce(logits: Tensor, labels) -> Tensor:
@@ -261,14 +254,12 @@ def _start(movies, cfg: TrainConfig):
     train/eval split, then the shuffle stream and the model seed,
     children 0 and 2 of the run seed."""
     cfg.validate()
-    if len(movies) <= cfg.holdout:
-        raise ConfigError(
-            f"{len(movies)} movies cannot spare {cfg.holdout} for evaluation"
-        )
+    if len(movies) <= HOLDOUT:
+        raise ConfigError(f"{len(movies)} movies cannot spare {HOLDOUT} for evaluation")
     # child 1 fed the dropout stream of earlier versions; the model seed
     # stays child 2, so a seed still builds the same model
     shuffle_seed, _, model_seed = np.random.SeedSequence(cfg.seed).spawn(3)
-    return (movies[:-cfg.holdout], movies[-cfg.holdout:], np.random.default_rng(shuffle_seed),
+    return (movies[:-HOLDOUT], movies[-HOLDOUT:], np.random.default_rng(shuffle_seed),
             model_seed)
 
 
@@ -551,7 +542,7 @@ def _mean(parts):
     return nc.mul(total, 1.0 / len(parts)) if len(parts) > 1 else total
 
 
-def act_objective(pipeline: ActPipeline, items, loss_weights, targets=None):
+def act_objective(pipeline: ActPipeline, items, targets=None):
     """(total, (contrastive, synopsis_ce, distillation), targets, tau)
     of one batch; items holds one (shot feats, synopsis, w, band,
     tp_labels) tuple per movie, w its E-step assignment and band its
@@ -583,7 +574,7 @@ def act_objective(pipeline: ActPipeline, items, loss_weights, targets=None):
     l_c = sync.m_step_loss(terms, tau)
     l_ce = _mean(ce_parts)
     l_kd = _mean(kd_parts)
-    total = distill.total_loss(l_c, l_ce, l_kd, loss_weights)
+    total = distill.total_loss(l_c, l_ce, l_kd)
     return total, (l_c, l_ce, l_kd), used, tau
 
 
@@ -615,7 +606,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
             ]
 
     def objective(items):
-        total, (l_c, l_ce, l_kd), targets, tau = act_objective(pipeline, items, cfg.loss_weights)
+        total, (l_c, l_ce, l_kd), targets, tau = act_objective(pipeline, items)
         return total, {
             "losses": {
                 "contrastive": float(l_c.data),

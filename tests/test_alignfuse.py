@@ -549,7 +549,7 @@ def test_one_training_step_records_the_pinned_tape():
             rng.normal(size=(sentences, synopsis.modality_dims[0])), w,
             sync.band_mask(shots, sentences, 0.1), [[n] for n in range(NUM_TURNING_POINTS)])
     with nc.Tape() as tape:
-        trainer.act_objective(pipeline, [item], (1.0, 1.0, 10.0))
+        trainer.act_objective(pipeline, [item])
     assert Counter(node.name for node in tape.nodes) == ACT_STEP_NODES
     assert len(pipeline.named_params()) == 41
 
@@ -570,7 +570,8 @@ def _model_configs(scene_cfg=None, act_cfg=None, act_sets=()):
     act = cli.resolve_config(cli.ACT_KEYS, act_cfg, list(act_sets))
     shot = af.ModelConfig(**cli._section(act, "shot"), num_classes=NUM_TURNING_POINTS,
                           modality_dims=dims("synth_act.cfg"))
-    synopsis = af.ModelConfig(**cli._section(act, "synopsis"), width=shot.fused_width,
+    synopsis = af.ModelConfig(**cli._section(act, "synopsis"), fusion_depth=0,
+                              width=shot.fused_width,
                               num_classes=NUM_TURNING_POINTS,
                               modality_dims=(sum(shot.modality_dims),))
     model = af.ModelConfig(**cli._section(scene, "model"), num_classes=2,

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,14 @@ def test_read_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\n\nshots = 40\nnoise=0.5\n")
     assert cli.read_config_file(cfg) == {"shots": "40", "noise": "0.5"}
+
+
+def test_config_file_with_a_byte_order_mark_resolves_like_the_plain_one(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("shots = 40\nnoise = 0.5\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert (cli.resolve_config(cli.SYNTH_KEYS, marked, [])
+            == cli.resolve_config(cli.SYNTH_KEYS, plain, []))
 
 
 def test_read_config_file_rejects_bare_words(tmp_path):
@@ -91,6 +100,13 @@ def test_shipped_config_resolves_against_its_command(path):
     cli.resolve_config(registry, path, [])  # a stale or unknown key raises
 
 
+def test_every_train_config_field_is_a_train_key():
+    # a field that no command can set is a constant in disguise
+    settable = {f.name for f in fields(trainer.TrainConfig)} - {"seed"}
+    assert set(cli._section(cli.ACT_KEYS, "train")) == settable
+    assert set(cli._section(cli.SCENE_KEYS, "train")) <= settable
+
+
 def test_main_without_command_exits_2():
     assert cli.main([]) == 2
 
@@ -112,15 +128,14 @@ ACT_SET = [
 SCENE_MODEL_SET = [
     "model.seq_len=5", "model.align_len=2", "model.width=8",
     "model.ffn_width=16", "model.unimodal_depth=1", "model.fusion_depth=1",
-    "train.epochs=1", "train.batch_size=32", "train.holdout=2",
+    "train.epochs=1", "train.batch_size=32",
 ]
 ACT_MODEL_SET = [
     "shot.seq_len=24", "shot.align_len=3", "shot.width=8",
     "shot.ffn_width=16", "shot.unimodal_depth=1", "shot.fusion_depth=0",
     "synopsis.seq_len=4", "synopsis.align_len=2", "synopsis.ffn_width=16",
-    "synopsis.unimodal_depth=1", "synopsis.fusion_depth=0", "train.epochs=1",
-    "train.batch_size=2", "train.holdout=2", "train.sync_dim=6",
-    "train.em_percentile=90",
+    "synopsis.unimodal_depth=1", "train.epochs=1", "train.batch_size=2",
+    "train.sync_dim=6", "train.em_percentile=90",
 ]
 
 
@@ -828,6 +843,61 @@ def test_only_the_synopsis_tower_commands_check_the_synopsis_length(
     assert out.exists() == (code == 0)
 
 
+# ---- the run directory ----
+
+
+def test_train_scene_into_a_used_out_exits_2_leaving_it_alone(
+    scene_run, scene_data, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    shutil.copytree(scene_run, out)
+    before = tree_digest(out)
+    argv = ["train-scene", "--data", str(scene_data), "--out", str(out)]
+    assert cli.main(argv + _sets(SCENE_MODEL_SET + ["train.epochs=2"])) == 2
+    assert f"--out {out} exists and is not an empty directory" in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+
+def test_synth_into_a_used_out_exits_2_leaving_it_alone(scene_data, tmp_path, capsys):
+    # 3 movies over the 4 of scene_data would leave movie_0003 behind
+    out = tmp_path / "data"
+    shutil.copytree(scene_data, out)
+    before = tree_digest(out)
+    argv = ["synth", "--movies", "3", "--shots", "30", "--seed", "5", "--out", str(out)]
+    assert cli.main(argv + _sets(SCENE_SET)) == 2
+    assert "not an empty directory" in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+
+@pytest.mark.parametrize(
+    "command", ["synth", "train-scene", "train-act", "sync", "eval", "importance", "gradcheck"]
+)
+def test_an_out_that_is_a_file_exits_2_before_reading_any_input(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    # inputs that do not exist: reading any of them would exit 5
+    argv = [command, "--out", str(out)]
+    if command not in ("synth", "gradcheck"):
+        argv += ["--data", str(tmp_path / "no-data")]
+    if command in ("sync", "eval", "importance"):
+        argv += ["--checkpoint", str(tmp_path / "no.ckpt")]
+    assert cli.main(argv) == 2
+    assert "not an empty directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert out.read_text() == "kept\n"
+
+
+def test_a_used_default_run_directory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    used = tmp_path / "runs" / "gradcheck-20260101-000000"
+    used.mkdir(parents=True)
+    (used / "gradcheck.json").write_text("[]\n")
+    assert cli.main(["gradcheck"]) == 2
+    assert "runs/gradcheck-20260101-000000 exists" in capsys.readouterr().err
+    assert [p.name for p in used.iterdir()] == ["gradcheck.json"]
+
+
 def test_rejected_train_scene_leaves_no_run_tree(
     scene_data, scene_run, act_data, tmp_path, capsys
 ):
@@ -859,8 +929,6 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["train-act", "--data", "{act}", "--set", "train.em_percentile=150"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=0"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=inf"],
-        ["train-act", "--data", "{act}", "--set", "train.alpha_distill=nan"],
-        ["train-act", "--data", "{act}", "--set", "train.alpha_distill=-1"],
         ["train-act", "--data", "{act}", "--set", "train.lr=nan"],
         ["train-act", "--data", "{act}", "--set", "train.lr=inf"],
         ["train-scene", "--data", "{scene}", "--set", "train.lr=nan"],
@@ -903,6 +971,11 @@ def test_rejected_train_scene_leaves_no_run_tree(
         # the removed dropout and optimizer settings
         ["train-scene", "--data", "{scene}", "--set", "model.dropout=0.1"],
         ["train-act", "--data", "{act}", "--set", "train.optimizer=sgd"],
+        # the removed held-out split, loss weight and synopsis fusion settings
+        ["train-scene", "--data", "{scene}", "--set", "train.holdout=3"],
+        ["train-act", "--data", "{act}", "--set", "train.holdout=3"],
+        ["train-act", "--data", "{act}", "--set", "train.alpha_distill=5"],
+        ["train-act", "--data", "{act}", "--set", "synopsis.fusion_depth=1"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -956,8 +1029,7 @@ def test_scene_run_with_an_eval_movie_without_boundary_exits_3_naming_it(
     capsys.readouterr()
     out = tmp_path / "out"
     for argv, movie in (
-        (["train-scene", "--data", str(data)] + _sets(SCENE_MODEL_SET + ["train.holdout=1"]),
-         "movie_0002"),
+        (["train-scene", "--data", str(data)] + _sets(SCENE_MODEL_SET), "movie_0001"),
         (["eval", "--checkpoint", str(scene_run / "model.ckpt"), "--data", str(data)],
          "movie_0000"),
     ):

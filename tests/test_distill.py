@@ -253,11 +253,6 @@ def test_total_loss_zero_components():
     assert float(distill.total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0)).data) == 0.0
 
 
-def test_total_loss_custom_weights():
-    total = distill.total_loss(Tensor(2.0), Tensor(3.0), Tensor(4.0), weights=(0.5, 2.0, 0.25))
-    assert float(total.data) == pytest.approx(8.0, abs=1e-15)
-
-
 def test_total_loss_names_nonfinite_component():
     with pytest.raises(NumericError, match="synopsis_ce"):
         distill.total_loss(Tensor(1.0), Tensor(np.inf), Tensor(1.0))
