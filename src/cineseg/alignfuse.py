@@ -348,7 +348,7 @@ def forward_scene(model, windows) -> Tensor:
             raise DataError(
                 f"scene windows must be [batch x {cfg.seq_len} x dim], got {w.shape}"
             )
-    return _linear_apply(model, "head", scene_head_rows(encode(model, windows)))
+    return apply_head(model, scene_head_rows(encode(model, windows)))
 
 
 def encode_sequence(model, feats_list) -> Tensor:

@@ -1,8 +1,9 @@
 """Command-line entry point wiring synthesis, training, synchronization,
 evaluation, gradient checking, and modality importance.
 
-Configuration is a flat key=value file (# comments allowed) plus
-repeatable --set key=value overrides; every key must be in the active
+Only the commands that build a dataset or a model (synth, train-scene,
+train-act) take settings: a flat key=value file (# comments allowed)
+plus repeatable --set key=value overrides; every key must be in the
 command's registry, which maps it to its default, and a value parses as
 its default's type. Dedicated flags (--movies, --shots, --seed) win
 over both. Each run writes all outputs under one directory, which must
@@ -63,16 +64,9 @@ SCENE_KEYS = {
     "train.lr": 1e-4,
 }
 
-# eval and sync take no keys; sync uses the E-step settings in the checkpoint
-NO_KEYS: dict = {}
-
-IMPORTANCE_KEYS = {
-    "shot": -1,  # scene task: key shot index, -1 = movie middle; act takes only -1
-}
-
 
 def __getattr__(name: str) -> dict:
-    """ACT_KEYS and GRADCHECK_KEYS, built when read from model modules' defaults."""
+    """ACT_KEYS, built when read from sync's E-step defaults."""
     if name == "ACT_KEYS":
         from . import sync
         return {
@@ -93,9 +87,6 @@ def __getattr__(name: str) -> dict:
             "train.em_percentile": sync.DEFAULT_PERCENTILE,
             "train.sync_dim": 128,
         }
-    if name == "GRADCHECK_KEYS":
-        from .gradcheck import GRADCHECK_TOLERANCE
-        return {"h": 1e-5, "tolerance": GRADCHECK_TOLERANCE}
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -270,7 +261,6 @@ def cmd_train_act(args) -> int:
 
 def cmd_sync(args) -> int:
     from . import sync, trainer
-    cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     _, pipeline, _ = trainer.load_checkpoint(args.checkpoint, "act")
     movies = dataio.load_dataset(Path(args.data))
     trainer.check_tower_lengths(movies, pipeline.shot_model.config, pipeline.synopsis_model.config)
@@ -293,7 +283,7 @@ def cmd_sync(args) -> int:
                 "gold_recall": hits / movie.num_shots,
             }
         )
-    _write_config(out, "sync", args.seed, cfg_map)
+    _write_config(out, "sync", args.seed, {})
     _write_json(out / "summary.json", {"movies": summary})
     _print_json({"movies": summary})
     return 0
@@ -314,15 +304,13 @@ def _write_csv(path: Path, rows) -> None:
 
 def cmd_eval(args) -> int:
     from . import trainer
-    cfg_map = resolve_config(NO_KEYS, args.config, args.set)
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
-    epoch = extra.get("epoch", 0)
     # one forward per movie feeds both the report and scores.csv, whose
     # cells format Python floats: the .17g text of their float64 values
     if kind == "scene":
         scores = [trainer.scene_shot_scores(loaded, movie) for movie in movies]
-        report = trainer.scene_report(scores, movies, epoch, args.seed)
+        report = trainer.scene_report(scores, movies, extra["epoch"], args.seed)
         rows = [["movie_id", "shot", "score", "label"]]
         for movie, movie_scores in zip(movies, scores):
             rows += [
@@ -333,7 +321,7 @@ def cmd_eval(args) -> int:
     else:
         trainer.check_tower_lengths(movies, loaded.shot_model.config)
         probs = [trainer.act_shot_probs(loaded.shot_model, movie) for movie in movies]
-        report = trainer.act_report(probs, movies, epoch, args.seed)
+        report = trainer.act_report(probs, movies, extra["epoch"], args.seed)
         rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(dataio.NUM_TURNING_POINTS)]]
         for movie, movie_probs in zip(movies, probs):
             rows += [
@@ -342,7 +330,7 @@ def cmd_eval(args) -> int:
             ]
     out = _run_dir(args)
     _write_csv(out / "scores.csv", rows)
-    _write_config(out, "eval", args.seed, cfg_map)
+    _write_config(out, "eval", args.seed, {})
     _write_text(out / "report.json", report.dumps() + "\n")
     print(report.dumps())
     return 0
@@ -352,10 +340,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg_map = resolve_config(__getattr__("GRADCHECK_KEYS"), args.config, args.set)
-    results = run_gradient_checks(args.seed, cfg_map["h"], cfg_map["tolerance"])
+    from .gradcheck import GRADCHECK_TOLERANCE
+    results = run_gradient_checks(args.seed)
     out = _run_dir(args)
-    _write_config(out, "gradcheck", args.seed, cfg_map)
+    _write_config(out, "gradcheck", args.seed, {})
     _write_json(out / "gradcheck.json", results)
     print(f"{'check':<20} {'params':>6} {'compared':>8} {'max_rel_error':>14} "
           f"{'worst':<24} status")
@@ -365,9 +353,9 @@ def cmd_gradcheck(args) -> int:
             f"{r['worst_parameter']:<24} {'pass' if r['passed'] else 'FAIL'}"
         )
     if all(r["passed"] for r in results):
-        print(f"all checks passed (tolerance {cfg_map['tolerance']:g})")
+        print(f"all checks passed (tolerance {GRADCHECK_TOLERANCE:g})")
         return 0
-    print(f"gradient check FAILED (tolerance {cfg_map['tolerance']:g})")
+    print(f"gradient check FAILED (tolerance {GRADCHECK_TOLERANCE:g})")
     return 4
 
 
@@ -376,12 +364,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_importance(args) -> int:
     from . import metrics as mx, trainer
-    cfg_map = resolve_config(IMPORTANCE_KEYS, args.config, args.set)
-    if cfg_map["shot"] < -1:
-        raise ConfigError(f"shot is a shot index or -1 (movie middle), got {cfg_map['shot']}")
     kind, loaded, _ = trainer.load_checkpoint(args.checkpoint)
-    if kind == "act" and cfg_map["shot"] != -1:
-        raise ConfigError(f"shot applies to scene checkpoints only, got shot={cfg_map['shot']}")
     movies = dataio.load_dataset(Path(args.data))
     if kind == "act":
         trainer.check_tower_lengths(movies, loaded.shot_model.config)
@@ -391,11 +374,7 @@ def cmd_importance(args) -> int:
     for movie in movies:
         record = {"movie_id": movie.movie_id, "task": kind}
         if kind == "scene":
-            t = cfg_map["shot"] if cfg_map["shot"] >= 0 else movie.num_shots // 2
-            if not 0 <= t < movie.num_shots:
-                raise DataError(
-                    f"shot {t} outside movie {movie.movie_id} ({movie.num_shots} shots)"
-                )
+            t = movie.num_shots // 2  # the scored window is keyed on the middle shot
             idx = trainer.window_index([t], loaded.config.seq_len // 2, movie.num_shots)[0]
             weights, fallback = mx.gradcam_importance(loaded, [x[idx] for x in movie.streams])
             record["shot"] = t
@@ -405,7 +384,7 @@ def cmd_importance(args) -> int:
         record["uniform_fallback"] = fallback
         payload.append(record)
     out = _run_dir(args)
-    _write_config(out, "importance", args.seed, cfg_map)
+    _write_config(out, "importance", args.seed, {})
     _write_json(out / "importance.json", payload)
     _print_json(payload)
     return 0
@@ -414,14 +393,15 @@ def cmd_importance(args) -> int:
 # ---- argument parsing ----
 
 
-def _add_common(sub, with_data=False, with_checkpoint=False):
-    sub.add_argument("--config", help="key=value config file")
+def _add_common(sub, with_settings=False, with_data=False, with_checkpoint=False):
     sub.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     sub.add_argument("--out", help="new or empty output directory (default: runs/<command>-<time>)")
-    sub.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
-    )
+    if with_settings:
+        sub.add_argument("--config", help="key=value config file")
+        sub.add_argument(
+            "--set", action="append", metavar="KEY=VALUE",
+            help="override one config key (repeatable)",
+        )
     if with_data:
         sub.add_argument("--data", required=True, help="dataset directory of movie manifests")
     if with_checkpoint:
@@ -436,17 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("synth", help="generate a synthetic movie dataset")
-    _add_common(p)
+    _add_common(p, with_settings=True)
     p.add_argument("--movies", type=int, help="number of movies")
     p.add_argument("--shots", type=int, help="shots per movie")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("train-scene", help="train the scene boundary model")
-    _add_common(p, with_data=True)
+    _add_common(p, with_settings=True, with_data=True)
     p.set_defaults(func=cmd_train_scene)
 
     p = subs.add_parser("train-act", help="train the act pipeline")
-    _add_common(p, with_data=True)
+    _add_common(p, with_settings=True, with_data=True)
     p.set_defaults(func=cmd_train_act)
 
     p = subs.add_parser("sync", help="export shot-sentence assignments")

@@ -21,7 +21,6 @@ from . import numcore as nc
 from . import sync
 from . import trainer
 from .dataio import NUM_TURNING_POINTS
-from .errors import ConfigError
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -141,10 +140,6 @@ def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> li
 def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADCHECK_TOLERANCE):
     """Autodiff-vs-finite-difference checks for the three training losses
     on the tiny two-modality config; one result dict per loss."""
-    if not (np.isfinite(h) and h > 0):
-        raise ConfigError(f"finite-difference step h must be positive and finite, got {h}")
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
     params, loss_fn = _tiny_scene_setup(seed)
     results = _check_losses(
         ("scene_weighted_ce",), params, lambda: (loss_fn(),), h, tolerance

@@ -400,10 +400,12 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.D
 
 # ---- checkpoints ----
 
-# the configs of each checkpoint kind, with the class count of each
-_CHECKPOINT_CLASSES = {
-    "scene": {"model": 2},
-    "act": {"shot": NUM_TURNING_POINTS, "synopsis": NUM_TURNING_POINTS},
+# each checkpoint kind's configs, with the class count of each, and the
+# extra keys save_checkpoint writes for it
+_CHECKPOINT_KINDS = {
+    "scene": ({"model": 2}, {"epoch"}),
+    "act": ({"shot": NUM_TURNING_POINTS, "synopsis": NUM_TURNING_POINTS},
+            {"epoch", "em_xi", "em_percentile", "sync_dim"}),
 }
 
 
@@ -416,9 +418,9 @@ def _save_epoch(checkpoint_dir, epoch: int, trained) -> None:
         save_checkpoint(checkpoint_dir / f"epoch_{epoch:03d}.ckpt", trained, epoch)
 
 
-def save_checkpoint(path, trained, epoch: int | None = None) -> None:
+def save_checkpoint(path, trained, epoch: int) -> None:
     """A FusionModel as a 'scene' checkpoint, an ActPipeline as an 'act' one."""
-    extra = {} if epoch is None else {"epoch": epoch}
+    extra = {"epoch": epoch}
     if isinstance(trained, ActPipeline):
         extra["em_xi"] = trained.em_xi
         extra["em_percentile"] = trained.em_percentile
@@ -438,17 +440,20 @@ def load_checkpoint(path, expected: str | None = None):
     could not have written, is a DataError. The model is built by the
     constructor training uses, so its checks run here too."""
     kind, configs, extra, body = af.load_checkpoint(path)
-    if kind not in _CHECKPOINT_CLASSES:
+    if kind not in _CHECKPOINT_KINDS:
         raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
     if expected is not None and kind != expected:
         raise DataError(f"{path} holds a {kind!r} checkpoint, expected {expected}")
+    want_classes, extra_keys = _CHECKPOINT_KINDS[kind]
     classes = {name: cfg.num_classes for name, cfg in configs.items()}
-    if classes != _CHECKPOINT_CLASSES[kind]:
-        raise DataError(
-            f"{path}: a {kind} checkpoint needs configs with these class counts: "
-            f"{_CHECKPOINT_CLASSES[kind]}, got {classes}"
-        )
-    epoch = extra.get("epoch", 0)
+    if classes != want_classes:
+        raise DataError(f"{path}: a {kind} checkpoint needs configs with these class counts: "
+                        f"{want_classes}, got {classes}")
+    missing, unknown = extra_keys - set(extra), set(extra) - extra_keys
+    if missing or unknown:
+        raise DataError(f"{path}: a {kind} checkpoint's extra misses keys {sorted(missing)} "
+                        f"and holds unknown keys {sorted(unknown)}")
+    epoch = extra["epoch"]
     if type(epoch) is not int or epoch < 0:
         raise DataError(f"{path}: extra 'epoch' must be a non-negative integer, got {epoch!r}")
     try:
@@ -456,7 +461,7 @@ def load_checkpoint(path, expected: str | None = None):
             trained = af.FusionModel(configs["model"], seed=0)
             params = trained.params
         else:
-            xi, percentile, sync_dim = (extra.get(k) for k in ("em_xi", "em_percentile", "sync_dim"))
+            xi, percentile, sync_dim = (extra[k] for k in ("em_xi", "em_percentile", "sync_dim"))
             if {type(xi), type(percentile)} - {int, float} or type(sync_dim) is not int:
                 raise ConfigError("em_xi and em_percentile must be numbers, sync_dim an integer")
             trained = build_act_pipeline(

@@ -540,6 +540,8 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
     "edit",
     ["drop em_xi", "set em_percentile=150", "quote em_xi=0.3", "drop sync_dim",
      "set sync_dim=0", "quote sync_dim=6", "add 8 trailing bytes", "cut 8 bytes",
+     # a key that training never writes
+     "set seed=16",
      # a sync head past alignfuse.MAX_MODEL_PARAMS, rejected before any allocation
      "set sync_dim=1000000000000"],
 )
@@ -596,6 +598,8 @@ MALFORMED_HEADERS = {
     "configs is a list": _setting(["configs"], []),
     "extra is null": _setting(["extra"], None),
     "epoch is a string": _setting(["extra", "epoch"], "x"),
+    "epoch missing": _setting(["extra"], {}),
+    "unknown extra key": _setting(["extra", "seed"], 16),
     # the layout an older version wrote: parameter names and shapes
     "version 1 with a params list": lambda header: {
         **header, "version": 1, "params": [{"name": "align_pe", "shape": [2, 8]}],
@@ -713,20 +717,22 @@ def test_gradcheck_that_compares_no_entry_exits_4(tmp_path, capsys, monkeypatch)
     # at h=1e-300 the noise gate hides every entry, so the check compares
     # nothing; the real checker runs on a one-parameter loss to stay quick
     w = nc.Tensor([0.5, -1.0], requires_grad=True)
+    tolerance = gradcheck.GRADCHECK_TOLERANCE
 
     def losses():
         return (nc.cross_entropy(w, np.array([1.0, 0.0]), 0),)
 
-    def checks(seed, h, tolerance):
-        return gradcheck._check_losses(("ce",), {"w": w}, losses, h, tolerance)
+    [row] = gradcheck._check_losses(("ce",), {"w": w}, losses, 1e-5, tolerance)
+    assert (row["compared"], row["passed"]) == (2, True)
+
+    def checks(seed):
+        return gradcheck._check_losses(("ce",), {"w": w}, losses, 1e-300, tolerance)
 
     monkeypatch.setattr(cli, "run_gradient_checks", checks)
-    for h, code, compared in (("1e-5", 0, 2), ("1e-300", 4, 0)):
-        out = tmp_path / h
-        assert cli.main(["gradcheck", "--set", f"h={h}", "--out", str(out)]) == code
-        [row] = json.loads((out / "gradcheck.json").read_text())
-        assert (row["compared"], row["passed"]) == (compared, code == 0)
-    assert "gradient check FAILED" in capsys.readouterr().out
+    assert cli.main(["gradcheck", "--out", str(tmp_path)]) == 4
+    [row] = json.loads((tmp_path / "gradcheck.json").read_text())
+    assert (row["compared"], row["passed"]) == (0, False)
+    assert "gradient check FAILED (tolerance 0.0001)" in capsys.readouterr().out
 
 
 def test_gradcheck_helpers_gate_structural_zeros():
@@ -914,8 +920,7 @@ def test_rejected_train_scene_leaves_no_run_tree(
     ckpt = str(scene_run / "model.ckpt")
     for argv in (
         ["eval", "--checkpoint", ckpt, "--data", str(act_data)],
-        ["importance", "--checkpoint", ckpt, "--data", str(scene_data),
-         "--set", "shot=999"],
+        ["importance", "--checkpoint", ckpt, "--data", str(act_data)],
         ["sync", "--checkpoint", ckpt, "--data", str(act_data)],
     ):
         assert cli.main(argv + ["--out", str(out)]) == 3, argv[0]
@@ -933,13 +938,6 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["train-act", "--data", "{act}", "--set", "train.lr=inf"],
         ["train-scene", "--data", "{scene}", "--set", "train.lr=nan"],
         ["train-scene", "--data", "{scene}", "--set", "train.lr=inf"],
-        ["importance", "--checkpoint", "{scene_ckpt}", "--data", "{scene}", "--set", "shot=-5"],
-        # only a scene checkpoint has a key shot
-        ["importance", "--checkpoint", "{act_ckpt}", "--data", "{act}", "--set", "shot=5"],
-        ["gradcheck", "--set", "h=0"],
-        ["gradcheck", "--set", "h=nan"],
-        ["gradcheck", "--set", "tolerance=0"],
-        ["gradcheck", "--set", "tolerance=inf"],
         ["synth", "--movies", "-1"],
         ["synth", "--movies", "0"],
         ["synth", "--movies", "1", "--seed", "-1"],
@@ -979,21 +977,50 @@ def test_rejected_train_scene_leaves_no_run_tree(
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
-def test_bad_value_exits_2_before_any_work(
-    act_data, scene_data, scene_run, act_run, tmp_path, capsys, argv
-):
+def test_bad_value_exits_2_before_any_work(act_data, scene_data, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    paths = {
-        "act": str(act_data), "scene": str(scene_data),
-        "scene_ckpt": str(scene_run / "model.ckpt"), "act_ckpt": str(act_run / "model.ckpt"),
-    }
-    argv = [a.format(**paths) for a in argv]
+    argv = [a.format(act=act_data, scene=scene_data) for a in argv]
     model_set = {"train-act": ACT_MODEL_SET, "train-scene": SCENE_MODEL_SET}.get(argv[0], [])
     argv = argv[:1] + _sets(model_set) + argv[1:]  # the bad value comes last, so it wins
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
     assert not any(tmp_path.rglob("*"))  # no --out, nor any file beside it
+
+
+# the commands that build no dataset or model, with the inputs each reads
+SETTINGS_FREE = {
+    "eval": ["--checkpoint", "{scene_ckpt}", "--data", "{scene}"],
+    "importance": ["--checkpoint", "{scene_ckpt}", "--data", "{scene}"],
+    "sync": ["--checkpoint", "{act_ckpt}", "--data", "{act}"],
+    "gradcheck": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS_FREE))
+def test_commands_that_build_nothing_take_no_settings(
+    act_data, scene_data, scene_run, act_run, tmp_path, capsys, monkeypatch, command
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("shot = 3\n")
+    # on inputs that do not exist, so a run that read any would exit 3 or 5
+    missing = dict.fromkeys(("scene_ckpt", "act_ckpt", "scene", "act"), tmp_path / "none")
+    for flag in (["--config", str(cfg)], ["--set", "shot=3"]):
+        out = tmp_path / "rejected"
+        argv = [command] + [a.format(**missing) for a in SETTINGS_FREE[command]]
+        assert cli.main(argv + flag + ["--out", str(out)]) == 2, flag
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+    # their config.json records the command and the seed, nothing else
+    canned = [{"check": "ce", "parameters": 1, "compared": 2, "max_rel_error": 0.0,
+               "worst_parameter": "w", "passed": True}]
+    monkeypatch.setattr(cli, "run_gradient_checks", lambda seed: canned)
+    paths = {"scene_ckpt": scene_run / "model.ckpt", "act_ckpt": act_run / "model.ckpt",
+             "scene": scene_data, "act": act_data}
+    argv = [command] + [a.format(**paths) for a in SETTINGS_FREE[command]]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--seed", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text()) == {"command": command, "seed": 3}
 
 
 def test_non_utf8_config_file_exits_2_before_any_work(tmp_path, capsys):
