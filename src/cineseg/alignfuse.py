@@ -404,9 +404,11 @@ def load_checkpoint(path):
         raise DataError(f"{path} does not start with a checkpoint header") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if header.get("version") != CHECKPOINT_VERSION:
+    version = header.get("version")
+    # the integer save_checkpoint writes: 6.0 == 6, but no version wrote 6.0
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(
-            f"{path} has checkpoint version {header.get('version')}, this version reads "
+            f"{path} has checkpoint version {version!r}, this version reads "
             f"only {CHECKPOINT_VERSION}; re-train the model to write one"
         )
     for key, want in (("kind", str), ("configs", dict), ("extra", dict)):

@@ -8,7 +8,9 @@ command's registry, which maps it to its default, and a value parses as
 its default's type. Dedicated flags (--movies, --shots, --seed) win
 over both. Each run writes all outputs under one directory, which must
 be absent or empty: --out names it exactly, otherwise a timestamped
-default under runs/ is created. No output file embeds a timestamp or an
+default under runs/ is created. A command makes it only once its work
+has returned (the trainers write nothing), so a run that fails, in
+training too, leaves none. No output file embeds a timestamp or an
 absolute path, so a re-run with the same seed and inputs is
 byte-identical.
 
@@ -202,13 +204,18 @@ def cmd_synth(args) -> int:
 # ---- training ----
 
 
-def _finish_training(out: Path, args, cfg_map: dict, reports, logs) -> int:
-    """Write a trainer's log, reports and config beside its model.ckpt."""
+def _finish_training(args, cfg_map: dict, trained, reports, logs) -> Path:
+    """Make the run directory once training has returned, so a run that
+    fails leaves none, and write the trained model.ckpt, its log,
+    reports and config there; returns the directory."""
+    from . import trainer
+    out = _run_dir(args)
+    trainer.save_checkpoint(out / "model.ckpt", trained, cfg_map["train.epochs"])
     _write_text(out / "train_log.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in logs))
     _write_json(out / "reports.json", [r.to_json() for r in reports])
     _write_config(out, args.command, args.seed, cfg_map)
     _print_json(reports[-1].to_json())
-    return 0
+    return out
 
 
 def cmd_train_scene(args) -> int:
@@ -221,14 +228,9 @@ def cmd_train_scene(args) -> int:
         modality_dims=tuple(dim for _, dim in movies[0].layout),
     )
     train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
-    # the trainer makes the run tree on its first checkpoint, after it
-    # has checked its inputs, so a rejected run leaves no directory
-    out = Path(args.out)
-    model, reports, logs = trainer.train_scene(
-        movies, model_cfg, train_cfg, out / "checkpoints"
-    )
-    trainer.save_checkpoint(out / "model.ckpt", model, train_cfg.epochs)
-    return _finish_training(out, args, cfg_map, reports, logs)
+    model, reports, logs = trainer.train_scene(movies, model_cfg, train_cfg)
+    _finish_training(args, cfg_map, model, reports, logs)
+    return 0
 
 
 def cmd_train_act(args) -> int:
@@ -244,16 +246,12 @@ def cmd_train_act(args) -> int:
         num_classes=dataio.NUM_TURNING_POINTS, modality_dims=(sum(dims),),
     )
     train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
-    out = Path(args.out)
-    pipeline, syncs, reports, logs = trainer.train_act(
-        movies, shot_cfg, synopsis_cfg, train_cfg, out / "checkpoints"
-    )
-    trainer.save_checkpoint(out / "model.ckpt", pipeline, train_cfg.epochs)
-    sync_dir = out / "sync"
-    sync_dir.mkdir(exist_ok=True)
+    pipeline, syncs, reports, logs = trainer.train_act(movies, shot_cfg, synopsis_cfg, train_cfg)
+    sync_dir = _finish_training(args, cfg_map, pipeline, reports, logs) / "sync"
+    sync_dir.mkdir()
     for movie_id, sm in syncs.items():
         _write_json(sync_dir / f"{movie_id}.json", sync.sync_to_json(sm))
-    return _finish_training(out, args, cfg_map, reports, logs)
+    return 0
 
 
 # ---- sync export ----

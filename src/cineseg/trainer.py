@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -263,13 +262,14 @@ def _start(movies, cfg: TrainConfig):
             model_seed)
 
 
-def _fit(cfg, trained, optimizer, batches, objective, report, checkpoint_dir, after_step=None):
-    """The gradient loop of both trainers; returns (reports, logs).
+def _fit(cfg, optimizer, batches, objective, report, after_step=None):
+    """The gradient loop of both trainers; returns (reports, logs) and
+    writes nothing.
 
     Each epoch steps once per batch of batches(): objective(batch) runs
     on the tape and returns the loss and its log fields, to which the
     step adds the common ones. Reports start with report(0), before any
-    step, and each epoch ends with its report and checkpoint."""
+    step, and each epoch ends with its report."""
     reports, logs = [report(0)], []
     for epoch in range(1, cfg.epochs + 1):
         for batch in batches():
@@ -283,11 +283,10 @@ def _fit(cfg, trained, optimizer, batches, objective, report, checkpoint_dir, af
             logs.append({"step": len(logs) + 1, "epoch": epoch, "lr": cfg.lr,
                          "seed": cfg.seed, **record, "grad_norm": grad_norm})
         reports.append(report(epoch))
-        _save_epoch(checkpoint_dir, epoch, trained)
     return reports, logs
 
 
-def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_dir=None):
+def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig):
     """Returns (model, per-epoch reports incl. the pre-training one, logs)."""
     train_movies, eval_movies, shuffle_rng, model_seed = _start(movies, cfg)
     model = af.FusionModel(model_cfg, model_seed)
@@ -323,7 +322,7 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig, checkpoint_
         scores = [scene_shot_scores(model, movie) for movie in eval_movies]
         return scene_report(scores, eval_movies, epoch, cfg.seed)
 
-    reports, logs = _fit(cfg, model, optimizer, batches, objective, report, checkpoint_dir)
+    reports, logs = _fit(cfg, optimizer, batches, objective, report)
     single_class = sum(rec["single_class_batch"] for rec in logs)
     if single_class:
         log.warning(
@@ -407,15 +406,6 @@ _CHECKPOINT_KINDS = {
     "act": ({"shot": NUM_TURNING_POINTS, "synopsis": NUM_TURNING_POINTS},
             {"epoch", "em_xi", "em_percentile", "sync_dim"}),
 }
-
-
-def _save_epoch(checkpoint_dir, epoch: int, trained) -> None:
-    # the directory is made on the first save, so a run rejected before
-    # any training leaves no directory behind
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(checkpoint_dir / f"epoch_{epoch:03d}.ckpt", trained, epoch)
 
 
 def save_checkpoint(path, trained, epoch: int) -> None:
@@ -583,11 +573,12 @@ def act_objective(pipeline: ActPipeline, items, targets=None):
     return total, (l_c, l_ce, l_kd), used, tau
 
 
-def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=None):
+def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig):
     """EM training: an E-step over the training movies at the start of
     every epoch, then the epoch's gradient steps on those assignments.
     Returns (pipeline, final, reports, logs), final being {movie_id:
-    SyncMatrix} of the training movies from one more E-step."""
+    SyncMatrix} of the training movies from one more E-step; like
+    train_scene, it writes nothing."""
     train_movies, eval_movies, shuffle_rng, model_seed = _start(movies, cfg)
     check_tower_lengths(movies, shot_cfg, synopsis_cfg)
     pipeline = build_act_pipeline(
@@ -628,8 +619,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig, checkpoint_dir=N
         probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
         return act_report(probs, eval_movies, epoch, cfg.seed)
 
-    reports, logs = _fit(cfg, pipeline, optimizer, batches, objective, report,
-                         checkpoint_dir, pipeline.sync_head.clamp_tau)
+    reports, logs = _fit(cfg, optimizer, batches, objective, report, pipeline.sync_head.clamp_tau)
     skipped = [rec["skipped_queries"] for rec in logs]
     if sum(skipped):
         log.warning(

@@ -21,7 +21,7 @@ from cineseg import gradcheck
 from cineseg import numcore as nc
 from cineseg import sync
 from cineseg import trainer
-from cineseg.errors import ConfigError
+from cineseg.errors import ConfigError, NumericError
 
 
 def tree_digest(root) -> str:
@@ -306,10 +306,17 @@ def test_unknown_set_key_exits_2(tmp_path, capsys):
 # ---- train-scene ----
 
 
+def run_tree(root) -> list[str]:
+    """Every file and directory under root, as sorted relative paths."""
+    return sorted(p.relative_to(root).as_posix() for p in Path(root).rglob("*"))
+
+
+# what a training run writes, once training has returned: no per-epoch checkpoints
+TRAINING_OUTPUTS = ["config.json", "model.ckpt", "reports.json", "train_log.jsonl"]
+
+
 def test_train_scene_outputs(scene_run):
-    for name in ("model.ckpt", "reports.json", "train_log.jsonl", "config.json"):
-        assert (scene_run / name).is_file()
-    assert (scene_run / "checkpoints" / "epoch_001.ckpt").is_file()
+    assert run_tree(scene_run) == TRAINING_OUTPUTS
     reports = json.loads((scene_run / "reports.json").read_text())
     assert len(reports) == 2  # pre-training plus one epoch
     assert all(r["task"] == "scene" for r in reports)
@@ -376,10 +383,8 @@ def test_scene_commands_name_the_movie_too_short_for_the_window(
 
 
 def test_train_act_outputs(act_run):
-    for name in ("model.ckpt", "reports.json", "train_log.jsonl", "config.json"):
-        assert (act_run / name).is_file()
-    syncs = sorted((act_run / "sync").glob("*.json"))
-    assert [p.stem for p in syncs] == ["movie_0000", "movie_0001"]
+    syncs = ["sync", "sync/movie_0000.json", "sync/movie_0001.json"]
+    assert run_tree(act_run) == sorted(TRAINING_OUTPUTS + syncs)
     reports = json.loads((act_run / "reports.json").read_text())
     assert all(r["task"] == "act" for r in reports)
     assert "span_hit_rate" in reports[-1]["values"]
@@ -599,6 +604,8 @@ MALFORMED_HEADERS = {
     "extra is null": _setting(["extra"], None),
     "epoch is a string": _setting(["extra", "epoch"], "x"),
     "epoch missing": _setting(["extra"], {}),
+    # equal to the version as a number, but not the integer save_checkpoint writes
+    "version is a float": _setting(["version"], float(af.CHECKPOINT_VERSION)),
     "unknown extra key": _setting(["extra", "seed"], 16),
     # the layout an older version wrote: parameter names and shapes
     "version 1 with a params list": lambda header: {
@@ -902,6 +909,33 @@ def test_a_used_default_run_directory_exits_2(tmp_path, monkeypatch, capsys):
     assert cli.main(["gradcheck"]) == 2
     assert "runs/gradcheck-20260101-000000 exists" in capsys.readouterr().err
     assert [p.name for p in used.iterdir()] == ["gradcheck.json"]
+
+
+@pytest.mark.parametrize("command", ["train-scene", "train-act"])
+def test_a_run_that_fails_mid_training_leaves_no_run_tree(
+    scene_data, act_data, tmp_path, capsys, monkeypatch, command
+):
+    # the held-out report of epoch 2 fails, after epoch 1 has finished
+    name = {"train-scene": "scene_report", "train-act": "act_report"}[command]
+    report = getattr(trainer, name)
+
+    def failing(per_movie, movies, epoch, seed):
+        if epoch == 2:
+            raise NumericError("injected at epoch 2")
+        return report(per_movie, movies, epoch, seed)
+
+    data, model_set = {"train-scene": (scene_data, SCENE_MODEL_SET),
+                       "train-act": (act_data, ACT_MODEL_SET)}[command]
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--out", str(out)] + _sets(model_set + ["train.epochs=2"])
+    monkeypatch.setattr(trainer, name, failing)
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "numeric error: injected at epoch 2\n"
+    assert not out.exists()
+    # so a re-run into the same --out is not refused
+    monkeypatch.setattr(trainer, name, report)
+    assert cli.main(argv) == 0
+    assert json.loads((out / "model.ckpt").read_bytes().partition(b"\n")[0])["extra"]["epoch"] == 2
 
 
 def test_rejected_train_scene_leaves_no_run_tree(

@@ -1,11 +1,12 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports SciPy when it is itself
 imported or holds an assert statement, only the gradient loop and the
-gradient check open a tape, every public numcore function has a caller
-in another package module and every public Tensor method or property a
-reader outside the class, every name on numcore's output-check list is
-a node some op records, and every function the benchmark's tracer wraps
-is still there with the arguments it reads."""
+gradient check open a tape, only the commands and the dataset writers
+make a directory or open a file, every public numcore function has a
+caller in another package module and every public Tensor method or
+property a reader outside the class, every name on numcore's
+output-check list is a node some op records, and every function the
+benchmark's tracer wraps is still there with the arguments it reads."""
 
 import ast
 import importlib
@@ -101,30 +102,41 @@ def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
 
 
-def taping_functions(source: str, module: str) -> list[str]:
+def functions_holding(source: str, module: str, match) -> list[str]:
     """The functions of a module, as module.name (module.outer.inner when
-    nested), whose own body holds a `with nc.Tape()` block."""
+    nested), whose own body holds a node for which match is true."""
     found = []
-
-    def is_tape(item):
-        call = item.context_expr
-        return isinstance(call, ast.Call) and (
-            isinstance(call.func, ast.Attribute) and call.func.attr == "Tape"
-            or isinstance(call.func, ast.Name) and call.func.id == "Tape"
-        )
 
     def visit(node, name):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{name}.{child.name}")
                 continue
-            if isinstance(child, ast.With) and any(is_tape(i) for i in child.items):
-                if name not in found:
-                    found.append(name)
+            if match(child) and name not in found:
+                found.append(name)
             visit(child, name)
 
     visit(ast.parse(source), module)
     return found
+
+
+def is_call_of(node, names) -> bool:
+    """node calls f(...) or x.f(...) for an f in names."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr in names
+        or isinstance(node.func, ast.Name) and node.func.id in names
+    )
+
+
+def taping_functions(source: str, module: str) -> list[str]:
+    """The functions whose own body holds a `with nc.Tape()` block."""
+    return functions_holding(source, module, lambda node: isinstance(node, ast.With) and any(
+        is_call_of(item.context_expr, {"Tape"}) for item in node.items))
+
+
+def file_making_functions(source: str, module: str) -> list[str]:
+    """The functions whose own body calls mkdir or open."""
+    return functions_holding(source, module, lambda node: is_call_of(node, {"mkdir", "open"}))
 
 
 def test_checker_finds_taping_functions():
@@ -145,6 +157,26 @@ def test_only_the_gradient_loop_and_the_gradient_check_tape():
     found = [name for path in sorted(PACKAGE.glob("*.py"))
              for name in taping_functions(path.read_text(), path.stem)]
     assert found == ["gradcheck._check_losses", "trainer._fit"]
+
+
+def test_checker_finds_file_making_functions():
+    source = (
+        "def save(path):\n    with open(path, 'wb') as fh:\n        fh.write(b'')\n"
+        "def run(out):\n    out.mkdir(parents=True)\n    def read():\n"
+        "        return out.read_text()\n    return read\n"
+        "class Store:\n    def put(self, p):\n        p.open('w')\n"
+        "def fit(opener):\n    return opener(mode='w')\n"
+    )
+    assert file_making_functions(source, "m") == ["m.save", "m.run", "m.Store.put"]
+
+
+def test_only_the_commands_and_the_writers_make_files():
+    # a command makes its run tree once its work has returned; a trainer
+    # or any other computation writes nothing, so a failed run leaves none
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in file_making_functions(path.read_text(), path.stem)]
+    assert found == ["cli._run_dir", "cli.cmd_train_act", "dataio.atomic_write",
+                     "dataio.save_movie"]
 
 
 def tensor_boundary_violations(source: str) -> list[str]:
