@@ -86,7 +86,6 @@ def __getattr__(name: str) -> dict:
             "train.batch_size": 4,
             "train.lr": 1e-3,
             "train.em_xi": sync.DEFAULT_BAND_XI,
-            "train.em_percentile": sync.DEFAULT_PERCENTILE,
             "train.sync_dim": 128,
         }
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -329,8 +328,8 @@ def cmd_eval(args) -> int:
     out = _run_dir(args)
     _write_csv(out / "scores.csv", rows)
     _write_config(out, "eval", args.seed, {})
-    _write_text(out / "report.json", report.dumps() + "\n")
-    print(report.dumps())
+    _write_json(out / "report.json", report.to_json())
+    _print_json(report.to_json())
     return 0
 
 

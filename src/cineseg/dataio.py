@@ -139,7 +139,6 @@ class SynthConfig:
     [0, MAX_FEATURE_SCALE = 1e3]; tp_jitter and cut_jitter are fractions in [0, 1]."""
 
     shots: int = 200
-    shots_jitter: int = 0  # per-movie shot count varies by +/- this
     scenes: int = 10
     sentences: int = 5
     modalities: tuple = (("visual", 16), ("audio", 12))
@@ -156,8 +155,8 @@ class SynthConfig:
     tp_motif_halfwidth: int = 2
 
     def validate(self) -> None:
-        if self.shots - self.shots_jitter < self.scenes:
-            raise ConfigError("need at least one shot per scene (shots - jitter >= scenes)")
+        if self.shots < self.scenes:
+            raise ConfigError("need at least one shot per scene (shots >= scenes)")
         if self.scenes < self.sentences:
             raise ConfigError("sentence spans are whole scenes, so scenes >= sentences")
         if self.sentences < 1:
@@ -165,8 +164,6 @@ class SynthConfig:
         check_modalities(self.modalities, ConfigError)
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be positive")
-        if self.shots_jitter < 0:
-            raise ConfigError("shots_jitter must be non-negative")
         if self.tp_motif_halfwidth < 0:
             raise ConfigError("tp_motif_halfwidth must be non-negative")
         for name, top in (("noise", MAX_FEATURE_SCALE), ("tp_motif_scale", MAX_FEATURE_SCALE),
@@ -207,8 +204,6 @@ def synth_movie(
     validates it.
     """
     num_shots = int(cfg.shots)
-    if cfg.shots_jitter:
-        num_shots += int(rng.integers(-cfg.shots_jitter, cfg.shots_jitter + 1))
 
     # contiguous scene segments: interior cuts on a jittered even grid, so
     # scene lengths stay within a bounded factor of each other and shot
@@ -298,16 +293,15 @@ def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
         raise ConfigError(f"need at least one movie, got {movies}")
     width = sum(dim for _, dim in cfg.modalities)
     # in Python ints, which do not overflow: every movie's shot latents and
-    # streams at its longest and its synopsis, plus one movie's scene
-    # latents and modality mixing maps
-    held = (movies * ((cfg.shots + cfg.shots_jitter) * (cfg.latent_dim + width)
-                      + cfg.sentences * width) + cfg.latent_dim * (cfg.scenes + width))
+    # streams and its synopsis, plus one movie's scene latents and
+    # modality mixing maps
+    held = (movies * (cfg.shots * (cfg.latent_dim + width) + cfg.sentences * width)
+            + cfg.latent_dim * (cfg.scenes + width))
     if held > MAX_SYNTH_VALUES:
         raise ConfigError(
             f"synth would hold {held:,} float64 values, over the budget of "
             f"{MAX_SYNTH_VALUES:,}; lower movies ({movies}), shots ({cfg.shots}), "
-            f"shots_jitter ({cfg.shots_jitter}), latent_dim ({cfg.latent_dim}) or "
-            f"modalities (dims sum to {width})"
+            f"latent_dim ({cfg.latent_dim}) or modalities (dims sum to {width})"
         )
     root = np.random.SeedSequence(seed)
     children = root.spawn(movies)

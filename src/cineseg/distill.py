@@ -6,8 +6,8 @@ synopsis model's per-sentence turning-point logits onto shots. Both the
 carried target distribution and the shot model's own prediction are
 normalized over the shot axis per turning point, and the distillation
 loss is the sum over turning points of KL(shot distribution ||
-transferred target), one ``nc.kl_div`` node. The targets are constants
-of the loss, so distillation gradients reach the shot model only.
+transferred target), one ``nc.kl_div`` node. The targets are constant
+arrays, so distillation gradients reach the shot model only.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def shot_distribution(logits) -> Tensor:
 def kd_loss(shot_probs, target_probs) -> Tensor:
     """Sum over turning points of KL(shot column || target column).
 
-    Expects column-stochastic matrices [num_shots x num_tp] of one shape;
-    entries are floored at 1e-12 before the logs.
+    Expects column-stochastic matrices [num_shots x num_tp] of one shape,
+    target_probs a constant array; entries are floored at 1e-12 before
+    the logs.
     """
     return nc.kl_div(shot_probs, target_probs, PROB_FLOOR)
 

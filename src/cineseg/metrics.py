@@ -13,7 +13,6 @@ the set of gold scenes; averaged over events and times 100:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +42,6 @@ class MetricsReport:
             "threshold": self.threshold,
             "seed": self.seed,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 # ---- boundary metrics ----

@@ -560,29 +560,26 @@ def cross_entropy(logits, target, axis: int) -> Tensor:
 
 
 def _kl_div_back(g, inputs, out, saved):
-    o, p = inputs
-    floor, floored_o, floored_p, diff = saved
-    if o.requires_grad:
-        o.accumulate(g * diff)
-    g = g * o.data
-    if p.requires_grad:
-        p.accumulate(-g / floored_p * (p.data > floor))
-    if o.requires_grad:
-        o.accumulate(g / floored_o * (o.data > floor))
+    (o,) = inputs
+    floor, floored_o, diff = saved
+    o.accumulate(g * diff)
+    o.accumulate(g * o.data / floored_o * (o.data > floor))
 
 
 def kl_div(o, p, floor: float) -> Tensor:
     """sum(o * (log max(o, floor) - log max(p, floor))), KL(o || p) with
     both distributions floored before the logs, as one scalar node with
-    the bits of the clamp, log, subtract, multiply and sum chain; no
+    the bits of the clamp, log, subtract, multiply and sum chain; p is a
+    constant array of o's shape, as cross_entropy's target is, and no
     gradient flows through a floored entry's log."""
-    o, p = _as_tensor(o), _as_tensor(p)
+    o = _as_tensor(o)
+    p = np.asarray(p, dtype=np.float64)
     if o.shape != p.shape:
         raise ShapeError(f"kl_div of distributions of shapes {o.shape} and {p.shape}")
-    floored_o, floored_p = np.maximum(o.data, floor), np.maximum(p.data, floor)
-    diff = np.log(floored_o) - np.log(floored_p)
+    floored_o = np.maximum(o.data, floor)
+    diff = np.log(floored_o) - np.log(np.maximum(p, floor))
     out = np.asarray((o.data * diff).sum())
-    return _emit("kl_div", _kl_div_back, (o, p), out, (floor, floored_o, floored_p, diff))
+    return _emit("kl_div", _kl_div_back, (o,), out, (floor, floored_o, diff))
 
 
 def _layernorm_back(g, inputs, out, saved):

@@ -2,7 +2,7 @@
 
 The E-step is closed form: a shot-sentence pair is assigned (w_ij = 1)
 exactly when its cosine similarity clears the sentence's threshold
-lambda_j (a high percentile of column j, 99th by default) and the pair
+lambda_j (the 90th percentile of column j, E_STEP_PERCENTILE) and the pair
 lies inside a diagonal band of half-width xi. That binary matrix is the
 exact maximizer of sum_ij w_ij * (m_ij - lambda_j) over in-band binary
 matrices, because the objective separates per cell.
@@ -25,11 +25,11 @@ import numpy as np
 from . import alignfuse as af
 from . import numcore as nc
 from .dataio import atomic_write
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .numcore import Tensor
 
 DEFAULT_BAND_XI = 0.3
-DEFAULT_PERCENTILE = 99.0
+E_STEP_PERCENTILE = 90.0
 TAU_INIT = 0.07
 LOG_TAU_MIN = float(np.log(1e-3))
 LOG_TAU_MAX = float(np.log(10.0))
@@ -45,16 +45,7 @@ class SyncMatrix:
     lambdas: np.ndarray  # per-sentence thresholds
 
 
-def check_e_step_config(xi: float, percentile: float) -> None:
-    """ConfigError unless the band is non-empty (0 < xi < inf) and the
-    threshold percentile lies in [0, 100]."""
-    if not 0 < xi < np.inf:
-        raise ConfigError(f"em_xi (the band half-width) must be positive and finite, got {xi}")
-    if not 0 <= percentile <= 100:
-        raise ConfigError(f"em_percentile must lie in [0, 100], got {percentile}")
-
-
-def lambda_per_sentence(values: np.ndarray, percentile: float = DEFAULT_PERCENTILE) -> np.ndarray:
+def lambda_per_sentence(values: np.ndarray, percentile: float = E_STEP_PERCENTILE) -> np.ndarray:
     """Per-sentence threshold: the given percentile of each similarity column,
     with linear interpolation between order statistics."""
     return np.percentile(values, percentile, axis=0, method="linear")
@@ -171,7 +162,6 @@ def run_e_step(
     head: SyncHead,
     movie_inputs,
     xi: float = DEFAULT_BAND_XI,
-    percentile: float = DEFAULT_PERCENTILE,
 ):
     """E-step over every movie with the current parameters (no gradients):
     the evaluation-mode unit-norm sync features of its shots and sentences,
@@ -182,7 +172,7 @@ def run_e_step(
         u = head.features(af.encode_sequence(shot_model, shot_feats))
         v = head.features(af.encode_sequence(synopsis_model, [synopsis_feats]))
         values = nc.scaled_scores(u, v, 1.0).data
-        syncs.append(e_step(values, lambda_per_sentence(values, percentile), xi))
+        syncs.append(e_step(values, lambda_per_sentence(values), xi))
     return syncs
 
 

@@ -146,7 +146,6 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 0
     em_xi: float = sync.DEFAULT_BAND_XI
-    em_percentile: float = sync.DEFAULT_PERCENTILE
     sync_dim: int = 128
 
     def validate(self) -> None:
@@ -337,21 +336,19 @@ def train_scene(movies, model_cfg: af.ModelConfig, cfg: TrainConfig):
 
 @dataclass
 class ActPipeline:
-    """Both towers, the sync head, and the E-step settings they trained
-    with, which the checkpoint keeps so a later sync export matches."""
+    """Both towers, the sync head, and the E-step band half-width they
+    trained with, which the checkpoint keeps so a later sync export
+    matches; the threshold percentile is sync.E_STEP_PERCENTILE."""
 
     shot_model: af.FusionModel
     synopsis_model: af.FusionModel
     sync_head: sync.SyncHead
     em_xi: float
-    em_percentile: float
 
     def e_step(self, movie_inputs) -> list:
         """One SyncMatrix per (shot feats, synopsis) pair of movie_inputs."""
-        return sync.run_e_step(
-            self.shot_model, self.synopsis_model, self.sync_head,
-            movie_inputs, self.em_xi, self.em_percentile,
-        )
+        return sync.run_e_step(self.shot_model, self.synopsis_model, self.sync_head,
+                               movie_inputs, self.em_xi)
 
     def named_params(self) -> dict:
         merged = {}
@@ -365,10 +362,11 @@ class ActPipeline:
         return merged
 
 
-def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.DEFAULT_BAND_XI,
-                       em_percentile=sync.DEFAULT_PERCENTILE) -> ActPipeline:
+def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed,
+                       em_xi=sync.DEFAULT_BAND_XI) -> ActPipeline:
     """The only ActPipeline constructor, for training and loading alike."""
-    sync.check_e_step_config(em_xi, em_percentile)
+    if not 0 < em_xi < np.inf:  # a non-empty band
+        raise ConfigError(f"em_xi (the band half-width) must be positive and finite, got {em_xi}")
     if sync_dim < 1:
         raise ConfigError(f"sync_dim must be positive, got {sync_dim}")
     if synopsis_cfg.num_modalities != 1:
@@ -393,7 +391,7 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.D
     return ActPipeline(
         af.FusionModel(shot_cfg, tower_seed),
         af.FusionModel(synopsis_cfg, tower_seed),
-        sync.SyncHead(shot_cfg.fused_width, sync_dim, head_seed), em_xi, em_percentile,
+        sync.SyncHead(shot_cfg.fused_width, sync_dim, head_seed), em_xi,
     )
 
 
@@ -404,7 +402,7 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed, em_xi=sync.D
 _CHECKPOINT_KINDS = {
     "scene": ({"model": 2}, {"epoch"}),
     "act": ({"shot": NUM_TURNING_POINTS, "synopsis": NUM_TURNING_POINTS},
-            {"epoch", "em_xi", "em_percentile", "sync_dim"}),
+            {"epoch", "em_xi", "sync_dim"}),
 }
 
 
@@ -413,7 +411,6 @@ def save_checkpoint(path, trained, epoch: int) -> None:
     extra = {"epoch": epoch}
     if isinstance(trained, ActPipeline):
         extra["em_xi"] = trained.em_xi
-        extra["em_percentile"] = trained.em_percentile
         extra["sync_dim"] = trained.sync_head.params["sync.proj.w"].shape[1]
         configs = {
             "shot": trained.shot_model.config,
@@ -451,12 +448,10 @@ def load_checkpoint(path, expected: str | None = None):
             trained = af.FusionModel(configs["model"], seed=0)
             params = trained.params
         else:
-            xi, percentile, sync_dim = (extra[k] for k in ("em_xi", "em_percentile", "sync_dim"))
-            if {type(xi), type(percentile)} - {int, float} or type(sync_dim) is not int:
-                raise ConfigError("em_xi and em_percentile must be numbers, sync_dim an integer")
-            trained = build_act_pipeline(
-                configs["shot"], configs["synopsis"], sync_dim, 0, float(xi), float(percentile)
-            )
+            xi, sync_dim = extra["em_xi"], extra["sync_dim"]
+            if type(xi) not in (int, float) or type(sync_dim) is not int:
+                raise ConfigError("em_xi must be a number, sync_dim an integer")
+            trained = build_act_pipeline(configs["shot"], configs["synopsis"], sync_dim, 0, float(xi))
             params = trained.named_params()
     except ConfigError as exc:
         raise DataError(f"{path} holds no {kind} model that training accepts: {exc}") from None
@@ -581,9 +576,7 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig):
     train_scene, it writes nothing."""
     train_movies, eval_movies, shuffle_rng, model_seed = _start(movies, cfg)
     check_tower_lengths(movies, shot_cfg, synopsis_cfg)
-    pipeline = build_act_pipeline(
-        shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed, cfg.em_xi, cfg.em_percentile
-    )
+    pipeline = build_act_pipeline(shot_cfg, synopsis_cfg, cfg.sync_dim, model_seed, cfg.em_xi)
     optimizer = Optimizer(pipeline.named_params(), cfg.lr)
 
     inputs = [movie_inputs(m) for m in train_movies]

@@ -50,7 +50,7 @@ def _act_model_cfgs(align_pe: bool):
 def _act_train_cfg(seed: int):
     return trainer.TrainConfig(
         epochs=10, batch_size=1, lr=1e-2,
-        seed=seed, sync_dim=16, em_xi=0.1, em_percentile=90.0,
+        seed=seed, sync_dim=16, em_xi=0.1,
     )
 
 

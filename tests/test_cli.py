@@ -135,7 +135,7 @@ ACT_MODEL_SET = [
     "shot.ffn_width=16", "shot.unimodal_depth=1", "shot.fusion_depth=0",
     "synopsis.seq_len=4", "synopsis.align_len=2", "synopsis.ffn_width=16",
     "synopsis.unimodal_depth=1", "train.epochs=1", "train.batch_size=2",
-    "train.sync_dim=6", "train.em_percentile=90",
+    "train.sync_dim=6",
 ]
 
 
@@ -543,10 +543,10 @@ def test_wrong_checkpoint_kind_exits_3(scene_run, act_data, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit",
-    ["drop em_xi", "set em_percentile=150", "quote em_xi=0.3", "drop sync_dim",
+    ["drop em_xi", "quote em_xi=0.3", "drop sync_dim",
      "set sync_dim=0", "quote sync_dim=6", "add 8 trailing bytes", "cut 8 bytes",
-     # a key that training never writes
-     "set seed=16",
+     # a key that training never writes, and the removed E-step percentile
+     "set seed=16", "set em_percentile=90",
      # a sync head past alignfuse.MAX_MODEL_PARAMS, rejected before any allocation
      "set sync_dim=1000000000000"],
 )
@@ -962,10 +962,24 @@ def test_rejected_train_scene_leaves_no_run_tree(
         assert not out.exists(), argv[0]
 
 
+# removed settings, each refused as an unknown key: dropout and the
+# optimizer; the held-out split, a loss weight and the synopsis fusion
+# depth; the E-step percentile and the shot-count jitter
+REMOVED_SETTINGS = [
+    ["train-scene", "--data", "{scene}", "--set", "model.dropout=0.1"],
+    ["train-act", "--data", "{act}", "--set", "train.optimizer=sgd"],
+    ["train-scene", "--data", "{scene}", "--set", "train.holdout=3"],
+    ["train-act", "--data", "{act}", "--set", "train.holdout=3"],
+    ["train-act", "--data", "{act}", "--set", "train.alpha_distill=5"],
+    ["train-act", "--data", "{act}", "--set", "synopsis.fusion_depth=1"],
+    ["train-act", "--data", "{act}", "--set", "train.em_percentile=90"],
+    ["synth", "--movies", "1", "--set", "shots_jitter=0"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["train-act", "--data", "{act}", "--set", "train.em_percentile=150"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=0"],
         ["train-act", "--data", "{act}", "--set", "train.em_xi=inf"],
         ["train-act", "--data", "{act}", "--set", "train.lr=nan"],
@@ -1000,15 +1014,7 @@ def test_rejected_train_scene_leaves_no_run_tree(
         ["train-scene", "--data", "{scene}", "--set", "model.width=1000000000000"],
         ["train-act", "--data", "{act}", "--set", "shot.ffn_width=1000000000000"],
         ["train-act", "--data", "{act}", "--set", "train.sync_dim=1000000000000"],
-        # the removed dropout and optimizer settings
-        ["train-scene", "--data", "{scene}", "--set", "model.dropout=0.1"],
-        ["train-act", "--data", "{act}", "--set", "train.optimizer=sgd"],
-        # the removed held-out split, loss weight and synopsis fusion settings
-        ["train-scene", "--data", "{scene}", "--set", "train.holdout=3"],
-        ["train-act", "--data", "{act}", "--set", "train.holdout=3"],
-        ["train-act", "--data", "{act}", "--set", "train.alpha_distill=5"],
-        ["train-act", "--data", "{act}", "--set", "synopsis.fusion_depth=1"],
-    ],
+    ] + REMOVED_SETTINGS,
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
 def test_bad_value_exits_2_before_any_work(act_data, scene_data, tmp_path, capsys, argv):
@@ -1019,6 +1025,8 @@ def test_bad_value_exits_2_before_any_work(act_data, scene_data, tmp_path, capsy
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    if argv[-1] in {removed[-1] for removed in REMOVED_SETTINGS}:
+        assert f"unknown config key '{argv[-1].partition('=')[0]}'" in err
     assert not any(tmp_path.rglob("*"))  # no --out, nor any file beside it
 
 

@@ -104,13 +104,6 @@ def test_synth_deterministic_under_seed():
         assert ma.tp_labels == mb.tp_labels
 
 
-def test_synth_shot_count_jitter_varies_lengths():
-    cfg = small_cfg(shots=60, shots_jitter=10, scenes=8)
-    lengths = {m.num_shots for m in dataio.make_dataset(cfg, 6, seed=5)}
-    assert len(lengths) > 1
-    assert all(50 <= n <= 70 for n in lengths)
-
-
 def test_synth_rejects_bad_configs():
     for overrides in (
         dict(scenes=2, sentences=4),
@@ -133,7 +126,7 @@ def test_synth_bounds_are_inclusive():
 
 
 def test_synth_value_budget_is_inclusive(monkeypatch):
-    cfg = small_cfg(shots_jitter=3)
+    cfg = small_cfg(shots=43)
     # 2 movies x (43 shots x (16 + 10) + 4 sentences x 10) + 16 x (8 scenes + 10)
     held = 2 * (43 * 26 + 40) + 16 * 18
     monkeypatch.setattr(dataio, "MAX_SYNTH_VALUES", held)

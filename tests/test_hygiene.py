@@ -5,15 +5,20 @@ gradient check open a tape, only the commands and the dataset writers
 make a directory or open a file, every public numcore function has a
 caller in another package module and every public Tensor method or
 property a reader outside the class, every name on numcore's
-output-check list is a node some op records, and every function the
-benchmark's tracer wraps is still there with the arguments it reads."""
+output-check list is a node some op records, every setting of synth,
+train-scene and train-act is set by a shipped config or a benchmark
+workload, and every function the benchmark's tracer wraps is still
+there with the arguments it reads."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
+
+from cineseg import cli
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cineseg"
@@ -391,6 +396,52 @@ def test_every_default_is_overridden_by_some_caller():
                for path in sorted(folder.rglob("*.py"))]
     modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unset_defaults(modules, sources) == []
+
+
+# ---- every setting is one some shipped config or bench workload sets ----
+
+
+def settings_in_use(config_paths, workloads: str) -> dict:
+    """{command: keys set}: by each config file, for the command its
+    "# Run: cineseg <command>" line names, and by each --set argument of
+    a _cli(phase, command, ...) call in the workloads source."""
+    used = {}
+    for path in config_paths:
+        command = re.search(r"^# Run: cineseg (\S+)", Path(path).read_text(), re.M).group(1)
+        used.setdefault(command, set()).update(cli.read_config_file(path))
+    for node in ast.walk(ast.parse(workloads)):
+        if not is_call_of(node, {"_cli"}):
+            continue
+        command = node.args[1].value
+        for flag, value in zip(node.args, node.args[1:]):
+            if isinstance(flag, ast.Constant) and flag.value == "--set":
+                # "key=value", or an f-string whose first piece is "key="
+                text = value.values[0].value if isinstance(value, ast.JoinedStr) else value.value
+                used.setdefault(command, set()).add(text.partition("=")[0])
+    return used
+
+
+def test_checker_finds_settings_in_use(tmp_path):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("# Run: cineseg synth --config a.cfg\nshots = 3\n# noise = 1\n")
+    workloads = ('_cli("main", "train-act", "--set", "train.lr=1", "--set", f"train.epochs={N}",\n'
+                 '     "--data", data, out=out)\n'
+                 'other("main", "synth", "--set", "scenes=1")\n')
+    assert settings_in_use([cfg], workloads) == {
+        "synth": {"shots"}, "train-act": {"train.lr", "train.epochs"},
+    }
+
+
+def test_every_setting_is_set_by_a_shipped_config_or_a_workload():
+    # a setting that no config and no workload sets is a constant
+    root = TESTS.parent
+    used = settings_in_use(sorted((root / "configs").glob("*.cfg")),
+                           (root / "bench" / "workloads.py").read_text())
+    registries = {"synth": cli.SYNTH_KEYS, "train-scene": cli.SCENE_KEYS,
+                  "train-act": cli.ACT_KEYS}
+    unset = [f"{command} {key}" for command, keys in registries.items()
+             for key in keys if key not in used.get(command, ())]
+    assert unset == []
 
 
 # ---- what the benchmark's traced run wraps ----

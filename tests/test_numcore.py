@@ -576,23 +576,22 @@ def test_recorded_attention_keeps_one_score_matrix_per_sequence(batch):
 # ---- the act losses' fused ops ----
 
 
-@pytest.mark.parametrize("taped_target", [False, True], ids=["constant target", "taped target"])
-def test_kl_div_is_bit_identical_to_the_chain(taped_target):
+def test_kl_div_is_bit_identical_to_the_chain():
     rng = np.random.default_rng(46)
     o = nc.Tensor(rng.uniform(0.0, 1.0, size=(6, 5)), requires_grad=True)
-    p = nc.Tensor(rng.uniform(0.0, 1.0, size=(6, 5)), requires_grad=taped_target)
+    p = rng.uniform(0.0, 1.0, size=(6, 5))
     # zeros, entries below the floor and at it, in one or both
     o.data[0, :3] = [0.0, 1e-13, 1e-12]
-    p.data[1, 2:] = [0.0, 1e-14, 1e-12]
-    o.data[2, 0] = p.data[2, 0] = 1e-15
+    p[1, 2:] = [0.0, 1e-14, 1e-12]
+    o.data[2, 0] = p[2, 0] = 1e-15
     results = []
     for op in (nc.kl_div, _kl_chain):
-        nc.zero_grads((o, p))
+        nc.zero_grads((o,))
         with nc.Tape() as tape:
             out = op(o, p, 1e-12)
             loss = nc.mul(out, 0.7)
         nc.backward(tape, loss)
-        results.append([out.data, o.grad] + ([p.grad] if taped_target else []))
+        results.append([out.data, o.grad])
     for fused, chain in zip(*results):
         assert _same_bits(fused, chain)
 
@@ -600,10 +599,10 @@ def test_kl_div_is_bit_identical_to_the_chain(taped_target):
 def test_grad_kl_div_matches_finite_differences():
     rng = np.random.default_rng(47)
     o = nc.Tensor(rng.uniform(0.1, 1.0, size=(5, 4)), requires_grad=True)
-    p = nc.Tensor(rng.uniform(0.1, 1.0, size=(5, 4)), requires_grad=True)
+    p = rng.uniform(0.1, 1.0, size=(5, 4))
     # below the floor by more than the finite-difference step
-    o.data[0, 0] = p.data[1, 1] = p.data[2, 3] = 0.01
-    fd_check(lambda: nc.kl_div(o, p, 0.05), {"o": o, "p": p})
+    o.data[0, 0] = p[1, 1] = p[2, 3] = 0.01
+    fd_check(lambda: nc.kl_div(o, p, 0.05), {"o": o})
     with nc.Tape() as tape:
         nc.kl_div(o, p, 0.05)
     assert [node.name for node in tape.nodes] == ["kl_div"]

@@ -42,7 +42,7 @@ def objective(values, lambdas, w):
 
 def test_percentile_is_linearly_interpolated():
     column = np.arange(100, dtype=np.float64).reshape(100, 1)
-    assert sync.lambda_per_sentence(column) == pytest.approx(98.01, abs=1e-12)
+    assert sync.lambda_per_sentence(column, percentile=99.0) == pytest.approx(98.01, abs=1e-12)
 
 
 def test_percentile_per_column():
@@ -285,7 +285,6 @@ def em_fixture(seed=0, noise=0.0):
 
     cfg = SynthConfig(
         shots=48,
-        shots_jitter=0,
         scenes=6,
         sentences=3,
         modalities=(("visual", 10), ("audio", 6)),
@@ -330,13 +329,10 @@ def test_run_e_step_noiseless_assignments_land_in_gold_spans():
     # sides go through the same encoder (the real pipeline's input features
     # are pre-aligned across modalities and text; two unrelated random
     # encoders would destroy that alignment before any training happened).
-    # The percentile is lowered from the 99 default because at 48 shots it
-    # would keep a single shot per sentence; 90 keeps the top handful, the
-    # same fraction the default keeps at full movie scale.
     from cineseg.dataio import SynthConfig, make_dataset
 
     cfg = SynthConfig(
-        shots=48, shots_jitter=0, scenes=3, sentences=3,
+        shots=48, scenes=3, sentences=3,
         modalities=(("content", 16),), latent_dim=8, noise=0.0, tp_jitter=0.0,
     )
     movies = make_dataset(cfg, movies=2, seed=4)
@@ -350,7 +346,7 @@ def test_run_e_step_noiseless_assignments_land_in_gold_spans():
     )
     head = sync.SyncHead(16, 8, seed=7)
     inputs = [([m.streams[0]], m.synopsis_features) for m in movies]
-    syncs = sync.run_e_step(model, model, head, inputs, percentile=90.0)
+    syncs = sync.run_e_step(model, model, head, inputs)
     for movie, sm in zip(movies, syncs):
         for j in range(sm.w.shape[1]):
             assert sm.w[:, j].any(), f"sentence {j} received no shots"

@@ -504,7 +504,7 @@ def act_model_cfgs():
 
 
 def act_train_cfg(**overrides):
-    base = dict(epochs=2, batch_size=2, lr=1e-3, seed=21, sync_dim=8, em_percentile=90.0)
+    base = dict(epochs=2, batch_size=2, lr=1e-3, seed=21, sync_dim=8)
     base.update(overrides)
     return trainer.TrainConfig(**base)
 
@@ -551,7 +551,7 @@ def _first_act_step(movies, shot, synopsis, cfg):
     inputs = [trainer.movie_inputs(m) for m in train_movies]
     syncs = sync.run_e_step(
         pipeline.shot_model, pipeline.synopsis_model, pipeline.sync_head,
-        inputs, cfg.em_xi, cfg.em_percentile,
+        inputs, cfg.em_xi,
     )
     order = np.random.default_rng(shuffle_seed).permutation(len(train_movies))
     items = []
@@ -707,7 +707,7 @@ def test_act_checkpoint_round_trip(tmp_path):
     trainer.save_checkpoint(path, pipeline, epoch=1)
     kind, loaded, extra = trainer.load_checkpoint(path, "act")
     assert kind == "act" and extra["epoch"] == 1
-    assert (loaded.em_xi, loaded.em_percentile) == (0.3, 90.0)  # act_train_cfg's
+    assert loaded.em_xi == 0.3  # act_train_cfg's
     for name, p in pipeline.named_params().items():
         assert np.array_equal(p.data, loaded.named_params()[name].data)
 
