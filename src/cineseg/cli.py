@@ -72,14 +72,11 @@ def __getattr__(name: str) -> dict:
     if name == "ACT_KEYS":
         from . import sync
         return {
-            "shot.seq_len": 3000,
-            "shot.align_len": 100,
+            "shot.align_len": 20,
             "shot.width": 128,
             "shot.ffn_width": 128,
             "shot.unimodal_depth": 1,
             "shot.fusion_depth": 1,
-            "synopsis.seq_len": 60,
-            "synopsis.align_len": 20,
             "synopsis.ffn_width": 128,
             "synopsis.unimodal_depth": 1,
             "train.epochs": 10,
@@ -232,18 +229,28 @@ def cmd_train_scene(args) -> int:
     return 0
 
 
+def act_model_configs(cfg_map: dict, layout, shots: int, sentences: int):
+    """train-act's (shot, synopsis) towers for data of this modality layout whose longest movie
+    and synopsis have these lengths; the synopsis one takes the shot tower's align_len and width."""
+    from . import alignfuse as af
+    dims, tp = tuple(d for _, d in layout), dataio.NUM_TURNING_POINTS
+    align_len = cfg_map["shot.align_len"]
+    if align_len > sentences:
+        raise ConfigError(f"shot.align_len = {align_len} is more than the {sentences} "
+                          f"sentences of the longest synopsis; the synopsis tower takes it too")
+    shot = af.ModelConfig(**_section(cfg_map, "shot"), seq_len=shots, num_classes=tp,
+                          modality_dims=dims)
+    return shot, af.ModelConfig(**_section(cfg_map, "synopsis"), seq_len=sentences,
+                                align_len=align_len, fusion_depth=0, width=shot.fused_width,
+                                num_classes=tp, modality_dims=(sum(dims),))
+
+
 def cmd_train_act(args) -> int:
-    from . import alignfuse as af, sync, trainer
+    from . import sync, trainer
     cfg_map = resolve_config(__getattr__("ACT_KEYS"), args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
-    dims = tuple(dim for _, dim in movies[0].layout)
-    shot_cfg = af.ModelConfig(
-        **_section(cfg_map, "shot"), num_classes=dataio.NUM_TURNING_POINTS, modality_dims=dims
-    )
-    synopsis_cfg = af.ModelConfig(
-        **_section(cfg_map, "synopsis"), fusion_depth=0, width=shot_cfg.fused_width,
-        num_classes=dataio.NUM_TURNING_POINTS, modality_dims=(sum(dims),),
-    )
+    lengths = max(m.num_shots for m in movies), max(len(m.synopsis_features) for m in movies)
+    shot_cfg, synopsis_cfg = act_model_configs(cfg_map, movies[0].layout, *lengths)
     train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
     pipeline, syncs, reports, logs = trainer.train_act(movies, shot_cfg, synopsis_cfg, train_cfg)
     sync_dir = _finish_training(args, cfg_map, pipeline, reports, logs) / "sync"
@@ -270,16 +277,12 @@ def cmd_sync(args) -> int:
             sync.write_pgm(sm.w, out / f"{movie.movie_id}.pgm")
         assigned = int(sm.w.sum())
         hits = int((sm.w * movie.gold_sync).sum())  # assigned pairs on the planted sync
-        summary.append(
-            {
-                "movie_id": movie.movie_id,
-                "shots": int(sm.w.shape[0]),
-                "sentences": int(sm.w.shape[1]),
-                "assigned": assigned,
-                "gold_precision": hits / assigned if assigned else None,
-                "gold_recall": hits / movie.num_shots,
-            }
-        )
+        summary.append({
+            "movie_id": movie.movie_id, "shots": int(sm.w.shape[0]),
+            "sentences": int(sm.w.shape[1]), "assigned": assigned,
+            "gold_precision": hits / assigned if assigned else None,
+            "gold_recall": hits / movie.num_shots,
+        })
     _write_config(out, "sync", args.seed, {})
     _write_json(out / "summary.json", {"movies": summary})
     _print_json({"movies": summary})

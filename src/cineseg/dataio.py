@@ -381,8 +381,6 @@ def save_movie(sample: MovieSample, out_dir: Path) -> Path:
 
 def load_movie(manifest_path: Path) -> MovieSample:
     manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
     if not manifest_path.exists():
         raise BlobIOError(f"manifest not found: {manifest_path}")
     try:

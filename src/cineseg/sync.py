@@ -45,10 +45,9 @@ class SyncMatrix:
     lambdas: np.ndarray  # per-sentence thresholds
 
 
-def lambda_per_sentence(values: np.ndarray, percentile: float = E_STEP_PERCENTILE) -> np.ndarray:
-    """Per-sentence threshold: the given percentile of each similarity column,
-    with linear interpolation between order statistics."""
-    return np.percentile(values, percentile, axis=0, method="linear")
+def lambda_per_sentence(values: np.ndarray) -> np.ndarray:
+    """Per-sentence threshold: each column's E_STEP_PERCENTILE, linearly interpolated."""
+    return np.percentile(values, E_STEP_PERCENTILE, axis=0, method="linear")
 
 
 def band_mask(num_shots: int, num_sentences: int, xi: float = DEFAULT_BAND_XI) -> np.ndarray:

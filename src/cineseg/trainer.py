@@ -384,10 +384,10 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed,
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     tower_seed, head_seed = seed.spawn(2)
-    # both towers draw from the same stream: parameters drawn before the
-    # towers' shapes diverge (notably the input projections) start identical,
-    # so the first expectation step scores shots against sentences through a
-    # common random map instead of two unrelated ones
+    # both towers draw from one stream, so train-act's, of one align_len and
+    # width, start with the same alignment table (and for one shot modality
+    # input projection): the first expectation step scores shots against
+    # sentences through a common random map instead of two unrelated ones
     return ActPipeline(
         af.FusionModel(shot_cfg, tower_seed),
         af.FusionModel(synopsis_cfg, tower_seed),

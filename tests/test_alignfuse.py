@@ -557,25 +557,24 @@ def test_one_training_step_records_the_pinned_tape():
 # ---- the parameter budget ----
 
 
-def _model_configs(scene_cfg=None, act_cfg=None, act_sets=()):
+# a paper-scale movie and synopsis, at which the default settings are counted
+PAPER_SHOTS, PAPER_SENTENCES = 3000, 60
+
+
+def _model_configs(scene_cfg=None, act_cfg=None, act_sets=(), lengths=None):
     """The scene model config and the act (shot, synopsis, sync_dim) that
     the CLI builds from SCENE_KEYS and ACT_KEYS under the given config
     files and act --set items, with the modality dims of the shipped
-    synth configs."""
-    def dims(name):
-        modalities = cli.resolve_config(cli.SYNTH_KEYS, CONFIGS / name, [])["modalities"]
-        return tuple(d for _, d in modalities)
-
+    synth configs; the act towers fit movies and synopses of lengths
+    (shots, sentences), by default those synth_act.cfg makes."""
+    synth_act, synth_scene = (cli.resolve_config(cli.SYNTH_KEYS, CONFIGS / name, [])
+                              for name in ("synth_act.cfg", "synth_scene.cfg"))
+    shots, sentences = lengths or (synth_act["shots"], synth_act["sentences"])
     scene = cli.resolve_config(cli.SCENE_KEYS, scene_cfg, [])
     act = cli.resolve_config(cli.ACT_KEYS, act_cfg, list(act_sets))
-    shot = af.ModelConfig(**cli._section(act, "shot"), num_classes=NUM_TURNING_POINTS,
-                          modality_dims=dims("synth_act.cfg"))
-    synopsis = af.ModelConfig(**cli._section(act, "synopsis"), fusion_depth=0,
-                              width=shot.fused_width,
-                              num_classes=NUM_TURNING_POINTS,
-                              modality_dims=(sum(shot.modality_dims),))
+    shot, synopsis = cli.act_model_configs(act, synth_act["modalities"], shots, sentences)
     model = af.ModelConfig(**cli._section(scene, "model"), num_classes=2,
-                           modality_dims=dims("synth_scene.cfg"))
+                           modality_dims=tuple(d for _, d in synth_scene["modalities"]))
     return model, (shot, synopsis, act["train.sync_dim"])
 
 
@@ -598,7 +597,8 @@ def test_param_count_is_what_the_constructors_allocate(source):
 
 def test_default_settings_fit_the_budget():
     # the paper-scale defaults, counted and not allocated
-    scene, (shot, synopsis, _) = _model_configs()
+    scene, (shot, synopsis, _) = _model_configs(lengths=(PAPER_SHOTS, PAPER_SENTENCES))
+    assert (shot.seq_len, synopsis.seq_len) == (PAPER_SHOTS, PAPER_SENTENCES)
     for cfg in (scene, shot, synopsis):
         cfg.validate()
     assert scene.num_params > 10**7

@@ -295,7 +295,7 @@ def test_row_count_mismatch_is_data_error(tmp_path):
     blob = out / "visual.f64"
     blob.write_bytes(blob.read_bytes() + b"\x00" * 8 * 6)
     with pytest.raises(DataError):
-        dataio.load_movie(out)
+        dataio.load_movie(out / "manifest.json")
 
 
 def test_failed_write_leaves_no_file_behind(tmp_path, monkeypatch):

@@ -41,14 +41,16 @@ def objective(values, lambdas, w):
 
 
 def test_percentile_is_linearly_interpolated():
+    # the 90th percentile of 0..99 lies 0.9 of the way from order statistic 89 to 90
     column = np.arange(100, dtype=np.float64).reshape(100, 1)
-    assert sync.lambda_per_sentence(column, percentile=99.0) == pytest.approx(98.01, abs=1e-12)
+    assert sync.E_STEP_PERCENTILE == 90.0
+    assert sync.lambda_per_sentence(column) == pytest.approx(89.1, abs=1e-12)
 
 
 def test_percentile_per_column():
     values = np.stack([np.arange(5.0), np.arange(5.0) * 10], axis=1)
-    lam = sync.lambda_per_sentence(values, percentile=50.0)
-    assert np.allclose(lam, [2.0, 20.0])
+    lam = sync.lambda_per_sentence(values)
+    assert np.allclose(lam, [3.6, 36.0])
 
 
 def test_band_2x2_is_diagonal():
