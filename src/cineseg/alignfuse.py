@@ -229,13 +229,12 @@ def _encoder_block(model, prefix: str, x: Tensor) -> Tensor:
     return nc.layernorm(nc.add(x, h), model[prefix + "ln2.g"], model[prefix + "ln2.b"])
 
 
-def embed_modality(model, feats, m: int, collect=None) -> Tensor:
+def embed_modality(model, feats, m: int) -> Tensor:
     """Project modality m and add positional encodings: its [B x 1 x L_in
     x C] slice of the stacked towers, before their layernorm.
 
     Regular PE is indexed by absolute position; the alignment PE bucket
     for position i of a length-L_in input is floor(align_len * i / L_in).
-    A given collect gets the [B x L_in x C] sum in "embed_pre_norm".
     """
     cfg = model.config
     if feats.ndim != 3:
@@ -253,8 +252,6 @@ def embed_modality(model, feats, m: int, collect=None) -> Tensor:
     x = nc.add(x, nc.narrow(model[f"mod{m}.pe"], -2, 0, length))
     if cfg.align_pe_embed:
         x = nc.add(x, nc.gather_rows(model["align_pe"], align_buckets(length, cfg.align_len)))
-    if collect is not None:
-        collect.setdefault("embed_pre_norm", {})[m] = nc.reshape(x, (batch, length, cfg.width))
     return x
 
 
@@ -282,9 +279,8 @@ def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor):
     return tokens_out, latents
 
 
-def fusion_encode(model, tokens: Tensor, latents: Tensor):
-    """Cross-modal stage; returns the fused representation [B x L_in x M*C]
-    and the length of every sequence a fusion block attended over.
+def fusion_encode(model, tokens: Tensor, latents: Tensor) -> Tensor:
+    """Cross-modal stage; returns the fused representation [B x L_in x M*C].
 
     Per block, every modality encodes [all M token sets; its own latents]
     with its own parameters; each token set's next value is the mean of
@@ -296,21 +292,18 @@ def fusion_encode(model, tokens: Tensor, latents: Tensor):
     shared = n_mod * ln
     # every token set, in modality order, broadcast to each tower by concat
     token_sets = nc.reshape(tokens, (batch, 1, shared, width))
-    seq_lens = []
     for d in range(cfg.fusion_depth):
         seq = nc.concat([token_sets, latents], -2)
-        seq_lens += [seq.shape[-2]] * n_mod
         out = _encoder_block(model, f"fus{d}.", seq)
         latents = nc.narrow(out, -2, shared, out.shape[-2])
         if d + 1 < cfg.fusion_depth:
             token_sets = nc.mean(nc.narrow(out, -2, 0, shared), -3)
-    return nc.merge_channels(latents), seq_lens
+    return nc.merge_channels(latents)
 
 
-def encode(model, feats_list, collect=None) -> Tensor:
+def encode(model, feats_list) -> Tensor:
     """Full encoder: per-modality embedding, then the stacked towers'
-    unimodal blocks and fusion. A given collect also gets the fusion
-    attention lengths in "fusion_seq_lens"."""
+    unimodal blocks and fusion; returns the fused [B x L_in x M*C]."""
     cfg = model.config
     if len(feats_list) != cfg.num_modalities:
         raise DataError(
@@ -318,15 +311,12 @@ def encode(model, feats_list, collect=None) -> Tensor:
         )
     embedded, bottlenecks = [], []
     for m, feats in enumerate(feats_list):
-        embedded.append(embed_modality(model, feats, m, collect))
+        embedded.append(embed_modality(model, feats, m))
         # right after the embedding's: the alignment table's gradient then
         # sums its per-modality terms in the order of the unstacked towers
         bottlenecks.append(make_bottleneck(model, m))
     tokens, latents = unimodal_encode(model, nc.concat(embedded, -3), nc.concat(bottlenecks, -3))
-    fused, seq_lens = fusion_encode(model, tokens, latents)
-    if collect is not None:
-        collect["fusion_seq_lens"] = seq_lens
-    return fused
+    return fusion_encode(model, tokens, latents)
 
 
 def scene_head_rows(fused) -> Tensor:

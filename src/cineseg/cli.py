@@ -66,32 +66,26 @@ SCENE_KEYS = {
     "train.lr": 1e-4,
 }
 
-
-def __getattr__(name: str) -> dict:
-    """ACT_KEYS, built when read from sync's E-step defaults."""
-    if name == "ACT_KEYS":
-        from . import sync
-        return {
-            "shot.align_len": 20,
-            "shot.width": 128,
-            "shot.ffn_width": 128,
-            "shot.unimodal_depth": 1,
-            "shot.fusion_depth": 1,
-            "synopsis.ffn_width": 128,
-            "synopsis.unimodal_depth": 1,
-            "train.epochs": 10,
-            "train.batch_size": 4,
-            "train.lr": 1e-3,
-            "train.em_xi": sync.DEFAULT_BAND_XI,
-            "train.sync_dim": 128,
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+ACT_KEYS = {
+    "shot.align_len": 20,
+    "shot.width": 128,
+    "shot.ffn_width": 128,
+    "shot.unimodal_depth": 1,
+    "shot.fusion_depth": 1,
+    "synopsis.ffn_width": 128,
+    "synopsis.unimodal_depth": 1,
+    "train.epochs": 10,
+    "train.batch_size": 4,
+    "train.lr": 1e-3,
+    "train.em_xi": 0.3,
+    "train.sync_dim": 128,
+}
 
 
-def run_gradient_checks(*args, **kwargs) -> list:
+def run_gradient_checks(seed: int) -> list:
     """gradcheck.run_gradient_checks, loaded at the first call."""
     from .gradcheck import run_gradient_checks
-    return run_gradient_checks(*args, **kwargs)
+    return run_gradient_checks(seed)
 
 
 def read_config_file(path) -> dict:
@@ -229,28 +223,14 @@ def cmd_train_scene(args) -> int:
     return 0
 
 
-def act_model_configs(cfg_map: dict, layout, shots: int, sentences: int):
-    """train-act's (shot, synopsis) towers for data of this modality layout whose longest movie
-    and synopsis have these lengths; the synopsis one takes the shot tower's align_len and width."""
-    from . import alignfuse as af
-    dims, tp = tuple(d for _, d in layout), dataio.NUM_TURNING_POINTS
-    align_len = cfg_map["shot.align_len"]
-    if align_len > sentences:
-        raise ConfigError(f"shot.align_len = {align_len} is more than the {sentences} "
-                          f"sentences of the longest synopsis; the synopsis tower takes it too")
-    shot = af.ModelConfig(**_section(cfg_map, "shot"), seq_len=shots, num_classes=tp,
-                          modality_dims=dims)
-    return shot, af.ModelConfig(**_section(cfg_map, "synopsis"), seq_len=sentences,
-                                align_len=align_len, fusion_depth=0, width=shot.fused_width,
-                                num_classes=tp, modality_dims=(sum(dims),))
-
-
 def cmd_train_act(args) -> int:
     from . import sync, trainer
-    cfg_map = resolve_config(__getattr__("ACT_KEYS"), args.config, args.set)
+    cfg_map = resolve_config(ACT_KEYS, args.config, args.set)
     movies = dataio.load_dataset(Path(args.data))
     lengths = max(m.num_shots for m in movies), max(len(m.synopsis_features) for m in movies)
-    shot_cfg, synopsis_cfg = act_model_configs(cfg_map, movies[0].layout, *lengths)
+    shot_cfg, synopsis_cfg = trainer.act_model_configs(
+        _section(cfg_map, "shot"), _section(cfg_map, "synopsis"),
+        tuple(d for _, d in movies[0].layout), *lengths)
     train_cfg = trainer.TrainConfig(seed=args.seed, **_section(cfg_map, "train"))
     pipeline, syncs, reports, logs = trainer.train_act(movies, shot_cfg, synopsis_cfg, train_cfg)
     sync_dir = _finish_training(args, cfg_map, pipeline, reports, logs) / "sync"

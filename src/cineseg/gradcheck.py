@@ -2,8 +2,10 @@
 
 Each check builds a tiny model on the two-modality config, takes the
 taped gradient of one loss, and compares it against central finite
-differences over every parameter element. Entries where both sides sit
-under a rounding-noise gate are left out of the comparison.
+differences over every parameter element, at the fixed step GRADCHECK_H
+and tolerance GRADCHECK_TOLERANCE. Entries where both sides sit under a
+rounding-noise gate are left out of the comparison. The act towers come
+from trainer.act_model_configs, the builder train-act uses.
 
 The scene check differentiates trainer.weighted_scene_ce on the scene
 forward; the contrastive and combined checks differentiate
@@ -20,9 +22,9 @@ from . import alignfuse as af
 from . import numcore as nc
 from . import sync
 from . import trainer
-from .dataio import NUM_TURNING_POINTS
 
-GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_H = 1e-5  # the central-difference step
+GRADCHECK_TOLERANCE = 1e-4  # the largest relative error a check passes with
 
 
 def _tiny_scene_setup(seed: int):
@@ -45,15 +47,10 @@ def _tiny_scene_setup(seed: int):
 
 
 def _tiny_act_setup(seed: int):
-    shot_cfg = af.ModelConfig(
-        seq_len=5, align_len=2, width=8, ffn_width=16,
-        unimodal_depth=1, fusion_depth=1,
-        num_classes=NUM_TURNING_POINTS, modality_dims=(3, 2),
-    )
-    synopsis_cfg = af.ModelConfig(
-        seq_len=3, align_len=2, width=16, ffn_width=16,
-        unimodal_depth=1, fusion_depth=0,
-        num_classes=NUM_TURNING_POINTS, modality_dims=(5,),
+    # train-act's towers, for 5-shot movies with a 3-sentence synopsis
+    shot_cfg, synopsis_cfg = trainer.act_model_configs(
+        dict(align_len=2, width=8, ffn_width=16, unimodal_depth=1, fusion_depth=1),
+        dict(ffn_width=16, unimodal_depth=1), (3, 2), 5, 3,
     )
     root = np.random.SeedSequence(seed)
     model_seed, data_seed = root.spawn(2)
@@ -97,7 +94,7 @@ def _autodiff_grads(params: dict, loss) -> tuple[dict, float]:
     return grads, float(loss.data)
 
 
-def _summarize(name: str, params: dict, errors: dict, tolerance: float) -> dict:
+def _summarize(name: str, params: dict, errors: dict) -> dict:
     worst_err, worst_param, compared = 0.0, "", 0
     for pname, (err, live) in errors.items():
         compared += live
@@ -109,11 +106,11 @@ def _summarize(name: str, params: dict, errors: dict, tolerance: float) -> dict:
         "compared": compared,
         "max_rel_error": worst_err,
         "worst_parameter": worst_param,
-        "passed": compared > 0 and worst_err < tolerance,
+        "passed": compared > 0 and worst_err < GRADCHECK_TOLERANCE,
     }
 
 
-def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> list:
+def _check_losses(names, params: dict, losses, h: float) -> list:
     """One result dict per loss; losses() returns every loss of one forward,
     so a single forward per perturbation serves all of the checks."""
     auto, gates = [], []
@@ -132,18 +129,15 @@ def _check_losses(names, params: dict, losses, h: float, tolerance: float) -> li
     for (pname, p), sl in zip(params.items(), slices):
         for k in range(len(names)):
             errors[k][pname] = _gated_rel_error(auto[k][pname], fd[k, sl].reshape(p.shape), gates[k])
-    return [
-        _summarize(name, params, errs, tolerance) for name, errs in zip(names, errors)
-    ]
+    return [_summarize(name, params, errs) for name, errs in zip(names, errors)]
 
 
-def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADCHECK_TOLERANCE):
+def run_gradient_checks(seed: int):
     """Autodiff-vs-finite-difference checks for the three training losses
-    on the tiny two-modality config; one result dict per loss."""
+    on the tiny two-modality config, at step GRADCHECK_H; one result dict
+    per loss."""
     params, loss_fn = _tiny_scene_setup(seed)
-    results = _check_losses(
-        ("scene_weighted_ce",), params, lambda: (loss_fn(),), h, tolerance
-    )
+    results = _check_losses(("scene_weighted_ce",), params, lambda: (loss_fn(),), GRADCHECK_H)
 
     # the combined loss reuses the contrastive term and, as a training step
     # does, the distillation targets of the unperturbed parameters
@@ -155,6 +149,6 @@ def run_gradient_checks(seed: int = 0, h: float = 1e-5, tolerance: float = GRADC
         return l_c, total
 
     results += _check_losses(
-        ("contrastive", "combined"), pipeline.named_params(), act_losses, h, tolerance
+        ("contrastive", "combined"), pipeline.named_params(), act_losses, GRADCHECK_H
     )
     return results

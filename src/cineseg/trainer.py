@@ -362,6 +362,20 @@ class ActPipeline:
         return merged
 
 
+def act_model_configs(shot: dict, synopsis: dict, dims, shots: int, sentences: int):
+    """The (shot, synopsis) towers, from the settings of each, for movies of
+    these modality dims whose longest movie and synopsis have these lengths;
+    the synopsis one takes the shot tower's align_len and fused width."""
+    tp = NUM_TURNING_POINTS
+    if shot["align_len"] > sentences:
+        raise ConfigError(f"shot.align_len = {shot['align_len']} is more than the {sentences} "
+                          f"sentences of the longest synopsis; the synopsis tower takes it too")
+    shot_cfg = af.ModelConfig(**shot, seq_len=shots, num_classes=tp, modality_dims=dims)
+    return shot_cfg, af.ModelConfig(**synopsis, seq_len=sentences, align_len=shot_cfg.align_len,
+                                    fusion_depth=0, width=shot_cfg.fused_width, num_classes=tp,
+                                    modality_dims=(sum(dims),))
+
+
 def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed,
                        em_xi=sync.DEFAULT_BAND_XI) -> ActPipeline:
     """The only ActPipeline constructor, for training and loading alike."""
@@ -465,11 +479,11 @@ def check_tower_lengths(movies, shot_cfg, synopsis_cfg=None) -> None:
     for movie in movies:
         if movie.num_shots > shot_cfg.seq_len:
             raise DataError(f"movie {movie.movie_id} has {movie.num_shots} shots, more than "
-                            f"shot.seq_len = {shot_cfg.seq_len}")
+                            f"the {shot_cfg.seq_len} the shot tower takes")
         sentences = movie.synopsis_features.shape[0]
         if synopsis_cfg is not None and sentences > synopsis_cfg.seq_len:
             raise DataError(f"movie {movie.movie_id} has {sentences} synopsis sentences, "
-                            f"more than synopsis.seq_len = {synopsis_cfg.seq_len}")
+                            f"more than the {synopsis_cfg.seq_len} the synopsis tower takes")
 
 
 def movie_inputs(movie):

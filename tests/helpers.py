@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import cineseg.alignfuse as af
 import cineseg.numcore as nc
 
 
@@ -11,3 +12,18 @@ def weighted_sum(x, r=1.0):
     shape."""
     w = np.broadcast_to(np.asarray(r, dtype=np.float64), x.shape).reshape(-1, 1)
     return nc.reshape(nc.linear(nc.reshape(x, (1, -1)), w, np.zeros(1)), ())
+
+
+def record_fusion_lengths(monkeypatch) -> list:
+    """Wrap alignfuse._encoder_block so that every fusion block it runs
+    appends, once per tower, the length of the sequence that tower
+    attends over; returns the list it fills."""
+    lengths, block = [], af._encoder_block
+
+    def recording(model, prefix, x):
+        if prefix.startswith("fus"):
+            lengths.extend([x.shape[-2]] * x.shape[-3])
+        return block(model, prefix, x)
+
+    monkeypatch.setattr(af, "_encoder_block", recording)
+    return lengths

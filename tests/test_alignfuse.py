@@ -13,7 +13,7 @@ import cineseg.sync as sync
 import cineseg.trainer as trainer
 from cineseg.dataio import NUM_TURNING_POINTS
 from cineseg.errors import BlobIOError, ConfigError, DataError
-from helpers import weighted_sum
+from helpers import record_fusion_lengths, weighted_sum
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -124,25 +124,25 @@ def test_scene_forward_shapes():
     assert logits.shape == (4, 2)
 
 
-def test_fusion_sequence_length_and_fused_width():
+def test_fusion_sequence_length_and_fused_width(monkeypatch):
     rng = np.random.default_rng(2)
     cfg = tiny_cfg(seq_len=17, align_len=2, modality_dims=(3, 4, 5), num_classes=5)
     model = af.FusionModel(cfg, seed=2)
-    collect = {}
+    lengths = record_fusion_lengths(monkeypatch)
     feats = [rng.normal(size=(1, 17, d)) for d in cfg.modality_dims]
-    fused = af.encode(model, feats, collect=collect)
-    assert collect["fusion_seq_lens"] == [3 * 2 + 17] * 3
+    fused = af.encode(model, feats)
+    assert lengths == [3 * 2 + 17] * 3
     assert fused.shape == (1, 17, 3 * cfg.width)
 
 
-def test_single_modality_fusion_degenerates():
+def test_single_modality_fusion_degenerates(monkeypatch):
     rng = np.random.default_rng(3)
     cfg = tiny_cfg(modality_dims=(6,), num_classes=5)
     model = af.FusionModel(cfg, seed=3)
-    collect = {}
+    lengths = record_fusion_lengths(monkeypatch)
     feats = [rng.normal(size=(1, 5, 6))]
-    fused = af.encode(model, feats, collect=collect)
-    assert collect["fusion_seq_lens"] == [2 + 5]
+    fused = af.encode(model, feats)
+    assert lengths == [2 + 5]
     assert fused.shape == (1, 5, cfg.width)
     assert af.forward_act(model, [feats[0][0]]).shape == (5, 5)
 
@@ -170,12 +170,11 @@ def test_embed_ablation_changes_exactly_the_alignment_addend():
     model_on = af.FusionModel(cfg, seed=7)
     model_off = af.FusionModel(tiny_cfg(align_pe_embed=False), seed=7)
     feats = rng.normal(size=(2, 5, 3))
-    on, off = {}, {}
-    af.embed_modality(model_on, feats, 0, collect=on)
-    af.embed_modality(model_off, feats, 0, collect=off)
+    on = af.embed_modality(model_on, feats, 0).data[:, 0]
+    off = af.embed_modality(model_off, feats, 0).data[:, 0]
     addend = model_on["align_pe"].data[af.align_buckets(5, 2)]
     npt.assert_allclose(
-        on["embed_pre_norm"][0].data - off["embed_pre_norm"][0].data,
+        on - off,
         np.broadcast_to(addend, (2, 5, 8)),
         atol=1e-12,
     )
@@ -572,7 +571,9 @@ def _model_configs(scene_cfg=None, act_cfg=None, act_sets=(), lengths=None):
     shots, sentences = lengths or (synth_act["shots"], synth_act["sentences"])
     scene = cli.resolve_config(cli.SCENE_KEYS, scene_cfg, [])
     act = cli.resolve_config(cli.ACT_KEYS, act_cfg, list(act_sets))
-    shot, synopsis = cli.act_model_configs(act, synth_act["modalities"], shots, sentences)
+    shot, synopsis = trainer.act_model_configs(
+        cli._section(act, "shot"), cli._section(act, "synopsis"),
+        tuple(d for _, d in synth_act["modalities"]), shots, sentences)
     model = af.ModelConfig(**cli._section(scene, "model"), num_classes=2,
                            modality_dims=tuple(d for _, d in synth_scene["modalities"]))
     return model, (shot, synopsis, act["train.sync_dim"])

@@ -742,16 +742,15 @@ def test_gradcheck_that_compares_no_entry_exits_4(tmp_path, capsys, monkeypatch)
     # at h=1e-300 the noise gate hides every entry, so the check compares
     # nothing; the real checker runs on a one-parameter loss to stay quick
     w = nc.Tensor([0.5, -1.0], requires_grad=True)
-    tolerance = gradcheck.GRADCHECK_TOLERANCE
 
     def losses():
         return (nc.cross_entropy(w, np.array([1.0, 0.0]), 0),)
 
-    [row] = gradcheck._check_losses(("ce",), {"w": w}, losses, 1e-5, tolerance)
+    [row] = gradcheck._check_losses(("ce",), {"w": w}, losses, 1e-5)
     assert (row["compared"], row["passed"]) == (2, True)
 
     def checks(seed):
-        return gradcheck._check_losses(("ce",), {"w": w}, losses, 1e-300, tolerance)
+        return gradcheck._check_losses(("ce",), {"w": w}, losses, 1e-300)
 
     monkeypatch.setattr(cli, "run_gradient_checks", checks)
     assert cli.main(["gradcheck", "--out", str(tmp_path)]) == 4
@@ -852,10 +851,12 @@ def test_train_act_names_the_movie_longer_than_a_tower(act_data, tower, length, 
     # can hand train_act a tower too short for a movie
     movies = dataio.load_dataset(act_data)
     act = cli.resolve_config(cli.ACT_KEYS, None, ACT_MODEL_SET)
-    towers = dict(zip(("shot", "synopsis"), cli.act_model_configs(act, [("content", 10)], 24, 3)))
+    towers = dict(zip(("shot", "synopsis"), trainer.act_model_configs(
+        cli._section(act, "shot"), cli._section(act, "synopsis"), (10,), 24, 3)))
     towers[tower] = replace(towers[tower], seq_len=length, align_len=2)
     train_cfg = trainer.TrainConfig(**cli._section(act, "train"))
-    with pytest.raises(DataError, match=f"movie movie_0000 has {what}, more than {tower}.seq_len"):
+    with pytest.raises(DataError, match=f"movie movie_0000 has {what}, more than the {length} "
+                                        f"the {tower} tower takes"):
         trainer.train_act(movies, towers["shot"], towers["synopsis"], train_cfg)
 
 
@@ -880,7 +881,7 @@ def test_every_act_command_names_the_movie_longer_than_the_shot_tower(
             "--checkpoint", str(act_run / "model.ckpt")]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == (
-        "data error: movie movie_0000 has 25 shots, more than shot.seq_len = 24\n"
+        "data error: movie movie_0000 has 25 shots, more than the 24 the shot tower takes\n"
     )
     assert not out.exists()
 
@@ -897,7 +898,7 @@ def test_only_the_synopsis_tower_commands_check_the_synopsis_length(
     err = capsys.readouterr().err
     if code:
         assert err == ("data error: movie movie_0000 has 4 synopsis sentences, "
-                       "more than synopsis.seq_len = 3\n")
+                       "more than the 3 the synopsis tower takes\n")
     assert out.exists() == (code == 0)
 
 

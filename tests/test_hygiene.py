@@ -381,21 +381,34 @@ def unset_defaults(modules: dict, sources: list) -> list[str]:
     return found
 
 
-def test_checker_finds_unset_defaults():
+def caller_sources(root: Path) -> list[str]:
+    """The sources whose calls count as callers: the package's and the
+    benchmark's, and no test's, since a default only a test overrides is
+    one that every command keeps."""
+    return [path.read_text() for folder in (root / "src" / "cineseg", root / "bench")
+            for path in sorted(folder.rglob("*.py"))
+            if "tests" not in path.relative_to(root).parts]
+
+
+def test_checker_finds_unset_defaults(tmp_path):
     module = ("def f(a, b=1, c=2, *, d=3, e):\n    pass\n"
               "def g(x=0):\n    pass\n"
               "def h(y=0):\n    pass\n"
               "class K:\n    def f(self, z=0):\n        pass\n")
     calls = "f(1, 2, e=5)\nm.f(0, d=4, e=5)\nm.h(*rest)\n"
     assert unset_defaults({"m": module}, [module, calls]) == ["m.f(c)", "m.g(x)"]
+    # a call from a test, the benchmark's included, sets nothing
+    for path, source in (("src/cineseg/m.py", module), ("bench/run.py", calls),
+                         ("tests/test_m.py", "m.f(c=0)\n"), ("bench/tests/test_b.py", "g(1)\n")):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(source)
+    assert unset_defaults({"m": module}, caller_sources(tmp_path)) == ["m.f(c)", "m.g(x)"]
 
 
 def test_every_default_is_overridden_by_some_caller():
-    # a default that every caller keeps is a constant
-    sources = [path.read_text() for folder in (PACKAGE, TESTS, TESTS.parent / "bench")
-               for path in sorted(folder.rglob("*.py"))]
+    # a default that every command keeps is a constant
     modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unset_defaults(modules, sources) == []
+    assert unset_defaults(modules, caller_sources(TESTS.parent)) == []
 
 
 # ---- every setting is one some shipped config or bench workload sets ----
@@ -469,7 +482,7 @@ def cineseg_attr(module: str, path: str):
 # E-step score reads movie_inputs as argument 3, the tape count and the
 # single-class count read backward's tape and the loss's labels
 BENCH_SIGNATURES = {
-    ("alignfuse", "embed_modality"): ["model", "feats", "m", "collect"],
+    ("alignfuse", "embed_modality"): ["model", "feats", "m"],
     ("alignfuse", "_linear_apply"): ["model", "prefix", "x"],
     ("numcore", "backward"): ["tape", "loss"],
     ("trainer", "weighted_scene_ce"): ["logits", "labels"],
