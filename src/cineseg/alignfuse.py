@@ -65,6 +65,9 @@ CHECKPOINT_VERSION = 6
 # the configs before any allocation: 800 MB per float64 copy, of which
 # training holds about five (values, two gradient copies, Adam moments)
 MAX_MODEL_PARAMS = 10**8
+# the most attention scores an encode_sequences batch holds per block: two
+# movies of 300 shots behind 12 tokens; larger ones held more, no faster
+GROUP_SCORES = 2 * 312 * 312
 # the JSON types a checkpoint may give each ModelConfig field, by its
 # annotation (modality_dims is a list of ints)
 _JSON_TYPES = {"int": (int,), "bool": (bool,)}
@@ -352,16 +355,29 @@ def encode_sequence(model, feats_list) -> Tensor:
     return nc.reshape(fused, (fused.shape[1], model.config.fused_width))
 
 
+def encode_sequences(model, sequences) -> list:
+    """Untaped fused rows [L_in x fused_width] of each sequence (its per-modality
+    [L_in x dim] matrices), in input order: sequences of one shape run batched
+    within GROUP_SCORES, each with the bits encode_sequence gives it alone."""
+    cfg = model.config
+    by_shape: dict[tuple, list] = {}
+    for i, feats in enumerate(sequences):
+        by_shape.setdefault(tuple(f.shape for f in feats), []).append(i)
+    rows = {}
+    for shapes, members in by_shape.items():
+        # a tower attends over at most its latents and every token set
+        span = max((s[0] for s in shapes), default=0) + cfg.num_modalities * cfg.align_len
+        size = max(1, GROUP_SCORES // (cfg.num_modalities * span * span))
+        for lo in range(0, len(members), size):
+            group = members[lo:lo + size]
+            stacked = [np.stack(m) for m in zip(*(sequences[i] for i in group))]
+            rows.update(zip(group, encode(model, stacked).data))
+    return [rows[i] for i in range(len(sequences))]
+
+
 def apply_head(model, rows) -> Tensor:
     """Classification head on already-encoded rows."""
     return _linear_apply(model, "head", rows)
-
-
-def forward_act(model, feats_list) -> Tensor:
-    """Per-shot turning-point logits [L_in x NUM_TURNING_POINTS] for one movie."""
-    if model.config.num_classes != NUM_TURNING_POINTS:
-        raise ContractError(f"act forward needs a {NUM_TURNING_POINTS}-class head")
-    return apply_head(model, encode_sequence(model, feats_list))
 
 
 # ---- checkpoints ----

@@ -255,13 +255,9 @@ def cmd_sync(args) -> int:
         _write_json(out / f"{movie.movie_id}.json", sync.sync_to_json(sm))
         if args.pgm:
             sync.write_pgm(sm.w, out / f"{movie.movie_id}.pgm")
-        assigned = int(sm.w.sum())
-        hits = int((sm.w * movie.gold_sync).sum())  # assigned pairs on the planted sync
         summary.append({
             "movie_id": movie.movie_id, "shots": int(sm.w.shape[0]),
-            "sentences": int(sm.w.shape[1]), "assigned": assigned,
-            "gold_precision": hits / assigned if assigned else None,
-            "gold_recall": hits / movie.num_shots,
+            "sentences": int(sm.w.shape[1]), **sync.gold_agreement(sm.w, movie.sentence_of),
         })
     _write_config(out, "sync", args.seed, {})
     _write_json(out / "summary.json", {"movies": summary})
@@ -286,7 +282,7 @@ def cmd_eval(args) -> int:
     from . import trainer
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
-    # one forward per movie feeds both the report and scores.csv, whose
+    # one pass of forwards feeds both the report and scores.csv, whose
     # cells format Python floats: the .17g text of their float64 values
     if kind == "scene":
         scores = [trainer.scene_shot_scores(loaded, movie) for movie in movies]
@@ -300,7 +296,7 @@ def cmd_eval(args) -> int:
             ]
     else:
         trainer.check_tower_lengths(movies, loaded.shot_model.config)
-        probs = [trainer.act_shot_probs(loaded.shot_model, movie) for movie in movies]
+        probs = trainer.act_shot_probs(loaded.shot_model, movies)
         report = trainer.act_report(probs, movies, extra["epoch"], args.seed)
         rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(dataio.NUM_TURNING_POINTS)]]
         for movie, movie_probs in zip(movies, probs):

@@ -20,11 +20,11 @@ the bits of one node per slice.
 Attention's L x L arrays are the only large ones. A recorded call keeps
 one fresh L x L array, its unnormalized softmax weights, plus its
 scaled q and softmax row sums; the backward reads k and v
-from the input. Unrecorded calls and every backward use workspaces
-instead: one grow-only float64 buffer per slot (``scores`` for an
-unrecorded forward's weights, ``gs`` for the backward's score
-gradients), private to this module, never returned nor saved on a node
-(each ``fd_gradient`` worker, forked from the caller, has its own).
+from the input. Unrecorded calls and every backward share one workspace
+instead: a grow-only float64 buffer for an unrecorded forward's weights
+or a backward's score gradients, never live at the same time. It is
+private to this module, never returned nor saved on a node (each
+``fd_gradient`` worker, forked from the caller, has its own).
 
 Each op is its numpy forward plus a module-level backward rule
 ``rule(g, inputs, out, saved)``; ``_emit`` does the rest. It checks the
@@ -639,19 +639,18 @@ def normalize_rows(a) -> Tensor:
 
 # ---- attention ----
 
-# attention's workspaces, one per slot; see the module docstring
-_WORKSPACES: dict[str, np.ndarray] = {}
+# attention's workspace, in a list so that growing it rebinds no module attribute
+_WORKSPACE = [np.empty(0)]
 # bound on |scaled score| within which attention's exp skips the row-max
 # shift: exp(+-300) is a normal float64, and L of them sum far below overflow
 _UNSHIFTED_MAX = 300.0
 
 
-def _workspace(slot: str, shape: tuple) -> np.ndarray:
+def _workspace(shape: tuple) -> np.ndarray:
     size = math.prod(shape)
-    buf = _WORKSPACES.get(slot)
-    if buf is None or buf.size < size:
-        buf = _WORKSPACES[slot] = np.empty(size)
-    return buf[:size].reshape(shape)
+    if _WORKSPACE[0].size < size:
+        _WORKSPACE[0] = np.empty(size)
+    return _WORKSPACE[0][:size].reshape(shape)
 
 
 def _attention_back(g, inputs, out, saved):
@@ -665,7 +664,7 @@ def _attention_back(g, inputs, out, saved):
     grad = np.empty_like(qkv.data)
     gz = g / z
     np.matmul(np.swapaxes(e, -1, -2), gz, out=grad[..., vc])
-    gs = np.matmul(gz, np.swapaxes(qkv.data[..., vc], -1, -2), out=_workspace("gs", e.shape))
+    gs = np.matmul(gz, np.swapaxes(qkv.data[..., vc], -1, -2), out=_workspace(e.shape))
     gs -= np.add.reduce(gz * out, axis=-1, keepdims=True)
     gs *= e
     np.multiply(gs @ qkv.data[..., kc], scale, out=grad[..., qc])
@@ -686,7 +685,8 @@ def attention(qkv) -> Tensor:
     in size; while that bound is at most _UNSHIFTED_MAX, exp can neither
     overflow nor underflow, so the scores go to exp as they are. Past the
     bound (or when it is not finite) they are checked for non-finite
-    values and shifted by their row max first."""
+    values and shifted by their row max first. The bound is per index of
+    the leading axis: a batched sequence gets the bits it gets alone."""
     qkv = _as_tensor(qkv)
     shape = qkv.data.shape
     if len(shape) < 3 or shape[-1] % 3:
@@ -694,20 +694,21 @@ def attention(qkv) -> Tensor:
     width = shape[-1] // 3
     recorded = bool(_TAPE_STACK) and qkv.requires_grad
     scale = 1.0 / math.sqrt(width)
-    # the bound squared, from the squared q and k row norms; einsum gives an
-    # overflowing norm as inf without a warning, and inf or NaN fails the gate
+    # the bound squared per leading index, from the squared q and k row norms
+    # in Python floats; einsum gives an overflowing norm as inf without a
+    # warning, so does the product, and inf or NaN fails the gate
     qk = qkv.data[..., :2 * width].reshape(shape[:-1] + (2, width))
-    norms = np.einsum("...i,...i->...", qk, qk)
-    bound_sq = float(norms[..., 0].max()) * float(norms[..., 1].max()) / width
+    norms = np.einsum("...i,...i->...", qk, qk).reshape(shape[0], -1, 2).max(axis=1)
     qs = np.multiply(qkv.data[..., :width], scale)
-    ws = None if recorded else _workspace("scores", shape[:-1] + shape[-2:-1])
+    ws = None if recorded else _workspace(shape[:-1] + shape[-2:-1])
     e = np.matmul(qs, np.swapaxes(qkv.data[..., width:2 * width], -1, -2), out=ws)
-    if not bound_sq <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
-        # within the bound the scores are finite; past it, finite shifted
-        # scores give finite softmax weights
-        if _fd_job is None and not np.isfinite(e).all():
-            raise NumericError("operation 'attention' produced non-finite scores")
-        e -= e.max(axis=-1, keepdims=True)
+    for i, (q_sq, k_sq) in enumerate(norms.tolist()):
+        if not q_sq * k_sq / width <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
+            # within the bound the scores are finite; past it, finite shifted
+            # scores give finite softmax weights
+            if _fd_job is None and not np.isfinite(e[i]).all():
+                raise NumericError("operation 'attention' produced non-finite scores")
+            e[i] -= e[i].max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     z = np.add.reduce(e, axis=-1, keepdims=True)
     out = e @ qkv.data[..., 2 * width:]

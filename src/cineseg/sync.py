@@ -5,7 +5,10 @@ exactly when its cosine similarity clears the sentence's threshold
 lambda_j (the 90th percentile of column j, E_STEP_PERCENTILE) and the pair
 lies inside a diagonal band of half-width xi. That binary matrix is the
 exact maximizer of sum_ij w_ij * (m_ij - lambda_j) over in-band binary
-matrices, because the objective separates per cell.
+matrices, because the objective separates per cell. Its forwards run
+grouped (alignfuse.encode_sequences: at desk scale every synopsis in one,
+the shots two movies at a time), and each movie keeps the bits of its
+own forward, so no result depends on the grouping.
 
 The M-step trains the feature extractors with a symmetric multi-positive
 contrastive loss over a batch of movies. Queries are shots in one
@@ -18,6 +21,7 @@ clamped to [1e-3, 10]. trainer.train_act alternates the two steps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +50,29 @@ class SyncMatrix:
 
 
 def lambda_per_sentence(values: np.ndarray) -> np.ndarray:
-    """Per-sentence threshold: each column's E_STEP_PERCENTILE, linearly interpolated."""
-    return np.percentile(values, E_STEP_PERCENTILE, axis=0, method="linear")
+    """Per-sentence threshold: each column's E_STEP_PERCENTILE, linearly
+    interpolated; np.percentile(..., axis=0, method="linear")'s bits from
+    one sort and numpy's own lerp at virtual index (n - 1) q."""
+    ordered = np.sort(values, axis=0)
+    last = len(ordered) - 1
+    at = last * (E_STEP_PERCENTILE / 100)
+    lo = int(at)
+    g = at - lo if lo < last else 1.0  # numpy's weight at the last value
+    a, b = ordered[lo], ordered[min(lo + 1, last)]
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
+@functools.lru_cache
 def band_mask(num_shots: int, num_sentences: int, xi: float = DEFAULT_BAND_XI) -> np.ndarray:
-    """Diagonal band: pairs whose positions agree up to a xi fraction slack."""
+    """Diagonal band: pairs whose positions agree up to a xi fraction
+    slack; built once per shape and xi, and read-only."""
     i = np.arange(num_shots)[:, None]
     j = np.arange(num_sentences)[None, :]
     lo = j < i * (num_sentences / num_shots) + xi * num_sentences
     hi = i < j * (num_shots / num_sentences) + xi * num_shots
-    return lo & hi
+    band = lo & hi
+    band.flags.writeable = False
+    return band
 
 
 def e_step(values: np.ndarray, lambdas: np.ndarray, xi: float = DEFAULT_BAND_XI) -> SyncMatrix:
@@ -165,14 +181,22 @@ def run_e_step(
     """E-step over every movie with the current parameters (no gradients):
     the evaluation-mode unit-norm sync features of its shots and sentences,
     then their cosines through the product the M-step and distillation
-    take (dividing by 1.0 is exact)."""
-    syncs = []
-    for shot_feats, synopsis_feats in movie_inputs:
-        u = head.features(af.encode_sequence(shot_model, shot_feats))
-        v = head.features(af.encode_sequence(synopsis_model, [synopsis_feats]))
-        values = nc.scaled_scores(u, v, 1.0).data
-        syncs.append(e_step(values, lambda_per_sentence(values), xi))
-    return syncs
+    take (dividing by 1.0 is exact). One SyncMatrix per movie, in input
+    order; the towers run grouped (af.encode_sequences)."""
+    shots = af.encode_sequences(shot_model, [feats for feats, _ in movie_inputs])
+    sentences = af.encode_sequences(synopsis_model, [[syn] for _, syn in movie_inputs])
+    values = [nc.scaled_scores(head.features(u), head.features(v), 1.0).data
+              for u, v in zip(shots, sentences)]
+    return [e_step(m, lambda_per_sentence(m), xi) for m in values]
+
+
+def gold_agreement(w: np.ndarray, sentence_of: np.ndarray) -> dict:
+    """The pairs w [shots x sentences] assigns, the share of them on each
+    shot's planted sentence (None for none) and the share of shots on it."""
+    assigned = int(w.sum())
+    hits = int(w[np.arange(len(sentence_of)), sentence_of].sum())
+    return {"assigned": assigned, "gold_precision": hits / assigned if assigned else None,
+            "gold_recall": hits / len(sentence_of)}
 
 
 # ---- exports ----

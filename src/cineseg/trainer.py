@@ -495,9 +495,11 @@ def _gold_span_shots(movie, tp: int) -> np.ndarray:
     return np.flatnonzero(np.isin(movie.sentence_of, movie.tp_labels[tp]))
 
 
-def act_shot_probs(shot_model, movie) -> np.ndarray:
-    """Per turning point, the shot distribution of one movie [shots x turning points]."""
-    return distill.shot_distribution(af.forward_act(shot_model, movie.streams)).data
+def act_shot_probs(shot_model, movies) -> list:
+    """Per turning point, the shot distribution of each movie [shots x
+    turning points], from grouped forwards (af.encode_sequences)."""
+    rows = af.encode_sequences(shot_model, [movie.streams for movie in movies])
+    return [distill.shot_distribution(af.apply_head(shot_model, r)).data for r in rows]
 
 
 def act_eval(per_movie_probs, movies):
@@ -623,8 +625,8 @@ def train_act(movies, shot_cfg, synopsis_cfg, cfg: TrainConfig):
         }
 
     def report(epoch):
-        probs = [act_shot_probs(pipeline.shot_model, movie) for movie in eval_movies]
-        return act_report(probs, eval_movies, epoch, cfg.seed)
+        return act_report(act_shot_probs(pipeline.shot_model, eval_movies), eval_movies,
+                          epoch, cfg.seed)
 
     reports, logs = _fit(cfg, optimizer, batches, objective, report, pipeline.sync_head.clamp_tau)
     skipped = [rec["skipped_queries"] for rec in logs]

@@ -4,6 +4,7 @@ import numpy as np
 
 import cineseg.alignfuse as af
 import cineseg.numcore as nc
+from cineseg import sync
 
 
 def weighted_sum(x, r=1.0):
@@ -27,3 +28,16 @@ def record_fusion_lengths(monkeypatch) -> list:
 
     monkeypatch.setattr(af, "_encoder_block", recording)
     return lengths
+
+
+def e_step_by_movie(shot_model, synopsis_model, head, movie_inputs, xi=sync.DEFAULT_BAND_XI):
+    """sync.run_e_step as one forward per movie and tower, with numpy's
+    own percentile: the reference its grouped forwards must match."""
+    syncs = []
+    for shot_feats, synopsis_feats in movie_inputs:
+        u = head.features(af.encode_sequence(shot_model, shot_feats))
+        v = head.features(af.encode_sequence(synopsis_model, [synopsis_feats]))
+        values = nc.scaled_scores(u, v, 1.0).data
+        lambdas = np.percentile(values, sync.E_STEP_PERCENTILE, axis=0, method="linear")
+        syncs.append(sync.e_step(values, lambdas, xi))
+    return syncs

@@ -58,11 +58,7 @@ def _act_train_cfg(seed: int):
 def _strict_tp_hits(shot_model, movies) -> int:
     """Turning points whose predicted shot lies inside the gold span on
     every one of the given movies."""
-    per_movie = []
-    for movie in movies:
-        feats, _ = trainer.movie_inputs(movie)
-        probs = distill.shot_distribution(af.forward_act(shot_model, feats)).data
-        per_movie.append((movie, probs))
+    per_movie = list(zip(movies, trainer.act_shot_probs(shot_model, movies)))
     hits = 0
     for tp in range(dataio.NUM_TURNING_POINTS):
         ok = True

@@ -33,6 +33,11 @@ def tiny_cfg(**kw):
     return af.ModelConfig(**base)
 
 
+def act_logits(model, feats_list):
+    """Per-shot turning-point logits of one movie, as training computes them."""
+    return af.apply_head(model, af.encode_sequence(model, feats_list))
+
+
 def rand_inputs(rng, cfg, batch=2, length=None):
     length = length or cfg.seq_len
     return [rng.normal(size=(batch, length, d)) for d in cfg.modality_dims]
@@ -144,17 +149,17 @@ def test_single_modality_fusion_degenerates(monkeypatch):
     fused = af.encode(model, feats)
     assert lengths == [2 + 5]
     assert fused.shape == (1, 5, cfg.width)
-    assert af.forward_act(model, [feats[0][0]]).shape == (5, 5)
+    assert act_logits(model, [feats[0][0]]).shape == (5, 5)
 
 
 def test_shorter_inputs_use_leading_positions():
     rng = np.random.default_rng(4)
     cfg = tiny_cfg(seq_len=12, align_len=3, modality_dims=(6,), num_classes=5)
     model = af.FusionModel(cfg, seed=4)
-    logits = af.forward_act(model, [rng.normal(size=(7, 6))])
+    logits = act_logits(model, [rng.normal(size=(7, 6))])
     assert logits.shape == (7, 5)
     with pytest.raises(DataError):
-        af.forward_act(model, [rng.normal(size=(13, 6))])
+        act_logits(model, [rng.normal(size=(13, 6))])
 
 
 def test_input_length_shorter_than_align_len_still_buckets():
@@ -208,8 +213,8 @@ def test_permutation_equivariance_without_positions():
         model[f"mod{m}.pe"].data[:] = 0.0
     feats = [rng.normal(size=(6, d)) for d in cfg.modality_dims]
     perm = rng.permutation(6)
-    base = af.forward_act(model, feats).data
-    permuted = af.forward_act(model, [f[perm] for f in feats]).data
+    base = act_logits(model, feats).data
+    permuted = act_logits(model, [f[perm] for f in feats]).data
     npt.assert_allclose(permuted, base[perm], atol=1e-10)
 
 
@@ -274,7 +279,7 @@ def test_unimodal_depth_zero_passes_through():
     rng = np.random.default_rng(15)
     cfg = tiny_cfg(unimodal_depth=0, fusion_depth=0, modality_dims=(4,), num_classes=5)
     model = af.FusionModel(cfg, seed=15)
-    logits = af.forward_act(model, [rng.normal(size=(5, 4))])
+    logits = act_logits(model, [rng.normal(size=(5, 4))])
     assert logits.shape == (5, 5)
 
 
@@ -480,7 +485,7 @@ def test_stacked_towers_keep_the_per_modality_bits(dims, task, fusion_depth):
     weights = rng.normal(size=(3, 2) if scene else (5, 5))
     results = []
     stacked = (lambda: af.forward_scene(model, feats)) if scene else (
-        lambda: af.forward_act(model, [f[0] for f in feats]))
+        lambda: act_logits(model, [f[0] for f in feats]))
     for forward in (stacked, lambda: _per_modality_logits(cfg, params, feats)):
         with nc.Tape() as tape:
             logits = forward()

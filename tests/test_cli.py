@@ -462,6 +462,19 @@ def test_sync_summary_reports_gold_agreement(act_run, act_data, tmp_path, monkey
     assert [(r["gold_precision"], r["gold_recall"]) for r in records] == [(None, 0.0)] * 4
 
 
+def test_sync_summary_is_the_gold_agreement_of_the_saved_syncs(act_run, act_data, tmp_path):
+    out = tmp_path / "sync"
+    assert cli.main(["sync", "--checkpoint", str(act_run / "model.ckpt"),
+                     "--data", str(act_data), "--out", str(out)]) == 0
+    records = []
+    for movie in sorted(p.name for p in act_data.iterdir() if p.is_dir()):
+        w = sync.sync_from_json(json.loads((out / f"{movie}.json").read_text())).w
+        manifest = json.loads((act_data / movie / "manifest.json").read_text())
+        records.append({"movie_id": movie, "shots": 24, "sentences": 3,
+                        **sync.gold_agreement(w, np.array(manifest["sentence_of"]))})
+    assert json.loads((out / "summary.json").read_text()) == {"movies": records}
+
+
 def test_eval_act(act_run, act_data, tmp_path):
     out = tmp_path / "eval"
     code = cli.main(
@@ -527,7 +540,9 @@ def test_one_checkpoint_read_and_one_forward_per_movie(
          "--out", str(tmp_path / "out")]
     )
     assert code == 0
-    assert calls == {"encode": 4, "load_checkpoint": 1}  # 4 movies
+    # 4 movies; act eval encodes its equal-length movies as one group
+    forwards = 1 if (task, command) == ("act", "eval") else 4
+    assert calls == {"encode": forwards, "load_checkpoint": 1}
 
 
 # ---- exit codes ----

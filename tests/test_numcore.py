@@ -459,7 +459,22 @@ def test_attention_backward_twice_doubles_the_gradients():
 
 
 def _shares_a_workspace(a):
-    return any(np.shares_memory(a, buf) for buf in nc._WORKSPACES.values())
+    return np.shares_memory(a, nc._WORKSPACE[0])
+
+
+def test_attention_shifts_each_sequence_of_a_batch_as_if_alone():
+    # sequence 1 alone is past the unshifted bound; shifting sequence 0
+    # too would change its bits
+    rng = np.random.default_rng(47)
+    qkv, _ = _attention_case(rng, lead=(2, 2))
+    width = qkv.shape[-1] // 3
+    qkv.data[1, ..., :2 * width] *= 20.0
+    for i, past in enumerate((False, True)):
+        norms = np.linalg.norm(qkv.data[i].reshape(-1, 3, width), axis=-1).max(axis=0)
+        assert (norms[0] * norms[1] / math.sqrt(width) > nc._UNSHIFTED_MAX) == past
+    alone = [nc.attention(qkv.data[i:i + 1]).data for i in range(2)]
+    both = nc.attention(qkv.data).data
+    assert both.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_attention_results_never_alias_a_workspace():
@@ -474,22 +489,24 @@ def test_attention_results_never_alias_a_workspace():
         recorded = nc.attention(qkv)
     (node,) = tape.nodes
     _, *saved = node.saved
-    assert nc._WORKSPACES  # the unrecorded calls used them
+    assert nc._WORKSPACE[0].size  # the unrecorded calls used it
     for a in [first, second, recorded.data] + saved:
         assert not _shares_a_workspace(a)
 
 
 @pytest.mark.filterwarnings("error")
 def test_attention_overflowing_norm_takes_the_shifted_arm_quietly():
-    rng = np.random.default_rng(49)
-    qkv, _ = _attention_case(rng)
-    width = qkv.shape[-1] // 3
-    # |q|^2 overflows and |k|^2 is subnormal, but every score is about 1
-    qkv.data[..., :width] *= 1e160
-    qkv.data[..., width:2 * width] *= 1e-160
-    fused = nc.attention(qkv.data).data
-    chain = _attention_chain(qkv).data
-    assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
+    # |q|^2 overflows and |k|^2 is subnormal, but every score is about 1;
+    # then both are finite and their product, the bound squared, overflows
+    for q_scale, k_scale in ((1e160, 1e-160), (1e100, 1e100)):
+        rng = np.random.default_rng(49)
+        qkv, _ = _attention_case(rng)
+        width = qkv.shape[-1] // 3
+        qkv.data[..., :width] *= q_scale
+        qkv.data[..., width:2 * width] *= k_scale
+        fused = nc.attention(qkv.data).data
+        chain = _attention_chain(qkv).data
+        assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
 
 
 def test_attention_non_finite_scores_raise():

@@ -13,6 +13,7 @@ from cineseg import numcore as nc
 from cineseg import sync
 from cineseg.errors import ContractError, ShapeError
 from cineseg.numcore import Tensor
+from helpers import e_step_by_movie
 
 
 def brute_force_best(values, lambdas, xi):
@@ -51,6 +52,23 @@ def test_percentile_per_column():
     values = np.stack([np.arange(5.0), np.arange(5.0) * 10], axis=1)
     lam = sync.lambda_per_sentence(values)
     assert np.allclose(lam, [3.6, 36.0])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 11, 299, 300])
+def test_percentile_has_the_bits_of_numpys(rows):
+    rng = np.random.default_rng(rows)
+    values = rng.uniform(-1.0, 1.0, size=(rows, 7))
+    values[:, 0] = 0.25  # a column of ties
+    values[:, 1] = -0.0  # numpy's lerp keeps a lone -0.0
+    want = np.percentile(values, 90, axis=0, method="linear")
+    assert sync.lambda_per_sentence(values).tobytes() == want.tobytes()
+
+
+def test_band_is_built_once_per_shape_and_read_only():
+    band = sync.band_mask(9, 4, 0.3)
+    assert sync.band_mask(9, 4, 0.3) is band
+    with pytest.raises(ValueError):
+        band[0, 0] = not band[0, 0]
 
 
 def test_band_2x2_is_diagonal():
@@ -354,6 +372,52 @@ def test_run_e_step_noiseless_assignments_land_in_gold_spans():
             assert sm.w[:, j].any(), f"sentence {j} received no shots"
             gold = np.flatnonzero(movie.gold_sync[:, j])
             assert int(np.argmax(sm.w[:, j])) in set(gold)
+
+
+def _random_movie(rng, shots, sentences):
+    return [rng.normal(size=(shots, 10)), rng.normal(size=(shots, 6))], rng.normal(size=(sentences, 16))
+
+
+def test_run_e_step_has_the_bits_of_one_forward_per_movie():
+    # an odd count and two lengths: the 24-shot movies run as one group,
+    # the 30-shot movie alone, and the results come back in input order
+    _, _, shot_model, synopsis_model, head = em_fixture()
+    rng = np.random.default_rng(31)
+    inputs = [_random_movie(rng, *dims) for dims in ((24, 3), (30, 4), (24, 3))]
+    got = sync.run_e_step(shot_model, synopsis_model, head, inputs, 0.2)
+    want = e_step_by_movie(shot_model, synopsis_model, head, inputs, 0.2)
+    assert [sm.w.shape for sm in got] == [(24, 3), (30, 4), (24, 3)]
+    for a, b in zip(got, want):
+        assert a.w.tobytes() == b.w.tobytes()
+        assert a.lambdas.tobytes() == b.lambdas.tobytes()
+        assert a.xi == b.xi
+
+
+def test_e_step_runs_shot_pairs_and_one_synopsis_forward(monkeypatch):
+    # 14 movies of 300 shots behind 12 tokens: each shot forward holds
+    # two movies' attention scores, and every synopsis fits in one
+    cfg = dict(align_len=12, width=8, ffn_width=8, unimodal_depth=1, fusion_depth=0,
+               num_classes=5)
+    shot_model = af.FusionModel(af.ModelConfig(seq_len=300, modality_dims=(4,), **cfg), 1)
+    synopsis_model = af.FusionModel(af.ModelConfig(seq_len=12, modality_dims=(4,), **cfg), 2)
+    head = sync.SyncHead(8, 4, seed=3)
+    rng = np.random.default_rng(5)
+    inputs = [([rng.normal(size=(300, 4))], rng.normal(size=(12, 4))) for _ in range(14)]
+    batches, encode = [], af.encode
+    monkeypatch.setattr(af, "encode", lambda model, feats: (
+        batches.append(feats[0].shape[0]), encode(model, feats))[1])
+    syncs = sync.run_e_step(shot_model, synopsis_model, head, inputs)
+    assert batches == [2] * 7 + [14]
+    assert [sm.w.shape for sm in syncs] == [(300, 12)] * 14
+
+
+def test_gold_agreement():
+    w = np.zeros((4, 3))
+    w[[0, 1, 1, 3], [0, 0, 1, 2]] = 1.0
+    assert sync.gold_agreement(w, np.array([0, 1, 1, 2])) == {
+        "assigned": 4, "gold_precision": 3 / 4, "gold_recall": 3 / 4}
+    assert sync.gold_agreement(np.zeros((4, 3)), np.array([0, 1, 1, 2])) == {
+        "assigned": 0, "gold_precision": None, "gold_recall": 0.0}
 
 
 # ---- exports ----

@@ -757,7 +757,7 @@ def test_act_eval_structure():
     movies = make_dataset(act_synth(), movies=2, seed=14)
     shot, _ = act_model_cfgs()
     model = af.FusionModel(shot, seed=1)
-    probs = [trainer.act_shot_probs(model, movie) for movie in movies]
+    probs = trainer.act_shot_probs(model, movies)
     hits, total, events = trainer.act_eval(probs, movies)
     assert total == 10
     assert 0 <= hits <= total
