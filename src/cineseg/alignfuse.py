@@ -51,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,8 +66,9 @@ CHECKPOINT_VERSION = 6
 # the configs before any allocation: 800 MB per float64 copy, of which
 # training holds about five (values, two gradient copies, Adam moments)
 MAX_MODEL_PARAMS = 10**8
-# the most attention scores an encode_sequences batch holds per block: two
-# movies of 300 shots behind 12 tokens; larger ones held more, no faster
+# an encode_sequences group's budget, in M x span^2 per movie: two movies of
+# 300 shots behind 12 tokens. Attention scores one movie at a time (see
+# numcore._CHUNK_SCORES), so it bounds a group's activations, not its scores
 GROUP_SCORES = 2 * 312 * 312
 # the JSON types a checkpoint may give each ModelConfig field, by its
 # annotation (modality_dims is a list of ints)
@@ -160,6 +162,16 @@ def align_buckets(seq_len: int, align_len: int) -> np.ndarray:
     return (align_len * np.arange(seq_len, dtype=np.int64)) // seq_len
 
 
+def initial_draws(seed):
+    """The Generator of a model's initial values. Seed None gives zeros in
+    place of draws, for a model whose values a checkpoint fills: numpy.random
+    then stays unloaded (about 6 MB per process)."""
+    if seed is None:
+        return SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size),
+                               uniform=lambda low, high, size: np.zeros(size))
+    return np.random.default_rng(seed)
+
+
 class FusionModel:
     """Parameter container plus the forward passes defined below."""
 
@@ -167,7 +179,7 @@ class FusionModel:
         config.validate()
         self.config = config
         self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
+        rng = initial_draws(seed)
         c, ck = config.width, config.ffn_width
 
         self._table(rng, "align_pe", config.align_len, c)

@@ -272,40 +272,37 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path: Path, rows) -> None:
-    text = io.StringIO()
-    csv.writer(text).writerows(rows)
-    _write_text(path, text.getvalue())
-
-
 def cmd_eval(args) -> int:
     from . import trainer
     kind, loaded, extra = trainer.load_checkpoint(args.checkpoint)
     movies = dataio.load_dataset(Path(args.data))
     # one pass of forwards feeds both the report and scores.csv, whose
-    # cells format Python floats: the .17g text of their float64 values
+    # cells format Python floats: the .17g text of their float64 values;
+    # each movie's rows go into the text as they are formatted
+    text = io.StringIO()
+    rows = csv.writer(text)
     if kind == "scene":
         scores = [trainer.scene_shot_scores(loaded, movie) for movie in movies]
         report = trainer.scene_report(scores, movies, extra["epoch"], args.seed)
-        rows = [["movie_id", "shot", "score", "label"]]
+        rows.writerow(["movie_id", "shot", "score", "label"])
         for movie, movie_scores in zip(movies, scores):
-            rows += [
+            rows.writerows(
                 [movie.movie_id, t, _format(score), label]
                 for t, (score, label) in enumerate(
                     zip(movie_scores.tolist(), movie.scene_labels.tolist()))
-            ]
+            )
     else:
         trainer.check_tower_lengths(movies, loaded.shot_model.config)
         probs = trainer.act_shot_probs(loaded.shot_model, movies)
         report = trainer.act_report(probs, movies, extra["epoch"], args.seed)
-        rows = [["movie_id", "shot"] + [f"tp{i}" for i in range(dataio.NUM_TURNING_POINTS)]]
+        rows.writerow(["movie_id", "shot"] + [f"tp{i}" for i in range(dataio.NUM_TURNING_POINTS)])
         for movie, movie_probs in zip(movies, probs):
-            rows += [
+            rows.writerows(
                 [movie.movie_id, t] + [_format(p) for p in row]
                 for t, row in enumerate(movie_probs.tolist())
-            ]
+            )
     out = _run_dir(args)
-    _write_csv(out / "scores.csv", rows)
+    _write_text(out / "scores.csv", text.getvalue())
     _write_config(out, "eval", args.seed, {})
     _write_json(out / "report.json", report.to_json())
     _print_json(report.to_json())

@@ -22,7 +22,10 @@ one fresh L x L array, its unnormalized softmax weights, plus its
 scaled q and softmax row sums; the backward reads k and v
 from the input. Unrecorded calls and every backward share one workspace
 instead: a grow-only float64 buffer for an unrecorded forward's weights
-or a backward's score gradients, never live at the same time. It is
+or a backward's score gradients, never live at the same time. An
+unrecorded forward fills it one chunk of its leading axis at a time,
+whole indices within _CHUNK_SCORES (1 MiB): one 312-position movie of
+a grouped forward, every scene window of a batch. It is
 private to this module, never returned nor saved on a node (each
 ``fd_gradient`` worker, forked from the caller, has its own).
 
@@ -644,6 +647,9 @@ _WORKSPACE = [np.empty(0)]
 # bound on |scaled score| within which attention's exp skips the row-max
 # shift: exp(+-300) is a normal float64, and L of them sum far below overflow
 _UNSHIFTED_MAX = 300.0
+# the most scores an unrecorded attention call holds at once (1 MiB of
+# float64): it runs whole indices of its leading axis, at least one, per chunk
+_CHUNK_SCORES = 2**17
 
 
 def _workspace(shape: tuple) -> np.ndarray:
@@ -686,7 +692,8 @@ def attention(qkv) -> Tensor:
     overflow nor underflow, so the scores go to exp as they are. Past the
     bound (or when it is not finite) they are checked for non-finite
     values and shifted by their row max first. The bound is per index of
-    the leading axis: a batched sequence gets the bits it gets alone."""
+    the leading axis: a batched sequence gets the bits it gets alone. So
+    an unrecorded call scores that axis in chunks within _CHUNK_SCORES."""
     qkv = _as_tensor(qkv)
     shape = qkv.data.shape
     if len(shape) < 3 or shape[-1] % 3:
@@ -699,20 +706,25 @@ def attention(qkv) -> Tensor:
     # warning, so does the product, and inf or NaN fails the gate
     qk = qkv.data[..., :2 * width].reshape(shape[:-1] + (2, width))
     norms = np.einsum("...i,...i->...", qk, qk).reshape(shape[0], -1, 2).max(axis=1)
-    qs = np.multiply(qkv.data[..., :width], scale)
-    ws = None if recorded else _workspace(shape[:-1] + shape[-2:-1])
-    e = np.matmul(qs, np.swapaxes(qkv.data[..., width:2 * width], -1, -2), out=ws)
-    for i, (q_sq, k_sq) in enumerate(norms.tolist()):
-        if not q_sq * k_sq / width <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
-            # within the bound the scores are finite; past it, finite shifted
-            # scores give finite softmax weights
-            if _fd_job is None and not np.isfinite(e[i]).all():
-                raise NumericError("operation 'attention' produced non-finite scores")
-            e[i] -= e[i].max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    z = np.add.reduce(e, axis=-1, keepdims=True)
-    out = e @ qkv.data[..., 2 * width:]
-    out /= z
+    out = np.empty(shape[:-1] + (width,))
+    # a recorded call keeps its one chunk's scores for the backward
+    step = shape[0] if recorded else max(1, _CHUNK_SCORES // math.prod(shape[1:-1] + shape[-2:-1]))
+    for lo in range(0, shape[0], step):
+        part = qkv.data[lo:lo + step]
+        qs = np.multiply(part[..., :width], scale)
+        ws = None if recorded else _workspace(part.shape[:-1] + shape[-2:-1])
+        e = np.matmul(qs, np.swapaxes(part[..., width:2 * width], -1, -2), out=ws)
+        for i, (q_sq, k_sq) in enumerate(norms[lo:lo + step].tolist()):
+            if not q_sq * k_sq / width <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
+                # within the bound the scores are finite; past it, finite
+                # shifted scores give finite softmax weights
+                if _fd_job is None and not np.isfinite(e[i]).all():
+                    raise NumericError("operation 'attention' produced non-finite scores")
+                e[i] -= e[i].max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        z = np.add.reduce(e, axis=-1, keepdims=True)
+        chunk = np.matmul(e, part[..., 2 * width:], out=out[lo:lo + step])
+        chunk /= z
     saved = (scale, qs, e, z) if recorded else None
     return _emit("attention", _attention_back, (qkv,), out, saved)
 

@@ -95,7 +95,7 @@ class SyncHead:
     """
 
     def __init__(self, fused_width: int, proj_dim: int, seed):
-        rng = np.random.default_rng(seed)
+        rng = af.initial_draws(seed)
         limit = np.sqrt(6.0 / (fused_width + proj_dim))
         self.params: dict[str, Tensor] = {
             "sync.proj.w": Tensor(

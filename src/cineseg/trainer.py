@@ -276,6 +276,7 @@ def _fit(cfg, optimizer, batches, objective, report, after_step=None):
             with nc.Tape() as tape:
                 loss, record = objective(batch)
             nc.backward(tape, loss)
+            del tape  # no report or E-step runs beside a finished step's tape
             grad_norm = optimizer.step()
             if after_step is not None:
                 after_step()
@@ -378,7 +379,8 @@ def act_model_configs(shot: dict, synopsis: dict, dims, shots: int, sentences: i
 
 def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed,
                        em_xi=sync.DEFAULT_BAND_XI) -> ActPipeline:
-    """The only ActPipeline constructor, for training and loading alike."""
+    """The only ActPipeline constructor, for training and loading alike;
+    seed None draws no initial values (see af.initial_draws)."""
     if not 0 < em_xi < np.inf:  # a non-empty band
         raise ConfigError(f"em_xi (the band half-width) must be positive and finite, got {em_xi}")
     if sync_dim < 1:
@@ -395,9 +397,9 @@ def build_act_pipeline(shot_cfg, synopsis_cfg, sync_dim: int, seed,
     head = (shot_cfg.fused_width + 1) * sync_dim + 1  # proj.w, proj.b, log_tau
     total = shot_cfg.num_params + synopsis_cfg.num_params + head
     af.check_param_budget(total, f"the act pipeline with its sync_dim {sync_dim} head")
-    if not isinstance(seed, np.random.SeedSequence):
+    if seed is not None and not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    tower_seed, head_seed = seed.spawn(2)
+    tower_seed, head_seed = (None, None) if seed is None else seed.spawn(2)
     # both towers draw from one stream, so train-act's, of one align_len and
     # width, start with the same alignment table (and for one shot modality
     # input projection): the first expectation step scores shots against
@@ -439,7 +441,9 @@ def load_checkpoint(path, expected: str | None = None):
     """(kind, FusionModel or ActPipeline, extra) from one read of the file;
     a kind other than expected (when given), or a checkpoint that training
     could not have written, is a DataError. The model is built by the
-    constructor training uses, so its checks run here too."""
+    constructor training uses, so its checks run here too, but with no
+    initial draws: the checkpoint fills every value, and a command that
+    only loads one never imports numpy.random."""
     kind, configs, extra, body = af.load_checkpoint(path)
     if kind not in _CHECKPOINT_KINDS:
         raise DataError(f"{path} holds an unknown {kind!r} checkpoint")
@@ -459,13 +463,14 @@ def load_checkpoint(path, expected: str | None = None):
         raise DataError(f"{path}: extra 'epoch' must be a non-negative integer, got {epoch!r}")
     try:
         if kind == "scene":
-            trained = af.FusionModel(configs["model"], seed=0)
+            trained = af.FusionModel(configs["model"], seed=None)
             params = trained.params
         else:
             xi, sync_dim = extra["em_xi"], extra["sync_dim"]
             if type(xi) not in (int, float) or type(sync_dim) is not int:
                 raise ConfigError("em_xi must be a number, sync_dim an integer")
-            trained = build_act_pipeline(configs["shot"], configs["synopsis"], sync_dim, 0, float(xi))
+            trained = build_act_pipeline(configs["shot"], configs["synopsis"], sync_dim, None,
+                                         float(xi))
             params = trained.named_params()
     except ConfigError as exc:
         raise DataError(f"{path} holds no {kind} model that training accepts: {exc}") from None

@@ -286,6 +286,23 @@ def test_unimodal_depth_zero_passes_through():
 # ---- checkpoints ----
 
 
+def test_models_built_without_a_seed_draw_nothing_in_the_seeded_layout():
+    # what a checkpoint load builds before the body fills every value
+    shot, synopsis = trainer.act_model_configs(
+        dict(align_len=3, width=8, ffn_width=16, unimodal_depth=1, fusion_depth=1),
+        dict(ffn_width=16, unimodal_depth=1), (10, 6), 24, 3)
+    pairs = [(af.FusionModel(tiny_cfg(), seed=3).params, af.FusionModel(tiny_cfg(), seed=None).params),
+             (trainer.build_act_pipeline(shot, synopsis, 6, 3).named_params(),
+              trainer.build_act_pipeline(shot, synopsis, 6, None).named_params())]
+    for seeded, undrawn in pairs:
+        assert [(n, t.shape) for n, t in undrawn.items()] == [(n, t.shape) for n, t in seeded.items()]
+        for name, t in undrawn.items():
+            assert t.requires_grad
+            # the draws are zeros; the values no seed sets are the seeded ones
+            drawn = name.endswith(("pe", "tokens", ".w"))
+            assert t.data.tobytes() == (np.zeros_like(t.data) if drawn else seeded[name].data).tobytes()
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg = tiny_cfg()
     model = af.FusionModel(cfg, seed=16)
@@ -293,7 +310,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     af.save_checkpoint(path, "scene", {"model": cfg}, model.params, extra={"seed": 16})
     kind, configs, extra, body = af.load_checkpoint(path)
     assert kind == "scene" and extra == {"seed": 16}
-    rebuilt = af.FusionModel(configs["model"], seed=0)
+    rebuilt = af.FusionModel(configs["model"], seed=None)
     af.load_params(rebuilt.params, body, path)
     for name in model.params:
         assert rebuilt[name].data.tobytes() == model[name].data.tobytes()

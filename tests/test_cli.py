@@ -285,6 +285,19 @@ def test_eval_loads_neither_gradcheck_nor_signal(scene_run, scene_data, tmp_path
     _run_script(COMMAND_MODULES_SCRIPT, [args, unloaded])
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("eval", "scene"), ("importance", "scene"), ("eval", "act"), ("importance", "act"),
+    ("sync", "act"),
+])
+def test_checkpoint_commands_load_no_numpy_random(command, kind, request, tmp_path):
+    # a loaded model's values all come from its checkpoint, so no initial
+    # values are drawn; numpy.random would cost about 6 MB per process
+    run, data = (request.getfixturevalue(f"{kind}_{name}") for name in ("run", "data"))
+    args = [command, "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
+            "--out", str(tmp_path / command)]
+    _run_script(COMMAND_MODULES_SCRIPT, [args, ["numpy.random"]])
+
+
 def test_synth_invalid_config_exits_2(tmp_path, capsys):
     code = cli.main(
         ["synth", "--movies", "1", "--shots", "3", "--out", str(tmp_path)]

@@ -477,6 +477,29 @@ def test_attention_shifts_each_sequence_of_a_batch_as_if_alone():
     assert both.tobytes() == np.concatenate(alone).tobytes()
 
 
+def test_unrecorded_attention_scores_one_chunk_of_its_leading_axis_at_a_time(monkeypatch):
+    # [5 x 2 x 128 x 3C]: 2 x 128^2 scores per index, so a chunk holds 4
+    # indices and index 4 runs alone; index 3 is past the unshifted bound
+    length, width = 128, 4
+    per_index = 2 * length * length
+    step = nc._CHUNK_SCORES // per_index
+    assert step == 4
+    rng = np.random.default_rng(48)
+    qkv, _ = _attention_case(rng, lead=(5, 2), length=length, width=width)
+    qkv.data[3, ..., :2 * width] *= 30.0
+    norms = np.linalg.norm(qkv.data[3].reshape(-1, 3, width), axis=-1).max(axis=0)
+    assert norms[0] * norms[1] / math.sqrt(width) > nc._UNSHIFTED_MAX
+    monkeypatch.setattr(nc, "_WORKSPACE", [np.empty(0)])
+    chunked = nc.attention(qkv.data).data
+    assert nc._WORKSPACE[0].size == step * per_index <= nc._CHUNK_SCORES
+    alone = np.concatenate([nc.attention(qkv.data[i:i + 1]).data for i in range(5)])
+    assert chunked.tobytes() == alone.tobytes()
+    # a recorded call keeps its whole score array, with the same bits
+    with nc.Tape():
+        recorded = nc.attention(qkv)
+    assert recorded.data.tobytes() == chunked.tobytes()
+
+
 def test_attention_results_never_alias_a_workspace():
     rng = np.random.default_rng(43)
     qkv, _ = _attention_case(rng)

@@ -3,6 +3,7 @@ loss, window plumbing, and both training loops end to end at desk scale."""
 
 import copy
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +141,43 @@ def test_optimizer_rejects_a_tensor_listed_twice():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(ContractError, match="'a' and 'b'"):
         trainer.Optimizer({"a": p, "b": p}, lr=0.1)
+
+
+# ---- gradient loop ----
+
+
+def test_fit_frees_each_step_tape_before_reports_and_batches(monkeypatch):
+    # a report or an E-step (the act batches()) beside a finished step's
+    # tape would hold its saved activations for nothing
+    tapes, seen = [], []
+
+    class Tape(nc.Tape):
+        def __enter__(self):
+            tapes.append(weakref.ref(self))
+            return super().__enter__()
+
+    def alive():
+        return sum(t() is not None for t in tapes)
+
+    monkeypatch.setattr(nc, "Tape", Tape)
+    w = Tensor(np.array([[0.5, -0.5], [1.0, 0.0]]), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    target = np.array([[1.0, 0.0]])
+
+    def batches():
+        seen.append(("batches", alive()))
+        yield from (np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
+
+    def objective(x):
+        return nc.cross_entropy(nc.linear(x, w, b), target, axis=-1), {}
+
+    def report(epoch):
+        seen.append(("report", alive()))
+
+    cfg = trainer.TrainConfig(epochs=2, lr=0.1)
+    trainer._fit(cfg, trainer.Optimizer({"w": w, "b": b}, cfg.lr), batches, objective, report)
+    assert len(tapes) == 4
+    assert seen == [("report", 0), ("batches", 0), ("report", 0), ("batches", 0), ("report", 0)]
 
 
 # ---- weighted scene cross-entropy ----
