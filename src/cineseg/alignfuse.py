@@ -282,31 +282,32 @@ def make_bottleneck(model, m: int) -> Tensor:
 def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor):
     """Normalize the stacked embeddings [B x M x L x C] and run [tokens;
     latents] through every modality's own encoder blocks, the [M x A x C]
-    tokens broadcast over the batch by concat; returns the tokens [B x M
-    x A x C] and the latents [B x M x L x C]."""
+    tokens broadcast over the batch by concat; returns [tokens; latents]
+    [B x M x (A + L) x C]."""
     cfg = model.config
     x = nc.layernorm(embedded, model["embed_ln.g"], model["embed_ln.b"])
     seq = nc.concat([nc.reshape(bottlenecks, (1,) + bottlenecks.shape), x], -2)
     for d in range(cfg.unimodal_depth):
         seq = _encoder_block(model, f"uni{d}.", seq)
-    tokens_out = nc.narrow(seq, -2, 0, cfg.align_len)
-    latents = nc.narrow(seq, -2, cfg.align_len, seq.shape[-2])
-    return tokens_out, latents
+    return seq
 
 
-def fusion_encode(model, tokens: Tensor, latents: Tensor) -> Tensor:
-    """Cross-modal stage; returns the fused representation [B x L_in x M*C].
+def fusion_encode(model, seq: Tensor) -> Tensor:
+    """Cross-modal stage on [tokens; latents]; returns the fused [B x L_in x M*C].
 
     Per block, every modality encodes [all M token sets; its own latents]
     with its own parameters; each token set's next value is the mean of
     its M per-modality updates. The fused output is the channel-wise
     concatenation of the final per-modality latents.
     """
-    cfg = model.config
-    batch, n_mod, ln, width = tokens.shape
+    batch, n_mod, _, width = seq.shape
+    cfg, ln = model.config, model.config.align_len
+    latents = nc.narrow(seq, -2, ln, seq.shape[-2])
+    if not cfg.fusion_depth:
+        return nc.merge_channels(latents)
     shared = n_mod * ln
     # every token set, in modality order, broadcast to each tower by concat
-    token_sets = nc.reshape(tokens, (batch, 1, shared, width))
+    token_sets = nc.reshape(nc.narrow(seq, -2, 0, ln), (batch, 1, shared, width))
     for d in range(cfg.fusion_depth):
         seq = nc.concat([token_sets, latents], -2)
         out = _encoder_block(model, f"fus{d}.", seq)
@@ -330,8 +331,8 @@ def encode(model, feats_list) -> Tensor:
         # right after the embedding's: the alignment table's gradient then
         # sums its per-modality terms in the order of the unstacked towers
         bottlenecks.append(make_bottleneck(model, m))
-    tokens, latents = unimodal_encode(model, nc.concat(embedded, -3), nc.concat(bottlenecks, -3))
-    return fusion_encode(model, tokens, latents)
+    seq = unimodal_encode(model, nc.concat(embedded, -3), nc.concat(bottlenecks, -3))
+    return fusion_encode(model, seq)
 
 
 def scene_head_rows(fused) -> Tensor:

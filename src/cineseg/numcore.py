@@ -27,7 +27,12 @@ unrecorded forward fills it one chunk of its leading axis at a time,
 whole indices within _CHUNK_SCORES (1 MiB): one 312-position movie of
 a grouped forward, every scene window of a batch. It is
 private to this module, never returned nor saved on a node (each
-``fd_gradient`` worker, forked from the caller, has its own).
+``fd_gradient`` worker, forked from the caller, has its own). The six
+L x L products go to BLAS as row blocks within 2^18 multiply-adds,
+OpenBLAS's threading cutoff, so none wakes the pool's worker, which
+would spin and fault in its own buffers; past 8 blocks (2^21), where a
+second core pays, a product is one threaded call. Desk linears (<= 240k
+multiply-adds each) are below the cutoff.
 
 Each op is its numpy forward plus a module-level backward rule
 ``rule(g, inputs, out, saved)``; ``_emit`` does the rest. It checks the
@@ -650,6 +655,10 @@ _UNSHIFTED_MAX = 300.0
 # the most scores an unrecorded attention call holds at once (1 MiB of
 # float64): it runs whole indices of its leading axis, at least one, per chunk
 _CHUNK_SCORES = 2**17
+# _blocked_matmul's bound per block, OpenBLAS's threading cutoff, and most
+# blocks: from about 18 blocks on, one threaded call ran faster on two cores
+_SERIAL_PRODUCT = 2**18
+_PRODUCT_BLOCKS = 8
 
 
 def _workspace(shape: tuple) -> np.ndarray:
@@ -657,6 +666,20 @@ def _workspace(shape: tuple) -> np.ndarray:
     if _WORKSPACE[0].size < size:
         _WORKSPACE[0] = np.empty(size)
     return _WORKSPACE[0][:size].reshape(shape)
+
+
+def _blocked_matmul(a, b, out) -> np.ndarray:
+    """a @ b into out as the fewest even row blocks of a within
+    _SERIAL_PRODUCT multiply-adds, one call within it or past _PRODUCT_BLOCKS
+    blocks. A block's BLAS kernel may round otherwise than the whole's."""
+    m, k = a.shape[-2:]
+    count = -(-m // max(_SERIAL_PRODUCT // max(k * b.shape[-1], 1), 1))
+    if count < 2 or count > _PRODUCT_BLOCKS:
+        return np.matmul(a, b, out=out)
+    for i in range(count):
+        rows = slice(m * i // count, m * (i + 1) // count)
+        np.matmul(a[..., rows, :], b, out=out[..., rows, :])
+    return out
 
 
 def _attention_back(g, inputs, out, saved):
@@ -669,12 +692,13 @@ def _attention_back(g, inputs, out, saved):
     # rowsum(g o out)
     grad = np.empty_like(qkv.data)
     gz = g / z
-    np.matmul(np.swapaxes(e, -1, -2), gz, out=grad[..., vc])
-    gs = np.matmul(gz, np.swapaxes(qkv.data[..., vc], -1, -2), out=_workspace(e.shape))
+    _blocked_matmul(np.swapaxes(e, -1, -2), gz, grad[..., vc])
+    gs = _blocked_matmul(gz, np.swapaxes(qkv.data[..., vc], -1, -2), _workspace(e.shape))
     gs -= np.add.reduce(gz * out, axis=-1, keepdims=True)
     gs *= e
-    np.multiply(gs @ qkv.data[..., kc], scale, out=grad[..., qc])
-    np.matmul(np.swapaxes(gs, -1, -2), qs, out=grad[..., kc])
+    _blocked_matmul(gs, qkv.data[..., kc], grad[..., qc])
+    grad[..., qc] *= scale
+    _blocked_matmul(np.swapaxes(gs, -1, -2), qs, grad[..., kc])
     qkv.accumulate(grad)
 
 
@@ -712,8 +736,8 @@ def attention(qkv) -> Tensor:
     for lo in range(0, shape[0], step):
         part = qkv.data[lo:lo + step]
         qs = np.multiply(part[..., :width], scale)
-        ws = None if recorded else _workspace(part.shape[:-1] + shape[-2:-1])
-        e = np.matmul(qs, np.swapaxes(part[..., width:2 * width], -1, -2), out=ws)
+        ws = (np.empty if recorded else _workspace)(part.shape[:-1] + shape[-2:-1])
+        e = _blocked_matmul(qs, np.swapaxes(part[..., width:2 * width], -1, -2), ws)
         for i, (q_sq, k_sq) in enumerate(norms[lo:lo + step].tolist()):
             if not q_sq * k_sq / width <= _UNSHIFTED_MAX * _UNSHIFTED_MAX:
                 # within the bound the scores are finite; past it, finite
@@ -723,7 +747,7 @@ def attention(qkv) -> Tensor:
                 e[i] -= e[i].max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         z = np.add.reduce(e, axis=-1, keepdims=True)
-        chunk = np.matmul(e, part[..., 2 * width:], out=out[lo:lo + step])
+        chunk = _blocked_matmul(e, part[..., 2 * width:], out[lo:lo + step])
         chunk /= z
     saved = (scale, qs, e, z) if recorded else None
     return _emit("attention", _attention_back, (qkv,), out, saved)

@@ -539,9 +539,11 @@ SCENE_STEP_NODES = {
     "gather_rows": 2, "attention": 2, "gelu": 2, "merge_channels": 1, "cross_entropy": 1,
 }
 # and of one act step on one movie: two towers, the sync head, and one
-# node per loss; the distillation targets, constants of the loss, record none
+# node per loss; the distillation targets, constants of the loss, record
+# none, and neither do the towers' bottleneck tokens, which no fusion block
+# reads at fusion depth 0
 ACT_STEP_NODES = {
-    "add": 13, "linear": 12, "narrow": 6, "layernorm": 6, "reshape": 4, "cross_entropy": 3,
+    "add": 13, "linear": 12, "narrow": 4, "layernorm": 6, "reshape": 4, "cross_entropy": 3,
     "mul": 3, "gather_rows": 2, "concat": 2, "attention": 2, "gelu": 2, "merge_channels": 2,
     "normalize_rows": 2, "exp": 1, "softmax": 1, "kl_div": 1, "scaled_scores": 1,
 }

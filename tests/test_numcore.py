@@ -613,6 +613,98 @@ def test_recorded_attention_keeps_one_score_matrix_per_sequence(batch):
     assert len(tape) == 1
 
 
+def _record_products(monkeypatch) -> list:
+    """The (M, N, K) of each np.matmul call from here on, per matrix."""
+    calls = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        calls.append((a.shape[-2], b.shape[-1], a.shape[-1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return calls
+
+
+def _attention_values(qkv, r) -> list:
+    """An unrecorded and a recorded forward and qkv's gradient."""
+    nc.zero_grads((qkv,))
+    unrecorded = nc.attention(qkv.data).data
+    with nc.Tape() as tape:
+        out = nc.attention(qkv)
+        loss = weighted_sum(out, r)
+    nc.backward(tape, loss)
+    return [unrecorded, out.data, qkv.grad.copy()]
+
+
+def _within_rounding(got, want) -> bool:
+    # every entry sums its whole reduction, but a block's BLAS kernel may
+    # round otherwise than the whole product's
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lead", [(2,), (2, 2)], ids=["1", "2"])
+def test_attention_in_row_blocks_matches_whole_products(monkeypatch, lead):
+    # every L x L product of the [7 x 18] case is 7 x 7 x 6 = 294
+    # multiply-adds, one call; a bound of 126 splits each into blocks of
+    # 2, 2 and 3 rows
+    rng = np.random.default_rng(50)
+    qkv, r = _attention_case(rng, lead=lead)
+    whole = _attention_values(qkv, r)
+    monkeypatch.setattr(nc, "_SERIAL_PRODUCT", 126)
+    calls = _record_products(monkeypatch)
+    blocked = _attention_values(qkv, r)
+    assert all(_within_rounding(b, w) for b, w in zip(blocked, whole))
+    # two products per forward and four in the backward, three blocks each
+    assert len(calls) == (2 + 2 + 4) * 3
+    assert sorted({m for m, _, _ in calls}) == [2, 3]
+    assert all(m * n * k <= 126 for m, n, k in calls)
+
+
+def test_blocked_matmul_writes_transposed_operands_into_column_slices(monkeypatch):
+    # as _attention_back calls it: e^T @ gz and gz @ v^T into the columns
+    # of a wider gradient
+    monkeypatch.setattr(nc, "_SERIAL_PRODUCT", 126)
+    rng = np.random.default_rng(51)
+    e, gz, v = rng.normal(size=(2, 7, 7)), rng.normal(size=(2, 7, 6)), rng.normal(size=(2, 7, 6))
+    calls = _record_products(monkeypatch)
+    for a, b in ((np.swapaxes(e, -1, -2), gz), (gz, np.swapaxes(v, -1, -2))):
+        grad = np.zeros((2, 7, 3 + b.shape[-1] + 2))
+        calls.clear()
+        assert nc._blocked_matmul(a, b, grad[..., 3:-2]).base is grad
+        assert len(calls) == 3
+        assert _within_rounding(grad[..., 3:-2], a @ b)
+        assert not grad[..., :3].any() and not grad[..., -2:].any()
+
+
+def test_attention_products_at_act_shapes_run_in_serial_blocks(monkeypatch):
+    # the act shot tower's [1 x 1 x 312 x 3C] at C = 16: each L x L product
+    # is 312 x 312 x 16, about 1.56 M multiply-adds, past OpenBLAS's
+    # threading cutoff of 2^18; blocks of 52 rows stay within it
+    rng = np.random.default_rng(52)
+    qkv, r = _attention_case(rng, lead=(1, 1), length=312, width=16)
+    calls = _record_products(monkeypatch)
+    _attention_values(qkv, r)
+    assert len(calls) == (2 + 2 + 4) * 6
+    assert all(m == 52 and m * n * k <= 2**18 for m, n, k in calls)
+
+
+@pytest.mark.parametrize("m, k, n, blocks", [
+    (64, 64, 64, 1),  # 2^18 multiply-adds: within the bound
+    (512, 64, 64, 8),  # 2^21: eight blocks of 64 rows
+    (513, 64, 64, 1),  # nine blocks would be needed
+    (300, 300, 24, 1),  # past 2^21
+])
+def test_blocked_matmul_splits_only_between_the_bound_and_eight_blocks(monkeypatch, m, k, n, blocks):
+    rng = np.random.default_rng(53)
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    want = a @ b
+    calls = _record_products(monkeypatch)
+    out = nc._blocked_matmul(a, b, np.empty((m, n)))
+    assert len(calls) == blocks
+    assert _within_rounding(out, want)
+
+
 # ---- the act losses' fused ops ----
 
 
