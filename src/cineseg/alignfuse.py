@@ -5,10 +5,10 @@ modality. Each modality is projected to a shared width, gets a regular
 learnable positional encoding plus a shared *alignment* positional
 encoding, and runs through its own transformer blocks behind a small
 set of learnable bottleneck tokens. Fusion then lets modalities talk
-only through those tokens: every modality re-encodes the concatenation
-of all token sets with its own latents, and each token set's next value
-is the mean of its per-modality updates. The fused representation is
-the channel-wise concatenation of the per-modality latents.
+only through those tokens: in at most one fusion block, every modality
+re-encodes the concatenation of all token sets with its own latents.
+The fused representation is the channel-wise concatenation of the
+per-modality latents.
 
 The towers run as one [B x M x L x C] tensor from the embedding
 layernorm to the fused output, so each depth is one encoder block for
@@ -107,18 +107,23 @@ class ModelConfig:
                 + (self.fused_width + 1) * self.num_classes)
 
     def validate(self) -> None:
-        if self.seq_len < 1 or self.width < 1 or self.ffn_width < 1:
-            raise ConfigError("seq_len, width, and ffn_width must be positive")
+        for name in ("seq_len", "width", "ffn_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.align_len <= self.seq_len:
             raise ConfigError(f"align_len must lie in [1, seq_len], got {self.align_len}")
-        if self.unimodal_depth < 0 or self.fusion_depth < 0:
-            raise ConfigError("encoder depths must be non-negative")
+        if self.unimodal_depth < 0:
+            raise ConfigError(f"unimodal_depth must be non-negative, got {self.unimodal_depth}")
+        if self.fusion_depth not in (0, 1):
+            raise ConfigError(f"fusion_depth must be 0 or 1, got {self.fusion_depth}")
         if self.num_classes not in (2, NUM_TURNING_POINTS):
             raise ConfigError(f"num_classes must be 2 or {NUM_TURNING_POINTS}, got {self.num_classes}")
         if self.num_classes == 2 and self.seq_len % 2 == 0:
-            raise ConfigError("scene windows need an odd length so the key shot is central")
+            raise ConfigError(
+                f"seq_len must be an odd length so the key shot is central, got {self.seq_len}")
         if not self.modality_dims or any(d < 1 for d in self.modality_dims):
-            raise ConfigError("modality_dims must be a non-empty tuple of positive ints")
+            raise ConfigError(
+                f"modality_dims must be a non-empty tuple of positive ints, got {self.modality_dims}")
         check_param_budget(self.num_params, f"the model {self.to_dict()}")
 
     def to_dict(self) -> dict:
@@ -191,8 +196,8 @@ class FusionModel:
             self._table(rng, p + "tokens", 1, config.align_len, c)
             for d in range(config.unimodal_depth):
                 self._block(rng, f"uni{d}.", m, c, ck)
-            for d in range(config.fusion_depth):
-                self._block(rng, f"fus{d}.", m, c, ck)
+            if config.fusion_depth:
+                self._block(rng, "fus0.", m, c, ck)
         self._linear(rng, "head", None, config.fused_width, config.num_classes)
 
     def _put(self, name: str, m, value: np.ndarray) -> None:
@@ -293,27 +298,19 @@ def unimodal_encode(model, embedded: Tensor, bottlenecks: Tensor):
 
 
 def fusion_encode(model, seq: Tensor) -> Tensor:
-    """Cross-modal stage on [tokens; latents]; returns the fused [B x L_in x M*C].
-
-    Per block, every modality encodes [all M token sets; its own latents]
-    with its own parameters; each token set's next value is the mean of
-    its M per-modality updates. The fused output is the channel-wise
-    concatenation of the final per-modality latents.
-    """
-    batch, n_mod, _, width = seq.shape
-    cfg, ln = model.config, model.config.align_len
+    """Cross-modal stage on [tokens; latents]; returns the fused [B x L_in x M*C],
+    the channel-wise concatenation of the per-modality latents. A fusion
+    block first lets every modality encode [all M token sets; its own
+    latents] with its own parameters."""
+    ln = model.config.align_len
     latents = nc.narrow(seq, -2, ln, seq.shape[-2])
-    if not cfg.fusion_depth:
-        return nc.merge_channels(latents)
-    shared = n_mod * ln
-    # every token set, in modality order, broadcast to each tower by concat
-    token_sets = nc.reshape(nc.narrow(seq, -2, 0, ln), (batch, 1, shared, width))
-    for d in range(cfg.fusion_depth):
-        seq = nc.concat([token_sets, latents], -2)
-        out = _encoder_block(model, f"fus{d}.", seq)
+    if model.config.fusion_depth:
+        batch, n_mod, _, width = seq.shape
+        shared = n_mod * ln
+        # every token set, in modality order, broadcast to each tower by concat
+        token_sets = nc.reshape(nc.narrow(seq, -2, 0, ln), (batch, 1, shared, width))
+        out = _encoder_block(model, "fus0.", nc.concat([token_sets, latents], -2))
         latents = nc.narrow(out, -2, shared, out.shape[-2])
-        if d + 1 < cfg.fusion_depth:
-            token_sets = nc.mean(nc.narrow(out, -2, 0, shared), -3)
     return nc.merge_channels(latents)
 
 

@@ -4,9 +4,9 @@ Implements exactly the operations the fusion models and the losses
 need: linear layers ``x @ w + b`` (a plain product takes a zero
 bias), elementwise addition and multiplication with suffix
 broadcasting, exp, softmax, layer normalization, the exact erf form
-of GeLU, row gathering, slicing and concatenation, a mean over one
-axis, row L2-normalization, scaled dot-product attention and
-temperature-scaled similarities.
+of GeLU, row gathering, slicing and concatenation, row
+L2-normalization, scaled dot-product attention and temperature-scaled
+similarities.
 Every value is float64. Each loss (a cross-entropy or a KL divergence)
 and each linear layer ``x @ w + b`` records one node, not a chain of
 them, because the cost of this core is Python overhead per node, not
@@ -160,7 +160,7 @@ _TAPE_STACK: list[Tape] = []
 # rest (reshape, narrow, concat, gather_rows, merge_channels) only move
 # or select finite values
 _CHECKED = frozenset({
-    "add", "mul", "linear", "scaled_scores", "mean", "exp", "gelu", "softmax",
+    "add", "mul", "linear", "scaled_scores", "exp", "gelu", "softmax",
     "cross_entropy", "kl_div", "layernorm", "normalize_rows", "attention",
 })
 LAYERNORM_EPS = 1e-5  # added to layernorm's variances
@@ -467,19 +467,6 @@ def merge_channels(a) -> Tensor:
 
 
 # ---- reductions and nonlinearities ----
-
-
-def _mean_back(g, inputs, out, axis):
-    (a,) = inputs
-    a.accumulate(np.broadcast_to(g * (1.0 / a.shape[axis]), a.shape))
-
-
-def mean(a, axis: int) -> Tensor:
-    """Mean over one axis, kept with size 1: the sum in index order times
-    1 / n, the bits of a chain of adds and one multiply."""
-    a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=True) * (1.0 / a.data.shape[axis])
-    return _emit("mean", _mean_back, (a,), out, axis)
 
 
 def _exp_back(g, inputs, out, saved):

@@ -82,6 +82,8 @@ def test_config_validation():
         tiny_cfg(align_len=6).validate()  # more buckets than positions
     with pytest.raises(ConfigError):
         tiny_cfg(modality_dims=()).validate()
+    with pytest.raises(ConfigError, match="fusion_depth must be 0 or 1, got 2"):
+        tiny_cfg(fusion_depth=2).validate()  # a model has at most one fusion block
     with pytest.raises(ConfigError, match="odd length"):
         tiny_cfg(seq_len=4).validate()  # a scene window has no central key shot
     tiny_cfg(seq_len=4, num_classes=5).validate()  # act sequences may be even
@@ -432,8 +434,8 @@ def _unstacked(model) -> dict:
 
 def _per_modality_encode(cfg, params, feats_list):
     """The encoder as one op sequence per modality: each tower embeds,
-    normalizes and encodes on its own, and fusion concatenates the token
-    sets for every tower and averages their updates with adds and a mul."""
+    normalizes and encodes on its own, and a fusion block concatenates
+    the token sets for every tower."""
     n, ln = cfg.num_modalities, cfg.align_len
 
     def linear(prefix, x):
@@ -457,22 +459,12 @@ def _per_modality_encode(cfg, params, feats_list):
             seq = block(f"{p}uni{d}.", seq)
         token_sets.append(nc.narrow(seq, -2, 0, ln))
         latents.append(nc.narrow(seq, -2, ln, seq.shape[-2]))
-    for d in range(cfg.fusion_depth):
-        updates = [[] for _ in range(n)]
+    if cfg.fusion_depth:
         # the towers run last to first, so each token set's gradient sums
         # its per-tower terms first to last, as concat's broadcast does
-        outs = [block(f"mod{m}.fus{d}.", nc.concat(token_sets + [latents[m]], -2))
+        outs = [block(f"mod{m}.fus0.", nc.concat(token_sets + [latents[m]], -2))
                 for m in reversed(range(n))][::-1]
-        for out in outs:
-            for j in range(n):
-                updates[j].append(nc.narrow(out, -2, j * ln, (j + 1) * ln))
         latents = [nc.narrow(out, -2, n * ln, out.shape[-2]) for out in outs]
-        token_sets = []
-        for parts in updates:
-            total = parts[0]
-            for u in parts[1:]:
-                total = nc.add(total, u)
-            token_sets.append(nc.mul(total, 1.0 / n))
     return latents[0] if n == 1 else nc.concat(latents, -1)
 
 
@@ -486,7 +478,7 @@ def _per_modality_logits(cfg, params, feats_list):
     return nc.linear(rows, params["head.w"], params["head.b"])
 
 
-@pytest.mark.parametrize("fusion_depth", [1, 2])
+@pytest.mark.parametrize("fusion_depth", [0, 1])
 @pytest.mark.parametrize("task", ["scene", "act"])
 @pytest.mark.parametrize("dims", [(6,), (3, 4), (3, 4, 5)], ids=["M1", "M2", "M3"])
 def test_stacked_towers_keep_the_per_modality_bits(dims, task, fusion_depth):
@@ -520,16 +512,15 @@ def test_stacked_towers_keep_the_per_modality_bits(dims, task, fusion_depth):
 
 
 def test_stacked_towers_record_one_block_per_depth():
-    cfg = tiny_cfg(modality_dims=(3, 4, 5), fusion_depth=2)
+    cfg = tiny_cfg(modality_dims=(3, 4, 5))
     model = af.FusionModel(cfg, seed=24)
     feats = rand_inputs(np.random.default_rng(24), cfg)
     with nc.Tape() as tape:
         af.forward_scene(model, feats)
     names = [node.name for node in tape.nodes]
     # one attention per unimodal and fusion depth, whatever M is, and no
-    # token update after the last fusion block
+    # token update after the fusion block
     assert names.count("attention") == cfg.unimodal_depth + cfg.fusion_depth
-    assert names.count("mean") == cfg.fusion_depth - 1
     assert "mul" not in names
 
 
@@ -540,8 +531,8 @@ SCENE_STEP_NODES = {
 }
 # and of one act step on one movie: two towers, the sync head, and one
 # node per loss; the distillation targets, constants of the loss, record
-# none, and neither do the towers' bottleneck tokens, which no fusion block
-# reads at fusion depth 0
+# none, and at fusion depth 0 neither does the fusion stage's token-set
+# narrow, reshape and concat
 ACT_STEP_NODES = {
     "add": 13, "linear": 12, "narrow": 4, "layernorm": 6, "reshape": 4, "cross_entropy": 3,
     "mul": 3, "gather_rows": 2, "concat": 2, "attention": 2, "gelu": 2, "merge_channels": 2,

@@ -662,6 +662,8 @@ MALFORMED_HEADERS = {
     "even scene seq_len": _setting(["configs", "model", "seq_len"], 6),
     # past alignfuse.MAX_MODEL_PARAMS, rejected before any allocation
     "model over the parameter budget": _setting(["configs", "model", "width"], 10**12),
+    # a model has at most one fusion block
+    "fusion depth 2": _setting(["configs", "model", "fusion_depth"], 2),
 }
 
 
@@ -678,6 +680,8 @@ def test_malformed_checkpoint_header_exits_3(scene_run, scene_data, tmp_path, ca
     err = capsys.readouterr().err
     assert code == 3, err
     assert err.startswith("data error") and "Traceback" not in err
+    if edit == "fusion depth 2":
+        assert "fusion_depth must be 0 or 1, got 2" in err
     assert not out.exists()
 
 
@@ -1093,6 +1097,9 @@ REMOVED_SETTINGS = [
         ["train-scene", "--data", "{scene}", "--set", "model.width=1000000000000"],
         ["train-act", "--data", "{act}", "--set", "shot.ffn_width=1000000000000"],
         ["train-act", "--data", "{act}", "--set", "train.sync_dim=1000000000000"],
+        # a model has at most one fusion block
+        ["train-scene", "--data", "{scene}", "--set", "model.fusion_depth=2"],
+        ["train-act", "--data", "{act}", "--set", "shot.fusion_depth=2"],
     ] + REMOVED_SETTINGS,
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -1106,6 +1113,8 @@ def test_bad_value_exits_2_before_any_work(act_data, scene_data, tmp_path, capsy
     assert err.startswith("config error") and "Traceback" not in err
     if argv[-1] in {removed[-1] for removed in REMOVED_SETTINGS}:
         assert f"unknown config key '{argv[-1].partition('=')[0]}'" in err
+    if argv[-1].endswith("fusion_depth=2"):
+        assert "fusion_depth must be 0 or 1, got 2" in err
     assert not any(tmp_path.rglob("*"))  # no --out, nor any file beside it
 
 

@@ -815,8 +815,6 @@ def test_grad_modality_stacked_ops():
     shared = leaf(rng, 3, 1, 6, 5)  # broadcast over the modality axis
     r = rng.uniform(-1, 1, size=(3, 2, 10, 5))
     fd_check(lambda: weighted_sum(nc.concat([shared, x], -2), r), {"shared": shared, "x": x})
-    r = rng.uniform(-1, 1, size=(3, 1, 4, 5))
-    fd_check(lambda: weighted_sum(nc.mean(x, -3), r), {"x": x})
     r = rng.uniform(-1, 1, size=(3, 4, 10))
     fd_check(lambda: weighted_sum(nc.merge_channels(x), r), {"x": x})
     npt.assert_array_equal(nc.merge_channels(x).data, np.concatenate([x.data[:, 0], x.data[:, 1]], -1))
