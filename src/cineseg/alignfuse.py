@@ -66,10 +66,11 @@ CHECKPOINT_VERSION = 6
 # the configs before any allocation: 800 MB per float64 copy, of which
 # training holds about five (values, two gradient copies, Adam moments)
 MAX_MODEL_PARAMS = 10**8
-# an encode_sequences group's budget, in M x span^2 per movie: two movies of
-# 300 shots behind 12 tokens. Attention scores one movie at a time (see
-# numcore._CHUNK_SCORES), so it bounds a group's activations, not its scores
-GROUP_SCORES = 2 * 312 * 312
+# the one budget of every grouped untaped forward, in activation rows:
+# members x M x span, a tower attending over span = L + M x align_len (see
+# group_size). Two 300-shot movies behind 12 tokens; attention scores one
+# member at a time (numcore._CHUNK_SCORES), so this bounds activations
+GROUP_POSITIONS = 2 * 312
 # the JSON types a checkpoint may give each ModelConfig field, by its
 # annotation (modality_dims is a list of ints)
 _JSON_TYPES = {"int": (int,), "bool": (bool,)}
@@ -365,19 +366,23 @@ def encode_sequence(model, feats_list) -> Tensor:
     return nc.reshape(fused, (fused.shape[1], model.config.fused_width))
 
 
+def group_size(cfg, length: int) -> int:
+    """How many length-L sequences one grouped untaped forward runs: as many
+    as GROUP_POSITIONS activation rows hold, and at least one."""
+    span = length + cfg.num_modalities * cfg.align_len
+    return max(1, GROUP_POSITIONS // (cfg.num_modalities * span))
+
+
 def encode_sequences(model, sequences) -> list:
     """Untaped fused rows [L_in x fused_width] of each sequence (its per-modality
     [L_in x dim] matrices), in input order: sequences of one shape run batched
-    within GROUP_SCORES, each with the bits encode_sequence gives it alone."""
-    cfg = model.config
+    in groups of group_size, each with the bits encode_sequence gives it alone."""
     by_shape: dict[tuple, list] = {}
     for i, feats in enumerate(sequences):
         by_shape.setdefault(tuple(f.shape for f in feats), []).append(i)
     rows = {}
     for shapes, members in by_shape.items():
-        # a tower attends over at most its latents and every token set
-        span = max((s[0] for s in shapes), default=0) + cfg.num_modalities * cfg.align_len
-        size = max(1, GROUP_SCORES // (cfg.num_modalities * span * span))
+        size = group_size(model.config, max((s[0] for s in shapes), default=0))
         for lo in range(0, len(members), size):
             group = members[lo:lo + size]
             stacked = [np.stack(m) for m in zip(*(sequences[i] for i in group))]
@@ -404,7 +409,7 @@ def save_checkpoint(path, kind: str, configs: dict, params: dict, extra: dict | 
     }
     chunks = [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"]
     chunks += [np.ascontiguousarray(t.data, dtype="<f8").tobytes() for t in params.values()]
-    atomic_write(path, b"".join(chunks))
+    atomic_write(path, chunks)
 
 
 def load_checkpoint(path):

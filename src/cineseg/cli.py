@@ -197,11 +197,13 @@ def cmd_synth(args) -> int:
 def _finish_training(args, cfg_map: dict, trained, reports, logs) -> Path:
     """Make the run directory once training has returned, so a run that
     fails leaves none, and write the trained model.ckpt, its log,
-    reports and config there; returns the directory."""
+    reports and config there, the log one encoded line at a time, never
+    joined into one string; returns the directory."""
     from . import trainer
     out = _run_dir(args)
     trainer.save_checkpoint(out / "model.ckpt", trained, cfg_map["train.epochs"])
-    _write_text(out / "train_log.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in logs))
+    dataio.atomic_write(out / "train_log.jsonl",
+                        ((json.dumps(r, sort_keys=True) + "\n").encode() for r in logs))
     _write_json(out / "reports.json", [r.to_json() for r in reports])
     _write_config(out, args.command, args.seed, cfg_map)
     _print_json(reports[-1].to_json())

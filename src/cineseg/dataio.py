@@ -323,15 +323,16 @@ def make_dataset(cfg: SynthConfig, movies: int, seed: int) -> list[MovieSample]:
 # ---- blob + manifest serialization ----
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write data to a temporary file beside path, then rename it onto
-    path, so path holds either its old content or all of data. The
-    temporary file is removed when the write fails."""
+def atomic_write(path, data) -> None:
+    """Write data (bytes, or byte chunks in order) to a temporary file
+    beside path, then rename it onto path, so path holds either its old
+    content or all of data. The temporary file is removed when the write fails."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -25,7 +25,7 @@ instead: a grow-only float64 buffer for an unrecorded forward's weights
 or a backward's score gradients, never live at the same time. An
 unrecorded forward fills it one chunk of its leading axis at a time,
 whole indices within _CHUNK_SCORES (1 MiB): one 312-position movie of
-a grouped forward, every scene window of a batch. It is
+a grouped forward, every scene window of a group. It is
 private to this module, never returned nor saved on a node (each
 ``fd_gradient`` worker, forked from the caller, has its own). The six
 L x L products go to BLAS as row blocks within 2^18 multiply-adds,

@@ -204,13 +204,16 @@ def check_scene_lengths(movies, model_cfg) -> None:
 
 
 def scene_shot_scores(model, movie) -> np.ndarray:
-    """Boundary probability for every shot, with mirror-padded edge windows."""
+    """Boundary probability for every shot, with mirror-padded edge windows,
+    af.group_size windows per forward: at the desk config a 200-shot movie runs
+    in 5 forwards within af.GROUP_POSITIONS rows (4 x 44 + 24), not one of 2,800."""
     check_scene_lengths([movie], model.config)
     half = model.config.seq_len // 2
     n = movie.num_shots
+    size = af.group_size(model.config, model.config.seq_len)
     scores = np.empty(n)
-    for start in range(0, n, 256):
-        idx = window_index(np.arange(start, min(start + 256, n)), half, n)
+    for start in range(0, n, size):
+        idx = window_index(np.arange(start, min(start + size, n)), half, n)
         logits = af.forward_scene(model, [x[idx] for x in movie.streams])
         probs = nc.softmax(logits, axis=-1)
         scores[start:start + len(idx)] = probs.data[:, 1]

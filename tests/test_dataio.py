@@ -316,19 +316,31 @@ def test_failed_write_leaves_no_file_behind(tmp_path, monkeypatch):
             raise OSError("disk full")
 
     target = tmp_path / "out.json"
-    monkeypatch.setattr(dataio, "open", HalfWriter, raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        dataio.atomic_write(target, b"0123456789")
-    assert list(tmp_path.iterdir()) == []
+    # the data as one bytes object, and as chunks a generator yields
+    for as_data in (bytes, lambda b: (b[i:i + 3] for i in range(0, len(b), 3))):
+        monkeypatch.setattr(dataio, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            dataio.atomic_write(target, as_data(b"0123456789"))
+        assert list(tmp_path.iterdir()) == []
 
-    # a failed write keeps the previous content under the final name
-    monkeypatch.undo()
-    target.write_bytes(b"old")
-    monkeypatch.setattr(dataio, "open", HalfWriter, raising=False)
-    with pytest.raises(OSError):
-        dataio.atomic_write(target, b"new content")
+        # a failed write keeps the previous content under the final name
+        monkeypatch.undo()
+        target.write_bytes(b"old")
+        monkeypatch.setattr(dataio, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError):
+            dataio.atomic_write(target, as_data(b"new content"))
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"old"
+        monkeypatch.undo()
+        target.unlink()
+
+
+def test_chunked_write_lands_the_chunks_in_order(tmp_path):
+    chunks = [b"{\"step\": 1}\n", b"", b"\x00\xff" * 5000, b"last"]
+    target = tmp_path / "log.jsonl"
+    dataio.atomic_write(target, iter(chunks))
+    assert target.read_bytes() == b"".join(chunks)
     assert list(tmp_path.iterdir()) == [target]
-    assert target.read_bytes() == b"old"
 
 
 @pytest.mark.parametrize(

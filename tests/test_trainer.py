@@ -500,6 +500,46 @@ def test_scene_scores_cover_every_shot():
     assert np.array_equal(scores, trainer.scene_shot_scores(model, movies[0]))
 
 
+def test_scene_scores_run_in_groups_with_the_bits_of_one_forward(monkeypatch):
+    # the desk scene shapes: 3-shot windows behind 2 tokens per modality
+    # hold 2 x (3 + 2 x 2) = 14 rows each, so 624 // 14 = 44 per forward
+    movie = make_dataset(scene_synth(shots=200), movies=1, seed=6)[0]
+    cfg = af.ModelConfig(seq_len=3, align_len=2, width=8, ffn_width=16, unimodal_depth=1,
+                         fusion_depth=1, num_classes=2, modality_dims=(6, 4))
+    model = af.FusionModel(cfg, seed=0)
+    idx = trainer.window_index(np.arange(200), 1, 200)
+    whole = nc.softmax(af.forward_scene(model, [x[idx] for x in movie.streams]), axis=-1)
+    windows, forward = [], af.forward_scene
+    monkeypatch.setattr(af, "forward_scene", lambda model, feats: (
+        windows.append(feats[0].shape[0]), forward(model, feats))[1])
+    scores = trainer.scene_shot_scores(model, movie)
+    assert windows == [44, 44, 44, 44, 24]
+    assert scores.tobytes() == whole.data[:, 1].tobytes()
+
+
+def test_every_untaped_forward_keeps_to_the_group_budget(monkeypatch):
+    # every af.encode call outside a tape: its batch and activation rows,
+    # batch x M x span
+    calls, encode = [], af.encode
+
+    def recording(model, feats):
+        if not nc._TAPE_STACK:
+            m, (batch, length) = model.config.num_modalities, feats[0].shape[:2]
+            calls.append((batch, batch * m * (length + m * model.config.align_len)))
+        return encode(model, feats)
+
+    monkeypatch.setattr(af, "encode", recording)
+    scene_movies = make_dataset(scene_synth(shots=80), movies=4, seed=1)
+    scene_model, _, _ = trainer.train_scene(scene_movies, scene_model_cfg(),
+                                            scene_train_cfg(epochs=1))
+    trainer.scene_shot_scores(scene_model, scene_movies[0])
+    act_movies = make_dataset(act_synth(), movies=5, seed=8)
+    pipeline, _, _, _ = trainer.train_act(act_movies, *act_model_cfgs(), act_train_cfg(epochs=1))
+    trainer.act_shot_probs(pipeline.shot_model, act_movies)
+    assert len(calls) > 10
+    assert all(rows <= af.GROUP_POSITIONS or batch == 1 for batch, rows in calls), calls
+
+
 def test_scene_scores_reject_too_short_movie():
     movies = make_dataset(scene_synth(shots=12), movies=1, seed=7)
     cfg = af.ModelConfig(
